@@ -34,6 +34,7 @@ class Bibundle:
 def check_bibundle(zb):
     violations = []
     left, right = zb.left, zb.right
+    space = set(zb.space)
     for z in zb.space:
         if zb.lmom.get(z) not in left.objects or zb.rmom.get(z) not in right.objects:
             violations.append(Violation("BadMoment", (z,)))
@@ -51,7 +52,7 @@ def check_bibundle(zb):
                 violations.append(Violation("SpuriousActionEntry", ("left", m, z)))
             elif defined:
                 mz = zb.lact[(m, z)]
-                if mz not in set(zb.space) or zb.lmom[mz] != left.tgt[m]:
+                if mz not in space or zb.lmom[mz] != left.tgt[m]:
                     violations.append(Violation("BadActionImage", ("left", m, z)))
     for z in zb.space:
         for n in right.arrows:
@@ -63,7 +64,7 @@ def check_bibundle(zb):
                 violations.append(Violation("SpuriousActionEntry", ("right", z, n)))
             elif defined:
                 zn = zb.ract[(z, n)]
-                if zn not in set(zb.space) or zb.rmom[zn] != right.src[n]:
+                if zn not in space or zb.rmom[zn] != right.src[n]:
                     violations.append(Violation("BadActionImage", ("right", z, n)))
     if violations:
         return violations

@@ -6,6 +6,7 @@ Exit codes: 0 pass, 1 validation failure, 2 I/O or syntax error,
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -322,9 +323,14 @@ def make_parser():
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """One parser per process: parsing keeps no state in it."""
+    return make_parser()
+
+
 def main(argv=None):
-    ap = make_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except gdf.GDFSyntaxError as e:

@@ -294,8 +294,8 @@ def _p3(label):
 
 
 def xext_from_hypercover(chi):
-    report, _ = xmd.check_hypercover(chi)
-    if not (report["WE1"] and report["WE2"] and report["WE3"]):
+    report = xmd.hypercover_report(chi)
+    if not all(report.values()):
         raise NotAHypercover(str(report))
     return crossing_from_strict(chi, as_extension=True)
 

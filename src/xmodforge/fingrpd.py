@@ -358,9 +358,9 @@ class GroupBundle(Groupoid):
 
 def validate_group_bundle(objects, arrows, src, tgt, inv, unit, comp):
     violations = check_groupoid(objects, arrows, src, tgt, inv, unit, comp)
-    for h in sorted(arrows):
-        if src[h] != tgt[h]:
-            violations.append(Violation("NotEndoArrow", (h,)))
+    if not violations:
+        violations = [Violation("NotEndoArrow", (h,))
+                      for h in sorted(arrows) if src[h] != tgt[h]]
     if violations:
         raise ValidationFailure(violations)
     return GroupBundle(objects, arrows, src, tgt, inv, unit, comp)

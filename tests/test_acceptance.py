@@ -211,7 +211,7 @@ def test_criterion_7_coherence():
         sq2 = exm.eta_square(i, i, i, i)
         # pro2: the eta-square conjugates *v of diamonds into diamonds of *v
         conj = {k: sq2.eta[k] for k in sq2.eta}
-        assert set(conj.values()) == set(vleft.src.p.space) or True
+        assert set(conj.values()) == set(vleft.src.p.space)
         assert vleft.is_bijective()
 
 

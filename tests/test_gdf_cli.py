@@ -89,6 +89,18 @@ def test_cmd_check_corrupted_fails(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_cmd_check_bundle_missing_base_fails(tmp_path, capsys):
+    # a bundle arrow without its `base:` entry is a validation failure
+    blocks = gdf.xmod_blocks("X", xmod.inertia_xmod(fingrpd.cyclic_groupoid(2)))
+    bundle = next(b for b in blocks if b.kind == "bundle")
+    bundle.entries["base"] = sorted(bundle.entries["base"])[1:]
+    p = tmp_path / "nobase.gdf"
+    p.write_text(gdf.print_gdf(gdf.document_of(blocks)))
+    assert run_cli(["check", str(p)]) == cli.EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert "BadArrowEndpoints" in out
+
+
 def test_cmd_check_syntax_exit_code(tmp_path, capsys):
     p = tmp_path / "broken.gdf"
     p.write_text("groupoid G {\n  objects x\n}\n")

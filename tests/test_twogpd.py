@@ -1,8 +1,14 @@
+import os
+import random
+
 import pytest
 
-from xmodforge import twogpd
-from xmodforge.errors import ValidationFailure
-from xmodforge.fingrpd import cyclic_groupoid, pair_groupoid, unit_groupoid, unpair
+from xmodforge import gdf, twogpd, xmod
+from xmodforge.errors import ValidationFailure, Violation
+from xmodforge.fingrpd import (Groupoid, as_group_bundle, cyclic_groupoid,
+                               pair_groupoid, trivial_action, unit_groupoid,
+                               unpair)
+from xmodforge.generators import random_cover, random_crossed_module, random_groupoid
 from xmodforge.twogpd import (check_strong_equivalence, check_transformation2,
                               check_weak_equivalence, cover_2groupoid,
                               cover_projection, from_groupoid, identity_hom2,
@@ -220,3 +226,208 @@ def test_cover_projection_random_pairs(rng):
         cover = random_cover(rng, g)
         f, _, _ = cover_projection(g, cover)
         assert all(check_weak_equivalence(f).values())
+
+
+# -- check_2groupoid against the direct sweep --------------------------------
+
+
+def reference_laws(tg):
+    """h-associativity, interchange and 1_g *h 1_h = 1_{gh} by the direct
+    sweep: every v-composable (a1, b1), every h-successor a2 of a1 and b2
+    of b1, skipping the quadruples whose (a2, b2) is not v-composable."""
+    violations = []
+    hnext = {}
+    for (a, b) in tg.hcomp:
+        hnext.setdefault(a, []).append(b)
+    for (a, b), ab in tg.hcomp.items():
+        for c in hnext.get(b, ()):
+            if tg.hcomp[(ab, c)] != tg.hcomp[(a, tg.hcomp[(b, c)])]:
+                violations.append(Violation("HNonAssociative", (a, b, c)))
+    for (a1, b1), v1 in tg.vcomp.items():
+        for a2 in hnext.get(a1, ()):
+            for b2 in hnext.get(b1, ()):
+                if (a2, b2) not in tg.vcomp:
+                    continue
+                lhs = tg.vcomp.get((tg.hcomp[(a1, a2)], tg.hcomp[(b1, b2)]))
+                rhs = tg.hcomp.get((v1, tg.vcomp[(a2, b2)]))
+                if lhs is None or rhs is None or lhs != rhs:
+                    violations.append(
+                        Violation("InterchangeFailure", (a1, a2, b1, b2)))
+    for g, h in tg.level1().composable_pairs():
+        if tg.hcomp[(tg.vunit[g], tg.vunit[h])] != tg.vunit[tg.comp1[(g, h)]]:
+            violations.append(Violation("BadHUnit", (g, h), "vunit not h-multiplicative"))
+    return violations
+
+
+def listed(violations):
+    return [(v.code, v.witness, v.detail) for v in violations]
+
+
+def assert_matches_reference(tg):
+    """check_2groupoid lists what the cell checks and the direct sweep list,
+    in the same order; on strict bigons the whiskering certificate holds
+    exactly when the sweep finds nothing.  Returns the sweep's list."""
+    got = listed(twogpd.check_2groupoid(tg))
+    cells = twogpd._check_cells(tg)
+    if cells:
+        assert got == listed(cells)
+        return []
+    laws = listed(reference_laws(tg))
+    assert got == laws
+    if tg.strict_bigons:
+        assert twogpd._whiskering_certifies(tg) == (laws == [])
+    return laws
+
+
+def quotient_xmod(n, k):
+    """Z/n -> Z/k, reduction mod k, trivial action: a boundary that is
+    neither trivial nor injective, so parallel cells are not loops."""
+    g = cyclic_groupoid(k, prefix="g")
+    h = as_group_bundle(cyclic_groupoid(n, prefix="h"))
+    return xmod.validate_crossed_module(
+        g, h, {f"h{i}": f"g{i % k}" for i in range(n)}, trivial_action(g, h))
+
+
+def generated_2groupoids():
+    z4 = quotient_xmod(4, 2)
+    pulled, _ = xmod.pullback_xmod(z4, ["p", "q"], {"p": "*", "q": "*"})
+    out = [xmod.xmod_to_2groupoid(xm) for xm in (z4, quotient_xmod(6, 3), pulled)]
+    for seed in range(8):
+        rng = random.Random(seed)
+        out += [xmod.xmod_to_2groupoid(random_crossed_module(rng)) for _ in range(4)]
+    fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
+    for name in sorted(os.listdir(fixtures)):
+        with open(os.path.join(fixtures, name)) as fh:
+            env = gdf.build_document(gdf.parse_gdf(fh.read()))
+        for obj in env.values():
+            if isinstance(obj, xmod.CrossedModule):
+                out.append(xmod.xmod_to_2groupoid(obj))
+            elif isinstance(obj, Groupoid):
+                out.append(from_groupoid(obj))
+    return out
+
+
+def corrupted(tg, table, key, value):
+    tables = {name: dict(getattr(tg, name)) for name in ("vunit", "vcomp", "hcomp")}
+    tables[table][key] = value
+    return twogpd.TwoGroupoid(tg.g0, tg.g1, tg.s, tg.t, tg.inv1, tg.unit1,
+                              tg.comp1, tg.g2, tg.s2, tg.t2, tg.vinv,
+                              tables["vunit"], tables["vcomp"], tables["hcomp"],
+                              tg.hinv)
+
+
+def test_check_2groupoid_matches_sweep_on_generated():
+    tgs = generated_2groupoids()
+    assert any(len(tg.g0) > 1 for tg in tgs)
+    for tg in tgs:
+        assert tg.strict_bigons
+        assert assert_matches_reference(tg) == []
+
+
+def test_check_2groupoid_matches_sweep_on_covers():
+    rng = random.Random(7)
+    loose = 0
+    for _ in range(8):
+        g = random_groupoid(rng, max_objects=3, max_order=3)
+        tg = cover_2groupoid(g, random_cover(rng, g))
+        loose += not tg.strict_bigons
+        assert assert_matches_reference(tg) == []
+    assert loose >= 4
+
+
+def test_check_2groupoid_matches_sweep_on_corruptions():
+    """Single entries of hcomp, vcomp or vunit replaced by another cell with
+    the same s2 and t2, so that some corruptions pass the cell checks and
+    the certificate has to reject them."""
+    rng = random.Random(11)
+    law_codes = set()
+    tried = 0
+    for tg in generated_2groupoids():
+        parallel = {}
+        for c in sorted(tg.g2):
+            parallel.setdefault((tg.s2[c], tg.t2[c]), []).append(c)
+        for table in ("hcomp", "vcomp", "vunit"):
+            entries = sorted(getattr(tg, table).items())
+            for key, value in rng.sample(entries, min(12, len(entries))):
+                others = [c for c in parallel[(tg.s2[value], tg.t2[value])] if c != value]
+                if others:
+                    tried += 1
+                    laws = assert_matches_reference(
+                        corrupted(tg, table, key, rng.choice(others)))
+                    law_codes.update(code for code, _, _ in laws)
+    assert tried >= 200
+    assert law_codes == {"HNonAssociative", "InterchangeFailure", "BadHUnit"}
+
+
+def cyclic_2groupoid(n, k, d, hx):
+    """One object, 1-cells g_i for i in Z/k, 2-cells (x, i): g_i => g_{i+dx}
+    for x in Z/n, vertical composite (x1 + x2, i), horizontal composite
+    (hx(x1, i1, x2, i2), i1 + i2).  The checks before the laws pass when
+    dn = 0 and d hx(x1, i1, x2, i2) = d (x1 + x2) mod k, and hx(x, i, 0, 0)
+    = hx(0, 0, x, i) = x.  hx = x1 + x2 gives the 2-groupoid of the crossed
+    module Z/n -> Z/k, x -> dx, with trivial action."""
+    g = [f"g{i}" for i in range(k)]
+    cell = lambda x, i: f"{x % n}|{i % k}"
+    pairs = [(x, i) for x in range(n) for i in range(k)]
+    return twogpd.TwoGroupoid(
+        ["*"], g, dict.fromkeys(g, "*"), dict.fromkeys(g, "*"),
+        {g[i]: g[-i % k] for i in range(k)}, {"*": g[0]},
+        {(g[i], g[j]): g[(i + j) % k] for i in range(k) for j in range(k)},
+        [cell(x, i) for x, i in pairs],
+        {cell(x, i): g[i] for x, i in pairs},
+        {cell(x, i): g[(d * x + i) % k] for x, i in pairs},
+        {cell(x, i): cell(-x, d * x + i) for x, i in pairs},
+        {g[i]: cell(0, i) for i in range(k)},
+        {(cell(x1, d * x2 + i), cell(x2, i)): cell(x1 + x2, i)
+         for x1 in range(n) for x2, i in pairs},
+        {(cell(x1, i1), cell(x2, i2)): cell(hx(x1, i1, x2, i2), i1 + i2)
+         for x1, i1 in pairs for x2, i2 in pairs},
+        {cell(x, i): cell(-x, -i) for x, i in pairs})
+
+
+SWAP23 = [0, 1, 3, 2]  # a bijection of Z/4 fixing 0 that is no automorphism
+NEG_AT_1 = [lambda x: x, lambda x: -x, lambda x: x]  # i -> NEG_AT_1[i] is no homomorphism
+
+
+@pytest.mark.parametrize("n, k, d, hx, law", [
+    # Z/4 -> Z/2 with Z/2 acting by negation: no Peiffer identity, so
+    # a *h b = R(a, h') . L(g, b) but not L(g', b) . R(a, h) in (D)
+    (4, 2, 1, lambda x1, i1, x2, i2: x1 + (-1) ** i1 * x2, "InterchangeFailure"),
+    # the same with the other whiskering order: only the first form of (D) fails
+    (4, 2, 1, lambda x1, i1, x2, i2: x1 + (-1) ** (i1 + x1) * x2, "InterchangeFailure"),
+    # L(g, -), then R(-, h), does not preserve vertical composition: (W1)
+    (4, 2, 0, lambda x1, i1, x2, i2: x1 + (SWAP23[x2] if i1 else x2), "InterchangeFailure"),
+    (4, 2, 0, lambda x1, i1, x2, i2: (SWAP23[x1] if i2 else x1) + x2, "InterchangeFailure"),
+    # L(g, L(h, c)) != L(gh, c), then R(R(a, h), k) != R(a, hk): (W2)
+    (3, 3, 0, lambda x1, i1, x2, i2: x1 + NEG_AT_1[i1](x2), "HNonAssociative"),
+    (3, 3, 0, lambda x1, i1, x2, i2: NEG_AT_1[i2](x1) + x2, "HNonAssociative"),
+])
+def test_check_2groupoid_matches_sweep_on_twisted_whiskers(n, k, d, hx, law):
+    tg = cyclic_2groupoid(n, k, d, hx)
+    assert twogpd._check_cells(tg) == []
+    assert law in {code for code, _, _ in assert_matches_reference(tg)}
+
+
+def test_cyclic_2groupoid_of_a_crossed_module():
+    tg = cyclic_2groupoid(4, 2, 1, lambda x1, i1, x2, i2: x1 + x2)
+    assert assert_matches_reference(tg) == []
+
+
+def test_check_2groupoid_matches_sweep_with_a_stray_hcomp_key():
+    # "x" has the s2 and t2 of the cell c and all of its h-composites but is
+    # no cell: the cell checks pass, the certificate refuses, and the sweep
+    # must still list what the reference lists
+    tg = cyclic_2groupoid(4, 2, 1, lambda x1, i1, x2, i2: x1 + x2)
+    c = "0|0"
+    hcomp = {}
+    for (a, b), ab in tg.hcomp.items():
+        for x in ({a, "x"} if a == c else {a}):
+            for y in ({b, "x"} if b == c else {b}):
+                hcomp[(x, y)] = ab
+    stray = twogpd.TwoGroupoid(tg.g0, tg.g1, tg.s, tg.t, tg.inv1, tg.unit1,
+                               tg.comp1, tg.g2, {**tg.s2, "x": tg.s2[c]},
+                               {**tg.t2, "x": tg.t2[c]}, tg.vinv, tg.vunit,
+                               tg.vcomp, hcomp, tg.hinv)
+    assert twogpd._check_cells(stray) == []
+    assert not twogpd._whiskering_certifies(stray)
+    assert listed(twogpd.check_2groupoid(stray)) == listed(reference_laws(stray)) == []

@@ -167,7 +167,7 @@ def test_xmod_to_2groupoid_z2_identity_module():
 
 def test_twogpd_to_xmod_from_groupoid(pair2):
     xm = xmod.twogpd_to_xmod(twogpd.from_groupoid(pair2))
-    assert all(xm.h.is_unit(h) or True for h in xm.h.arrows)
+    assert all(xm.h.is_unit(h) for h in xm.h.arrows)
     assert len(xm.h.arrows) == len(pair2.objects)  # trivial bundle
 
 
