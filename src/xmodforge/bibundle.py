@@ -2,7 +2,9 @@
 the division function g^Z, the induced morphism Phi^Z, and the bullet
 composition of bibundles."""
 
-from .errors import EmptyComposite, ValidationFailure, Violation
+from itertools import repeat
+
+from .errors import CoherenceFailure, EmptyComposite, ValidationFailure, Violation
 from .fingrpd import (Groupoid, GroupoidMorphism, pullback_groupoid,
                       validate_groupoid_morphism)
 from .util import UnionFind, cls_label, pair, search_bijection
@@ -32,6 +34,24 @@ class Bibundle:
 
 
 def check_bibundle(zb):
+    """Violations of the bibundle axioms, empty when zb is a bibundle.
+
+    The moments, the shape of both action tables, the unit laws and the
+    invariance of each moment under the other action are checked point by
+    point.  The action and commuting laws are checked on integer rows.
+    Points are numbered by their position in ``zb.space``.  A left arrow m
+    has the row i -> (position of m.z_i) over the fibre lmom = s(m), held
+    both as the list of images in fibre order and as a dict; a right arrow
+    n likewise over rmom = t(n).  Each law is compared on its own fibre
+    only, as two lists of positions: (m1 m2).z against m1.(m2.z) over
+    lmom = s(m2), z.(n1 n2) against (z.n1).n2 over rmom = t(n1), and
+    (m.z).n against m.(z.n) over each occupied moment pair (s(m), t(n)).
+    The lists are built by mapping rows over positions, so the lookups run
+    in C and number exactly those of a point-by-point sweep.  Per-point
+    witnesses are built only where two lists differ, in the sweep's order:
+    NotAction by composable pair, then by position; NonCommuting (m, z, n)
+    by position, then m, then n.  Right-principality comes last.
+    """
     violations = []
     left, right = zb.left, zb.right
     space = set(zb.space)
@@ -74,16 +94,36 @@ def check_bibundle(zb):
             violations.append(Violation("BadUnitAction", ("left", z)))
         if zb.ract[(z, right.unit[zb.rmom[z]])] != z:
             violations.append(Violation("BadUnitAction", ("right", z)))
+
+    zs = zb.space
+    at = zs.__getitem__
+    pos = {z: i for i, z in enumerate(zs)}.__getitem__
+    lfib, rfib, bifib = {}, {}, {}
+    for i, z in enumerate(zs):
+        x, y = zb.lmom[z], zb.rmom[z]
+        lfib.setdefault(x, []).append(i)
+        rfib.setdefault(y, []).append(i)
+        bifib.setdefault((x, y), []).append(i)
+    limg, lrow, rimg, rrow = {}, {}, {}, {}
+    for m in left.arrows:
+        fib = lfib.get(left.src[m], ())
+        limg[m] = list(map(pos, map(zb.lact.__getitem__, zip(repeat(m), map(at, fib)))))
+        lrow[m] = dict(zip(fib, limg[m]))
+    for n in right.arrows:
+        fib = rfib.get(right.tgt[n], ())
+        rimg[n] = list(map(pos, map(zb.ract.__getitem__, zip(map(at, fib), repeat(n)))))
+        rrow[n] = dict(zip(fib, rimg[n]))
+
     for m1, m2 in left.composable_pairs():
-        for z in zb.space:
-            if left.src[m2] == zb.lmom[z]:
-                if zb.lact[(left.comp[(m1, m2)], z)] != zb.lact[(m1, zb.lact[(m2, z)])]:
-                    violations.append(Violation("NotAction", ("left", m1, m2, z)))
+        lhs, rhs = limg[left.comp[(m1, m2)]], list(map(lrow[m1].__getitem__, limg[m2]))
+        if lhs != rhs:
+            violations += [Violation("NotAction", ("left", m1, m2, zs[i]))
+                           for i in _mismatches(lfib[left.src[m2]], lhs, rhs)]
     for n1, n2 in right.composable_pairs():
-        for z in zb.space:
-            if zb.rmom[z] == right.tgt[n1]:
-                if zb.ract[(z, right.comp[(n1, n2)])] != zb.ract[(zb.ract[(z, n1)], n2)]:
-                    violations.append(Violation("NotAction", ("right", z, n1, n2)))
+        lhs, rhs = rimg[right.comp[(n1, n2)]], list(map(rrow[n2].__getitem__, rimg[n1]))
+        if lhs != rhs:
+            violations += [Violation("NotAction", ("right", zs[i], n1, n2))
+                           for i in _mismatches(rfib[right.tgt[n1]], lhs, rhs)]
     # commuting: (m.z).n = m.(z.n); moments cross-invariant
     for z in zb.space:
         for m in left.arrows_from(zb.lmom[z]):
@@ -96,11 +136,17 @@ def check_bibundle(zb):
                 violations.append(Violation("NonCommuting", (z, n), "lmom moved by right action"))
     if violations:
         return violations
-    for z in zb.space:
-        for m in left.arrows_from(zb.lmom[z]):
-            for n in right.arrows_to(zb.rmom[z]):
-                if zb.ract[(zb.lact[(m, z)], n)] != zb.lact[(m, zb.ract[(z, n)])]:
-                    violations.append(Violation("NonCommuting", (m, z, n)))
+    bad = []
+    for (x, y), fib in bifib.items():
+        ms = [(m, lrow[m], list(map(lrow[m].__getitem__, fib))) for m in left.arrows_from(x)]
+        for n in right.arrows_to(y):
+            nrow = rrow[n].__getitem__
+            zn = list(map(nrow, fib))
+            for m, mrow, mz in ms:
+                lhs, rhs = list(map(nrow, mz)), list(map(mrow.__getitem__, zn))
+                if lhs != rhs:
+                    bad += [(i, m, n) for i in _mismatches(fib, lhs, rhs)]
+    violations += [Violation("NonCommuting", (m, zs[i], n)) for i, m, n in sorted(bad)]
     if violations:
         return violations
 
@@ -122,6 +168,11 @@ def check_bibundle(zb):
                 elif len(sols) > 1:
                     violations.append(Violation("NotFree", (z, sols[0], sols[1])))
     return violations
+
+
+def _mismatches(fib, lhs, rhs):
+    """The positions of fib at whose index the lists lhs and rhs differ."""
+    return [i for i, a, b in zip(fib, lhs, rhs) if a != b]
 
 
 def validate_bibundle(left, right, space, lmom, rmom, lact, ract):
@@ -191,7 +242,10 @@ def _parts(label):
 
 
 def g_function(zb):
-    """g^Z(z,z') = the unique right-groupoid arrow with z' = z.g^Z(z,z')."""
+    """g^Z(z,z') = the unique right-groupoid arrow with z' = z.g^Z(z,z').
+
+    Raises ValidationFailure with the check_bibundle witness (NotTransitive
+    or NotFree) when zb is not right-principal."""
     reach = {z: {} for z in zb.space}
     for (z, n), z2 in zb.ract.items():
         reach[z].setdefault(z2, []).append(n)
@@ -201,7 +255,10 @@ def g_function(zb):
         for z in fiber:
             for z2 in fiber:
                 sols = reach[z].get(z2, ())
-                assert len(sols) == 1, (z, z2, sols)
+                if not sols:
+                    raise ValidationFailure([Violation("NotTransitive", (z, z2))])
+                if len(sols) > 1:
+                    raise ValidationFailure([Violation("NotFree", (z, sols[0], sols[1]))])
                 table[(z, z2)] = sols[0]
     return table
 
@@ -244,55 +301,65 @@ def phi_Z_bijective(f):
 def compose_bibundles(z1, z2):
     """Z1 . Z2 = (Z1 x_{N^0} Z2)/N with (z1 n, z2) ~ (z1, n z2).
 
-    Canonical class labels come from union-find representatives. The composite
-    g-function identity g^{Z1.Z2}([a,b],[a',b']) = g^{Z2}(b, g^{Z1}(a,a').b')
-    is checked exhaustively before returning.
+    The fibred pairs are numbered in the order of their labels pair(a, b),
+    so the union-find representative of a class, its least number, is its
+    least label, and the class is labelled by it.  The composite g-function
+    identity g^{Z1.Z2}([a,b],[a',b']) = g^{Z2}(b, g^{Z1}(a,a').b') is
+    checked exhaustively before returning.
     """
     if z1.right is not z2.left and set(z1.right.arrows) != set(z2.left.arrows):
         raise ValidationFailure([Violation("MiddleMismatch", None)])
     n = z1.right
-    pairs = [pair(a, b) for a in z1.space for b in z2.space
-             if z1.rmom[a] == z2.lmom[b]]
-    if not pairs:
+    over = _fibres(z2.space, z2.lmom)
+    fibred = [(a, b) for a in z1.space for b in over.get(z1.rmom[a], ())]
+    if not fibred:
         raise EmptyComposite("fibered product of bibundle spaces is empty")
-    uf = UnionFind(pairs)
+    labels = [pair(a, b) for a, b in fibred]
+    order = sorted(set(labels))
+    number = {lab: k for k, lab in enumerate(order)}
+    num = dict(zip(fibred, map(number.__getitem__, labels)))
+    uf = UnionFind(range(len(order)))
     for a in z1.space:
         for nn in n.arrows_to(z1.rmom[a]):
             an = z1.ract[(a, nn)]
-            for b in z2.space:
-                if z2.lmom[b] == n.src[nn]:
-                    # (a.n, b) ~ (a, n.b)
-                    uf.union(pair(an, b), pair(a, z2.lact[(nn, b)]))
+            for b in over.get(n.src[nn], ()):
+                # (a.n, b) ~ (a, n.b)
+                uf.union(num[(an, b)], num[(a, z2.lact[(nn, b)])])
     cmap = uf.class_map()
-
-    def cl(a, b):
-        return cls_label(cmap[pair(a, b)])
-
-    space = sorted({cls_label(rep) for rep in cmap.values()})
-    reps = {cls_label(rep): _parts(rep) for rep in set(cmap.values())}
+    name = {k: cls_label(order[r]) for k, r in cmap.items()}
+    cls = {ab: name[k] for ab, k in num.items()}
+    reps = {name[k]: ab for ab, k in num.items() if cmap[k] == k}
+    space = sorted(reps)
     lmom = {c: z1.lmom[reps[c][0]] for c in space}
     rmom = {c: z2.rmom[reps[c][1]] for c in space}
     lact, ract = {}, {}
     for c in space:
         a, b = reps[c]
         for m in z1.left.arrows_from(lmom[c]):
-            lact[(m, c)] = cl(z1.lact[(m, a)], b)
+            lact[(m, c)] = cls[(z1.lact[(m, a)], b)]
         for nn in z2.right.arrows_to(rmom[c]):
-            ract[(c, nn)] = cl(a, z2.ract[(b, nn)])
+            ract[(c, nn)] = cls[(a, z2.ract[(b, nn)])]
     out = validate_bibundle(z1.left, z2.right, space, lmom, rmom, lact, ract)
-    out.pair_class = {p: cls_label(r) for p, r in cmap.items()}
+    out.pair_class = {order[k]: c for k, c in name.items()}
 
     g1, g2, gc = g_function(z1), g_function(z2), g_function(out)
+    same_lmom = _fibres(space, lmom)
     for c in space:
         a, b = reps[c]
-        for c2 in space:
-            if lmom[c] != lmom[c2]:
-                continue
+        for c2 in same_lmom[lmom[c]]:
             a2, b2 = reps[c2]
             # move a2 into a's N-orbit slot: lmom equal guarantees g1 solves it
             nmid = g1[(a, a2)]
-            rhs = g2[(b, z2.lact[(nmid, b2)])]
-            assert gc[(c, c2)] == rhs, (c, c2)
+            if gc[(c, c2)] != g2[(b, z2.lact[(nmid, b2)])]:
+                raise CoherenceFailure(("composite g-function", c, c2))
+    return out
+
+
+def _fibres(points, mom):
+    """{x: the points over x, in the order of points}."""
+    out = {}
+    for z in points:
+        out.setdefault(mom[z], []).append(z)
     return out
 
 
@@ -344,7 +411,7 @@ def morita_witness(g, h, node_cap=10**6):
             for hh in h.arrows_to(y):
                 for s in gb.fiber(x):
                     uf.union(pair(g.comp[(gg, s)], hh),
-                             pair(gg, h.comp[(hh, theta[s])]))
+                             pair(gg, h.comp[(theta[s], hh)]))
         cmap = uf.class_map()
         reps = {}
         for rep in set(cmap.values()):

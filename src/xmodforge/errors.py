@@ -63,7 +63,14 @@ class EmptyEquivalence(XModForgeError):
 
 
 class ExactnessSolveFailure(XModForgeError):
-    """Internal error: CR3/CR3' exactness failed to produce a unique solution."""
+    """Internal error: a solve that the axioms make unique (CR3/CR3'
+    exactness, a principal action) found no solution or several."""
+
+
+class CoherenceFailure(XModForgeError):
+    """Internal error: an identity that the theory guarantees on validated
+    inputs (a composite g-function, an invertible structural morphism)
+    failed."""
 
 
 class IllDefinedAction(XModForgeError):

@@ -2,7 +2,8 @@
 exchangers, their three compositions, structural isomorphisms, the exchanger
 decomposition, horizontal diamonds, and the weak-unit witnesses."""
 
-from .errors import NotComposable, ValidationFailure, Violation
+from .errors import (CoherenceFailure, ExactnessSolveFailure, NotComposable,
+                     ValidationFailure, Violation)
 from . import bibundle as bb
 from . import crossing as cr
 from . import xmod as xmd
@@ -243,9 +244,14 @@ def check_semi_exchanger(ex):
         for (p, (v, hh)), q in right.items():
             if q == p and hh != rbund.unit[rmom[v]]:
                 violations.append(Violation(code + "Failure", ("right-not-free", p, hh)))
+        lorbits, rorbits = {}, {}
+        for (_, p), q in left.items():
+            lorbits.setdefault(p, set()).add(q)
+        for (p, _), q in right.items():
+            rorbits.setdefault(p, set()).add(q)
         for p in ex.p.space:
-            lorbit = {q for ((u, hh), pp), q in left.items() if pp == p}
-            rorbit = {q for (pp, (v, hh)), q in right.items() if pp == p}
+            lorbit = lorbits.get(p, set())
+            rorbit = rorbits.get(p, set())
             if lorbit != rorbit:
                 violations.append(Violation(code + "Failure",
                                             ("orbit-mismatch", p,
@@ -365,7 +371,8 @@ def exchanger_inverse(ex):
         # unique m with pz = m . qz (left principality of the Morita bibundle)
         sols = [mm for mm in ex.p.left.arrows_from(ex.p.lmom[qz])
                 if ex.p.lact[(mm, qz)] == pz]
-        assert len(sols) == 1
+        if len(sols) != 1:
+            raise ExactnessSolveFailure(("left division", c, sols))
         to_i_src[c] = sols[0]
     bwd = vertical_compose(exbar, ex)
     to_i_tgt = {}
@@ -373,7 +380,8 @@ def exchanger_inverse(ex):
         qz, pz = unpair(_strip(c))
         sols = [nn for nn in ex.p.right.arrows_to(ex.p.rmom[qz])
                 if ex.p.ract[(qz, nn)] == pz]
-        assert len(sols) == 1
+        if len(sols) != 1:
+            raise ExactnessSolveFailure(("right division", c, sols))
         to_i_tgt[c] = sols[0]
     m1 = validate_exchanger_morphism(fwd, trivial_exchanger(ex.source), to_i_src)
     m2 = validate_exchanger_morphism(bwd, trivial_exchanger(ex.target), to_i_tgt)
@@ -428,6 +436,14 @@ def validate_exchanger_morphism(src, dst, eta):
     return mor
 
 
+def _require_bijective(**morphisms):
+    """Raise CoherenceFailure naming the first morphism that is not a
+    bijection of carriers."""
+    for name, mor in morphisms.items():
+        if not mor.is_bijective():
+            raise CoherenceFailure(("not bijective", name))
+
+
 def identity_morphism_of(ex):
     return validate_exchanger_morphism(ex, ex, {p: p for p in ex.p.space})
 
@@ -461,8 +477,7 @@ def structural_isos(ex1, ex2, ex3):
         pz, nn = unpair(_strip(c))
         l_eta[c] = ex1.p.ract[(pz, nn)]
     l_p = validate_exchanger_morphism(pi, ex1, l_eta)
-    for mor in (assoc, r_p, l_p):
-        assert mor.is_bijective()
+    _require_bijective(assoc=assoc, r_p=r_p, l_p=l_p)
     return assoc, r_p, l_p
 
 
@@ -919,8 +934,8 @@ def unit_witnesses(c):
     mu_r2 = bullet_to_trivial(rbar_ex, r_ex, trivial_exchanger(msb))
     mu_l1 = bullet_to_trivial(l_ex, lbar_ex, trivial_exchanger(dom_))
     mu_l2 = bullet_to_trivial(lbar_ex, l_ex, trivial_exchanger(msb))
-    for mor in (mu_r1, mu_r2, mu_l1, mu_l2):
-        assert mor.is_bijective()
+    _require_bijective(mu_R_to_unit=mu_r1, mu_Rbar_to_unit=mu_r2,
+                       mu_L_to_unit=mu_l1, mu_Lbar_to_unit=mu_l2)
     return {
         "R": r_ex, "Rbar": rbar_ex, "L": l_ex, "Lbar": lbar_ex,
         "mu_R_to_unit": mu_r1, "mu_Rbar_to_unit": mu_r2,

@@ -353,7 +353,8 @@ class GroupBundle(Groupoid):
     """Groupoid whose every arrow is an endo-arrow; fibers are groups."""
 
     def fiber(self, x):
-        return self.loops(x)
+        # every arrow is a loop (both constructors check it)
+        return self.arrows_from(x)
 
 
 def validate_group_bundle(objects, arrows, src, tgt, inv, unit, comp):

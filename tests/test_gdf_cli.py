@@ -235,6 +235,13 @@ def test_cmd_morita_witness(tmp_path, capsys):
     assert "witness" in env
 
 
+def test_cmd_morita_witness_pair2_fixture(capsys):
+    assert run_cli(["morita-witness", fixture("pair2.gdf"), "--left", "PAIR2",
+                    "--right", "PAIR2"]) == cli.EXIT_OK
+    env = gdf.build_document(gdf.parse_gdf(capsys.readouterr().out))
+    assert len(env["witness"].space) == 4
+
+
 def test_cmd_morita_witness_negative(tmp_path, capsys):
     g = fingrpd.cyclic_groupoid(4)
     klein = fingrpd.semidirect_product(fingrpd.trivial_action(
