@@ -5,9 +5,9 @@ composition of bibundles."""
 from itertools import repeat
 
 from .errors import CoherenceFailure, EmptyComposite, ValidationFailure, Violation
-from .fingrpd import (Groupoid, GroupoidMorphism, pullback_groupoid,
-                      validate_groupoid_morphism)
-from .util import UnionFind, cls_label, pair, search_bijection
+from .fingrpd import (Groupoid, GroupoidMorphism, inertia,
+                      pullback_groupoid, validate_groupoid_morphism)
+from .util import UnionFind, cls_label, pair, search_bijection, unpair
 
 
 class Bibundle:
@@ -62,8 +62,9 @@ def check_bibundle(zb):
         return violations
 
     # left action axioms (moment lmom): m.z defined when s(m)=lmom(z)
+    left_arrows, right_arrows = sorted(left.arrows), sorted(right.arrows)
     for z in zb.space:
-        for m in left.arrows:
+        for m in left_arrows:
             defined = (m, z) in zb.lact
             wants = left.src[m] == zb.lmom[z]
             if wants and not defined:
@@ -75,7 +76,7 @@ def check_bibundle(zb):
                 if mz not in space or zb.lmom[mz] != left.tgt[m]:
                     violations.append(Violation("BadActionImage", ("left", m, z)))
     for z in zb.space:
-        for n in right.arrows:
+        for n in right_arrows:
             defined = (z, n) in zb.ract
             wants = zb.rmom[z] == right.tgt[n]
             if wants and not defined:
@@ -224,21 +225,16 @@ def bibundle_from_hom(f):
     space = [pair(x, nn) for x in sorted(m.objects) for nn in n.arrows_to(f.omap[x])]
     lmom, rmom, lact, ract = {}, {}, {}, {}
     for z in space:
-        x, nn = _parts(z)
+        x, nn = unpair(z)
         lmom[z] = x
         rmom[z] = n.src[nn]
     for z in space:
-        x, nn = _parts(z)
+        x, nn = unpair(z)
         for g in m.arrows_from(x):
             lact[(g, z)] = pair(m.tgt[g], n.comp[(f.amap[g], nn)])
         for n2 in n.arrows_to(n.src[nn]):
             ract[(z, n2)] = pair(x, n.comp[(nn, n2)])
     return validate_bibundle(m, n, space, lmom, rmom, lact, ract)
-
-
-def _parts(label):
-    from .fingrpd import unpair
-    return unpair(label)
 
 
 def g_function(zb):
@@ -273,16 +269,11 @@ def phi_Z(zb):
     cod = pullback_groupoid(zb.right, zb.space, zb.rmom)
     amap = {}
     for a in dom.arrows:
-        z, m, z2 = _parts3(a)
+        z, m, z2 = unpair(a, 3)
         mz2 = zb.lact[(m, z2)]
         amap[a] = pair(z, g[(z, mz2)], z2)
     f = validate_groupoid_morphism(dom, cod, {z: z for z in dom.objects}, amap)
     return f, dom, cod
-
-
-def _parts3(label):
-    from .fingrpd import _unpair3
-    return _unpair3(label)
 
 
 def phi_Z_bijective(f):
@@ -390,8 +381,6 @@ def morita_witness(g, h, node_cap=10**6):
     Matches orbits by brute-forced isotropy isomorphism, then glues the
     standard (arrows into x) x_theta (arrows out of y) torsor per orbit.
     """
-    from .fingrpd import iso_maps, as_group_bundle, inertia
-
     gorbs = _orbits(g)
     horbs = _orbits(h)
     if len(gorbs) != len(horbs):
@@ -416,7 +405,7 @@ def morita_witness(g, h, node_cap=10**6):
         reps = {}
         for rep in set(cmap.values()):
             lab = cls_label(rep)
-            reps[lab] = _parts(rep)
+            reps[lab] = unpair(rep)
             space.append(lab)
             gg, hh = reps[lab]
             lmom[lab] = g.tgt[gg]
@@ -444,8 +433,6 @@ def _orbits(g):
 def _match_orbits(g, h, gorbs, horbs, gb, hb):
     """Greedy-with-backtracking orbit matching by isotropy isomorphism.
     Returns [(x, y, theta: iso fiber_g(x) -> fiber_h(y))] or None."""
-    from .fingrpd import iso_maps
-
     gitems = sorted(gorbs.items())
     hitems = sorted(horbs.items())
 

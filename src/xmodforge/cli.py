@@ -74,7 +74,7 @@ def _report_block(b, env):
     rep = Report(b.name, b.kind)
     t0 = time.perf_counter()
     try:
-        obj = gdf._BUILDERS[b.kind](b, env)
+        obj = gdf.build_block(b, env)
         env[b.name] = obj
         if b.kind == "crossing":
             c = obj

@@ -3,13 +3,14 @@ of CR1-CR4 (and CR3'), construction from strict morphisms and hypercovers,
 the decomposition theorem, diamond products, crossed semidirect products,
 pullbacks, and the M-diamond-Mbar equivalence."""
 
-from .errors import (EmptyFiberedProduct, ExactnessSolveFailure, NotAHypercover,
-                     ValidationFailure, Violation)
+from .errors import (CoherenceFailure, EmptyFiberedProduct, ExactnessSolveFailure,
+                     NotAHypercover, ValidationFailure, Violation)
 from . import bibundle as bb
 from . import xmod as xmd
-from .fingrpd import (pair, unpair, validate_group_bundle, validate_groupoid,
+from .fingrpd import (aut_label, pullback_groupoid, validate_action,
+                      validate_group_bundle, validate_groupoid,
                       validate_groupoid_morphism)
-from .util import UnionFind, cls_label
+from .util import UnionFind, cls_label, pair, strip_class, unpair
 
 
 class Crossing:
@@ -269,7 +270,7 @@ def _crossing_general(chi, as_extension):
         for h1 in d.h.fiber(x):
             lmap[pair(z, h1)] = pair(z, c.act(g2, chi.lmap[h1]))
     for arrow in pb1.g.arrows:
-        z1, g1, z2 = _p3(arrow)
+        z1, g1, z2 = unpair(arrow, 3)
         _, f2 = unpair(z1)
         _, g2 = unpair(z2)
         mid = c.g.comp[(c.g.comp[(c.g.inv[f2], chi.rmap[g1])], g2)]
@@ -282,15 +283,10 @@ def _crossing_general(chi, as_extension):
           for z in space for h1 in d.h.fiber(tau[z])}
     b1 = {(z, h2): core.b1[(z, pair(z, h2))]
           for z in space for h2 in c.h.fiber(sigma[z])}
-    a2 = {mm: _p3(core.a2[mm])[1] for mm in core.m.arrows}
-    b2 = {mm: _p3(core.b2[mm])[1] for mm in core.m.arrows}
+    a2 = {mm: unpair(core.a2[mm], 3)[1] for mm in core.m.arrows}
+    b2 = {mm: unpair(core.b2[mm], 3)[1] for mm in core.m.arrows}
     make = validate_crossed_extension if as_extension else validate_crossing
     return make(d, c, core.m, tau, sigma, a1, a2, b1, b2)
-
-
-def _p3(label):
-    from .fingrpd import _unpair3
-    return _unpair3(label)
 
 
 def xext_from_hypercover(chi):
@@ -321,16 +317,15 @@ def mbar(c):
 def pullback_crossing(c, space, phi):
     """M[Z] along phi: Z -> M^0; preserves crossed-extension status
     (surjectivity of phi is not needed)."""
-    from . import fingrpd
-    mz = fingrpd.pullback_groupoid(c.m, space, phi)
+    mz = pullback_groupoid(c.m, space, phi)
     tau = {z: c.tau[phi[z]] for z in set(space)}
     sigma = {z: c.sigma[phi[z]] for z in set(space)}
     a1 = {(z, h1): pair(z, c.a1[(phi[z], h1)], z)
           for z in set(space) for h1 in c.src.h.fiber(tau[z])}
     b1 = {(z, h2): pair(z, c.b1[(phi[z], h2)], z)
           for z in set(space) for h2 in c.dst.h.fiber(sigma[z])}
-    a2 = {arrow: c.a2[_p3(arrow)[1]] for arrow in mz.arrows}
-    b2 = {arrow: c.b2[_p3(arrow)[1]] for arrow in mz.arrows}
+    a2 = {arrow: c.a2[unpair(arrow, 3)[1]] for arrow in mz.arrows}
+    b2 = {arrow: c.b2[unpair(arrow, 3)[1]] for arrow in mz.arrows}
     make = validate_crossed_extension if c.is_extension else validate_crossing
     return make(c.src, c.dst, mz, tau, sigma, a1, a2, b1, b2)
 
@@ -354,9 +349,9 @@ def decompose_crossing(c):
     hunit = {u: pair(u, c.src.h.unit[c.tau[u]], c.dst.h.unit[c.sigma[u]])
              for u in m.objects}
     for a in harrows:
-        u, h1, h2 = _p3(a)
+        u, h1, h2 = unpair(a, 3)
         for b_ in harrows:
-            v, k1, k2 = _p3(b_)
+            v, k1, k2 = unpair(b_, 3)
             if v == u:
                 hcomp[(a, b_)] = pair(u, c.src.h.comp[(h1, k1)],
                                       c.dst.h.comp[(h2, k2)])
@@ -364,25 +359,24 @@ def decompose_crossing(c):
                                    hinv, hunit, hcomp)
     boundary = {}
     for a in harrows:
-        u, h1, h2 = _p3(a)
+        u, h1, h2 = unpair(a, 3)
         boundary[a] = m.comp[(c.a1[(u, h1)], c.b1[(u, h2)])]
     act = {}
     for mm in m.arrows:
         u1, u2 = m.tgt[mm], m.src[mm]
         for a in bundle.fiber(u1):
-            _, h1, h2 = _p3(a)
+            _, h1, h2 = unpair(a, 3)
             act[(mm, a)] = pair(u2, c.src.act(c.a2[mm], h1),
                                 c.dst.act(c.b2[mm], h2))
-    from .fingrpd import validate_action
     gprime = xmd.validate_crossed_module(m, bundle, boundary,
                                          validate_action(m, bundle, act))
     chi_left = xmd.validate_strict_xmorphism(
         gprime, c.src, dict(c.tau),
-        {a: _p3(a)[1] for a in harrows},
+        {a: unpair(a, 3)[1] for a in harrows},
         {mm: c.a2[mm] for mm in m.arrows})
     chi_right = xmd.validate_strict_xmorphism(
         gprime, c.dst, dict(c.sigma),
-        {a: _p3(a)[2] for a in harrows},
+        {a: unpair(a, 3)[2] for a in harrows},
         {mm: c.b2[mm] for mm in m.arrows})
     return gprime, chi_left, chi_right
 
@@ -475,7 +469,9 @@ class ZigZag:
     'fwd' means arrow i goes modules[i] -> modules[i+1], 'bwd' the reverse."""
 
     def __init__(self, modules, arrows, directions):
-        assert len(arrows) == len(directions) == len(modules) - 1
+        if not len(arrows) == len(directions) == len(modules) - 1:
+            raise ValidationFailure([Violation(
+                "BadZigZagLength", (len(modules), len(arrows), len(directions)))])
         self.modules = list(modules)
         self.arrows = list(arrows)
         self.directions = list(directions)
@@ -534,7 +530,7 @@ def crossed_semidirect(c, side="H1"):
         return cls_label(cmap[pair(u, hh, mm)])
 
     arrows = sorted({cls_label(r) for r in cmap.values()})
-    reps = {cls_label(r): _p3(r) for r in set(cmap.values())}
+    reps = {cls_label(r): unpair(r, 3) for r in set(cmap.values())}
     src = {a: m.src[reps[a][2]] for a in arrows}
     tgt = {a: m.tgt[reps[a][2]] for a in arrows}
     unit = {u: cl(u, bund.unit[mom[u]], m.unit[u]) for u in m.objects}
@@ -569,7 +565,7 @@ def crossed_semidirect_iso(c, side="H1"):
     sd, _ = xmd.semidirect_of_morphism(xmd.identity_xmorphism(pb))
     amap = {}
     for a in gpd.arrows:
-        u, hh, mm = _p3(_strip(a))
+        u, hh, mm = unpair(strip_class(a), 3)
         triple = pair(c.m.tgt[mm], leg2[mm], c.m.src[mm])
         amap[a] = pair(pair(u, hh), triple)
     iso = validate_groupoid_morphism(gpd, sd, {u: u for u in gpd.objects}, amap)
@@ -577,11 +573,6 @@ def crossed_semidirect_iso(c, side="H1"):
             set(iso.amap.values()) != set(sd.arrows):
         raise ExactnessSolveFailure("crossed semidirect comparison not bijective")
     return gpd, class_of, sd, iso
-
-
-def _strip(class_label):
-    assert class_label[0] == "{" and class_label[-1] == "}"
-    return class_label[1:-1]
 
 
 # -- M diamond Mbar ------------------------------------------------------------
@@ -592,16 +583,6 @@ def solve_alpha_tilde(c, m1, m2):
     u = c.m.tgt[m1]
     sols = [h1 for h1 in c.src.h.fiber(c.tau[u])
             if c.m.comp[(c.a1[(u, h1)], m1)] == m2]
-    if len(sols) != 1:
-        raise ExactnessSolveFailure((m1, m2, sols))
-    return sols[0]
-
-
-def solve_beta_tilde(c, m1, m2):
-    """The unique h2 with m2 = b1(h2) m1, for a2(m1) = a2(m2) (CR3)."""
-    u = c.m.tgt[m1]
-    sols = [h2 for h2 in c.dst.h.fiber(c.sigma[u])
-            if c.m.comp[(c.b1[(u, h2)], m1)] == m2]
     if len(sols) != 1:
         raise ExactnessSolveFailure((m1, m2, sols))
     return sols[0]
@@ -621,33 +602,37 @@ def verify_m_mbar(c, want_witness=True):
     # class representatives of the diamond are pairs (m1, m2)
     phi1, psi1 = {}, {}
     for a in d1.m.arrows:
-        m1, m2 = unpair(_strip(a))
+        m1, m2 = unpair(strip_class(a))
         h1 = solve_alpha_tilde(c, m1, m2)
         phi1[a] = class_of[pair(c.m.tgt[m1], h1, m1)]
     for a in cs1.arrows:
-        u, h1, mm = _p3(_strip(a))
+        u, h1, mm = unpair(strip_class(a), 3)
         target = c.m.comp[(c.a1[(u, h1)], mm)]
         # find the diamond class of (mm, a1(h1) mm)
         psi1[a] = None
         key = pair(mm, target)
         for b_ in d1.m.arrows:
-            mb1, mb2 = unpair(_strip(b_))
+            mb1, mb2 = unpair(strip_class(b_))
             if _diamond_equivalent(c, cb, (mm, target), (mb1, mb2)):
                 psi1[a] = b_
                 break
-        assert psi1[a] is not None, ("psi1 image missing", a)
+        if psi1[a] is None:
+            raise CoherenceFailure(("psi1 image missing", a))
     mor_phi = validate_groupoid_morphism(d1.m, cs1,
                                          {u: u for u in d1.m.objects}, phi1)
     mor_psi = validate_groupoid_morphism(cs1, d1.m,
                                          {u: u for u in cs1.objects}, psi1)
     for a in d1.m.arrows:
-        assert psi1[phi1[a]] == a, ("Psi1.Phi1 != id", a)
+        if psi1[phi1[a]] != a:
+            raise CoherenceFailure(("Psi1.Phi1 != id", a))
     for a in cs1.arrows:
-        assert phi1[psi1[a]] == a, ("Phi1.Psi1 != id", a)
+        if phi1[psi1[a]] != a:
+            raise CoherenceFailure(("Phi1.Psi1 != id", a))
     witness = None
     if want_witness:
         witness = bb.morita_witness(d1.m, d2.m)
-        assert witness is not None, "M<>Mbar and Mbar<>M admit no Morita witness"
+        if witness is None:
+            raise CoherenceFailure("M<>Mbar and Mbar<>M admit no Morita witness")
     return mor_phi, mor_psi, d1, d2, witness
 
 
@@ -681,7 +666,6 @@ def extension_to_crossing(ext, fiber_cap=12):
         for aa in a.fiber(e.tgt[ee]):
             conj = e.comp[(e.comp[(e.inv[ee], ext.iota[aa])], ee)]
             act[(ee, aa)] = _iota_inv(ext)[conj]
-    from .fingrpd import validate_action
     mid_mod = xmd.validate_crossed_module(
         e, a, {aa: ext.iota[aa] for aa in a.arrows},
         validate_action(e, a, act))
@@ -693,7 +677,6 @@ def extension_to_crossing(ext, fiber_cap=12):
         dict(ext.pi))
     m1 = xext_from_hypercover(chi_up)   # (A -> E) -x- (G^0 -> G)
     # chi_down = (id, Ad): (A -> E) => (A -> Aut A)
-    from .fingrpd import aut_label
     ad_target = xmd.ad_xmod(a, fiber_cap=fiber_cap)
     admap = {}
     for ee in e.arrows:
@@ -718,7 +701,6 @@ def crossing_to_extension(c):
         if len(c.src.h.fiber(x)) != 1:
             raise ValidationFailure([Violation("NotAGroupoidModule", (x,))])
     m = c.m
-    from . import fingrpd
     pb_g, _ = xmd.pullback_xmod(c.src, m.objects, c.tau)
     harrows = [pair(u, hh) for u in sorted(m.objects)
                for hh in c.dst.h.fiber(c.sigma[u])]

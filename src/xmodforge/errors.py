@@ -58,10 +58,6 @@ class EmptyFiberedProduct(XModForgeError):
     pass
 
 
-class EmptyEquivalence(XModForgeError):
-    pass
-
-
 class ExactnessSolveFailure(XModForgeError):
     """Internal error: a solve that the axioms make unique (CR3/CR3'
     exactness, a principal action) found no solution or several."""

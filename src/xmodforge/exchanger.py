@@ -7,8 +7,10 @@ from .errors import (CoherenceFailure, ExactnessSolveFailure, NotComposable,
 from . import bibundle as bb
 from . import crossing as cr
 from . import xmod as xmd
-from .fingrpd import pair, unpair, validate_groupoid_morphism
-from .util import cls_label
+from .fingrpd import (check_groupoid_morphism, identity_morphism,
+                      validate_action, validate_group_bundle, validate_groupoid,
+                      validate_groupoid_morphism)
+from .util import UnionFind, cls_label, pair, strip_class, unpair
 
 
 # -- homomorphisms of crossed extensions -------------------------------------
@@ -33,7 +35,6 @@ def check_xext_homomorphism(hom):
                    for v in xmd.check_strict_xmorphism(chi1)]
     violations += [Violation("Chi2:" + v.code, v.witness, v.detail)
                    for v in xmd.check_strict_xmorphism(chi2)]
-    from .fingrpd import check_groupoid_morphism
     violations += [Violation("Phi:" + v.code, v.witness, v.detail)
                    for v in check_groupoid_morphism(phi)]
     if violations:
@@ -105,12 +106,7 @@ def is_xext_equivalence(hom):
 def identity_homomorphism(a):
     return validate_xext_homomorphism(
         a, a, xmd.identity_xmorphism(a.src),
-        _identity_gpd_morphism(a.m), xmd.identity_xmorphism(a.dst))
-
-
-def _identity_gpd_morphism(g):
-    from .fingrpd import identity_morphism
-    return identity_morphism(g)
+        identity_morphism(a.m), xmd.identity_xmorphism(a.dst))
 
 
 def pullback_homomorphism(a, space, phi):
@@ -118,15 +114,10 @@ def pullback_homomorphism(a, space, phi):
     az = cr.pullback_crossing(a, space, phi)
     proj = validate_groupoid_morphism(
         az.m, a.m, {z: phi[z] for z in set(space)},
-        {arrow: _mid(arrow) for arrow in az.m.arrows})
+        {arrow: unpair(arrow, 3)[1] for arrow in az.m.arrows})
     return validate_xext_homomorphism(
         az, a, xmd.identity_xmorphism(a.src), proj,
         xmd.identity_xmorphism(a.dst))
-
-
-def _mid(triple_label):
-    from .fingrpd import _unpair3
-    return _unpair3(triple_label)[1]
 
 
 def same_base_form(c):
@@ -165,7 +156,7 @@ def unit_equivalence(a):
             mm, h0 = unpair(hh)
             lmap[hh] = pair(mm, act_mod.act(leg2[mm], h0))
         for arrow in src_mod.g.arrows:
-            m1, g0, m2 = _p3(arrow)
+            m1, g0, m2 = unpair(arrow, 3)
             mid = base_g.comp[(base_g.comp[(base_g.inv[leg2[m1]], g0)], leg2[m2])]
             rmap[arrow] = pair(m1, mid, m2)
         return xmd.validate_strict_xmorphism(
@@ -176,16 +167,12 @@ def unit_equivalence(a):
     ident = bb.identity_bibundle(m)
     phi_mor, dom, cod = bb.phi_Z(ident)
     # dom/cod coincide with ta.m / sa.m by construction (same labels)
-    assert set(dom.arrows) == set(ta.m.arrows)
-    assert set(cod.arrows) == set(sa.m.arrows)
+    if set(dom.arrows) != set(ta.m.arrows) or set(cod.arrows) != set(sa.m.arrows):
+        raise CoherenceFailure(("phi_Z ends differ from the pulled-back middles",
+                                len(dom.arrows), len(cod.arrows)))
     phi = validate_groupoid_morphism(ta.m, sa.m, dict(phi_mor.omap),
                                      dict(phi_mor.amap))
     return validate_xext_homomorphism(ta, sa, chi1, phi, chi2)
-
-
-def _p3(label):
-    from .fingrpd import _unpair3
-    return _unpair3(label)
 
 
 # -- semi-exchangers ----------------------------------------------------------
@@ -367,7 +354,7 @@ def exchanger_inverse(ex):
     fwd = vertical_compose(ex, exbar)
     to_i_src = {}
     for c in fwd.p.space:
-        pz, qz = unpair(_strip(c))
+        pz, qz = unpair(strip_class(c))
         # unique m with pz = m . qz (left principality of the Morita bibundle)
         sols = [mm for mm in ex.p.left.arrows_from(ex.p.lmom[qz])
                 if ex.p.lact[(mm, qz)] == pz]
@@ -377,7 +364,7 @@ def exchanger_inverse(ex):
     bwd = vertical_compose(exbar, ex)
     to_i_tgt = {}
     for c in bwd.p.space:
-        qz, pz = unpair(_strip(c))
+        qz, pz = unpair(strip_class(c))
         sols = [nn for nn in ex.p.right.arrows_to(ex.p.rmom[qz])
                 if ex.p.ract[(qz, nn)] == pz]
         if len(sols) != 1:
@@ -386,11 +373,6 @@ def exchanger_inverse(ex):
     m1 = validate_exchanger_morphism(fwd, trivial_exchanger(ex.source), to_i_src)
     m2 = validate_exchanger_morphism(bwd, trivial_exchanger(ex.target), to_i_tgt)
     return exbar, m1, m2
-
-
-def _strip(label):
-    assert label[0] == "{" and label[-1] == "}"
-    return label[1:-1]
 
 
 # -- morphisms of semi-exchangers ----------------------------------------------
@@ -451,22 +433,21 @@ def identity_morphism_of(ex):
 def structural_isos(ex1, ex2, ex3):
     """(a_{P,Q,T}, r_P, l_P): associator for the triple and the unitors of
     ex1, validated as invertible exchanger morphisms."""
-    left = vertical_compose(vertical_compose(ex1, ex2), ex3)
+    outer = vertical_compose(ex1, ex2)
+    left = vertical_compose(outer, ex3)
     right = vertical_compose(ex1, vertical_compose(ex2, ex3))
-    inner = bb.compose_bibundles(ex2.p, ex3.p)
-    outer = bb.compose_bibundles(ex1.p, ex2.p)
     eta = {}
     for c in right.p.space:
-        pz, inner_c = unpair(_strip(c))
-        qz, tz = unpair(_strip(inner_c))
-        eta[c] = left.p.pair_class[pair(outer.pair_class[pair(pz, qz)], tz)]
+        pz, inner_c = unpair(strip_class(c))
+        qz, tz = unpair(strip_class(inner_c))
+        eta[c] = left.p.pair_class[pair(outer.p.pair_class[pair(pz, qz)], tz)]
     assoc = validate_exchanger_morphism(right, left, eta)
 
     i_src = trivial_exchanger(ex1.source)
     ip = vertical_compose(i_src, ex1)
     r_eta = {}
     for c in ip.p.space:
-        mm, pz = unpair(_strip(c))
+        mm, pz = unpair(strip_class(c))
         r_eta[c] = ex1.p.lact[(mm, pz)]
     r_p = validate_exchanger_morphism(ip, ex1, r_eta)
 
@@ -474,7 +455,7 @@ def structural_isos(ex1, ex2, ex3):
     pi = vertical_compose(ex1, i_tgt)
     l_eta = {}
     for c in pi.p.space:
-        pz, nn = unpair(_strip(c))
+        pz, nn = unpair(strip_class(c))
         l_eta[c] = ex1.p.ract[(pz, nn)]
     l_p = validate_exchanger_morphism(pi, ex1, l_eta)
     _require_bijective(assoc=assoc, r_p=r_p, l_p=l_p)
@@ -495,7 +476,7 @@ def morphism_compose(kind, eta, zeta):
         dst = vertical_compose(eta.dst, zeta.dst)
         out = {}
         for c in src.p.space:
-            p1, p2 = unpair(_strip(c))
+            p1, p2 = unpair(strip_class(c))
             out[c] = dst.p.pair_class[pair(eta.eta[p1], zeta.eta[p2])]
         return validate_exchanger_morphism(src, dst, out)
     if kind == "spatial":
@@ -503,7 +484,7 @@ def morphism_compose(kind, eta, zeta):
         dst = horizontal_diamond(eta.dst, zeta.dst)
         out = {}
         for c in src.p.space:
-            p1, p2 = unpair(_strip(c))
+            p1, p2 = unpair(strip_class(c))
             out[c] = dst.p.pair_class[pair(eta.eta[p1], zeta.eta[p2])]
         return validate_exchanger_morphism(src, dst, out)
     raise NotComposable(f"unknown composition kind {kind!r}")
@@ -534,7 +515,6 @@ def horizontal_diamond(ex1, ex2):
         raise NotComposable("EmptyDiamond: no compatible carrier pairs")
     # Quotient by the diagonal (h2, h5)-action of the H2 x H5 bundle:
     # (h2,h5).(p1,p2) = (b1(h2) p1 mu1(h5)^-1, d1(h2) p2 nu1(h5)^-1).
-    from .util import UnionFind
     uf = UnionFind(carrier)
     for z in carrier:
         x, y = unpair(z)
@@ -557,12 +537,12 @@ def horizontal_diamond(ex1, ex2):
     for c in space_all:
         x, y = reps[c]
         for mm in src_d.m.arrows_from(lmom[c]):
-            m1, m2 = unpair(_strip(mm))
+            m1, m2 = unpair(strip_class(mm))
             lact[(mm, c)] = cls_label(cmap[pair(p1.lact[(m1, x)],
                                                 p2.lact[(m2, y)])])
             comp_uf.union(c, lact[(mm, c)])
         for nn in dst_d.m.arrows_to(rmom[c]):
-            n1, n2 = unpair(_strip(nn))
+            n1, n2 = unpair(strip_class(nn))
             ract[(c, nn)] = cls_label(cmap[pair(p1.ract[(x, n1)],
                                                 p2.ract[(y, n2)])])
             comp_uf.union(c, ract[(c, nn)])
@@ -605,9 +585,9 @@ def eta_square(ex_p1, ex_p2, ex_q1, ex_q2):
     rhs = horizontal_diamond(bq1, bq2)
     eta = {}
     for c in lhs.p.space:
-        dmc, dqc = unpair(_strip(c))
-        pz1, pz2 = unpair(_strip(dmc))
-        qz1, qz2 = unpair(_strip(dqc))
+        dmc, dqc = unpair(strip_class(c))
+        pz1, pz2 = unpair(strip_class(dmc))
+        qz1, qz2 = unpair(strip_class(dqc))
         left_cls = bq1.p.pair_class[pair(pz1, qz1)]
         right_cls = bq2.p.pair_class[pair(pz2, qz2)]
         eta[c] = rhs.p.pair_class[pair(left_cls, right_cls)]
@@ -615,10 +595,6 @@ def eta_square(ex_p1, ex_p2, ex_q1, ex_q2):
 
 
 # -- exchanger decomposition ----------------------------------------------------
-
-
-def _quad_parts(label):
-    return unpair(label)
 
 
 def _projective_middle(a, b, p):
@@ -643,11 +619,10 @@ def _projective_middle(a, b, p):
     for q in arrows:
         by_tgt.setdefault(tgt[q], []).append(q)
     for q in arrows:
-        mm, p1, p2, nn = _quad_parts(q)
+        mm, p1, p2, nn = unpair(q)
         for q2 in by_tgt.get(p2, ()):
-            mm2, _, p3, nn2 = _quad_parts(q2)
+            mm2, _, p3, nn2 = unpair(q2)
             comp[(q, q2)] = pair(m.comp[(mm, mm2)], p1, p3, n.comp[(nn, nn2)])
-    from .fingrpd import validate_groupoid
     return validate_groupoid(p.space, arrows, src, tgt, inv, unit, comp)
 
 
@@ -671,7 +646,6 @@ def _matched_triples(a, b, p, top):
 def _quotient_middle(a, b, p, mn, keep):
     """MN / (H2 x H4) for keep="top" (the Q1 of the G1^P module) or
     MN / (H1 x H3) for keep="bottom". Returns (groupoid, class_of)."""
-    from .util import UnionFind
     m, n = a.m, b.m
     uf = UnionFind(mn.arrows)
     arrows_set = set(mn.arrows)
@@ -682,7 +656,7 @@ def _quotient_middle(a, b, p, mn, keep):
         legA, bndA, momA = a.a1, a.src.h, a.tau
         legB, bndB, momB = b.a1, b.src.h, b.tau
     for q in mn.arrows:
-        mm, p1, p2, nn = _quad_parts(q)
+        mm, p1, p2, nn = unpair(q)
         u2, v1 = p.lmom[p2], p.rmom[p1]
         for h2 in bndA.fiber(momA[u2]):
             m2 = m.comp[(mm, legA[(u2, h2)])]
@@ -694,7 +668,7 @@ def _quotient_middle(a, b, p, mn, keep):
     cmap = uf.class_map()
     class_of = {q: cls_label(r) for q, r in cmap.items()}
     arrows = sorted(set(class_of.values()))
-    reps = {cls_label(r): _quad_parts(r) for r in set(cmap.values())}
+    reps = {cls_label(r): unpair(r) for r in set(cmap.values())}
     src = {c: mn.src[pair(*reps[c])] for c in arrows}
     tgt = {c: mn.tgt[pair(*reps[c])] for c in arrows}
     inv = {c: class_of[mn.inv[pair(*reps[c])]] for c in arrows}
@@ -708,13 +682,11 @@ def _quotient_middle(a, b, p, mn, keep):
         for c2 in by_tgt.get(src[c], ()):
             q2 = pair(*reps[c2])
             comp[(c, c2)] = class_of[mn.comp[(qc, q2)]]
-    from .fingrpd import validate_groupoid
     return validate_groupoid(mn.objects, arrows, src, tgt, inv, unit, comp), class_of
 
 
 def _decomp_module(a, b, p, mn, top, qgpd, class_of):
     """The crossed module (H_side *_P H_side -> Q) of the decomposition."""
-    from .fingrpd import validate_group_bundle, validate_action
     triples = _matched_triples(a, b, p, top)
     if top:
         la, ba = a.a1, a.src.h
@@ -739,33 +711,27 @@ def _decomp_module(a, b, p, mn, top, qgpd, class_of):
     for t in harrows:
         by_point.setdefault(hsrc[t], []).append(t)
     for t in harrows:
-        h, pz, k = _quad3(t)
+        h, pz, k = unpair(t, 3)
         for t2 in by_point.get(pz, ()):
-            h2, _, k2 = _quad3(t2)
+            h2, _, k2 = unpair(t2, 3)
             hcomp[(t, t2)] = pair(ba.comp[(h, h2)], pz, bbnd.comp[(k, k2)])
     bundle = validate_group_bundle(p.space, harrows, hsrc, dict(hsrc),
                                    hinv, hunit, hcomp)
     boundary = {}
     for t in harrows:
-        h, pz, k = _quad3(t)
+        h, pz, k = unpair(t, 3)
         u, v = p.lmom[pz], p.rmom[pz]
         boundary[t] = class_of[pair(la[(u, h)], pz, pz, lb[(v, k)])]
     act = {}
     for c in qgpd.arrows:
-        mm, p1, p2, nn = _quad_parts(_strip(c))
+        mm, p1, p2, nn = unpair(strip_class(c))
         for t in bundle.fiber(p1):
-            h, _, k = _quad3(t)
+            h, _, k = unpair(t, 3)
             act[(c, t)] = pair(act_a.act(leg2a[mm], h), p2,
                                act_b.act(leg2b[nn], k))
     mod = xmd.validate_crossed_module(qgpd, bundle, boundary,
                                       validate_action(qgpd, bundle, act))
     return mod
-
-
-def _quad3(label):
-    parts = unpair(label)
-    assert len(parts) == 3
-    return parts
 
 
 def exchanger_decompose(ex):
@@ -790,12 +756,12 @@ def exchanger_decompose(ex):
     ident = {pz: pz for pz in p.space}
     a1 = {}
     for t in g1p.h.arrows:
-        h1, pz, h3 = _quad3(t)
+        h1, pz, h3 = unpair(t, 3)
         a1[(pz, t)] = pair(a.a1[(p.lmom[pz], h1)], pz, pz,
                            b.a1[(p.rmom[pz], h3)])
     b1 = {}
     for t in g2p.h.arrows:
-        h2, pz, h4 = _quad3(t)
+        h2, pz, h4 = unpair(t, 3)
         b1[(pz, t)] = pair(a.b1[(p.lmom[pz], h2)], pz, pz,
                            b.b1[(p.rmom[pz], h4)])
     a2 = {q: q1_class[q] for q in mn.arrows}
@@ -805,28 +771,28 @@ def exchanger_decompose(ex):
 
     chi1 = xmd.validate_strict_xmorphism(
         g1p, a.src, {pz: p.lmom[pz] for pz in p.space},
-        {t: _quad3(t)[0] for t in g1p.h.arrows},
-        {c: a.a2[_quad_parts(_strip(c))[0]] for c in q1.arrows})
+        {t: unpair(t, 3)[0] for t in g1p.h.arrows},
+        {c: a.a2[unpair(strip_class(c))[0]] for c in q1.arrows})
     chi2 = xmd.validate_strict_xmorphism(
         g2p, a.dst, {pz: p.lmom[pz] for pz in p.space},
-        {t: _quad3(t)[0] for t in g2p.h.arrows},
-        {c: a.b2[_quad_parts(_strip(c))[0]] for c in q2.arrows})
+        {t: unpair(t, 3)[0] for t in g2p.h.arrows},
+        {c: a.b2[unpair(strip_class(c))[0]] for c in q2.arrows})
     pr1 = validate_groupoid_morphism(mn, a.m,
                                      {pz: p.lmom[pz] for pz in p.space},
-                                     {q: _quad_parts(q)[0] for q in mn.arrows})
+                                     {q: unpair(q)[0] for q in mn.arrows})
     hom_a = validate_xext_homomorphism(pext, a, chi1, pr1, chi2)
 
     kap1 = xmd.validate_strict_xmorphism(
         g1p, b.src, {pz: p.rmom[pz] for pz in p.space},
-        {t: _quad3(t)[2] for t in g1p.h.arrows},
-        {c: b.a2[_quad_parts(_strip(c))[3]] for c in q1.arrows})
+        {t: unpair(t, 3)[2] for t in g1p.h.arrows},
+        {c: b.a2[unpair(strip_class(c))[3]] for c in q1.arrows})
     kap2 = xmd.validate_strict_xmorphism(
         g2p, b.dst, {pz: p.rmom[pz] for pz in p.space},
-        {t: _quad3(t)[2] for t in g2p.h.arrows},
-        {c: b.b2[_quad_parts(_strip(c))[3]] for c in q2.arrows})
+        {t: unpair(t, 3)[2] for t in g2p.h.arrows},
+        {c: b.b2[unpair(strip_class(c))[3]] for c in q2.arrows})
     pr4 = validate_groupoid_morphism(mn, b.m,
                                      {pz: p.rmom[pz] for pz in p.space},
-                                     {q: _quad_parts(q)[3] for q in mn.arrows})
+                                     {q: unpair(q)[3] for q in mn.arrows})
     hom_b = validate_xext_homomorphism(pext, b, kap1, pr4, kap2)
     return pext, hom_a, hom_b
 
@@ -851,7 +817,7 @@ def unit_witnesses(c):
     dom_ = cr.diamond(o1, msb)
 
     def rep(cls):
-        return unpair(_strip(cls))
+        return unpair(strip_class(cls))
 
     # R: dmo => msb on the carrier M
     lact = {}

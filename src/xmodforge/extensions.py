@@ -3,10 +3,10 @@ Morita classification of groupoid A-extensions."""
 
 import itertools
 
-from .errors import SizeLimitExceeded
-from .fingrpd import (as_group_bundle, cyclic_groupoid, pair,
-                      validate_groupoid, validate_groupoid_morphism)
-from .util import search_bijection
+from .errors import CoherenceFailure, SizeLimitExceeded
+from .fingrpd import (as_group_bundle, cyclic_groupoid, validate_groupoid,
+                      validate_groupoid_morphism)
+from .util import pair, search_bijection
 from . import xmod as xm
 
 DEFAULT_ENUM_CAP = 64
@@ -14,12 +14,6 @@ DEFAULT_ENUM_CAP = 64
 GROUPS = {
     "Z1": 1, "Z2": 2, "Z3": 3, "Z4": 4, "Z5": 5, "Z6": 6,
 }
-
-
-def named_group(name, prefix):
-    if name not in GROUPS:
-        raise ValueError(f"unknown group name {name!r}; known: {sorted(GROUPS)}")
-    return cyclic_groupoid(GROUPS[name], prefix=prefix)
 
 
 def _cyclic_data(name):
@@ -71,7 +65,8 @@ def cocycle_extension(gname, aname, f_or_value, cap=DEFAULT_ENUM_CAP):
     if isinstance(f_or_value, dict):
         f = f_or_value
     else:
-        assert gn == 2
+        if gn != 2:
+            raise ValueError(f"a single cocycle value needs |G| = 2, not {gn}")
         f = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): int(f_or_value)}
     g = cyclic_groupoid(gn, prefix="g")
     a = cyclic_groupoid(an, prefix="a")
@@ -130,7 +125,8 @@ def extension_equivalent(e1, e2, node_cap=10**6):
         return None
     phi = validate_groupoid_morphism(e1.e, e2.e, {"*": "*"}, amap)
     for x in e1.e.arrows:  # defensive: re-check both compatibilities
-        assert e2.pi[amap[x]] == e1.pi[x]
+        if e2.pi[amap[x]] != e1.pi[x]:
+            raise CoherenceFailure(("extension iso does not commute with pi", x))
     return phi
 
 

@@ -8,7 +8,7 @@ arrow calculus and the GDF table entry `g.h=k`.
 """
 
 from .errors import ValidationFailure, Violation, SizeLimitExceeded
-from .util import pair, search_bijection
+from .util import pair, search_bijection, unpair
 
 DEFAULT_FIBER_CAP = 12
 
@@ -618,7 +618,7 @@ def pullback_groupoid(g, space, sigma):
                 src[a], tgt[a] = z2, z1
                 inv[a] = pair(z2, g.inv[gg], z1)
     unit = {z: pair(z, g.unit[sigma[z]], z) for z in space}
-    parts = {a: _unpair3(a) for a in arrows}
+    parts = {a: unpair(a, 3) for a in arrows}
     by_first = {}
     for b in arrows:
         by_first.setdefault(parts[b][0], []).append(b)
@@ -630,40 +630,12 @@ def pullback_groupoid(g, space, sigma):
     return validate_groupoid(space, arrows, src, tgt, inv, unit, comp)
 
 
-from functools import lru_cache
-
-
-@lru_cache(maxsize=1 << 18)
-def unpair(label):
-    """Inverse of util.pair for labels with balanced bracket nesting."""
-    assert label[0] == "(" and label[-1] == ")"
-    parts, depth, cur = [], 0, []
-    for ch in label[1:-1]:
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-            continue
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        cur.append(ch)
-    parts.append("".join(cur))
-    return tuple(parts)
-
-
-def _unpair3(label):
-    parts = unpair(label)
-    assert len(parts) == 3, label
-    return parts
-
-
 def pullback_iso_to_base(g, pulled, sigma):
     """For sigma = identity, the explicit iso (x,g,y) -> g and its inverse."""
     fwd = validate_groupoid_morphism(
         pulled, g,
         {z: sigma[z] for z in pulled.objects},
-        {a: _unpair3(a)[1] for a in pulled.arrows})
+        {a: unpair(a, 3)[1] for a in pulled.arrows})
     back = validate_groupoid_morphism(
         g, pulled,
         {x: x for x in g.objects},

@@ -187,8 +187,13 @@ def build_document(doc):
     """Validate and construct every block, in order. Returns {name: object}."""
     env = {}
     for b in doc.blocks:
-        env[b.name] = _BUILDERS[b.kind](b, env)
+        env[b.name] = build_block(b, env)
     return env
+
+
+def build_block(block, env):
+    """Validate and construct one block against the objects built so far."""
+    return _BUILDERS[block.kind](block, env)
 
 
 def _ref(env, name, block, want=None):

@@ -7,19 +7,12 @@ only apply constructions proved to preserve validity, then revalidate.
 
 import itertools
 
-from . import fingrpd
+from .errors import ValidationFailure
 from .fingrpd import (as_group_bundle, cyclic_groupoid, disjoint_union,
                       group_as_groupoid, pair_groupoid, semidirect_product,
                       transport_action, trivial_action, trivial_bundle,
                       unit_bundle, unit_groupoid, validate_groupoid)
-from .util import pair
-
-
-def klein_groupoid(prefix="v"):
-    elems = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    return group_as_groupoid(
-        elems, lambda a, b: ((a[0] + b[0]) % 2, (a[1] + b[1]) % 2),
-        lambda a: a, (0, 0), prefix=prefix)
+from .util import pair, unpair
 
 
 def s3_groupoid(prefix="s"):
@@ -63,9 +56,9 @@ def transitive_block(objects, group, tag):
                 inv[a] = pair(tag, x, group.inv[gamma], y)
     unit = {x: pair(tag, x, group.unit["*"], x) for x in objects}
     for a in arrows:
-        _, y, ga, x = fingrpd.unpair(a)
+        _, y, ga, x = unpair(a)
         for b in arrows:
-            _, y2, gb, x2 = fingrpd.unpair(b)
+            _, y2, gb, x2 = unpair(b)
             if y2 == x:
                 comp[(a, b)] = pair(tag, y, group.comp[(ga, gb)], x2)
     return validate_groupoid(objects, arrows, src, tgt, inv, unit, comp)
@@ -134,7 +127,7 @@ def random_abelian_module(rng, g):
 
     def carry(arrow, h):
         x = g.src[arrow]
-        _, a = fingrpd.unpair(h)
+        _, a = unpair(h)
         if invert and not g.is_unit(arrow):
             k = int(a[1:])
             a = "a" + str((-k) % n)
@@ -142,7 +135,7 @@ def random_abelian_module(rng, g):
 
     try:
         action = transport_action(g, bundle, carry)
-    except Exception:
+    except ValidationFailure:
         action = trivial_action(g, bundle)
     return module_xmod(g, bundle, action)
 

@@ -1,6 +1,11 @@
-"""Label algebra, union-find quotients, and small backtracking searches."""
+"""Label algebra, union-find quotients, and small backtracking searches.
 
-from .errors import SizeLimitExceeded
+Tuple labels "(a,b,...)" and class labels "{rep}" are built and read only
+here: pair/unpair and cls_label/strip_class."""
+
+from functools import lru_cache
+
+from .errors import CoherenceFailure, SizeLimitExceeded
 
 
 def pair(*parts):
@@ -9,9 +14,42 @@ def pair(*parts):
     return "(" + ",".join(parts) + ")"
 
 
+@lru_cache(maxsize=1 << 18)
+def unpair(label, n=None):
+    """Inverse of pair for labels with balanced bracket nesting; with n,
+    the label must have exactly n parts.  Pass n positionally, so that one
+    label and arity share one cache entry; the checks run on a miss only.
+    Raises CoherenceFailure on a label that is not a tuple label."""
+    if label[:1] != "(" or label[-1:] != ")":
+        raise CoherenceFailure(("not a tuple label", label))
+    parts, depth, cur = [], 0, []
+    for ch in label[1:-1]:
+        if ch == "," and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+            continue
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+        cur.append(ch)
+    parts.append("".join(cur))
+    if n is not None and len(parts) != n:
+        raise CoherenceFailure(("expected a tuple label of arity", n, label))
+    return tuple(parts)
+
+
 def cls_label(rep):
     """Canonical label for a quotient class: its lexicographically least member."""
     return "{" + rep + "}"
+
+
+def strip_class(label):
+    """Inverse of cls_label: the representative inside the braces.
+    Raises CoherenceFailure on a label that is not a class label."""
+    if label[:1] != "{" or label[-1:] != "}":
+        raise CoherenceFailure(("not a class label", label))
+    return label[1:-1]
 
 
 class UnionFind:

@@ -3,16 +3,17 @@ Ad, extensions, inertia), strict morphisms and their semidirect products,
 pullbacks, projective products, transformations, the equivalence with strict
 2-groupoids, and hypercovers."""
 
-from .errors import (IllDefinedAction, NotAbelian, UnitSpaceMismatch,
-                     ValidationFailure, Violation)
+from .errors import (CoherenceFailure, IllDefinedAction, NotAbelian,
+                     UnitSpaceMismatch, ValidationFailure, Violation)
 from . import bibundle as bb
 from . import twogpd as tgd
 from .fingrpd import (ActionByAutomorphisms, GroupBundle, Groupoid,
                       GroupoidMorphism, aut_bundle, aut_label, unit_bundle,
-                      check_groupoid_morphism, inertia, pair, pullback_groupoid,
-                      semidirect_product, unit_groupoid, unpair,
-                      validate_action, validate_group_bundle,
-                      validate_groupoid, validate_groupoid_morphism)
+                      check_groupoid_morphism, inertia, pullback_groupoid,
+                      semidirect_product, unit_groupoid, validate_action,
+                      validate_group_bundle, validate_groupoid,
+                      validate_groupoid_morphism)
+from .util import pair, unpair
 
 
 class CrossedModule:
@@ -25,6 +26,7 @@ class CrossedModule:
         self.h = h
         self.boundary = dict(boundary)  # H-arrow -> G-arrow
         self.action = action            # ActionByAutomorphisms(g, h, act)
+        self._vertical2 = None          # xmod_to_2groupoid's memo
 
     @property
     def unit_space(self):
@@ -299,9 +301,8 @@ def vertical_groupoid(xm):
 def xmod_to_2groupoid(xm):
     """The vertical semidirect product 2-groupoid of a crossed module.
     Memoized per crossed-module instance (immutable after validation)."""
-    cached = getattr(xm, "_vertical2", None)
-    if cached is not None:
-        return cached
+    if xm._vertical2 is not None:
+        return xm._vertical2
     g, h = xm.g, xm.h
     cells, s2, t2, vinv, vunit, vcomp = vertical_groupoid(xm)
     by_base_tgt = {}
@@ -382,9 +383,11 @@ def roundtrip_iso(tg):
     psi = tgd.validate_strict_hom2(tg2, tg, {x: x for x in tg2.g0},
                                   {g: g for g in tg2.g1}, m2back)
     for b in tg.g2:
-        assert psi.m2[phi.m2[b]] == b, ("roundtrip psi.phi", b)
+        if psi.m2[phi.m2[b]] != b:
+            raise CoherenceFailure(("roundtrip psi.phi", b))
     for cell in tg2.g2:
-        assert phi.m2[psi.m2[cell]] == cell, ("roundtrip phi.psi", cell)
+        if phi.m2[psi.m2[cell]] != cell:
+            raise CoherenceFailure(("roundtrip phi.psi", cell))
     return phi, psi
 
 
@@ -428,20 +431,15 @@ def pullback_xmod(xm, space, sigma):
                 for (z, hh) in map(unpair, harrows)}
     act = {}
     for arrow in pg.arrows:
-        z1, gg, z2 = _p3(arrow)
+        z1, gg, z2 = unpair(arrow, 3)
         for hh in h.fiber(sigma[z1]):
             act[(arrow, pair(z1, hh))] = pair(z2, xm.act(gg, hh))
     pxm = validate_crossed_module(pg, ph, boundary, validate_action(pg, ph, act))
     proj = validate_strict_xmorphism(
         pxm, xm, {z: sigma[z] for z in set(space)},
         {a: unpair(a)[1] for a in harrows},
-        {arrow: _p3(arrow)[1] for arrow in pg.arrows})
+        {arrow: unpair(arrow, 3)[1] for arrow in pg.arrows})
     return pxm, proj
-
-
-def _p3(label):
-    from .fingrpd import _unpair3
-    return _unpair3(label)
 
 
 def projective_product(xm1, xm2, zb):
@@ -488,30 +486,30 @@ def projective_product(xm1, xm2, zb):
                     hinv[a] = pair(h1.inv[ha], p, h2.inv[hb])
     hunit = {p: pair(h1.unit[tau[p]], p, h2.unit[sig[p]]) for p in zb.space}
     for a in harrows:
-        ha, p, hb = _p3(a)
+        ha, p, hb = unpair(a, 3)
         for b in harrows:
-            hc, q, hd = _p3(b)
+            hc, q, hd = unpair(b, 3)
             if q == p:
                 hcomp2[(a, b)] = pair(h1.comp[(ha, hc)], p, h2.comp[(hb, hd)])
     hprod = validate_group_bundle(zb.space, harrows, hsrc, dict(hsrc),
                                   hinv, hunit, hcomp2)
     boundary = {pair(ha, p, hb): pair(xm1.boundary[ha], p, p, xm2.boundary[hb])
-                for (ha, p, hb) in map(_p3, harrows)}
+                for ha, p, hb in (unpair(a, 3) for a in harrows)}
     act = {}
     for arrow in gprod.arrows:
         ga, p1, p2, gb = unpair(arrow)
         for hcell in hprod.fiber(p1):
-            ha, _, hb = _p3(hcell)
+            ha, _, hb = unpair(hcell, 3)
             act[(arrow, hcell)] = pair(xm1.act(ga, ha), p2, xm2.act(gb, hb))
     prod = validate_crossed_module(gprod, hprod, boundary,
                                    validate_action(gprod, hprod, act))
     pr1 = validate_strict_xmorphism(
         prod, xm1, {p: tau[p] for p in zb.space},
-        {a: _p3(a)[0] for a in harrows},
+        {a: unpair(a, 3)[0] for a in harrows},
         {a: unpair(a)[0] for a in gprod.arrows})
     pr2 = validate_strict_xmorphism(
         prod, xm2, {p: sig[p] for p in zb.space},
-        {a: _p3(a)[2] for a in harrows},
+        {a: unpair(a, 3)[2] for a in harrows},
         {a: unpair(a)[3] for a in gprod.arrows})
     return prod, pr1, pr2
 
@@ -605,20 +603,10 @@ def transformation_from_2gpd(v, f, k):
             cod2.vunit[cod2.inv1[tmap[x]]],
             cod2.vunit[cod2.inv1[k.m1[g]]], cod2.vunit[tmap[y]])
         hpart, base = unpair(cell)
-        assert cod2.is_unit1(base), ("bridge cell not unit-sourced", g, cell)
+        if not cod2.is_unit1(base):
+            raise CoherenceFailure(("bridge cell not unit-sourced", g, cell))
         lam[g] = hpart
     return tmap, lam
-
-
-def transformation_bridge(direction, *args):
-    """Convert transformations between the crossed-module and 2-groupoid
-    formalisms: direction "to_2gpd" takes (tmap, lam, chi, kappa) and yields
-    v; "from_2gpd" takes (v, f, k) and yields (tmap, lam)."""
-    if direction == "to_2gpd":
-        return transformation_to_2gpd(*args)
-    if direction == "from_2gpd":
-        return transformation_from_2gpd(*args)
-    raise ValueError(f"unknown direction {direction!r}")
 
 
 def semidirect_iso_under_transformation(tmap, lam, chi, kappa):

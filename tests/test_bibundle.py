@@ -7,7 +7,7 @@ import pytest
 
 from xmodforge import bibundle as bb
 from xmodforge import exchanger as exm
-from xmodforge import fingrpd, generators
+from xmodforge import fingrpd, generators, util
 from xmodforge.errors import EmptyComposite, ValidationFailure, Violation
 from xmodforge.fingrpd import (cyclic_groupoid, identity_morphism, unit_groupoid,
                                validate_groupoid_morphism)
@@ -111,11 +111,11 @@ def test_phi_Z_graph_formula(c2):
     z = bb.bibundle_from_hom(identity_morphism(c2))
     f, dom, cod = bb.phi_Z(z)
     for a in dom.arrows:
-        z1, m, z2 = fingrpd._unpair3(a)
+        z1, m, z2 = util.unpair(a, 3)
         _, n1 = fingrpd.unpair(z1)
         _, n2 = fingrpd.unpair(z2)
         want = c2.comp[(c2.comp[(c2.inv[n1], m)], n2)]  # n1^-1 f(m) n2
-        assert fingrpd._unpair3(f.amap[a])[1] == want
+        assert util.unpair(f.amap[a], 3)[1] == want
 
 
 def test_phi_Z_identity_bibundle_iso(c2):
@@ -218,7 +218,7 @@ def reference_check_bibundle(zb):
     if violations:
         return violations
     for z in zb.space:
-        for m in left.arrows:
+        for m in sorted(left.arrows):
             defined = (m, z) in zb.lact
             wants = left.src[m] == zb.lmom[z]
             if wants and not defined:
@@ -230,7 +230,7 @@ def reference_check_bibundle(zb):
                 if mz not in space or zb.lmom[mz] != left.tgt[m]:
                     violations.append(Violation("BadActionImage", ("left", m, z)))
     for z in zb.space:
-        for n in right.arrows:
+        for n in sorted(right.arrows):
             defined = (z, n) in zb.ract
             wants = zb.rmom[z] == right.tgt[n]
             if wants and not defined:
@@ -533,6 +533,14 @@ try:
     exm._require_bijective(collapse=collapse)
 except CoherenceFailure as e:
     print("CoherenceFailure", e)
+# the label algebra: a malformed label, a wrong arity, a missing brace
+from xmodforge.util import strip_class, unpair
+for label, parse in (("a,b", unpair), ("(a,b)", lambda x: unpair(x, 3)),
+                     ("(a)", strip_class)):
+    try:
+        parse(label)
+    except CoherenceFailure as e:
+        print("CoherenceFailure", e)
 """
 
 
@@ -542,5 +550,35 @@ def test_typed_errors_survive_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["['NotFree']",
-                                        "CoherenceFailure ('not bijective', 'collapse')"]
+    assert proc.stdout.splitlines() == [
+        "['NotFree']", "CoherenceFailure ('not bijective', 'collapse')",
+        "CoherenceFailure ('not a tuple label', 'a,b')",
+        "CoherenceFailure ('expected a tuple label of arity', 3, '(a,b)')",
+        "CoherenceFailure ('not a class label', '(a)')"]
+
+
+HASH_SEED_SCRIPT = """
+import sys
+from xmodforge import bibundle as bb, cli, fingrpd, gdf
+zb = bb.identity_bibundle(fingrpd.cyclic_groupoid(4))
+missing = {("c1", "c0"), ("c2", "c0"), ("c3", "c0")}
+lact = {k: v for k, v in zb.lact.items() if k not in missing}
+bad = bb.Bibundle(zb.left, zb.right, zb.space, zb.lmom, zb.rmom, lact, zb.ract)
+with open(sys.argv[1], "w") as fh:
+    fh.write(gdf.print_gdf(gdf.document_of(gdf.bibundle_blocks("Z", bad))))
+sys.exit(cli.main(["check", sys.argv[1]]))
+"""
+
+
+def test_check_witness_does_not_depend_on_the_hash_seed(tmp_path):
+    witnesses = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT,
+                               str(tmp_path / f"z{seed}.gdf")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1, proc.stderr
+        witnesses.append([line for line in proc.stdout.splitlines() if "witness" in line])
+    assert witnesses[0] == witnesses[1] == [
+        "       MissingActionEntry: FAIL witness=('left', 'c1', 'c0')"]

@@ -2,7 +2,7 @@ import pytest
 
 from xmodforge import bibundle as bb
 from xmodforge import crossing as cr
-from xmodforge import extensions, fingrpd, xmod
+from xmodforge import extensions, fingrpd, util, xmod
 from xmodforge.errors import (EmptyFiberedProduct, NotAHypercover,
                               ValidationFailure)
 from xmodforge.fingrpd import cyclic_groupoid, search_groupoid_iso, unpair
@@ -296,7 +296,7 @@ def _relabel_to_plain(back, ref):
     pi = {}
     for e_arrow, g_img in back.pi.items():
         # g_img is a pullback triple label over the unit space; strip it
-        _, g, _ = fingrpd._unpair3(g_img)
+        _, g, _ = util.unpair(g_img, 3)
         pi[e_arrow] = g
     return xmod.validate_extension(ref.a, back.e, ref.g, iota, pi)
 

@@ -6,7 +6,7 @@ from xmodforge import exchanger as ex
 from xmodforge import fingrpd, xmod
 from xmodforge.errors import NotComposable, ValidationFailure
 from xmodforge.fingrpd import cyclic_groupoid, trivial_bundle, trivial_action, unpair
-from xmodforge.util import pair as mkpair
+from xmodforge.util import pair as mkpair, strip_class
 
 
 @pytest.fixture
@@ -129,6 +129,28 @@ def test_exchanger_from_identity_hom_is_trivial(o_sc2, i_o):
 def test_vertical_compose_unit_laws(i_o):
     assoc, r_p, l_p = ex.structural_isos(i_o, i_o, i_o)
     assert r_p.is_bijective() and l_p.is_bijective() and assoc.is_bijective()
+
+
+def test_structural_isos_composes_each_pair_once(i_o, monkeypatch):
+    # six composites: (P.P).P and P.(P.P), two each, and I.P, P.I
+    calls = []
+    compose = bb.compose_bibundles
+    monkeypatch.setattr(bb, "compose_bibundles",
+                        lambda p, q: calls.append((p, q)) or compose(p, q))
+    assoc, r_p, l_p = ex.structural_isos(i_o, i_o, i_o)
+    assert len(calls) == 6
+    monkeypatch.undo()
+    # the associator read off a composite of its own: [[p, q], t] for [p, [q, t]]
+    outer = bb.compose_bibundles(i_o.p, i_o.p)
+    left = ex.vertical_compose(ex.vertical_compose(i_o, i_o), i_o)
+    want = {}
+    for c in assoc.src.p.space:
+        pz, inner = unpair(strip_class(c))
+        qz, tz = unpair(strip_class(inner))
+        want[c] = left.p.pair_class[mkpair(outer.pair_class[mkpair(pz, qz)], tz)]
+    assert assoc.eta == want
+    assert r_p.eta == {c: i_o.p.lact[unpair(strip_class(c))] for c in r_p.src.p.space}
+    assert l_p.eta == {c: i_o.p.ract[unpair(strip_class(c))] for c in l_p.src.p.space}
 
 
 def test_exchanger_inverse_witnesses(i_o):

@@ -296,3 +296,25 @@ def test_zigzag_block_rejects_non_hypercover(tmp_path):
     p = tmp_path / "zz2.gdf"
     p.write_text(gdf.print_gdf(gdf.document_of(blocks)))
     assert run_cli(["check", str(p)]) == cli.EXIT_VALIDATION
+
+
+def test_zigzag_block_rejects_mismatched_lengths_under_optimize(tmp_path):
+    # two directions for one arrow: exit 1, also where asserts are stripped
+    sc2 = xmod.inertia_xmod(fingrpd.cyclic_groupoid(2))
+    blocks = gdf.xmod_blocks("SC2", sc2)
+    blocks.append(gdf.Block("morphism", "chi", {
+        "from": ["SC2"], "to": ["SC2"],
+        "objects": ["*=*"],
+        "left": ["c0=c0", "c1=c1"],
+        "right": ["c0=c0", "c1=c1"]}, 0))
+    blocks.append(gdf.Block("zigzag", "zz", {
+        "modules": ["SC2", "SC2"], "arrows": ["chi"], "dirs": ["fwd", "bwd"]}, 0))
+    p = tmp_path / "zz3.gdf"
+    p.write_text(gdf.print_gdf(gdf.document_of(blocks)))
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [q for q in [os.environ.get("PYTHONPATH")] if q]))
+    proc = subprocess.run([sys.executable, "-O", "-m", "xmodforge.cli", "check", str(p)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == cli.EXIT_VALIDATION, proc.stderr
+    assert "BadZigZagLength: FAIL witness=(2, 1, 2)" in proc.stdout

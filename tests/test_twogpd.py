@@ -355,6 +355,16 @@ def test_check_2groupoid_matches_sweep_on_corruptions():
                     laws = assert_matches_reference(
                         corrupted(tg, table, key, rng.choice(others)))
                     law_codes.update(code for code, _, _ in laws)
+        # 1_g *h 1_h for the first pair of non-identities with gh not an
+        # identity: the h-unit and h-inverse checks read no such entry
+        for (g, h), gh in sorted(tg.comp1.items()):
+            others = [c for c in parallel[(gh, gh)] if c != tg.vunit[gh]]
+            if others and not (tg.is_unit1(g) or tg.is_unit1(h) or tg.is_unit1(gh)):
+                tried += 1
+                laws = assert_matches_reference(
+                    corrupted(tg, "hcomp", (tg.vunit[g], tg.vunit[h]), others[0]))
+                law_codes.update(code for code, _, _ in laws)
+                break
     assert tried >= 200
     assert law_codes == {"HNonAssociative", "InterchangeFailure", "BadHUnit"}
 
@@ -364,8 +374,9 @@ def cyclic_2groupoid(n, k, d, hx):
     for x in Z/n, vertical composite (x1 + x2, i), horizontal composite
     (hx(x1, i1, x2, i2), i1 + i2).  The checks before the laws pass when
     dn = 0 and d hx(x1, i1, x2, i2) = d (x1 + x2) mod k, and hx(x, i, 0, 0)
-    = hx(0, 0, x, i) = x.  hx = x1 + x2 gives the 2-groupoid of the crossed
-    module Z/n -> Z/k, x -> dx, with trivial action."""
+    = hx(0, 0, x, i) = x, and when (x, i) has a two-sided h-inverse
+    (y, -i), which hinv lists.  hx = x1 + x2 gives the 2-groupoid of the
+    crossed module Z/n -> Z/k, x -> dx, with trivial action."""
     g = [f"g{i}" for i in range(k)]
     cell = lambda x, i: f"{x % n}|{i % k}"
     pairs = [(x, i) for x in range(n) for i in range(k)]
@@ -382,11 +393,15 @@ def cyclic_2groupoid(n, k, d, hx):
          for x1 in range(n) for x2, i in pairs},
         {(cell(x1, i1), cell(x2, i2)): cell(hx(x1, i1, x2, i2), i1 + i2)
          for x1, i1 in pairs for x2, i2 in pairs},
-        {cell(x, i): cell(-x, -i) for x, i in pairs})
+        {cell(x, i): cell(next(y for y in range(n) if hx(x, i, y, -i % k) % n == 0), -i)
+         for x, i in pairs})
 
 
-SWAP23 = [0, 1, 3, 2]  # a bijection of Z/4 fixing 0 that is no automorphism
-NEG_AT_1 = [lambda x: x, lambda x: -x, lambda x: x]  # i -> NEG_AT_1[i] is no homomorphism
+# an involution of Z/5 that commutes with negation but is no automorphism,
+# so that x1 + SWAP12(x2) has horizontal inverses and (W2) holds
+SWAP12 = [0, 2, 1, 4, 3]
+# i -> NEG_OFF_0[i] is no homomorphism, and NEG_OFF_0[-i] inverts NEG_OFF_0[i]
+NEG_OFF_0 = [lambda x: x, lambda x: -x, lambda x: -x]
 
 
 @pytest.mark.parametrize("n, k, d, hx, law", [
@@ -396,11 +411,11 @@ NEG_AT_1 = [lambda x: x, lambda x: -x, lambda x: x]  # i -> NEG_AT_1[i] is no ho
     # the same with the other whiskering order: only the first form of (D) fails
     (4, 2, 1, lambda x1, i1, x2, i2: x1 + (-1) ** (i1 + x1) * x2, "InterchangeFailure"),
     # L(g, -), then R(-, h), does not preserve vertical composition: (W1)
-    (4, 2, 0, lambda x1, i1, x2, i2: x1 + (SWAP23[x2] if i1 else x2), "InterchangeFailure"),
-    (4, 2, 0, lambda x1, i1, x2, i2: (SWAP23[x1] if i2 else x1) + x2, "InterchangeFailure"),
+    (5, 2, 0, lambda x1, i1, x2, i2: x1 + (SWAP12[x2] if i1 else x2), "InterchangeFailure"),
+    (5, 2, 0, lambda x1, i1, x2, i2: (SWAP12[x1] if i2 else x1) + x2, "InterchangeFailure"),
     # L(g, L(h, c)) != L(gh, c), then R(R(a, h), k) != R(a, hk): (W2)
-    (3, 3, 0, lambda x1, i1, x2, i2: x1 + NEG_AT_1[i1](x2), "HNonAssociative"),
-    (3, 3, 0, lambda x1, i1, x2, i2: NEG_AT_1[i2](x1) + x2, "HNonAssociative"),
+    (3, 3, 0, lambda x1, i1, x2, i2: x1 + NEG_OFF_0[i1](x2), "HNonAssociative"),
+    (3, 3, 0, lambda x1, i1, x2, i2: NEG_OFF_0[i2](x1) + x2, "HNonAssociative"),
 ])
 def test_check_2groupoid_matches_sweep_on_twisted_whiskers(n, k, d, hx, law):
     tg = cyclic_2groupoid(n, k, d, hx)
@@ -431,3 +446,16 @@ def test_check_2groupoid_matches_sweep_with_a_stray_hcomp_key():
     assert twogpd._check_cells(stray) == []
     assert not twogpd._whiskering_certifies(stray)
     assert listed(twogpd.check_2groupoid(stray)) == listed(reference_laws(stray)) == []
+
+
+def test_check_2groupoid_rejects_a_wrong_h_inverse():
+    # (h0,g1) *h (h2,g1) = (h2,g0) runs between identity 1-cells but is not
+    # the identity 2-cell (h0,g0), so (h2,g1) is no h-inverse of (h0,g1)
+    tg = xmod.xmod_to_2groupoid(quotient_xmod(4, 2))
+    assert tg.hcomp[("(h0,g1)", "(h2,g1)")] == "(h2,g0)"
+    bad = twogpd.TwoGroupoid(tg.g0, tg.g1, tg.s, tg.t, tg.inv1, tg.unit1,
+                             tg.comp1, tg.g2, tg.s2, tg.t2, tg.vinv, tg.vunit,
+                             tg.vcomp, tg.hcomp, {**tg.hinv, "(h0,g1)": "(h2,g1)"})
+    assert ("BadHInverse", ("(h0,g1)", "(h2,g1)", "(h2,g0)"), "") in listed(
+        twogpd.check_2groupoid(bad))
+    assert twogpd.check_2groupoid(tg) == []
