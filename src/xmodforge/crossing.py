@@ -3,6 +3,8 @@ of CR1-CR4 (and CR3'), construction from strict morphisms and hypercovers,
 the decomposition theorem, diamond products, crossed semidirect products,
 pullbacks, and the M-diamond-Mbar equivalence."""
 
+from collections import namedtuple
+
 from .errors import (CoherenceFailure, EmptyFiberedProduct, ExactnessSolveFailure,
                      NotAHypercover, ValidationFailure, Violation)
 from . import bibundle as bb
@@ -11,6 +13,10 @@ from .fingrpd import (aut_label, pullback_groupoid, validate_action,
                       validate_group_bundle, validate_groupoid,
                       validate_groupoid_morphism)
 from .util import UnionFind, cls_label, pair, strip_class, unpair
+
+# One side of a crossing: (src, tau, a1, a2) with tag "a" or
+# (dst, sigma, b1, b2) with tag "b".
+Side = namedtuple("Side", "tag xm mom leg1 leg2")
 
 
 class Crossing:
@@ -40,6 +46,12 @@ class Crossing:
                 and all(self.tau[u] == u for u in self.m.objects)
                 and all(self.sigma[u] == u for u in self.m.objects))
 
+    def sides(self):
+        """The two mirrored sides, a then b, as views of this crossing's own
+        tables; built on each call, so they see any later edit."""
+        return (Side("a", self.src, self.tau, self.a1, self.a2),
+                Side("b", self.dst, self.sigma, self.b1, self.b2))
+
     def __repr__(self):
         kind = "CrossedExtension" if self.is_extension else "Crossing"
         return f"{kind}(|M|={len(self.m)})"
@@ -49,147 +61,147 @@ class CrossedExtension(Crossing):
     is_extension = True
 
 
-def _leg_domain(xm, moment, m):
+def _leg_domain(m, s):
     for u in sorted(m.objects):
-        for hh in xm.h.fiber(moment[u]):
+        for hh in s.xm.h.fiber(s.mom[u]):
             yield u, hh
 
 
 def check_crossing(c, prime=False):
+    """Violations of the crossing laws, in the order they are checked; the
+    CLI reports the first.  Each law is written once and run on both sides
+    (a = (src, tau, a1, a2), then b = (dst, sigma, b1, b2)), witnesses in
+    label order:
+
+    1. BadMoment: tau and sigma land in the base objects (stops here);
+    2. BadLeg: a1, b1 total loops; per arrow, a2, b2 endpoint-correct
+       (stops here);
+    3. CR1Failure: per object, a1, b1, a2, b2 preserve units;
+    4. BadLeg a1-hom/b1-hom per object, then a2-hom/b2-hom per composable
+       pair (stops here);
+    5. CR2Failure: b2.a1 then a2.b1 are trivial;
+    6. SquareFailure: a2.a1 = tau^* d1, then b2.b1 = sigma^* d2;
+    7. CR3Failure: b1 injective, a2 surjective, ker a2 = im b1;
+    8. CR4Failure: per arrow, the a then the b equivariance;
+    9. with prime, CR3PrimeFailure: CR3 with the sides swapped."""
     violations = []
     m = c.m
-    src, dst = c.src, c.dst
-    for u in m.objects:
-        if c.tau.get(u) not in src.g.objects or c.sigma.get(u) not in dst.g.objects:
+    sides = c.sides()
+    objs, arrows = sorted(m.objects), sorted(m.arrows)
+    for u in objs:
+        if any(s.mom.get(u) not in s.xm.g.objects for s in sides):
             violations.append(Violation("BadMoment", (u,)))
     if violations:
         return violations
 
     # legs are total, endpoint-correct groupoid morphisms
-    for u, hh in _leg_domain(src, c.tau, m):
-        mm = c.a1.get((u, hh))
-        if mm not in m.arrows or m.src[mm] != u or m.tgt[mm] != u:
-            violations.append(Violation("BadLeg", ("a1", u, hh)))
-    for u, hh in _leg_domain(dst, c.sigma, m):
-        mm = c.b1.get((u, hh))
-        if mm not in m.arrows or m.src[mm] != u or m.tgt[mm] != u:
-            violations.append(Violation("BadLeg", ("b1", u, hh)))
-    for mm in m.arrows:
-        g1 = c.a2.get(mm)
-        if g1 not in src.g.arrows or src.g.tgt[g1] != c.tau[m.tgt[mm]] \
-                or src.g.src[g1] != c.tau[m.src[mm]]:
-            violations.append(Violation("BadLeg", ("a2", mm)))
-        g2 = c.b2.get(mm)
-        if g2 not in dst.g.arrows or dst.g.tgt[g2] != c.sigma[m.tgt[mm]] \
-                or dst.g.src[g2] != c.sigma[m.src[mm]]:
-            violations.append(Violation("BadLeg", ("b2", mm)))
+    for s in sides:
+        leg1, tag = s.leg1, s.tag + "1"
+        for u, hh in _leg_domain(m, s):
+            mm = leg1.get((u, hh))
+            if mm not in m.arrows or m.src[mm] != u or m.tgt[mm] != u:
+                violations.append(Violation("BadLeg", (tag, u, hh)))
+    ends = [(s.leg2, s.xm.g, s.mom, s.tag + "2") for s in sides]
+    for mm in arrows:
+        u1, u2 = m.tgt[mm], m.src[mm]
+        for leg2, gg, mom, tag in ends:
+            g = leg2.get(mm)
+            if g not in gg.arrows or gg.tgt[g] != mom[u1] or gg.src[g] != mom[u2]:
+                violations.append(Violation("BadLeg", (tag, mm)))
     if violations:
         return violations
 
     # CR1: legs are the identity on the unit space
-    for u in m.objects:
-        if c.a1[(u, src.h.unit[c.tau[u]])] != m.unit[u]:
-            violations.append(Violation("CR1Failure", ("a1", u)))
-        if c.b1[(u, dst.h.unit[c.sigma[u]])] != m.unit[u]:
-            violations.append(Violation("CR1Failure", ("b1", u)))
-        if c.a2[m.unit[u]] != src.g.unit[c.tau[u]]:
-            violations.append(Violation("CR1Failure", ("a2", u)))
-        if c.b2[m.unit[u]] != dst.g.unit[c.sigma[u]]:
-            violations.append(Violation("CR1Failure", ("b2", u)))
+    for u in objs:
+        for s in sides:
+            if s.leg1[(u, s.xm.h.unit[s.mom[u]])] != m.unit[u]:
+                violations.append(Violation("CR1Failure", (s.tag + "1", u)))
+        for s in sides:
+            if s.leg2[m.unit[u]] != s.xm.g.unit[s.mom[u]]:
+                violations.append(Violation("CR1Failure", (s.tag + "2", u)))
 
-    for u in m.objects:
-        for ha in src.h.fiber(c.tau[u]):
-            for hb in src.h.fiber(c.tau[u]):
-                prod = src.h.comp[(ha, hb)]
-                if c.a1[(u, prod)] != m.comp[(c.a1[(u, ha)], c.a1[(u, hb)])]:
-                    violations.append(Violation("BadLeg", ("a1-hom", u, ha, hb)))
-        for ha in dst.h.fiber(c.sigma[u]):
-            for hb in dst.h.fiber(c.sigma[u]):
-                prod = dst.h.comp[(ha, hb)]
-                if c.b1[(u, prod)] != m.comp[(c.b1[(u, ha)], c.b1[(u, hb)])]:
-                    violations.append(Violation("BadLeg", ("b1-hom", u, ha, hb)))
+    for u in objs:
+        for s in sides:
+            leg1, hcomp, tag = s.leg1, s.xm.h.comp, s.tag + "1-hom"
+            fiber = s.xm.h.fiber(s.mom[u])
+            for ha in fiber:
+                for hb in fiber:
+                    if leg1[(u, hcomp[(ha, hb)])] != \
+                            m.comp[(leg1[(u, ha)], leg1[(u, hb)])]:
+                        violations.append(Violation("BadLeg", (tag, u, ha, hb)))
+    homs = [(s.leg2, s.xm.g.comp, s.tag + "2-hom") for s in sides]
     for ma, mb in m.composable_pairs():
-        if c.a2[m.comp[(ma, mb)]] != src.g.comp[(c.a2[ma], c.a2[mb])]:
-            violations.append(Violation("BadLeg", ("a2-hom", ma, mb)))
-        if c.b2[m.comp[(ma, mb)]] != dst.g.comp[(c.b2[ma], c.b2[mb])]:
-            violations.append(Violation("BadLeg", ("b2-hom", ma, mb)))
+        mab = m.comp[(ma, mb)]
+        for leg2, gcomp, tag in homs:
+            if leg2[mab] != gcomp[(leg2[ma], leg2[mb])]:
+                violations.append(Violation("BadLeg", (tag, ma, mb)))
     if violations:
         return violations
 
     # CR2: both diagonals are complexes (composites land in unit arrows)
-    for u, hh in _leg_domain(src, c.tau, m):
-        if not dst.g.is_unit(c.b2[c.a1[(u, hh)]]):
-            violations.append(Violation("CR2Failure", ("b2.a1", u, hh)))
-    for u, hh in _leg_domain(dst, c.sigma, m):
-        if not src.g.is_unit(c.a2[c.b1[(u, hh)]]):
-            violations.append(Violation("CR2Failure", ("a2.b1", u, hh)))
+    for s, o in (sides, sides[::-1]):
+        leg1, oleg2, is_unit = s.leg1, o.leg2, o.xm.g.is_unit
+        tag = f"{o.tag}2.{s.tag}1"
+        for u, hh in _leg_domain(m, s):
+            if not is_unit(oleg2[leg1[(u, hh)]]):
+                violations.append(Violation("CR2Failure", (tag, u, hh)))
 
     # commuting outer square: tau^* d1 = a2 . a1 and sigma^* d2 = b2 . b1
-    for u, hh in _leg_domain(src, c.tau, m):
-        if c.a2[c.a1[(u, hh)]] != src.boundary[hh]:
-            violations.append(Violation("SquareFailure", ("a", u, hh)))
-    for u, hh in _leg_domain(dst, c.sigma, m):
-        if c.b2[c.b1[(u, hh)]] != dst.boundary[hh]:
-            violations.append(Violation("SquareFailure", ("b", u, hh)))
+    for s in sides:
+        leg1, leg2, boundary = s.leg1, s.leg2, s.xm.boundary
+        for u, hh in _leg_domain(m, s):
+            if leg2[leg1[(u, hh)]] != boundary[hh]:
+                violations.append(Violation("SquareFailure", (s.tag, u, hh)))
 
-    # CR3: BL-TR is an extension: b1 injective, a2 surjective (onto the
-    # pullback groupoid), kernel of a2 = image of b1
-    b1_img = set(c.b1.values())
-    if len(b1_img) != len(c.b1):
-        violations.append(Violation("CR3Failure", ("b1-not-injective",)))
-    for u1 in m.objects:
-        for u2 in m.objects:
-            for g1 in src.g.hom(c.tau[u2], c.tau[u1]):
-                if not any(m.tgt[mm] == u1 and m.src[mm] == u2
-                           and c.a2[mm] == g1 for mm in m.arrows):
-                    violations.append(Violation("CR3Failure",
-                                                ("a2-not-surjective", u1, g1, u2)))
-    a2_kernel = {mm for mm in m.arrows
-                 if src.g.is_unit(c.a2[mm]) and m.src[mm] == m.tgt[mm]}
-    if a2_kernel != b1_img:
-        violations.append(Violation(
-            "CR3Failure", ("kernel-vs-image", tuple(sorted(a2_kernel ^ b1_img)))))
+    violations += _cr3(c, *sides, "CR3Failure")
 
-    # CR4: a1(h1^{a2(m)}) = m^-1 a1(h1) m and the b-version
-    for mm in m.arrows:
+    # CR4: leg1(h^{leg2(m)}) = m^-1 leg1(h) m on each side
+    for mm in arrows:
         u1, u2 = m.tgt[mm], m.src[mm]
-        for hh in src.h.fiber(c.tau[u1]):
-            lhs = c.a1[(u2, src.act(c.a2[mm], hh))]
-            rhs = m.comp[(m.comp[(m.inv[mm], c.a1[(u1, hh)])], mm)]
-            if lhs != rhs:
-                violations.append(Violation("CR4Failure", ("a", mm, hh)))
-        for hh in dst.h.fiber(c.sigma[u1]):
-            lhs = c.b1[(u2, dst.act(c.b2[mm], hh))]
-            rhs = m.comp[(m.comp[(m.inv[mm], c.b1[(u1, hh)])], mm)]
-            if lhs != rhs:
-                violations.append(Violation("CR4Failure", ("b", mm, hh)))
+        minv = m.inv[mm]
+        for s in sides:
+            leg1, act, g = s.leg1, s.xm.act, s.leg2[mm]
+            for hh in s.xm.h.fiber(s.mom[u1]):
+                if leg1[(u2, act(g, hh))] != \
+                        m.comp[(m.comp[(minv, leg1[(u1, hh)])], mm)]:
+                    violations.append(Violation("CR4Failure", (s.tag, mm, hh)))
 
     if prime:
         violations += check_cr3_prime(c)
     return violations
 
 
+def _cr3(c, s, o, code):
+    """CR3 on the diagonal from o's leg1 to s's leg2: o.leg1 injective,
+    s.leg2 surjective onto the pulled-back groupoid, ker s.leg2 = im o.leg1."""
+    violations = []
+    m = c.m
+    img = set(o.leg1.values())
+    if len(img) != len(o.leg1):
+        violations.append(Violation(code, (o.tag + "1-not-injective",)))
+    hits = {}
+    for mm in m.arrows:
+        hits.setdefault((m.tgt[mm], m.src[mm]), set()).add(s.leg2[mm])
+    objs, gg, tag = sorted(m.objects), s.xm.g, s.tag + "2-not-surjective"
+    for u1 in objs:
+        for u2 in objs:
+            hit = hits.get((u1, u2), ())
+            for g in gg.hom(s.mom[u2], s.mom[u1]):
+                if g not in hit:
+                    violations.append(Violation(code, (tag, u1, g, u2)))
+    kernel = {mm for mm in m.arrows
+              if gg.is_unit(s.leg2[mm]) and m.src[mm] == m.tgt[mm]}
+    if kernel != img:
+        violations.append(Violation(
+            code, ("kernel-vs-image", tuple(sorted(kernel ^ img)))))
+    return violations
+
+
 def check_cr3_prime(c):
     """CR3': TL-BR is an extension (a1 injective, b2 surjective,
-    kernel of b2 = image of a1)."""
-    violations = []
-    m, src, dst = c.m, c.src, c.dst
-    a1_img = set(c.a1.values())
-    if len(a1_img) != len(c.a1):
-        violations.append(Violation("CR3PrimeFailure", ("a1-not-injective",)))
-    for u1 in m.objects:
-        for u2 in m.objects:
-            for g2 in dst.g.hom(c.sigma[u2], c.sigma[u1]):
-                if not any(m.tgt[mm] == u1 and m.src[mm] == u2
-                           and c.b2[mm] == g2 for mm in m.arrows):
-                    violations.append(Violation("CR3PrimeFailure",
-                                                ("b2-not-surjective", u1, g2, u2)))
-    b2_kernel = {mm for mm in m.arrows
-                 if dst.g.is_unit(c.b2[mm]) and m.src[mm] == m.tgt[mm]}
-    if b2_kernel != a1_img:
-        violations.append(Violation(
-            "CR3PrimeFailure", ("kernel-vs-image", tuple(sorted(b2_kernel ^ a1_img)))))
-    return violations
+    kernel of b2 = image of a1), i.e. CR3 with the sides swapped."""
+    a, b = c.sides()
+    return _cr3(c, b, a, "CR3PrimeFailure")
 
 
 def validate_crossing(src_xmod, dst_xmod, m, tau, sigma, a1, a2, b1, b2):
@@ -370,15 +382,11 @@ def decompose_crossing(c):
                                 c.dst.act(c.b2[mm], h2))
     gprime = xmd.validate_crossed_module(m, bundle, boundary,
                                          validate_action(m, bundle, act))
-    chi_left = xmd.validate_strict_xmorphism(
-        gprime, c.src, dict(c.tau),
-        {a: unpair(a, 3)[1] for a in harrows},
-        {mm: c.a2[mm] for mm in m.arrows})
-    chi_right = xmd.validate_strict_xmorphism(
-        gprime, c.dst, dict(c.sigma),
-        {a: unpair(a, 3)[2] for a in harrows},
-        {mm: c.b2[mm] for mm in m.arrows})
-    return gprime, chi_left, chi_right
+    # chi_left, then chi_right: the projections onto the a and b sides
+    chis = [xmd.validate_strict_xmorphism(
+        gprime, s.xm, dict(s.mom), {a: unpair(a, 3)[k] for a in harrows},
+        {mm: s.leg2[mm] for mm in m.arrows}) for k, s in enumerate(c.sides(), 1)]
+    return (gprime, *chis)
 
 
 # -- diamond ------------------------------------------------------------------
@@ -506,14 +514,11 @@ def crossed_semidirect(c, side="H1"):
     Returns (groupoid, class_of) where class_of maps raw pair labels
     (u, h, m) to class labels."""
     m = c.m
-    if side == "H1":
-        bund, mom, leg1_self, leg2_self = c.src.h, c.tau, c.a1, c.a2
-        other_bund, other_mom, other_leg = c.dst.h, c.sigma, c.b1
-        act_mod = c.src
-    else:
-        bund, mom, leg1_self, leg2_self = c.dst.h, c.sigma, c.b1, c.b2
-        other_bund, other_mom, other_leg = c.src.h, c.tau, c.a1
-        act_mod = c.dst
+    s, o = c.sides()
+    if side != "H1":
+        s, o = o, s
+    bund, mom, leg2_self, act_mod = s.xm.h, s.mom, s.leg2, s.xm
+    other_bund, other_mom, other_leg = o.xm.h, o.mom, o.leg1
 
     members = [pair(m.tgt[mm], hh, mm) for mm in m.arrows
                for hh in bund.fiber(mom[m.tgt[mm]])]
@@ -556,17 +561,13 @@ def crossed_semidirect_iso(c, side="H1"):
     [h, m] -> (h, leg2(m)) onto the plain semidirect product of the
     pulled-back crossed module (needs CR3 for H1, CR3' for H2)."""
     gpd, class_of = crossed_semidirect(c, side=side)
-    if side == "H1":
-        pb, _ = xmd.pullback_xmod(c.src, c.m.objects, c.tau)
-        leg2 = c.a2
-    else:
-        pb, _ = xmd.pullback_xmod(c.dst, c.m.objects, c.sigma)
-        leg2 = c.b2
+    s = c.sides()[0 if side == "H1" else 1]
+    pb, _ = xmd.pullback_xmod(s.xm, c.m.objects, s.mom)
     sd, _ = xmd.semidirect_of_morphism(xmd.identity_xmorphism(pb))
     amap = {}
     for a in gpd.arrows:
         u, hh, mm = unpair(strip_class(a), 3)
-        triple = pair(c.m.tgt[mm], leg2[mm], c.m.src[mm])
+        triple = pair(c.m.tgt[mm], s.leg2[mm], c.m.src[mm])
         amap[a] = pair(pair(u, hh), triple)
     iso = validate_groupoid_morphism(gpd, sd, {u: u for u in gpd.objects}, amap)
     if len(set(iso.amap.values())) != len(iso.amap) or \

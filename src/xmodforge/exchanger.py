@@ -40,7 +40,8 @@ def check_xext_homomorphism(hom):
     if violations:
         return violations
 
-    for u in a.m.objects:
+    objs = sorted(a.m.objects)
+    for u in objs:
         if b.tau[phi.omap[u]] != chi1.omap[a.tau[u]]:
             violations.append(Violation("PrismMomentFailure", ("tau", u)))
         if b.sigma[phi.omap[u]] != chi2.omap[a.sigma[u]]:
@@ -48,33 +49,25 @@ def check_xext_homomorphism(hom):
     if violations:
         return violations
 
-    # the four slanted faces of the prism
-    for (u, h1), mm in a.a1.items():
-        if phi.amap[mm] != b.a1[(phi.omap[u], chi1.lmap[h1])]:
-            violations.append(Violation("PrismFaceFailure", ("a1", u, h1)))
-    for mm, g1 in a.a2.items():
-        if chi1.rmap[g1] != b.a2[phi.amap[mm]]:
-            violations.append(Violation("PrismFaceFailure", ("a2", mm)))
-    for (u, h2), mm in a.b1.items():
-        if phi.amap[mm] != b.b1[(phi.omap[u], chi2.lmap[h2])]:
-            violations.append(Violation("PrismFaceFailure", ("b1", u, h2)))
-    for mm, g2 in a.b2.items():
-        if chi2.rmap[g2] != b.b2[phi.amap[mm]]:
-            violations.append(Violation("PrismFaceFailure", ("b2", mm)))
+    # the four slanted faces of the prism, a side then b side
+    sides = list(zip(a.sides(), b.sides(), (chi1, chi2)))
+    for s, t, chi in sides:
+        for (u, hh), mm in sorted(s.leg1.items()):
+            if phi.amap[mm] != t.leg1[(phi.omap[u], chi.lmap[hh])]:
+                violations.append(Violation("PrismFaceFailure", (s.tag + "1", u, hh)))
+        for mm, g in sorted(s.leg2.items()):
+            if chi.rmap[g] != t.leg2[phi.amap[mm]]:
+                violations.append(Violation("PrismFaceFailure", (s.tag + "2", mm)))
 
     # SCM1/SCM2: Phi restricts to per-fiber group isomorphisms on the images
-    for u in a.m.objects:
+    for u in objs:
         up = phi.omap[u]
-        src_fiber = {a.a1[(u, h1)] for h1 in a.src.h.fiber(a.tau[u])}
-        dst_fiber = {b.a1[(up, h3)] for h3 in b.src.h.fiber(b.tau[up])}
-        image = {phi.amap[mm] for mm in src_fiber}
-        if len(image) != len(src_fiber) or image != dst_fiber:
-            violations.append(Violation("SCM1Failure", (u,)))
-        src_fiber2 = {a.b1[(u, h2)] for h2 in a.dst.h.fiber(a.sigma[u])}
-        dst_fiber2 = {b.b1[(up, h4)] for h4 in b.dst.h.fiber(b.sigma[up])}
-        image2 = {phi.amap[mm] for mm in src_fiber2}
-        if len(image2) != len(src_fiber2) or image2 != dst_fiber2:
-            violations.append(Violation("SCM2Failure", (u,)))
+        for code, (s, t, _) in zip(("SCM1Failure", "SCM2Failure"), sides):
+            src_fiber = {s.leg1[(u, hh)] for hh in s.xm.h.fiber(s.mom[u])}
+            dst_fiber = {t.leg1[(up, hh)] for hh in t.xm.h.fiber(t.mom[up])}
+            image = {phi.amap[mm] for mm in src_fiber}
+            if len(image) != len(src_fiber) or image != dst_fiber:
+                violations.append(Violation(code, (u,)))
     return violations
 
 
@@ -196,21 +189,24 @@ def trivial_exchanger(a):
     return SemiExchanger(a, a, bb.identity_bibundle(a.m))
 
 
-def _left_h_action(ex, leg, bund, mom):
-    """Induced left action table {(fiber-key, p) -> p'} through a source leg."""
+def _left_h_action(ex, s):
+    """Induced left action table {(fiber-key, p) -> p'} through side s of
+    the source crossing."""
     out = {}
+    leg, fiber, mom = s.leg1, s.xm.h.fiber, s.mom
     for p in ex.p.space:
         u = ex.p.lmom[p]
-        for hh in bund.fiber(mom[u]):
+        for hh in fiber(mom[u]):
             out[((u, hh), p)] = ex.p.lact[(leg[(u, hh)], p)]
     return out
 
 
-def _right_h_action(ex, leg, bund, mom):
+def _right_h_action(ex, s):
     out = {}
+    leg, fiber, mom = s.leg1, s.xm.h.fiber, s.mom
     for p in ex.p.space:
         v = ex.p.rmom[p]
-        for hh in bund.fiber(mom[v]):
+        for hh in fiber(mom[v]):
             out[(p, (v, hh))] = ex.p.ract[(p, leg[(v, hh)])]
     return out
 
@@ -219,18 +215,18 @@ def check_semi_exchanger(ex):
     """E1: the H1-left and H3-right actions are free with equal orbit
     partitions of P; E2: the same for H2/H4."""
     violations = []
-    a, b = ex.source, ex.target
-    pairs = [("E1", a.a1, a.src.h, a.tau, b.a1, b.src.h, b.tau),
-             ("E2", a.b1, a.dst.h, a.sigma, b.b1, b.dst.h, b.sigma)]
-    for code, lleg, lbund, lmom, rleg, rbund, rmom in pairs:
-        left = _left_h_action(ex, lleg, lbund, lmom)
-        right = _right_h_action(ex, rleg, rbund, rmom)
+    for code, s, t in zip(("E1Failure", "E2Failure"), ex.source.sides(),
+                          ex.target.sides()):
+        left = _left_h_action(ex, s)
+        right = _right_h_action(ex, t)
+        lunit, lmom = s.xm.h.unit, s.mom
+        runit, rmom = t.xm.h.unit, t.mom
         for ((u, hh), p), q in left.items():
-            if q == p and hh != lbund.unit[lmom[u]]:
-                violations.append(Violation(code + "Failure", ("left-not-free", p, hh)))
+            if q == p and hh != lunit[lmom[u]]:
+                violations.append(Violation(code, ("left-not-free", p, hh)))
         for (p, (v, hh)), q in right.items():
-            if q == p and hh != rbund.unit[rmom[v]]:
-                violations.append(Violation(code + "Failure", ("right-not-free", p, hh)))
+            if q == p and hh != runit[rmom[v]]:
+                violations.append(Violation(code, ("right-not-free", p, hh)))
         lorbits, rorbits = {}, {}
         for (_, p), q in left.items():
             lorbits.setdefault(p, set()).add(q)
@@ -240,9 +236,8 @@ def check_semi_exchanger(ex):
             lorbit = lorbits.get(p, set())
             rorbit = rorbits.get(p, set())
             if lorbit != rorbit:
-                violations.append(Violation(code + "Failure",
-                                            ("orbit-mismatch", p,
-                                             tuple(sorted(lorbit ^ rorbit)))))
+                violations.append(Violation(code, ("orbit-mismatch", p,
+                                                   tuple(sorted(lorbit ^ rorbit)))))
     return violations
 
 
@@ -315,17 +310,14 @@ def exchanger_from_homomorphism(hom, check_orbits=True):
 def _check_pphi_orbits(hom, ex):
     """The E1 orbit space is M^0 x_{chi2, t} G4 via (u, n) -> (u, b2(n));
     the E2 orbit space is M^0 x_{chi1, t} G3 via (u, n) -> (u, a2(n))."""
-    a, b = hom.src, hom.dst
-    for (leg, gother, momsel) in ((b.b2, b.dst.g, "sigma"), (b.a2, b.src.g, "tau")):
+    # side s of the source acts along the other side of the target
+    for s, t in zip(hom.src.sides(), hom.dst.sides()[::-1]):
         classes = {}
         for z in ex.p.space:
             u, nn = unpair(z)
-            classes.setdefault((u, leg[nn]), set()).add(z)
+            classes.setdefault((u, t.leg2[nn]), set()).add(z)
         # same class <=> same orbit under the matching H-actions
-        if momsel == "sigma":
-            left = _left_h_action(ex, a.a1, a.src.h, a.tau)
-        else:
-            left = _left_h_action(ex, a.b1, a.dst.h, a.sigma)
+        left = _left_h_action(ex, s)
         for (key, members) in classes.items():
             probe = sorted(members)[0]
             orbit = {q for ((u, hh), p0), q in left.items() if p0 == probe}
@@ -626,42 +618,35 @@ def _projective_middle(a, b, p):
     return validate_groupoid(p.space, arrows, src, tgt, inv, unit, comp)
 
 
-def _matched_triples(a, b, p, top):
-    """(h, pz, k) with leg_a(h).pz = pz.leg_b(k); top uses the a1/a1 legs,
-    bottom the b1/b1 legs."""
-    la, ba, ma = (a.a1, a.src.h, a.tau) if top else (a.b1, a.dst.h, a.sigma)
-    lb, bbnd, mb = (b.a1, b.src.h, b.tau) if top else (b.b1, b.dst.h, b.sigma)
+def _matched_triples(p, s, t):
+    """(h, pz, k) with s.leg1(h).pz = pz.t.leg1(k), for s a side of the
+    source crossing and t the same side of the target."""
     out = []
     for pz in p.space:
         u, v = p.lmom[pz], p.rmom[pz]
-        for hh in ba.fiber(ma[u]):
-            moved = p.lact[(la[(u, hh)], pz)]
-            ks = [kk for kk in bbnd.fiber(mb[v])
-                  if p.ract[(pz, lb[(v, kk)])] == moved]
+        for hh in s.xm.h.fiber(s.mom[u]):
+            moved = p.lact[(s.leg1[(u, hh)], pz)]
+            ks = [kk for kk in t.xm.h.fiber(t.mom[v])
+                  if p.ract[(pz, t.leg1[(v, kk)])] == moved]
             for kk in ks:
                 out.append((hh, pz, kk))
     return out
 
 
-def _quotient_middle(a, b, p, mn, keep):
-    """MN / (H2 x H4) for keep="top" (the Q1 of the G1^P module) or
-    MN / (H1 x H3) for keep="bottom". Returns (groupoid, class_of)."""
-    m, n = a.m, b.m
+def _quotient_middle(p, mn, s, t):
+    """MN / (H x H') by the leg1 images of side s of the source and side t
+    of the target: the b sides give the Q1 of the G1^P module, the a sides
+    the Q2. Returns (groupoid, class_of)."""
+    m, n = p.left, p.right
     uf = UnionFind(mn.arrows)
     arrows_set = set(mn.arrows)
-    if keep == "top":
-        legA, bndA, momA = a.b1, a.dst.h, a.sigma
-        legB, bndB, momB = b.b1, b.dst.h, b.sigma
-    else:
-        legA, bndA, momA = a.a1, a.src.h, a.tau
-        legB, bndB, momB = b.a1, b.src.h, b.tau
     for q in mn.arrows:
         mm, p1, p2, nn = unpair(q)
         u2, v1 = p.lmom[p2], p.rmom[p1]
-        for h2 in bndA.fiber(momA[u2]):
-            m2 = m.comp[(mm, legA[(u2, h2)])]
-            for h4 in bndB.fiber(momB[v1]):
-                n2 = n.comp[(legB[(v1, h4)], nn)]
+        for h2 in s.xm.h.fiber(s.mom[u2]):
+            m2 = m.comp[(mm, s.leg1[(u2, h2)])]
+            for h4 in t.xm.h.fiber(t.mom[v1]):
+                n2 = n.comp[(t.leg1[(v1, h4)], nn)]
                 q2 = pair(m2, p1, p2, n2)
                 if q2 in arrows_set:
                     uf.union(q2, q)
@@ -685,50 +670,40 @@ def _quotient_middle(a, b, p, mn, keep):
     return validate_groupoid(mn.objects, arrows, src, tgt, inv, unit, comp), class_of
 
 
-def _decomp_module(a, b, p, mn, top, qgpd, class_of):
-    """The crossed module (H_side *_P H_side -> Q) of the decomposition."""
-    triples = _matched_triples(a, b, p, top)
-    if top:
-        la, ba = a.a1, a.src.h
-        lb, bbnd = b.a1, b.src.h
-        leg2a, leg2b = a.a2, b.a2
-        act_a, act_b = a.src, b.src
-        moma, momb = a.tau, b.tau
-    else:
-        la, ba = a.b1, a.dst.h
-        lb, bbnd = b.b1, b.dst.h
-        leg2a, leg2b = a.b2, b.b2
-        act_a, act_b = a.dst, b.dst
-        moma, momb = a.sigma, b.sigma
+def _decomp_module(p, s, t, qgpd, class_of):
+    """The crossed module (H_s *_P H_t -> Q) of the decomposition, for s a
+    side of the source crossing and t the same side of the target."""
+    triples = _matched_triples(p, s, t)
+    ba, bbnd = s.xm.h, t.xm.h
     harrows = [pair(h, pz, k) for (h, pz, k) in triples]
     hsrc = {pair(h, pz, k): pz for (h, pz, k) in triples}
     hinv = {pair(h, pz, k): pair(ba.inv[h], pz, bbnd.inv[k])
             for (h, pz, k) in triples}
-    hunit = {pz: pair(ba.unit[moma[p.lmom[pz]]], pz,
-                      bbnd.unit[momb[p.rmom[pz]]]) for pz in p.space}
+    hunit = {pz: pair(ba.unit[s.mom[p.lmom[pz]]], pz,
+                      bbnd.unit[t.mom[p.rmom[pz]]]) for pz in p.space}
     hcomp = {}
     by_point = {}
-    for t in harrows:
-        by_point.setdefault(hsrc[t], []).append(t)
-    for t in harrows:
-        h, pz, k = unpair(t, 3)
-        for t2 in by_point.get(pz, ()):
-            h2, _, k2 = unpair(t2, 3)
-            hcomp[(t, t2)] = pair(ba.comp[(h, h2)], pz, bbnd.comp[(k, k2)])
+    for x in harrows:
+        by_point.setdefault(hsrc[x], []).append(x)
+    for x in harrows:
+        h, pz, k = unpair(x, 3)
+        for x2 in by_point.get(pz, ()):
+            h2, _, k2 = unpair(x2, 3)
+            hcomp[(x, x2)] = pair(ba.comp[(h, h2)], pz, bbnd.comp[(k, k2)])
     bundle = validate_group_bundle(p.space, harrows, hsrc, dict(hsrc),
                                    hinv, hunit, hcomp)
     boundary = {}
-    for t in harrows:
-        h, pz, k = unpair(t, 3)
+    for x in harrows:
+        h, pz, k = unpair(x, 3)
         u, v = p.lmom[pz], p.rmom[pz]
-        boundary[t] = class_of[pair(la[(u, h)], pz, pz, lb[(v, k)])]
+        boundary[x] = class_of[pair(s.leg1[(u, h)], pz, pz, t.leg1[(v, k)])]
     act = {}
     for c in qgpd.arrows:
         mm, p1, p2, nn = unpair(strip_class(c))
-        for t in bundle.fiber(p1):
-            h, _, k = unpair(t, 3)
-            act[(c, t)] = pair(act_a.act(leg2a[mm], h), p2,
-                               act_b.act(leg2b[nn], k))
+        for x in bundle.fiber(p1):
+            h, _, k = unpair(x, 3)
+            act[(c, x)] = pair(s.xm.act(s.leg2[mm], h), p2,
+                               t.xm.act(t.leg2[nn], k))
     mod = xmd.validate_crossed_module(qgpd, bundle, boundary,
                                       validate_action(qgpd, bundle, act))
     return mod
@@ -748,53 +723,37 @@ def exchanger_decompose(ex):
     p = bb.Bibundle(a.m, b.m, p0.space, p0.lmom, p0.rmom, p0.lact, p0.ract)
 
     mn = _projective_middle(a, b, p)
-    q1, q1_class = _quotient_middle(a, b, p, mn, keep="top")
-    q2, q2_class = _quotient_middle(a, b, p, mn, keep="bottom")
-    g1p = _decomp_module(a, b, p, mn, True, q1, q1_class)
-    g2p = _decomp_module(a, b, p, mn, False, q2, q2_class)
-
+    # per side: G^P_side = (H_s *_P H_t -> MN / the other side's images)
+    sides = list(zip(a.sides(), b.sides()))
+    quotients = [_quotient_middle(p, mn, s, t) for s, t in sides[::-1]]
+    mods, legs1, legs2 = [], [], []
+    for (s, t), (qgpd, q_class) in zip(sides, quotients):
+        mod = _decomp_module(p, s, t, qgpd, q_class)
+        leg1 = {}
+        for x in mod.h.arrows:
+            h, pz, k = unpair(x, 3)
+            leg1[(pz, x)] = pair(s.leg1[(p.lmom[pz], h)], pz, pz,
+                                 t.leg1[(p.rmom[pz], k)])
+        mods.append(mod)
+        legs1.append(leg1)
+        legs2.append({q: q_class[q] for q in mn.arrows})
     ident = {pz: pz for pz in p.space}
-    a1 = {}
-    for t in g1p.h.arrows:
-        h1, pz, h3 = unpair(t, 3)
-        a1[(pz, t)] = pair(a.a1[(p.lmom[pz], h1)], pz, pz,
-                           b.a1[(p.rmom[pz], h3)])
-    b1 = {}
-    for t in g2p.h.arrows:
-        h2, pz, h4 = unpair(t, 3)
-        b1[(pz, t)] = pair(a.b1[(p.lmom[pz], h2)], pz, pz,
-                           b.b1[(p.rmom[pz], h4)])
-    a2 = {q: q1_class[q] for q in mn.arrows}
-    b2 = {q: q2_class[q] for q in mn.arrows}
-    pext = cr.validate_crossed_extension(g1p, g2p, mn, ident, ident,
-                                         a1, a2, b1, b2)
+    pext = cr.validate_crossed_extension(*mods, mn, ident, ident, legs1[0],
+                                         legs2[0], legs1[1], legs2[1])
 
-    chi1 = xmd.validate_strict_xmorphism(
-        g1p, a.src, {pz: p.lmom[pz] for pz in p.space},
-        {t: unpair(t, 3)[0] for t in g1p.h.arrows},
-        {c: a.a2[unpair(strip_class(c))[0]] for c in q1.arrows})
-    chi2 = xmd.validate_strict_xmorphism(
-        g2p, a.dst, {pz: p.lmom[pz] for pz in p.space},
-        {t: unpair(t, 3)[0] for t in g2p.h.arrows},
-        {c: a.b2[unpair(strip_class(c))[0]] for c in q2.arrows})
-    pr1 = validate_groupoid_morphism(mn, a.m,
-                                     {pz: p.lmom[pz] for pz in p.space},
-                                     {q: unpair(q)[0] for q in mn.arrows})
-    hom_a = validate_xext_homomorphism(pext, a, chi1, pr1, chi2)
-
-    kap1 = xmd.validate_strict_xmorphism(
-        g1p, b.src, {pz: p.rmom[pz] for pz in p.space},
-        {t: unpair(t, 3)[2] for t in g1p.h.arrows},
-        {c: b.a2[unpair(strip_class(c))[3]] for c in q1.arrows})
-    kap2 = xmd.validate_strict_xmorphism(
-        g2p, b.dst, {pz: p.rmom[pz] for pz in p.space},
-        {t: unpair(t, 3)[2] for t in g2p.h.arrows},
-        {c: b.b2[unpair(strip_class(c))[3]] for c in q2.arrows})
-    pr4 = validate_groupoid_morphism(mn, b.m,
-                                     {pz: p.rmom[pz] for pz in p.space},
-                                     {q: unpair(q)[3] for q in mn.arrows})
-    hom_b = validate_xext_homomorphism(pext, b, kap1, pr4, kap2)
-    return pext, hom_a, hom_b
+    # the legs onto the source and the target: each reads the first or the
+    # last factor of the H triples (h, pz, k) and MN quadruples (m, p1, p2, n)
+    homs = []
+    for end, mom, hpos, mpos in ((a, p.lmom, 0, 0), (b, p.rmom, 2, 3)):
+        omap = {pz: mom[pz] for pz in p.space}
+        chis = [xmd.validate_strict_xmorphism(
+            mod, s.xm, omap, {h: unpair(h, 3)[hpos] for h in mod.h.arrows},
+            {c: s.leg2[unpair(strip_class(c))[mpos]] for c in mod.g.arrows})
+            for mod, s in zip(mods, end.sides())]
+        pr = validate_groupoid_morphism(mn, end.m, omap,
+                                        {q: unpair(q)[mpos] for q in mn.arrows})
+        homs.append(validate_xext_homomorphism(pext, end, chis[0], pr, chis[1]))
+    return (pext, *homs)
 
 
 # -- weak-unit witnesses --------------------------------------------------------

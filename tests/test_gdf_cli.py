@@ -254,6 +254,29 @@ def test_cmd_morita_witness_negative(tmp_path, capsys):
                     "--right", "B"]) == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["compose", "pair2.gdf", "--op", "bullet", "--inputs", "PAIR2", "PAIR2"], 1),
+    (["compose", "pair2.gdf", "--op", "diamond", "--inputs", "PAIR2", "PAIR2"], 1),
+    (["compose", "pair2.gdf", "--op", "hdiamond", "--inputs", "PAIR2", "PAIR2"], 1),
+    (["convert", "pair2.gdf", "--name", "PAIR2", "--direction", "xmod2gpd"], 1),
+    (["compose", "pair2.gdf", "--op", "pullback:f", "--inputs", "PAIR2"], 2),
+    (["morita-witness", "pair2.gdf", "--left", "PAIR2", "--right", "NOPE"], 2),
+    (["decompose", "osc2.gdf", "--name", "NOPE"], 2),
+    (["compose", "osc2.gdf", "--op", "diamond", "--inputs", "OSC2"], 2),
+    (["enumerate-extensions", "--group", "Z7", "--module", "Z2"], 2),
+])
+def test_bad_cli_inputs_end_in_an_exit_code(argv, code, capsys):
+    # a wrong kind of input exits 1, a missing or unknown one 2 (argparse
+    # rejects an unknown group by SystemExit)
+    argv = [fixture(a) if a.endswith(".gdf") else a for a in argv]
+    try:
+        got = run_cli(argv)
+    except SystemExit as e:
+        got = e.code
+    assert got == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "xmodforge.cli", "check",
                            fixture("pair2.gdf")],

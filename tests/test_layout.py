@@ -1,5 +1,5 @@
 """Layout rules for the library source, read with ast: no unreferenced
-top-level definitions, no assert statements, and no module reaching into
+top-level definitions or module-level names, no assert statements, and no module reaching into
 another module's private names."""
 
 import ast
@@ -42,6 +42,17 @@ def names_used(node):
             yield sub.attr
 
 
+def defined_names(top):
+    """Names a top-level statement defines: a function, a class, or the
+    plain names a module-level assignment binds, dunders excepted."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return [top.name]
+    targets = top.targets if isinstance(top, ast.Assign) else \
+        [top.target] if isinstance(top, (ast.AnnAssign, ast.AugAssign)) else []
+    return [sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name) and not sub.id.startswith("__")]
+
+
 def test_every_top_level_definition_is_referenced():
     # a name counts when a Name or an attribute reads it outside its own
     # top-level definition, in the library, the tests or the benchmark
@@ -53,10 +64,10 @@ def test_every_top_level_definition_is_referenced():
     unreferenced = []
     for module, tree in library_modules():
         for top in tree.body:
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                own = (os.path.join(SRC, module + ".py"), id(top))
-                if not used.get(top.name, set()) - {own}:
-                    unreferenced.append(f"{module}.{top.name}")
+            own = (os.path.join(SRC, module + ".py"), id(top))
+            for name in defined_names(top):
+                if not used.get(name, set()) - {own}:
+                    unreferenced.append(f"{module}.{name}")
     assert unreferenced == []
 
 
