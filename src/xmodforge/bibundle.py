@@ -62,9 +62,8 @@ def check_bibundle(zb):
         return violations
 
     # left action axioms (moment lmom): m.z defined when s(m)=lmom(z)
-    left_arrows, right_arrows = sorted(left.arrows), sorted(right.arrows)
     for z in zb.space:
-        for m in left_arrows:
+        for m in left.arrows:
             defined = (m, z) in zb.lact
             wants = left.src[m] == zb.lmom[z]
             if wants and not defined:
@@ -76,7 +75,7 @@ def check_bibundle(zb):
                 if mz not in space or zb.lmom[mz] != left.tgt[m]:
                     violations.append(Violation("BadActionImage", ("left", m, z)))
     for z in zb.space:
-        for n in right_arrows:
+        for n in right.arrows:
             defined = (z, n) in zb.ract
             wants = zb.rmom[z] == right.tgt[n]
             if wants and not defined:
@@ -222,7 +221,7 @@ def identity_bibundle(m):
 def bibundle_from_hom(f):
     """Z_f = M^0 x_{f,t} N for a strict morphism f: M -> N."""
     m, n = f.dom, f.cod
-    space = [pair(x, nn) for x in sorted(m.objects) for nn in n.arrows_to(f.omap[x])]
+    space = [pair(x, nn) for x in m.objects for nn in n.arrows_to(f.omap[x])]
     lmom, rmom, lact, ract = {}, {}, {}, {}
     for z in space:
         x, nn = unpair(z)
@@ -285,7 +284,7 @@ def phi_Z_bijective(f):
         if b in seen:
             not_injective.append((seen[b], a))
         seen[b] = a
-    not_surjective = sorted(set(f.cod.arrows) - set(seen))
+    not_surjective = [b for b in f.cod.arrows if b not in seen]
     return (not not_injective and not not_surjective, not_injective, not_surjective)
 
 
@@ -298,7 +297,7 @@ def compose_bibundles(z1, z2):
     identity g^{Z1.Z2}([a,b],[a',b']) = g^{Z2}(b, g^{Z1}(a,a').b') is
     checked exhaustively before returning.
     """
-    if z1.right is not z2.left and set(z1.right.arrows) != set(z2.left.arrows):
+    if z1.right is not z2.left and z1.right.arrows != z2.left.arrows:
         raise ValidationFailure([Violation("MiddleMismatch", None)])
     n = z1.right
     over = _fibres(z2.space, z2.lmom)
@@ -424,7 +423,7 @@ def morita_witness(g, h, node_cap=10**6):
 
 
 def _orbits(g):
-    uf = UnionFind(sorted(g.objects))
+    uf = UnionFind(g.objects)
     for a in g.arrows:
         uf.union(g.src[a], g.tgt[a])
     return uf.classes()
@@ -468,8 +467,8 @@ def _cross_isos(gb, hb, x, y):
         if len(partial) == len(fx):
             out.append(dict(partial))
             return
-        a = sorted(fx)[len(partial)]
-        for b in sorted(fy):
+        a = fx[len(partial)]
+        for b in fy:
             if b in partial.values():
                 continue
             if (a == ex) != (b == ey):

@@ -41,8 +41,7 @@ class Crossing:
         self.b2 = dict(b2)
 
     def same_base(self):
-        x1, x2 = self.src.g.objects, self.dst.g.objects
-        return (set(self.m.objects) == set(x1) == set(x2)
+        return (self.m.objects == self.src.g.objects == self.dst.g.objects
                 and all(self.tau[u] == u for u in self.m.objects)
                 and all(self.sigma[u] == u for u in self.m.objects))
 
@@ -62,7 +61,7 @@ class CrossedExtension(Crossing):
 
 
 def _leg_domain(m, s):
-    for u in sorted(m.objects):
+    for u in m.objects:
         for hh in s.xm.h.fiber(s.mom[u]):
             yield u, hh
 
@@ -87,8 +86,7 @@ def check_crossing(c, prime=False):
     violations = []
     m = c.m
     sides = c.sides()
-    objs, arrows = sorted(m.objects), sorted(m.arrows)
-    for u in objs:
+    for u in m.objects:
         if any(s.mom.get(u) not in s.xm.g.objects for s in sides):
             violations.append(Violation("BadMoment", (u,)))
     if violations:
@@ -102,7 +100,7 @@ def check_crossing(c, prime=False):
             if mm not in m.arrows or m.src[mm] != u or m.tgt[mm] != u:
                 violations.append(Violation("BadLeg", (tag, u, hh)))
     ends = [(s.leg2, s.xm.g, s.mom, s.tag + "2") for s in sides]
-    for mm in arrows:
+    for mm in m.arrows:
         u1, u2 = m.tgt[mm], m.src[mm]
         for leg2, gg, mom, tag in ends:
             g = leg2.get(mm)
@@ -112,7 +110,7 @@ def check_crossing(c, prime=False):
         return violations
 
     # CR1: legs are the identity on the unit space
-    for u in objs:
+    for u in m.objects:
         for s in sides:
             if s.leg1[(u, s.xm.h.unit[s.mom[u]])] != m.unit[u]:
                 violations.append(Violation("CR1Failure", (s.tag + "1", u)))
@@ -120,7 +118,7 @@ def check_crossing(c, prime=False):
             if s.leg2[m.unit[u]] != s.xm.g.unit[s.mom[u]]:
                 violations.append(Violation("CR1Failure", (s.tag + "2", u)))
 
-    for u in objs:
+    for u in m.objects:
         for s in sides:
             leg1, hcomp, tag = s.leg1, s.xm.h.comp, s.tag + "1-hom"
             fiber = s.xm.h.fiber(s.mom[u])
@@ -156,7 +154,7 @@ def check_crossing(c, prime=False):
     violations += _cr3(c, *sides, "CR3Failure")
 
     # CR4: leg1(h^{leg2(m)}) = m^-1 leg1(h) m on each side
-    for mm in arrows:
+    for mm in m.arrows:
         u1, u2 = m.tgt[mm], m.src[mm]
         minv = m.inv[mm]
         for s in sides:
@@ -182,9 +180,9 @@ def _cr3(c, s, o, code):
     hits = {}
     for mm in m.arrows:
         hits.setdefault((m.tgt[mm], m.src[mm]), set()).add(s.leg2[mm])
-    objs, gg, tag = sorted(m.objects), s.xm.g, s.tag + "2-not-surjective"
-    for u1 in objs:
-        for u2 in objs:
+    gg, tag = s.xm.g, s.tag + "2-not-surjective"
+    for u1 in m.objects:
+        for u2 in m.objects:
             hit = hits.get((u1, u2), ())
             for g in gg.hom(s.mom[u2], s.mom[u1]):
                 if g not in hit:
@@ -243,7 +241,7 @@ def crossing_from_strict(chi, as_extension=False):
     Same-base chi (identity on objects): M = H2 x| G1 with the four legs of
     the semidirect construction. Otherwise: the Z_chi pullback twist."""
     d, c = chi.dom, chi.cod
-    if set(d.g.objects) == set(c.g.objects) and \
+    if d.g.objects == c.g.objects and \
             all(chi.omap[x] == x for x in d.g.objects):
         return _crossing_same_base(chi, as_extension)
     return _crossing_general(chi, as_extension)
@@ -270,7 +268,7 @@ def _crossing_same_base(chi, as_extension):
 
 def _crossing_general(chi, as_extension):
     d, c = chi.dom, chi.cod
-    space = [pair(x, g2) for x in sorted(d.g.objects)
+    space = [pair(x, g2) for x in d.g.objects
              for g2 in c.g.arrows_to(chi.omap[x])]
     tau = {z: unpair(z)[0] for z in space}
     sigma = {z: c.g.src[unpair(z)[1]] for z in space}
@@ -330,12 +328,12 @@ def pullback_crossing(c, space, phi):
     """M[Z] along phi: Z -> M^0; preserves crossed-extension status
     (surjectivity of phi is not needed)."""
     mz = pullback_groupoid(c.m, space, phi)
-    tau = {z: c.tau[phi[z]] for z in set(space)}
-    sigma = {z: c.sigma[phi[z]] for z in set(space)}
+    tau = {z: c.tau[phi[z]] for z in mz.objects}
+    sigma = {z: c.sigma[phi[z]] for z in mz.objects}
     a1 = {(z, h1): pair(z, c.a1[(phi[z], h1)], z)
-          for z in set(space) for h1 in c.src.h.fiber(tau[z])}
+          for z in mz.objects for h1 in c.src.h.fiber(tau[z])}
     b1 = {(z, h2): pair(z, c.b1[(phi[z], h2)], z)
-          for z in set(space) for h2 in c.dst.h.fiber(sigma[z])}
+          for z in mz.objects for h2 in c.dst.h.fiber(sigma[z])}
     a2 = {arrow: c.a2[unpair(arrow, 3)[1]] for arrow in mz.arrows}
     b2 = {arrow: c.b2[unpair(arrow, 3)[1]] for arrow in mz.arrows}
     make = validate_crossed_extension if c.is_extension else validate_crossing
@@ -351,7 +349,7 @@ def decompose_crossing(c):
     when c is a crossed extension."""
     m = c.m
     harrows, hsrc, hinv, hcomp = [], {}, {}, {}
-    for u in sorted(m.objects):
+    for u in m.objects:
         for h1 in c.src.h.fiber(c.tau[u]):
             for h2 in c.dst.h.fiber(c.sigma[u]):
                 a = pair(u, h1, h2)
@@ -399,10 +397,10 @@ def diamond(cm, cn):
     product of unit spaces unless the bases and moments already agree."""
     if cn.src is not cm.dst and not _same_xmod(cn.src, cm.dst):
         raise ValidationFailure([Violation("MiddleMismatch", None)])
-    if set(cm.m.objects) == set(cn.m.objects) and \
+    if cm.m.objects == cn.m.objects and \
             all(cm.sigma[u] == cn.tau[u] for u in cm.m.objects):
         return _diamond_core(cm, cn)
-    z = [pair(u, v) for u in sorted(cm.m.objects) for v in sorted(cn.m.objects)
+    z = [pair(u, v) for u in cm.m.objects for v in cn.m.objects
          if cm.sigma[u] == cn.tau[v]]
     if not z:
         raise EmptyFiberedProduct("diamond: no compatible unit-space pairs")
@@ -412,8 +410,8 @@ def diamond(cm, cn):
 
 
 def _same_xmod(x, y):
-    return (set(x.g.arrows) == set(y.g.arrows)
-            and set(x.h.arrows) == set(y.h.arrows)
+    return (x.g.arrows == y.g.arrows
+            and x.h.arrows == y.h.arrows
             and x.boundary == y.boundary)
 
 
@@ -571,7 +569,7 @@ def crossed_semidirect_iso(c, side="H1"):
         amap[a] = pair(pair(u, hh), triple)
     iso = validate_groupoid_morphism(gpd, sd, {u: u for u in gpd.objects}, amap)
     if len(set(iso.amap.values())) != len(iso.amap) or \
-            set(iso.amap.values()) != set(sd.arrows):
+            set(iso.amap.values()) != sd.arrows:
         raise ExactnessSolveFailure("crossed semidirect comparison not bijective")
     return gpd, class_of, sd, iso
 
@@ -703,7 +701,7 @@ def crossing_to_extension(c):
             raise ValidationFailure([Violation("NotAGroupoidModule", (x,))])
     m = c.m
     pb_g, _ = xmd.pullback_xmod(c.src, m.objects, c.tau)
-    harrows = [pair(u, hh) for u in sorted(m.objects)
+    harrows = [pair(u, hh) for u in m.objects
                for hh in c.dst.h.fiber(c.sigma[u])]
     hsrc = {a: unpair(a)[0] for a in harrows}
     hinv = {a: pair(unpair(a)[0], c.dst.h.inv[unpair(a)[1]]) for a in harrows}

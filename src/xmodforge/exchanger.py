@@ -40,8 +40,7 @@ def check_xext_homomorphism(hom):
     if violations:
         return violations
 
-    objs = sorted(a.m.objects)
-    for u in objs:
+    for u in a.m.objects:
         if b.tau[phi.omap[u]] != chi1.omap[a.tau[u]]:
             violations.append(Violation("PrismMomentFailure", ("tau", u)))
         if b.sigma[phi.omap[u]] != chi2.omap[a.sigma[u]]:
@@ -60,7 +59,7 @@ def check_xext_homomorphism(hom):
                 violations.append(Violation("PrismFaceFailure", (s.tag + "2", mm)))
 
     # SCM1/SCM2: Phi restricts to per-fiber group isomorphisms on the images
-    for u in objs:
+    for u in a.m.objects:
         up = phi.omap[u]
         for code, (s, t, _) in zip(("SCM1Failure", "SCM2Failure"), sides):
             src_fiber = {s.leg1[(u, hh)] for hh in s.xm.h.fiber(s.mom[u])}
@@ -134,11 +133,8 @@ def unit_equivalence(a):
     twists and Phi^M from the identity bibundle of M."""
     asb = same_base_form(a)
     m = asb.m
-    space = sorted(m.arrows)
-    tmap = {mm: m.tgt[mm] for mm in space}
-    smap = {mm: m.src[mm] for mm in space}
-    ta = same_base_form(cr.pullback_crossing(asb, space, tmap))
-    sa = same_base_form(cr.pullback_crossing(asb, space, smap))
+    ta = same_base_form(cr.pullback_crossing(asb, m.arrows, m.tgt))
+    sa = same_base_form(cr.pullback_crossing(asb, m.arrows, m.src))
 
     g1, h1b = asb.src.g, asb.src.h
     g2, h2b = asb.dst.g, asb.dst.h
@@ -153,18 +149,20 @@ def unit_equivalence(a):
             mid = base_g.comp[(base_g.comp[(base_g.inv[leg2[m1]], g0)], leg2[m2])]
             rmap[arrow] = pair(m1, mid, m2)
         return xmd.validate_strict_xmorphism(
-            src_mod, dst_mod, {mm: mm for mm in space}, lmap, rmap)
+            src_mod, dst_mod, {mm: mm for mm in m.arrows}, lmap, rmap)
 
     chi1 = twist_chi(ta.src, sa.src, g1, asb.src, asb.a2)
     chi2 = twist_chi(ta.dst, sa.dst, g2, asb.dst, asb.b2)
+    # Phi^M of the identity bibundle, as bb.phi_Z builds it, over the
+    # pulled-back middles ta.m and sa.m (the same groupoids, under the
+    # same labels)
     ident = bb.identity_bibundle(m)
-    phi_mor, dom, cod = bb.phi_Z(ident)
-    # dom/cod coincide with ta.m / sa.m by construction (same labels)
-    if set(dom.arrows) != set(ta.m.arrows) or set(cod.arrows) != set(sa.m.arrows):
-        raise CoherenceFailure(("phi_Z ends differ from the pulled-back middles",
-                                len(dom.arrows), len(cod.arrows)))
-    phi = validate_groupoid_morphism(ta.m, sa.m, dict(phi_mor.omap),
-                                     dict(phi_mor.amap))
+    g = bb.g_function(ident)
+    amap = {}
+    for arrow in ta.m.arrows:
+        z, mm, z2 = unpair(arrow, 3)
+        amap[arrow] = pair(z, g[(z, ident.lact[(mm, z2)])], z2)
+    phi = validate_groupoid_morphism(ta.m, sa.m, {z: z for z in ta.m.objects}, amap)
     return validate_xext_homomorphism(ta, sa, chi1, phi, chi2)
 
 
@@ -286,10 +284,11 @@ def actions_commute(ex):
 
 def exchanger_from_homomorphism(hom, check_orbits=True):
     """P_Phi = M^0 x_{Phi,t} N with m.(u,n) = (t(m), Phi(m)n), (u,n).n' =
-    (u, nn'); verifies the asserted orbit spaces by explicit bijection."""
+    (u, nn'); with check_orbits, verifies the orbit spaces that
+    _check_pphi_orbits states, class by class."""
     a, b = hom.src, hom.dst
     n = b.m
-    space = [pair(u, nn) for u in sorted(a.m.objects)
+    space = [pair(u, nn) for u in a.m.objects
              for nn in n.arrows_to(hom.phi.omap[u])]
     lmom = {z: unpair(z)[0] for z in space}
     rmom = {z: n.src[unpair(z)[1]] for z in space}
@@ -308,20 +307,26 @@ def exchanger_from_homomorphism(hom, check_orbits=True):
 
 
 def _check_pphi_orbits(hom, ex):
-    """The E1 orbit space is M^0 x_{chi2, t} G4 via (u, n) -> (u, b2(n));
-    the E2 orbit space is M^0 x_{chi1, t} G3 via (u, n) -> (u, a2(n))."""
+    """The E1 orbit space is M^0 x_{chi2,t} G4 x_{s,sigma} N^0 via
+    (u, n) -> (u, b2(n), s(n)); the E2 orbit space is
+    M^0 x_{chi1,t} G3 x_{s,tau} N^0 via (u, n) -> (u, a2(n), s(n)).  The
+    H-actions keep the right moment s(n), so it is part of the class; only
+    when sigma (tau) is injective does b2(n) (a2(n)) fix it.  Raises
+    CoherenceFailure on a class that is not one orbit."""
+    n = hom.dst.m
     # side s of the source acts along the other side of the target
     for s, t in zip(hom.src.sides(), hom.dst.sides()[::-1]):
         classes = {}
         for z in ex.p.space:
             u, nn = unpair(z)
-            classes.setdefault((u, t.leg2[nn]), set()).add(z)
+            classes.setdefault((u, t.leg2[nn], n.src[nn]), set()).add(z)
         # same class <=> same orbit under the matching H-actions
         left = _left_h_action(ex, s)
-        for (key, members) in classes.items():
-            probe = sorted(members)[0]
+        for key, members in classes.items():
+            probe = min(members)
             orbit = {q for ((u, hh), p0), q in left.items() if p0 == probe}
-            assert orbit == members, ("orbit space mismatch", key)
+            if orbit != members:
+                raise CoherenceFailure(("orbit space mismatch", key))
 
 
 def vertical_compose(ex1, ex2, require=False):
@@ -495,7 +500,7 @@ def horizontal_diamond(ex1, ex2):
     a2c, b2c = ex1.target, ex2.target
     for (u, v) in ((a1c, b1c), (a2c, b2c)):
         if not (u.same_base() and v.same_base() and
-                set(u.m.objects) == set(v.m.objects)):
+                u.m.objects == v.m.objects):
             raise NotComposable("horizontal_diamond needs same-base columns; "
                                 "pullback-normalize the inputs first")
     src_d = cr.diamond(a1c, b1c)
@@ -639,7 +644,6 @@ def _quotient_middle(p, mn, s, t):
     the Q2. Returns (groupoid, class_of)."""
     m, n = p.left, p.right
     uf = UnionFind(mn.arrows)
-    arrows_set = set(mn.arrows)
     for q in mn.arrows:
         mm, p1, p2, nn = unpair(q)
         u2, v1 = p.lmom[p2], p.rmom[p1]
@@ -648,7 +652,7 @@ def _quotient_middle(p, mn, s, t):
             for h4 in t.xm.h.fiber(t.mom[v1]):
                 n2 = n.comp[(t.leg1[(v1, h4)], nn)]
                 q2 = pair(m2, p1, p2, n2)
-                if q2 in arrows_set:
+                if q2 in mn.arrows:
                     uf.union(q2, q)
     cmap = uf.class_map()
     class_of = {q: cls_label(r) for q, r in cmap.items()}

@@ -105,7 +105,7 @@ def extension_equivalent(e1, e2, node_cap=10**6):
     def candidates(x):
         if x in forced:
             return [forced[x]]
-        return [y for y in sorted(e2.e.arrows) if e2.pi[y] == e1.pi[x]]
+        return [y for y in e2.e.arrows if e2.pi[y] == e1.pi[x]]
 
     def consistent(partial, x, y):
         for x2, y2 in partial.items():
@@ -119,7 +119,7 @@ def extension_equivalent(e1, e2, node_cap=10**6):
                     return False
         return True
 
-    amap = search_bijection(sorted(e1.e.arrows), e2.e.arrows, candidates,
+    amap = search_bijection(e1.e.arrows, e2.e.arrows, candidates,
                             consistent, node_cap=node_cap)
     if amap is None:
         return None

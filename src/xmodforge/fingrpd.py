@@ -8,7 +8,7 @@ arrow calculus and the GDF table entry `g.h=k`.
 """
 
 from .errors import ValidationFailure, Violation, SizeLimitExceeded
-from .util import pair, search_bijection, unpair
+from .util import labelset, pair, search_bijection, unpair
 
 DEFAULT_FIBER_CAP = 12
 
@@ -20,8 +20,8 @@ class Groupoid:
     """
 
     def __init__(self, objects, arrows, src, tgt, inv, unit, comp):
-        self.objects = frozenset(objects)
-        self.arrows = frozenset(arrows)
+        self.objects = labelset(objects)
+        self.arrows = labelset(arrows)
         self.src = dict(src)
         self.tgt = dict(tgt)
         self.inv = dict(inv)
@@ -50,8 +50,6 @@ class Groupoid:
             self._by_src = {}
             for g in self.arrows:
                 self._by_src.setdefault(self.src[g], []).append(g)
-            for v in self._by_src.values():
-                v.sort()
         return self._by_src.get(x, [])
 
     def arrows_to(self, y):
@@ -59,8 +57,6 @@ class Groupoid:
             self._by_tgt = {}
             for g in self.arrows:
                 self._by_tgt.setdefault(self.tgt[g], []).append(g)
-            for v in self._by_tgt.values():
-                v.sort()
         return self._by_tgt.get(y, [])
 
     def hom(self, x, y):
@@ -70,7 +66,7 @@ class Groupoid:
         return self.hom(x, x)
 
     def composable_pairs(self):
-        for g in sorted(self.arrows):
+        for g in self.arrows:
             for h in self.arrows_to(self.src[g]):
                 yield g, h
 
@@ -85,18 +81,16 @@ def check_groupoid(objects, arrows, src, tgt, inv, unit, comp):
     """Return the list of axiom violations (empty when the tables form a
     groupoid). Witnesses carry the offending arrows."""
     violations = []
-    objects = set(objects)
-    arrow_set = set(arrows)
-    arrow_list = sorted(arrow_set)
+    objects, arrows = labelset(objects), labelset(arrows)
 
-    for g in arrow_list:
+    for g in arrows:
         if src.get(g) not in objects or tgt.get(g) not in objects:
             violations.append(Violation("BadArrowEndpoints", (g,)))
-        if inv.get(g) not in arrow_set:
+        if inv.get(g) not in arrows:
             violations.append(Violation("BadInverse", (g,), "inverse missing"))
-    for x in sorted(objects):
+    for x in objects:
         e = unit.get(x)
-        if e not in arrow_set:
+        if e not in arrows:
             violations.append(Violation("BadUnit", (x,), "unit missing"))
         elif src.get(e) != x or tgt.get(e) != x:
             violations.append(Violation("BadUnit", (x, e), "unit not a loop at its object"))
@@ -104,33 +98,33 @@ def check_groupoid(objects, arrows, src, tgt, inv, unit, comp):
         return violations
 
     by_tgt = {}
-    for h in arrow_list:
+    for h in arrows:
         by_tgt.setdefault(tgt[h], []).append(h)
 
     # comp total exactly on {(g,h): src(g)=tgt(h)}
-    for g in arrow_list:
+    for g in arrows:
         for h in by_tgt.get(src[g], ()):
             if (g, h) not in comp:
                 violations.append(Violation("MissingComposite", (g, h)))
                 continue
             k = comp[(g, h)]
-            if k not in arrow_set:
+            if k not in arrows:
                 violations.append(Violation("MissingComposite", (g, h), "image not an arrow"))
             elif src[k] != src[h] or tgt[k] != tgt[g]:
                 violations.append(Violation("BadComposite", (g, h, k), "endpoint mismatch"))
     for (g, h) in comp:
-        if g not in arrow_set or h not in arrow_set or src[g] != tgt[h]:
+        if g not in arrows or h not in arrows or src[g] != tgt[h]:
             violations.append(Violation("SpuriousComposite", (g, h)))
     if violations:
         return violations
 
-    for g in arrow_list:
+    for g in arrows:
         if comp[(g, unit[src[g]])] != g:
             violations.append(Violation("BadUnit", (g, unit[src[g]]), "right unit law"))
         if comp[(unit[tgt[g]], g)] != g:
             violations.append(Violation("BadUnit", (unit[tgt[g]], g), "left unit law"))
 
-    for g in arrow_list:
+    for g in arrows:
         gi = inv[g]
         if src.get(gi) != tgt[g] or tgt.get(gi) != src[g]:
             violations.append(Violation("BadInverse", (g, gi), "endpoint mismatch"))
@@ -139,7 +133,7 @@ def check_groupoid(objects, arrows, src, tgt, inv, unit, comp):
             violations.append(Violation("BadInverse", (g, gi), "g*inv(g) or inv(g)*g not a unit"))
 
     # associativity on all composable triples
-    for g in arrow_list:
+    for g in arrows:
         for h in by_tgt.get(src[g], ()):
             gh = comp[(g, h)]
             for k in by_tgt.get(src[h], ()):
@@ -149,6 +143,7 @@ def check_groupoid(objects, arrows, src, tgt, inv, unit, comp):
 
 
 def validate_groupoid(objects, arrows, src, tgt, inv, unit, comp):
+    objects, arrows = labelset(objects), labelset(arrows)
     violations = check_groupoid(objects, arrows, src, tgt, inv, unit, comp)
     if violations:
         raise ValidationFailure(violations)
@@ -247,7 +242,7 @@ class GroupoidMorphism:
         return len(set(self.amap.values())) == len(self.amap)
 
     def is_surjective(self):
-        return set(self.amap.values()) == set(self.cod.arrows)
+        return set(self.amap.values()) == self.cod.arrows
 
     def __repr__(self):
         return f"GroupoidMorphism(|dom|={len(self.dom)}, |cod|={len(self.cod)})"
@@ -298,7 +293,7 @@ def search_groupoid_iso(g1, g2, node_cap=10**6):
     sig1 = {x: (len(g1.loops(x)), len(g1.arrows_from(x))) for x in g1.objects}
     sig2 = {x: (len(g2.loops(x)), len(g2.arrows_from(x))) for x in g2.objects}
 
-    for omap in _object_bijections(sorted(g1.objects), sorted(g2.objects), sig1, sig2):
+    for omap in _object_bijections(g1.objects, g2.objects, sig1, sig2):
         def candidates(a):
             return g2.hom(omap[g1.src[a]], omap[g1.tgt[a]])
 
@@ -316,7 +311,7 @@ def search_groupoid_iso(g1, g2, node_cap=10**6):
                         return False
             return True
 
-        amap = search_bijection(sorted(g1.arrows), g2.arrows, candidates,
+        amap = search_bijection(g1.arrows, g2.arrows, candidates,
                                 consistent, node_cap=node_cap)
         if amap is not None:
             f = GroupoidMorphism(g1, g2, omap, amap)
@@ -358,20 +353,14 @@ class GroupBundle(Groupoid):
 
 
 def validate_group_bundle(objects, arrows, src, tgt, inv, unit, comp):
-    violations = check_groupoid(objects, arrows, src, tgt, inv, unit, comp)
-    if not violations:
-        violations = [Violation("NotEndoArrow", (h,))
-                      for h in sorted(arrows) if src[h] != tgt[h]]
-    if violations:
-        raise ValidationFailure(violations)
-    return GroupBundle(objects, arrows, src, tgt, inv, unit, comp)
+    return as_group_bundle(validate_groupoid(objects, arrows, src, tgt, inv, unit, comp))
 
 
 def as_group_bundle(g):
     """Reinterpret a validated groupoid whose arrows are all loops."""
     bad = [h for h in g.arrows if g.src[h] != g.tgt[h]]
     if bad:
-        raise ValidationFailure([Violation("NotEndoArrow", (h,)) for h in sorted(bad)])
+        raise ValidationFailure([Violation("NotEndoArrow", (h,)) for h in bad])
     return GroupBundle(g.objects, g.arrows, g.src, g.tgt, g.inv, g.unit, g.comp)
 
 
@@ -417,7 +406,7 @@ def iso_maps(bundle, y, x):
         return True
 
     out = []
-    _all_bijections(sorted(fy), sorted(fx), candidates, consistent, {}, out, bundle)
+    _all_bijections(fy, fx, candidates, consistent, {}, out, bundle)
     return out
 
 
@@ -472,16 +461,15 @@ def aut_bundle(bundle, fiber_cap=DEFAULT_FIBER_CAP):
         n = len(bundle.fiber(x))
         if n > fiber_cap:
             raise SizeLimitExceeded(f"fiber at {x}", n, fiber_cap)
-    objects = sorted(bundle.objects)
     arrows, src, tgt, maps = [], {}, {}, {}
-    for x in objects:
-        for y in objects:
+    for x in bundle.objects:
+        for y in bundle.objects:
             for iso in iso_maps(bundle, y, x):
                 a = aut_label(x, y, iso)
                 arrows.append(a)
                 src[a], tgt[a] = x, y
                 maps[a] = iso
-    unit = {x: aut_label(x, x, {h: h for h in bundle.fiber(x)}) for x in objects}
+    unit = {x: aut_label(x, x, {h: h for h in bundle.fiber(x)}) for x in bundle.objects}
     inv, comp = {}, {}
     for a in arrows:
         inv[a] = aut_label(tgt[a], src[a], {v: k for k, v in maps[a].items()})
@@ -492,7 +480,7 @@ def aut_bundle(bundle, fiber_cap=DEFAULT_FIBER_CAP):
                 # maps[b] after maps[a] (arrows x->y carry maps fiber(y)->fiber(x))
                 composed = {h: maps[b][maps[a][h]] for h in maps[a]}
                 comp[(a, b)] = aut_label(src[b], tgt[a], composed)
-    gpd = validate_groupoid(objects, arrows, src, tgt, inv, unit, comp)
+    gpd = validate_groupoid(bundle.objects, arrows, src, tgt, inv, unit, comp)
     return AutBundle(bundle, gpd.objects, gpd.arrows, gpd.src, gpd.tgt,
                      gpd.inv, gpd.unit, gpd.comp, maps)
 
@@ -526,17 +514,17 @@ class ActionByAutomorphisms:
 
 def check_action(base, bundle, act):
     violations = []
-    if set(bundle.objects) != set(base.objects):
+    if bundle.objects != base.objects:
         violations.append(Violation("UnitSpaceMismatch",
-                                    (sorted(bundle.objects), sorted(base.objects))))
+                                    (list(bundle.objects), list(base.objects))))
         return violations
-    for g in sorted(base.arrows):
+    for g in base.arrows:
         for h in bundle.fiber(base.tgt[g]):
             if (g, h) not in act:
                 violations.append(Violation("MissingActionEntry", (g, h)))
     if violations:
         return violations
-    for g in sorted(base.arrows):
+    for g in base.arrows:
         fy = bundle.fiber(base.tgt[g])
         fx = set(bundle.fiber(base.src[g]))
         images = [act[(g, h)] for h in fy]
@@ -547,15 +535,15 @@ def check_action(base, bundle, act):
             violations.append(Violation("NotHomomorphism", (g,), "fiber map not bijective"))
     if violations:
         return violations
-    for g in sorted(base.arrows):
-        fy = sorted(bundle.fiber(base.tgt[g]))
+    for g in base.arrows:
+        fy = bundle.fiber(base.tgt[g])
         for h1 in fy:
             for h2 in fy:
                 lhs = act[(g, bundle.comp[(h1, h2)])]
                 rhs = bundle.comp[(act[(g, h1)], act[(g, h2)])]
                 if lhs != rhs:
                     violations.append(Violation("NotHomomorphism", (g, h1, h2)))
-    for x in sorted(base.objects):
+    for x in base.objects:
         e = base.unit[x]
         for h in bundle.fiber(x):
             if act[(e, h)] != h:
@@ -606,9 +594,13 @@ def pullback_groupoid(g, space, sigma):
     """Pullback of g along sigma: space -> g.objects.
 
     Arrows are triples (z1, gg, z2) with sigma(z1)=t(gg), s(gg)=sigma(z2);
-    empty result allowed when sigma misses all of g.objects.
+    empty result allowed when sigma misses all of g.objects.  A point sent
+    outside g.objects raises ValidationFailure (BadObjectImage).
     """
     space = sorted(set(space))
+    bad = [Violation("BadObjectImage", (z,)) for z in space if sigma[z] not in g.objects]
+    if bad:
+        raise ValidationFailure(bad)
     arrows, src, tgt, inv, comp = [], {}, {}, {}, {}
     for z1 in space:
         for z2 in space:
@@ -649,7 +641,7 @@ def semidirect_product(action):
     The result is re-verified against all groupoid axioms."""
     base, bundle, act = action.base, action.bundle, action.act
     arrows, src, tgt, inv = [], {}, {}, {}
-    for g in sorted(base.arrows):
+    for g in base.arrows:
         for h in bundle.fiber(base.tgt[g]):
             a = pair(h, g)
             arrows.append(a)
@@ -675,7 +667,7 @@ def semidirect_product(action):
 def inertia(g):
     """Inertia bundle SG = {loops} with the conjugation action Ad:
     h^g = g^-1 h g (right convention)."""
-    loops = [a for a in sorted(g.arrows) if g.src[a] == g.tgt[a]]
+    loops = [a for a in g.arrows if g.src[a] == g.tgt[a]]
     sub_comp = {(a, b): g.comp[(a, b)] for a in loops for b in loops
                 if g.src[a] == g.tgt[b]}
     bundle = validate_group_bundle(

@@ -74,7 +74,7 @@ class Block:
     def __init__(self, kind, name, entries, line):
         self.kind = kind
         self.name = name
-        self.entries = entries  # key -> list of tokens
+        self.entries = entries  # key -> list of tokens, or a label set
         self.line = line
 
 
@@ -360,7 +360,7 @@ def _comp_toks(d):
 
 def groupoid_block(name, g):
     return Block("groupoid", name, {
-        "objects": sorted(g.objects), "arrows": sorted(g.arrows),
+        "objects": g.objects, "arrows": g.arrows,
         "src": _map_toks(g.src), "tgt": _map_toks(g.tgt),
         "inv": _map_toks(g.inv), "unit": _map_toks(g.unit),
         "comp": _comp_toks(g.comp)}, 0)
@@ -368,7 +368,7 @@ def groupoid_block(name, g):
 
 def bundle_block(name, h):
     return Block("bundle", name, {
-        "objects": sorted(h.objects), "arrows": sorted(h.arrows),
+        "objects": h.objects, "arrows": h.arrows,
         "base": _map_toks(h.src), "inv": _map_toks(h.inv),
         "unit": _map_toks(h.unit), "comp": _comp_toks(h.comp)}, 0)
 
@@ -388,10 +388,10 @@ def xmod_blocks(name, xm):
 
 def two_groupoid_block(name, tg):
     return Block("two-groupoid", name, {
-        "objects": sorted(tg.g0), "arrows": sorted(tg.g1),
+        "objects": tg.g0, "arrows": tg.g1,
         "src": _map_toks(tg.s), "tgt": _map_toks(tg.t),
         "inv": _map_toks(tg.inv1), "unit": _map_toks(tg.unit1),
-        "comp": _comp_toks(tg.comp1), "cells": sorted(tg.g2),
+        "comp": _comp_toks(tg.comp1), "cells": tg.g2,
         "src2": _map_toks(tg.s2), "tgt2": _map_toks(tg.t2),
         "vinv": _map_toks(tg.vinv), "vunit": _map_toks(tg.vunit),
         "vcomp": _comp_toks(tg.vcomp), "hcomp": _comp_toks(tg.hcomp),

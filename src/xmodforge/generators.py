@@ -87,13 +87,13 @@ def random_groupoid(rng, max_objects=4, max_order=3, max_components=2):
 def _merge(g1, g2):
     """Disjoint union without relabeling (object/arrow labels already disjoint)."""
     return validate_groupoid(
-        set(g1.objects) | set(g2.objects), set(g1.arrows) | set(g2.arrows),
+        g1.objects | g2.objects, g1.arrows | g2.arrows,
         {**g1.src, **g2.src}, {**g1.tgt, **g2.tgt}, {**g1.inv, **g2.inv},
         {**g1.unit, **g2.unit}, {**g1.comp, **g2.comp})
 
 
 def random_cover(rng, g, max_parts=3):
-    objs = sorted(g.objects)
+    objs = list(g.objects)
     parts = {}
     n = rng.randint(1, max_parts)
     for i in range(n):
@@ -122,7 +122,7 @@ def random_abelian_module(rng, g):
     a (possibly trivial) automorphism along each block's isotropy."""
     from .xmod import module_xmod
     n = rng.choice([2, 3])
-    bundle = trivial_bundle(sorted(g.objects), cyclic_groupoid(n, prefix="a"))
+    bundle = trivial_bundle(g.objects, cyclic_groupoid(n, prefix="a"))
     invert = rng.random() < 0.5 and n > 2
 
     def carry(arrow, h):

@@ -13,17 +13,17 @@ whose statements need honest bigons require the flag.
 
 from .errors import ValidationFailure, Violation
 from .fingrpd import Groupoid, check_groupoid, validate_groupoid
-from .util import pair, search_bijection, unpair
+from .util import labelset, pair, search_bijection, unpair
 
 
 class TwoGroupoid:
     def __init__(self, g0, g1, s, t, inv1, unit1, comp1,
                  g2, s2, t2, vinv, vunit, vcomp, hcomp, hinv):
-        self.g0 = frozenset(g0)
-        self.g1 = frozenset(g1)
+        self.g0 = labelset(g0)
+        self.g1 = labelset(g1)
         self.s, self.t = dict(s), dict(t)
         self.inv1, self.unit1, self.comp1 = dict(inv1), dict(unit1), dict(comp1)
-        self.g2 = frozenset(g2)
+        self.g2 = labelset(g2)
         self.s2, self.t2 = dict(s2), dict(t2)
         self.vinv, self.vunit, self.vcomp = dict(vinv), dict(vunit), dict(vcomp)
         self.hcomp = dict(hcomp)
@@ -123,15 +123,14 @@ def _check_cells(tg):
     if violations:
         return [Violation("Level2:" + v.code, v.witness, v.detail) for v in violations]
 
-    cells = sorted(tg.g2)
     by_hsource = {}
-    for b in cells:
+    for b in tg.g2:
         by_hsource.setdefault((tg.t[tg.s2[b]], tg.t[tg.t2[b]]), []).append(b)
 
     # horizontal composition: defined exactly when both s2- and t2-cells
     # are comp1-composable; functorial over s2/t2; unit cells; inverses
     want_count = 0
-    for a in cells:
+    for a in tg.g2:
         for b in by_hsource.get((tg.s[tg.s2[a]], tg.s[tg.t2[a]]), ()):
             want_count += 1
             if (a, b) not in tg.hcomp:
@@ -149,14 +148,14 @@ def _check_cells(tg):
     if violations:
         return violations
 
-    for a in cells:
+    for a in tg.g2:
         x = tg.s[tg.s2[a]]
         y = tg.t[tg.s2[a]]
         if tg.s[tg.t2[a]] == x and tg.hcomp[(a, tg.hunit(x))] != a:
             violations.append(Violation("BadHUnit", (a, x), "right"))
         if tg.t[tg.t2[a]] == y and tg.hcomp[(tg.hunit(y), a)] != a:
             violations.append(Violation("BadHUnit", (a, y), "left"))
-    for a in cells:
+    for a in tg.g2:
         ah = tg.hinv.get(a)
         if ah is None:
             violations.append(Violation("MissingHInverse", (a,)))
@@ -321,10 +320,10 @@ def cover_2groupoid(g, cover):
     1-cells (i,g,j) with t(g) in U_i, s(g) in U_j; 2-cells are doubly indexed
     copies (i1,i2,g,g,j1,j2) of a single arrow.
     """
-    missing = set(g.objects) - set().union(*[set(v) for v in cover.values()]) \
-        if cover else set(g.objects)
+    covered = set().union(*cover.values())
+    missing = tuple(x for x in g.objects if x not in covered)
     if missing:
-        raise ValidationFailure([Violation("NotACover", tuple(sorted(missing)))])
+        raise ValidationFailure([Violation("NotACover", missing)])
     idx = sorted(cover)
     objects, unit_obj = [], {}
     for i in idx:
@@ -592,7 +591,7 @@ def check_weak_equivalence(f):
     for n in c.g1:
         cod_by_tgt.setdefault(c.t[n], []).append(n)
     hit = {c.s[n] for x in d.g0 for n in cod_by_tgt.get(f.m0[x], ())}
-    report["WE1"] = hit == set(c.g0)
+    report["WE1"] = hit == c.g0
 
     obj_pre = {}
     for x in d.g0:

@@ -3,6 +3,7 @@
 Tuple labels "(a,b,...)" and class labels "{rep}" are built and read only
 here: pair/unpair and cls_label/strip_class."""
 
+from collections.abc import KeysView
 from functools import lru_cache
 
 from .errors import CoherenceFailure, SizeLimitExceeded
@@ -37,6 +38,16 @@ def unpair(label, n=None):
     if n is not None and len(parts) != n:
         raise CoherenceFailure(("expected a tuple label of arity", n, label))
     return tuple(parts)
+
+
+def labelset(xs):
+    """xs as a label set: a set-like view (O(1) `in` and `len`; `==`, `&`,
+    `|` and `-` against sets) that iterates in label order.  This is the only
+    place that fixes the order, so no witness depends on the hash seed.  A
+    keys view is taken to be a label set already and returned as is."""
+    if isinstance(xs, KeysView):
+        return xs
+    return dict.fromkeys(sorted(set(xs))).keys()
 
 
 def cls_label(rep):

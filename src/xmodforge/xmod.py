@@ -42,21 +42,21 @@ class CrossedModule:
 def check_crossed_module(xm):
     violations = []
     g, h = xm.g, xm.h
-    if set(h.objects) != set(g.objects):
+    if h.objects != g.objects:
         return [Violation("UnitSpaceMismatch", None)]
     bmor = GroupoidMorphism(h, g, {x: x for x in g.objects}, xm.boundary)
     violations += check_groupoid_morphism(bmor)
     if violations:
         return violations
     # axiom 1: boundary(h^g) = g^-1 boundary(h) g
-    for gg in sorted(g.arrows):
+    for gg in g.arrows:
         for hh in h.fiber(g.tgt[gg]):
             lhs = xm.boundary[xm.act(gg, hh)]
             rhs = g.comp[(g.comp[(g.inv[gg], xm.boundary[hh])], gg)]
             if lhs != rhs:
                 violations.append(Violation("Axiom1Failure", (gg, hh)))
     # axiom 2: c_{boundary(h)}(k) = h^-1 k h within a fiber
-    for x in sorted(g.objects):
+    for x in g.objects:
         for hh in h.fiber(x):
             for kk in h.fiber(x):
                 lhs = xm.act(xm.boundary[hh], kk)
@@ -79,7 +79,7 @@ def validate_crossed_module(g, h, boundary, action):
 
 def unit_xmod(g):
     """A groupoid as a crossed module: trivial bundle, inclusion, trivial action."""
-    h = unit_bundle(sorted(g.objects))
+    h = unit_bundle(g.objects)
     boundary = {h.unit[x]: g.unit[x] for x in g.objects}
     act = {(gg, h.unit[g.tgt[gg]]): h.unit[g.src[gg]] for gg in g.arrows}
     return validate_crossed_module(g, h, boundary,
@@ -101,7 +101,7 @@ def identity_xmod(group_groupoid):
 def module_xmod(g, bundle, action):
     """A G-module (abelian bundle with action) as a crossed module with
     boundary the fiberwise trivial map."""
-    for x in sorted(bundle.objects):
+    for x in bundle.objects:
         fib = bundle.fiber(x)
         for a in fib:
             for b in fib:
@@ -151,7 +151,7 @@ def check_extension(ext):
         return violations
     if len(set(ext.iota.values())) != len(ext.iota):
         violations.append(Violation("NotInjective", ("iota",)))
-    if set(ext.pi.values()) != set(ext.g.arrows):
+    if set(ext.pi.values()) != ext.g.arrows:
         violations.append(Violation("NotSurjective", ("pi",)))
     kernel = {e for e in ext.e.arrows if ext.g.is_unit(ext.pi[e])}
     if set(ext.iota.values()) != kernel:
@@ -173,7 +173,7 @@ def extension_xmod(ext, require_abelian=True):
     c_g(a) = lift^-1 a lift). Lift-independence is verified across all lifts;
     disagreement raises IllDefinedAction."""
     if require_abelian:
-        for x in sorted(ext.a.objects):
+        for x in ext.a.objects:
             fib = ext.a.fiber(x)
             for p in fib:
                 for q in fib:
@@ -262,7 +262,7 @@ def semidirect_of_morphism(chi):
     """H2 x|_chi G1 over the common unit space: G1 acts on H2 through chi
     followed by the action of the codomain."""
     d, c = chi.dom, chi.cod
-    if set(d.g.objects) != set(c.g.objects) or \
+    if d.g.objects != c.g.objects or \
             any(chi.omap[x] != x for x in d.g.objects):
         raise UnitSpaceMismatch("semidirect_of_morphism needs a common unit space")
     act = {}
@@ -278,7 +278,7 @@ def vertical_groupoid(xm):
     cells (h,g): g => boundary(h) g."""
     g, h = xm.g, xm.h
     cells, s2, t2, vinv = [], {}, {}, {}
-    for gg in sorted(g.arrows):
+    for gg in g.arrows:
         for hh in h.fiber(g.tgt[gg]):
             a = pair(hh, gg)
             cells.append(a)
@@ -412,20 +412,20 @@ def pullback_xmod(xm, space, sigma):
     g, h = xm.g, xm.h
     pg = pullback_groupoid(g, space, sigma)
     harrows, hsrc, hinv, hcomp = [], {}, {}, {}
-    for z in sorted(set(space)):
+    for z in pg.objects:
         for hh in h.fiber(sigma[z]):
             a = pair(z, hh)
             harrows.append(a)
             hsrc[a] = z
             hinv[a] = pair(z, h.inv[hh])
-    hunit = {z: pair(z, h.unit[sigma[z]]) for z in set(space)}
+    hunit = {z: pair(z, h.unit[sigma[z]]) for z in pg.objects}
     for a in harrows:
         za, ha = unpair(a)
         for b in harrows:
             zb, hb = unpair(b)
             if za == zb:
                 hcomp[(a, b)] = pair(za, h.comp[(ha, hb)])
-    ph = validate_group_bundle(set(space), harrows, hsrc, dict(hsrc),
+    ph = validate_group_bundle(pg.objects, harrows, hsrc, dict(hsrc),
                                hinv, hunit, hcomp)
     boundary = {pair(z, hh): pair(z, xm.boundary[hh], z)
                 for (z, hh) in map(unpair, harrows)}
@@ -436,7 +436,7 @@ def pullback_xmod(xm, space, sigma):
             act[(arrow, pair(z1, hh))] = pair(z2, xm.act(gg, hh))
     pxm = validate_crossed_module(pg, ph, boundary, validate_action(pg, ph, act))
     proj = validate_strict_xmorphism(
-        pxm, xm, {z: sigma[z] for z in set(space)},
+        pxm, xm, {z: sigma[z] for z in pg.objects},
         {a: unpair(a)[1] for a in harrows},
         {arrow: unpair(arrow, 3)[1] for arrow in pg.arrows})
     return pxm, proj

@@ -357,10 +357,7 @@ def generated_bibundles():
                 bb.morita_witness(g, g)]
     erng = random.Random(3)
     while len(out) < 30:
-        try:
-            ex = generators.random_exchanger(erng)
-        except AssertionError:
-            continue  # the orbit assertion of exchanger_from_homomorphism
+        ex = generators.random_exchanger(erng)
         out += [ex.p, bb.inverse_bibundle(ex.p)]
     assert sum(len(z.left.objects) > 1 for z in out) >= 8
     return out
@@ -473,10 +470,7 @@ def test_compose_bibundles_matches_label_quotient(generated_bibundles):
             composed += 1
     rng = random.Random(2)
     while composed < 100:
-        try:
-            ex = generators.random_exchanger(rng)
-        except AssertionError:
-            continue
+        ex = generators.random_exchanger(rng)
         exbar = exm.exchanger_inverse(ex)[0]
         assert _tables(bb.compose_bibundles(ex.p, exbar.p)) == \
             _tables(reference_compose_bibundles(ex.p, exbar.p))

@@ -277,6 +277,18 @@ def test_bad_cli_inputs_end_in_an_exit_code(argv, code, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["OSC2", "OSC2_M", "OSC2_src"])
+def test_pullback_to_an_unknown_object_exits_1(name, tmp_path, capsys):
+    # a crossing, a groupoid and an xmod: each pullback checks the map first
+    with open(fixture("osc2.gdf")) as fh:
+        text = fh.read()
+    p = tmp_path / "in.gdf"
+    p.write_text(text + "morphism f {\n  objects: z0=NOPE z1=*\n}\n")
+    code = run_cli(["compose", str(p), "--op", "pullback:f", "--inputs", name])
+    assert code == cli.EXIT_VALIDATION
+    assert "BadObjectImage witness=('z0',)" in capsys.readouterr().err
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "xmodforge.cli", "check",
                            fixture("pair2.gdf")],

@@ -1,6 +1,7 @@
 """Layout rules for the library source, read with ast: no unreferenced
-top-level definitions or module-level names, no assert statements, and no module reaching into
-another module's private names."""
+top-level definitions or module-level names, no assert statements, no module reaching into
+another module's private names, and label sets built once by util.labelset and
+never re-sorted or copied."""
 
 import ast
 import functools
@@ -9,10 +10,7 @@ import os
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SRC = os.path.join(ROOT, "src", "xmodforge")
 
-# The orbit check of exchanger_from_homomorphism fires on valid inputs
-# (CHANGES.md, FOUND: exchanger._check_pphi_orbits); it stays an assert
-# until that is mended.
-ASSERT_ALLOWED = {("exchanger", "_check_pphi_orbits")}
+ASSERT_ALLOWED = set()
 
 
 def python_files(*dirs):
@@ -112,3 +110,52 @@ def test_the_label_algebra_lives_in_util():
                for top in tree.body
                if isinstance(top, ast.FunctionDef) and top.name in label_names}
     assert defined == {("util", name) for name in label_names}
+
+
+# label-set attributes: Groupoid.objects/arrows, TwoGroupoid.g0/g1/g2
+LABEL_SETS = {"objects", "arrows", "g0", "g1", "g2"}
+
+
+def calls(tree, *names):
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Call):
+            func = sub.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name in names:
+                yield sub
+
+
+def test_label_sets_are_built_once_by_labelset():
+    # the two constructors build every label set with util.labelset, and no
+    # module stores one as a frozenset or re-sorts a Groupoid's arrows
+    built, found = set(), []
+    for module, tree in library_modules():
+        for sub in ast.walk(tree):
+            if not isinstance(sub, ast.Assign):
+                continue
+            for target in sub.targets:
+                if isinstance(target, ast.Attribute) and target.attr in LABEL_SETS:
+                    if isinstance(sub.value, ast.Call) and \
+                            getattr(sub.value.func, "id", None) == "labelset":
+                        built.add((module, target.attr))
+                    elif any(calls(sub.value, "frozenset")):
+                        found.append((module, target.attr, sub.lineno))
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef) and top.name == "Groupoid":
+                found += [(module, "Groupoid", c.lineno) for c in calls(top, "sorted", "sort")]
+    assert found == []
+    assert built == {("fingrpd", "objects"), ("fingrpd", "arrows"),
+                     ("twogpd", "g0"), ("twogpd", "g1"), ("twogpd", "g2")}
+
+
+def test_no_sorted_or_set_copy_of_a_label_set():
+    # a label set already iterates in label order and supports set algebra
+    found = []
+    for module, tree in library_modules():
+        for call in calls(tree, "sorted", "set"):
+            if isinstance(call.func, ast.Name) and len(call.args) == 1 and \
+                    not call.keywords and isinstance(call.args[0], ast.Attribute) \
+                    and call.args[0].attr in LABEL_SETS:
+                found.append((module, call.func.id, call.lineno))
+    assert found == []

@@ -307,10 +307,7 @@ def _crossings(seed):
 def exchangers():
     out, rng = [], random.Random(7)
     while len(out) < 8:
-        try:
-            out.append(generators.random_exchanger(rng))
-        except AssertionError:
-            continue  # the orbit assertion of exchanger_from_homomorphism
+        out.append(generators.random_exchanger(rng))
     return out
 
 
@@ -479,3 +476,20 @@ def test_cr4_witness_does_not_depend_on_the_hash_seed(tmp_path):
     assert len(witnesses) == 1
     (lines,) = witnesses
     assert lines == ("       CR4Failure: FAIL witness=('a', '((*,a0),c1)', '(*,a1)')",)
+
+
+def test_strict_xmorphism_witness_does_not_depend_on_the_hash_seed():
+    # check_strict_xmorphism iterates the label set of the bundle's arrows
+    fixture = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "faults", "z4maps.gdf")
+    outputs = set()
+    for seed in "0123":
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-m", "xmodforge.cli", "check", fixture],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1, proc.stderr
+        outputs.add(re.sub(r"\d+\.\d+s\)", "s)", proc.stdout))
+    assert len(outputs) == 1
+    (out,) = outputs
+    assert "       BoundaryNotRespected: FAIL witness=('c1',)\n" in out
