@@ -5,8 +5,8 @@ composition of bibundles."""
 from itertools import repeat
 
 from .errors import CoherenceFailure, EmptyComposite, ValidationFailure, Violation
-from .fingrpd import (Groupoid, GroupoidMorphism, inertia,
-                      pullback_groupoid, validate_groupoid_morphism)
+from .fingrpd import (inertia, pullback_groupoid, validate_groupoid,
+                      validate_groupoid_morphism)
 from .util import UnionFind, cls_label, pair, search_bijection, unpair
 
 
@@ -26,9 +26,6 @@ class Bibundle:
     def lfiber(self, x):
         return [z for z in self.space if self.lmom[z] == x]
 
-    def rfiber(self, y):
-        return [z for z in self.space if self.rmom[z] == y]
-
     def __repr__(self):
         return f"Bibundle(|Z|={len(self.space)})"
 
@@ -38,7 +35,8 @@ def check_bibundle(zb):
 
     The moments, the shape of both action tables, the unit laws and the
     invariance of each moment under the other action are checked point by
-    point.  The action and commuting laws are checked on integer rows.
+    point; an entry keyed by an arrow or a point the bibundle does not have
+    is a SpuriousActionEntry after its side's sweep.  The action and commuting laws are checked on integer rows.
     Points are numbered by their position in ``zb.space``.  A left arrow m
     has the row i -> (position of m.z_i) over the fibre lmom = s(m), held
     both as the list of images in fibre order and as a dict; a right arrow
@@ -74,6 +72,8 @@ def check_bibundle(zb):
                 mz = zb.lact[(m, z)]
                 if mz not in space or zb.lmom[mz] != left.tgt[m]:
                     violations.append(Violation("BadActionImage", ("left", m, z)))
+    violations += [Violation("SpuriousActionEntry", ("left", m, z)) for m, z in zb.lact
+                   if m not in left.arrows or z not in space]
     for z in zb.space:
         for n in right.arrows:
             defined = (z, n) in zb.ract
@@ -86,6 +86,8 @@ def check_bibundle(zb):
                 zn = zb.ract[(z, n)]
                 if zn not in space or zb.rmom[zn] != right.src[n]:
                     violations.append(Violation("BadActionImage", ("right", z, n)))
+    violations += [Violation("SpuriousActionEntry", ("right", z, n)) for z, n in zb.ract
+                   if z not in space or n not in right.arrows]
     if violations:
         return violations
 
@@ -150,24 +152,11 @@ def check_bibundle(zb):
     if violations:
         return violations
 
-    # right-principal along lmom: free + fiberwise transitive
-    reach = {z: {} for z in zb.space}
-    for (z, n), z2 in zb.ract.items():
-        reach[z].setdefault(z2, []).append(n)
-    for z in zb.space:
-        for n in reach[z].get(z, ()):
-            if not right.is_unit(n):
-                violations.append(Violation("NotFree", (z, n, right.unit[zb.rmom[z]])))
-    for x in left.objects:
-        fiber = zb.lfiber(x)
-        for z in fiber:
-            for z2 in fiber:
-                sols = reach[z].get(z2, ())
-                if not sols:
-                    violations.append(Violation("NotTransitive", (z, z2)))
-                elif len(sols) > 1:
-                    violations.append(Violation("NotFree", (z, sols[0], sols[1])))
-    return violations
+    # right-principal along lmom: no non-unit fixes a point, then the division
+    loops = [(z, n) for (z, n), z2 in zb.ract.items() if z2 == z and not right.is_unit(n)]
+    violations += [Violation("NotFree", (z, n, right.unit[zb.rmom[z]]))
+                   for z, n in sorted(loops, key=lambda zn: pos(zn[0]))]
+    return violations + division(zb, "right")[1]
 
 
 def _mismatches(fib, lhs, rhs):
@@ -183,28 +172,47 @@ def validate_bibundle(left, right, space, lmom, rmom, lact, ract):
     return zb
 
 
-def morita_failures(zb):
-    """Left-principality violations (NotFree / NotTransitive witnesses)."""
-    violations = []
+def division(zb, side):
+    """The division of zb on one side, and where it fails: (table, violations).
+
+    On the "right" side the table maps (z, z2), for z and z2 over the same
+    left moment, to the unique right arrow n with z.n = z2; on the "left"
+    side it maps (z, z2), for z and z2 over the same right moment, to the
+    unique left arrow m with m.z = z2.  A pair with no such arrow gives
+    NotTransitive (z, z2); a pair with two or more gives NotFree
+    (z, a1, a2), the first two solutions in the order of the action table.
+    Left-side violations carry the detail "left".  The sweep runs over the
+    moment's objects in label order and, within a fibre, over z and then
+    z2 in the order of zb.space; the table holds exactly the pairs that
+    raised nothing.  zb is right-principal iff the right side gives no
+    violations, and a bibundle is Morita iff the left side gives none too.
+    """
+    right = side == "right"
     reach = {z: {} for z in zb.space}
-    for (m, z), z2 in zb.lact.items():
-        reach[z].setdefault(z2, []).append(m)
-    for y in zb.right.objects:
-        fiber = zb.rfiber(y)
+    for key, z2 in (zb.ract if right else zb.lact).items():
+        z, arrow = key if right else key[::-1]
+        reach[z].setdefault(z2, []).append(arrow)
+    fibres = _fibres(zb.space, zb.lmom if right else zb.rmom)
+    detail = "" if right else "left"
+    table, violations = {}, []
+    for x in (zb.left if right else zb.right).objects:
+        fiber = fibres.get(x, ())
         for z in fiber:
             for z2 in fiber:
                 sols = reach[z].get(z2, ())
-                if not sols:
-                    violations.append(Violation("NotTransitive", (z, z2), "left"))
-                elif len(sols) > 1:
-                    violations.append(Violation("NotFree", (z, sols[0], sols[1]), "left"))
-    return violations
+                if len(sols) == 1:
+                    table[(z, z2)] = sols[0]
+                elif not sols:
+                    violations.append(Violation("NotTransitive", (z, z2), detail))
+                else:
+                    violations.append(Violation("NotFree", (z, sols[0], sols[1]), detail))
+    return table, violations
 
 
 def is_morita(zb):
     """(bool, witnesses): whether the validated bibundle is also
     left-principal along rmom."""
-    violations = morita_failures(zb)
+    violations = division(zb, "left")[1]
     return (not violations), violations
 
 
@@ -239,23 +247,44 @@ def bibundle_from_hom(f):
 def g_function(zb):
     """g^Z(z,z') = the unique right-groupoid arrow with z' = z.g^Z(z,z').
 
-    Raises ValidationFailure with the check_bibundle witness (NotTransitive
-    or NotFree) when zb is not right-principal."""
-    reach = {z: {} for z in zb.space}
-    for (z, n), z2 in zb.ract.items():
-        reach[z].setdefault(z2, []).append(n)
-    table = {}
-    for x in zb.left.objects:
-        fiber = zb.lfiber(x)
-        for z in fiber:
-            for z2 in fiber:
-                sols = reach[z].get(z2, ())
-                if not sols:
-                    raise ValidationFailure([Violation("NotTransitive", (z, z2))])
-                if len(sols) > 1:
-                    raise ValidationFailure([Violation("NotFree", (z, sols[0], sols[1]))])
-                table[(z, z2)] = sols[0]
+    Raises ValidationFailure with the first witness of the right division
+    (NotTransitive or NotFree) when zb is not right-principal."""
+    table, violations = division(zb, "right")
+    if violations:
+        raise ValidationFailure(violations[:1])
     return table
+
+
+def projective_groupoid(zb):
+    """M *_Z N for a right-principal bibundle Z: M -> N.
+
+    Its objects are the points of Z.  An arrow z2 -> z1 is a quadruple
+    (m, z1, z2, n), labelled pair(m, z1, z2, n), with m: lmom(z2) ->
+    lmom(z1) and n = g^Z(z1, m.z2), the one right arrow with z1.n = m.z2.
+    Inverses and composites are taken componentwise:
+    (m, z1, z2, n)(m', z2, z3, n') = (mm', z1, z3, nn').  Raises
+    ValidationFailure, as g_function does, when Z is not right-principal.
+    """
+    m, n = zb.left, zb.right
+    g = g_function(zb)
+    arrows, src, tgt, inv, by_tgt = [], {}, {}, {}, {}
+    for z1 in zb.space:
+        for z2 in zb.space:
+            for mm in m.hom(zb.lmom[z2], zb.lmom[z1]):
+                nn = g[(z1, zb.lact[(mm, z2)])]
+                q = pair(mm, z1, z2, nn)
+                arrows.append(q)
+                src[q], tgt[q] = z2, z1
+                inv[q] = pair(m.inv[mm], z2, z1, n.inv[nn])
+                by_tgt.setdefault(z1, []).append(q)
+    unit = {z: pair(m.unit[zb.lmom[z]], z, z, n.unit[zb.rmom[z]]) for z in zb.space}
+    comp = {}
+    for q in arrows:
+        mm, z1, z2, nn = unpair(q)
+        for q2 in by_tgt.get(z2, ()):
+            mm2, _, z3, nn2 = unpair(q2)
+            comp[(q, q2)] = pair(m.comp[(mm, mm2)], z1, z3, n.comp[(nn, nn2)])
+    return validate_groupoid(zb.space, arrows, src, tgt, inv, unit, comp)
 
 
 def phi_Z(zb):

@@ -283,24 +283,11 @@ def actions_commute(ex):
 
 
 def exchanger_from_homomorphism(hom, check_orbits=True):
-    """P_Phi = M^0 x_{Phi,t} N with m.(u,n) = (t(m), Phi(m)n), (u,n).n' =
-    (u, nn'); with check_orbits, verifies the orbit spaces that
+    """The semi-exchanger over P_Phi = M^0 x_{Phi,t} N, the bibundle
+    bb.bibundle_from_hom builds for Phi: m.(u,n) = (t(m), Phi(m)n) and
+    (u,n).n' = (u, nn').  With check_orbits, verifies the orbit spaces that
     _check_pphi_orbits states, class by class."""
-    a, b = hom.src, hom.dst
-    n = b.m
-    space = [pair(u, nn) for u in a.m.objects
-             for nn in n.arrows_to(hom.phi.omap[u])]
-    lmom = {z: unpair(z)[0] for z in space}
-    rmom = {z: n.src[unpair(z)[1]] for z in space}
-    lact, ract = {}, {}
-    for z in space:
-        u, nn = unpair(z)
-        for mm in a.m.arrows_from(u):
-            lact[(mm, z)] = pair(a.m.tgt[mm], n.comp[(hom.phi.amap[mm], nn)])
-        for n2 in n.arrows_to(n.src[nn]):
-            ract[(z, n2)] = pair(u, n.comp[(nn, n2)])
-    p = bb.validate_bibundle(a.m, n, space, lmom, rmom, lact, ract)
-    ex = validate_semi_exchanger(a, b, p)
+    ex = validate_semi_exchanger(hom.src, hom.dst, bb.bibundle_from_hom(hom.phi))
     if check_orbits:
         _check_pphi_orbits(hom, ex)
     return ex
@@ -348,25 +335,16 @@ def exchanger_inverse(ex):
     pbar = bb.inverse_bibundle(ex.p)
     exbar = SemiExchanger(ex.target, ex.source, pbar)
 
-    fwd = vertical_compose(ex, exbar)
-    to_i_src = {}
-    for c in fwd.p.space:
-        pz, qz = unpair(strip_class(c))
-        # unique m with pz = m . qz (left principality of the Morita bibundle)
-        sols = [mm for mm in ex.p.left.arrows_from(ex.p.lmom[qz])
-                if ex.p.lact[(mm, qz)] == pz]
-        if len(sols) != 1:
-            raise ExactnessSolveFailure(("left division", c, sols))
-        to_i_src[c] = sols[0]
-    bwd = vertical_compose(exbar, ex)
-    to_i_tgt = {}
-    for c in bwd.p.space:
-        qz, pz = unpair(strip_class(c))
-        sols = [nn for nn in ex.p.right.arrows_to(ex.p.rmom[qz])
-                if ex.p.ract[(qz, nn)] == pz]
-        if len(sols) != 1:
-            raise ExactnessSolveFailure(("right division", c, sols))
-        to_i_tgt[c] = sols[0]
+    fwd, bwd = vertical_compose(ex, exbar), vertical_compose(exbar, ex)
+    # [pz, qz] goes to the m with m.qz = pz, [qz, pz] to the n with qz.n = pz
+    to_i_src = {c: unpair(strip_class(c))[::-1] for c in fwd.p.space}
+    to_i_tgt = {c: unpair(strip_class(c)) for c in bwd.p.space}
+    for side, eta in (("left", to_i_src), ("right", to_i_tgt)):
+        table = bb.division(ex.p, side)[0]
+        for c, key in eta.items():
+            if key not in table:
+                raise ExactnessSolveFailure((side + " division", c))
+            eta[c] = table[key]
     m1 = validate_exchanger_morphism(fwd, trivial_exchanger(ex.source), to_i_src)
     m2 = validate_exchanger_morphism(bwd, trivial_exchanger(ex.target), to_i_tgt)
     return exbar, m1, m2
@@ -389,9 +367,10 @@ class ExchangerMorphism:
 def check_exchanger_morphism(mor):
     violations = []
     s, d = mor.src, mor.dst
+    targets = set(d.p.space)
     for p in s.p.space:
         q = mor.eta.get(p)
-        if q not in set(d.p.space):
+        if q not in targets:
             violations.append(Violation("BadMorphismImage", (p,)))
             continue
         if d.p.lmom[q] != s.p.lmom[p] or d.p.rmom[q] != s.p.rmom[p]:
@@ -594,35 +573,6 @@ def eta_square(ex_p1, ex_p2, ex_q1, ex_q2):
 # -- exchanger decomposition ----------------------------------------------------
 
 
-def _projective_middle(a, b, p):
-    """M *_P N: quadruples (m, p1, p2, n) with s(m)=lmom(p2),
-    rmom(p1)=t(n), p1.n = m.p2; unit space the carrier."""
-    m, n = a.m, b.m
-    arrows, src, tgt, inv = [], {}, {}, {}
-    for p1 in p.space:
-        for p2 in p.space:
-            for mm in m.hom(p.lmom[p2], p.lmom[p1]):
-                lhs = p.lact[(mm, p2)]
-                for nn in n.arrows_to(p.rmom[p1]):
-                    if p.ract[(p1, nn)] == lhs:
-                        q = pair(mm, p1, p2, nn)
-                        arrows.append(q)
-                        src[q], tgt[q] = p2, p1
-                        inv[q] = pair(m.inv[mm], p2, p1, n.inv[nn])
-    unit = {pz: pair(m.unit[p.lmom[pz]], pz, pz, n.unit[p.rmom[pz]])
-            for pz in p.space}
-    comp = {}
-    by_tgt = {}
-    for q in arrows:
-        by_tgt.setdefault(tgt[q], []).append(q)
-    for q in arrows:
-        mm, p1, p2, nn = unpair(q)
-        for q2 in by_tgt.get(p2, ()):
-            mm2, _, p3, nn2 = unpair(q2)
-            comp[(q, q2)] = pair(m.comp[(mm, mm2)], p1, p3, n.comp[(nn, nn2)])
-    return validate_groupoid(p.space, arrows, src, tgt, inv, unit, comp)
-
-
 def _matched_triples(p, s, t):
     """(h, pz, k) with s.leg1(h).pz = pz.t.leg1(k), for s a side of the
     source crossing and t the same side of the target."""
@@ -726,7 +676,7 @@ def exchanger_decompose(ex):
     p0 = ex.p
     p = bb.Bibundle(a.m, b.m, p0.space, p0.lmom, p0.rmom, p0.lact, p0.ract)
 
-    mn = _projective_middle(a, b, p)
+    mn = bb.projective_groupoid(p)
     # per side: G^P_side = (H_s *_P H_t -> MN / the other side's images)
     sides = list(zip(a.sides(), b.sides()))
     quotients = [_quotient_middle(p, mn, s, t) for s, t in sides[::-1]]

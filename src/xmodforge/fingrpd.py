@@ -259,7 +259,7 @@ def check_groupoid_morphism(f):
         if b not in cod.arrows:
             violations.append(Violation("BadArrowImage", (a,)))
             continue
-        if cod.src[b] != f.omap[dom.src[a]] or cod.tgt[b] != f.omap[dom.tgt[a]]:
+        if cod.src[b] != f.omap.get(dom.src[a]) or cod.tgt[b] != f.omap.get(dom.tgt[a]):
             violations.append(Violation("NotFunctorial", (a,), "endpoints not respected"))
     if violations:
         return violations

@@ -133,7 +133,11 @@ def parse_gdf(text):
         if key not in KEY_ORDER[current.kind]:
             raise GDFSyntaxError(lineno,
                                  f"unknown key {key!r} in {current.kind}")
-        current.entries.setdefault(key, []).extend(rest.split())
+        toks = rest.split()
+        if "{" in rest and any(tok.endswith("{") for tok in toks):
+            # printed last on its line, such a token would open a block
+            raise GDFSyntaxError(lineno, "a token may not end with '{'")
+        current.entries.setdefault(key, []).extend(toks)
     if current is not None:
         raise GDFSyntaxError(current.line, "unterminated block")
     return GDFDocument(blocks)
@@ -153,6 +157,9 @@ def print_gdf(doc):
             toks = list(toks) if (b.kind, key) in _ORDERED_KEYS else sorted(toks)
             for i in range(0, len(toks), 8):
                 out.append(f"  {key}: " + " ".join(toks[i:i + 8]))
+            if not toks:
+                # a key with no tokens keeps its bare line, so that it parses back
+                out.append(f"  {key}:")
         out.append("}")
     return "\n".join(out) + "\n"
 
@@ -196,6 +203,17 @@ def build_block(block, env):
     return _BUILDERS[block.kind](block, env)
 
 
+def _first(block, key, default=None):
+    """The first token of the block's `key:` line, default when there is no
+    such line; a line without tokens is a syntax error."""
+    if key not in block.entries:
+        return default
+    if not block.entries[key]:
+        raise GDFSyntaxError(block.line, f"'{key}:' line without a token in "
+                                         f"{block.kind} {block.name}")
+    return block.entries[key][0]
+
+
 def _ref(env, name, block, want=None):
     if name not in env:
         raise UnresolvedReference(name, block.name)
@@ -224,16 +242,16 @@ def _build_bundle(b, env):
 
 def _build_action(b, env):
     e = b.entries
-    base = _ref(env, e["groupoid"][0], b, fingrpd.Groupoid)
-    bundle = _ref(env, e["bundle"][0], b, fingrpd.GroupBundle)
-    act = {k: v for k, v in _comp_pairs(e["act"], b.line).items()}
+    base = _ref(env, _first(b, "groupoid"), b, fingrpd.Groupoid)
+    bundle = _ref(env, _first(b, "bundle"), b, fingrpd.GroupBundle)
+    act = _comp_pairs(e["act"], b.line)
     return fingrpd.validate_action(base, bundle, act)
 
 
 def _build_xmod(b, env):
     e = b.entries
-    base = _ref(env, e["groupoid"][0], b, fingrpd.Groupoid)
-    bundle = _ref(env, e["bundle"][0], b, fingrpd.GroupBundle)
+    base = _ref(env, _first(b, "groupoid"), b, fingrpd.Groupoid)
+    bundle = _ref(env, _first(b, "bundle"), b, fingrpd.GroupBundle)
     act = _comp_pairs(e["act"], b.line)
     action = fingrpd.validate_action(base, bundle, act)
     boundary = _pairs(e["boundary"], b.line)
@@ -255,10 +273,10 @@ def _build_two_groupoid(b, env):
 
 def _build_bibundle(b, env):
     e = b.entries
-    left = _ref(env, e["left"][0], b, fingrpd.Groupoid)
-    right = _ref(env, e["right"][0], b, fingrpd.Groupoid)
-    lact = {k: v for k, v in _comp_pairs(e["lact"], b.line).items()}
-    ract = {k: v for k, v in _comp_pairs(e["ract"], b.line).items()}
+    left = _ref(env, _first(b, "left"), b, fingrpd.Groupoid)
+    right = _ref(env, _first(b, "right"), b, fingrpd.Groupoid)
+    lact = _comp_pairs(e["lact"], b.line)
+    ract = _comp_pairs(e["ract"], b.line)
     return bbmod.validate_bibundle(
         left, right, e["space"], _pairs(e["lmom"], b.line),
         _pairs(e["rmom"], b.line), lact, ract)
@@ -266,14 +284,14 @@ def _build_bibundle(b, env):
 
 def _build_crossing(b, env):
     e = b.entries
-    src = _ref(env, e["source"][0], b, xmmod.CrossedModule)
-    dst = _ref(env, e["target"][0], b, xmmod.CrossedModule)
-    m = _ref(env, e["groupoid"][0], b, fingrpd.Groupoid)
-    a1 = {k: v for k, v in _comp_pairs(e["a1"], b.line).items()}
-    b1 = {k: v for k, v in _comp_pairs(e["b1"], b.line).items()}
+    src = _ref(env, _first(b, "source"), b, xmmod.CrossedModule)
+    dst = _ref(env, _first(b, "target"), b, xmmod.CrossedModule)
+    m = _ref(env, _first(b, "groupoid"), b, fingrpd.Groupoid)
+    a1 = _comp_pairs(e["a1"], b.line)
+    b1 = _comp_pairs(e["b1"], b.line)
     args = (src, dst, m, _pairs(e["tau"], b.line), _pairs(e["sigma"], b.line),
             a1, _pairs(e["a2"], b.line), b1, _pairs(e["b2"], b.line))
-    extension = e.get("extension", ["no"])[0] == "yes"
+    extension = _first(b, "extension", "no") == "yes"
     if extension:
         return crmod.validate_crossed_extension(*args)
     return crmod.validate_crossing(*args)
@@ -282,10 +300,10 @@ def _build_crossing(b, env):
 def _build_exchanger(b, env):
     from . import exchanger as exmod
     e = b.entries
-    src = _ref(env, e["source"][0], b, crmod.Crossing)
-    dst = _ref(env, e["target"][0], b, crmod.Crossing)
-    lact = {k: v for k, v in _comp_pairs(e["lact"], b.line).items()}
-    ract = {k: v for k, v in _comp_pairs(e["ract"], b.line).items()}
+    src = _ref(env, _first(b, "source"), b, crmod.Crossing)
+    dst = _ref(env, _first(b, "target"), b, crmod.Crossing)
+    lact = _comp_pairs(e["lact"], b.line)
+    ract = _comp_pairs(e["ract"], b.line)
     p = bbmod.validate_bibundle(
         src.m, dst.m, e["space"], _pairs(e["lmom"], b.line),
         _pairs(e["rmom"], b.line), lact, ract)
@@ -302,8 +320,8 @@ class MorphismBlock:
 
 def _build_morphism(b, env):
     e = b.entries
-    frm = e.get("from", [None])[0]
-    to = e.get("to", [None])[0]
+    frm = _first(b, "from")
+    to = _first(b, "to")
     data = MorphismBlock(
         frm, to,
         _pairs(e.get("objects", []), b.line),
@@ -375,14 +393,13 @@ def bundle_block(name, h):
 
 def xmod_blocks(name, xm):
     gname, hname = f"{name}_G", f"{name}_H"
-    act = {(g, h): v for (g, h), v in xm.action.act.items()}
     return [
         groupoid_block(gname, xm.g),
         bundle_block(hname, xm.h),
         Block("xmod", name, {
             "groupoid": [gname], "bundle": [hname],
             "boundary": _map_toks(xm.boundary),
-            "act": _comp_toks(act)}, 0),
+            "act": _comp_toks(xm.action.act)}, 0),
     ]
 
 
@@ -424,14 +441,12 @@ def crossing_blocks(name, c, src_name=None, dst_name=None):
         blocks += xmod_blocks(dst_name, c.dst)
     mname = f"{name}_M"
     blocks.append(groupoid_block(mname, c.m))
-    a1 = {(u, h): v for (u, h), v in c.a1.items()}
-    b1 = {(u, h): v for (u, h), v in c.b1.items()}
     blocks.append(Block("crossing", name, {
         "source": [src_name], "target": [dst_name], "groupoid": [mname],
         "extension": ["yes" if c.is_extension else "no"],
         "tau": _map_toks(c.tau), "sigma": _map_toks(c.sigma),
-        "a1": _comp_toks(a1), "a2": _map_toks(c.a2),
-        "b1": _comp_toks(b1), "b2": _map_toks(c.b2)}, 0))
+        "a1": _comp_toks(c.a1), "a2": _map_toks(c.a2),
+        "b1": _comp_toks(c.b1), "b2": _map_toks(c.b2)}, 0))
     return blocks
 
 

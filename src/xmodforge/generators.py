@@ -8,10 +8,9 @@ only apply constructions proved to preserve validity, then revalidate.
 import itertools
 
 from .errors import ValidationFailure
-from .fingrpd import (as_group_bundle, cyclic_groupoid, disjoint_union,
-                      group_as_groupoid, pair_groupoid, semidirect_product,
-                      transport_action, trivial_action, trivial_bundle,
-                      unit_bundle, unit_groupoid, validate_groupoid)
+from .fingrpd import (cyclic_groupoid, group_as_groupoid, transport_action,
+                      trivial_action, trivial_bundle, unit_groupoid,
+                      validate_groupoid)
 from .util import pair, unpair
 
 

@@ -12,8 +12,8 @@ whose statements need honest bigons require the flag.
 """
 
 from .errors import ValidationFailure, Violation
-from .fingrpd import Groupoid, check_groupoid, validate_groupoid
-from .util import labelset, pair, search_bijection, unpair
+from .fingrpd import Groupoid, check_groupoid
+from .util import labelset, pair, unpair
 
 
 class TwoGroupoid:

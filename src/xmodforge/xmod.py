@@ -7,12 +7,10 @@ from .errors import (CoherenceFailure, IllDefinedAction, NotAbelian,
                      UnitSpaceMismatch, ValidationFailure, Violation)
 from . import bibundle as bb
 from . import twogpd as tgd
-from .fingrpd import (ActionByAutomorphisms, GroupBundle, Groupoid,
-                      GroupoidMorphism, aut_bundle, aut_label, unit_bundle,
+from .fingrpd import (GroupoidMorphism, aut_bundle, aut_label, unit_bundle,
                       check_groupoid_morphism, inertia, pullback_groupoid,
-                      semidirect_product, unit_groupoid, validate_action,
-                      validate_group_bundle, validate_groupoid,
-                      validate_groupoid_morphism)
+                      semidirect_product, validate_action,
+                      validate_group_bundle, validate_groupoid_morphism)
 from .util import pair, unpair
 
 
@@ -444,35 +442,15 @@ def pullback_xmod(xm, space, sigma):
 
 def projective_product(xm1, xm2, zb):
     """G1 *_P G2 and H1 *_P H2 over the Morita equivalence zb between the
-    base groupoids, with the componentwise boundary and action; returns
-    (crossed module, projection to xm1, projection to xm2)."""
+    base groupoids, with the componentwise boundary and action; G1 *_P G2
+    is bb.projective_groupoid(zb).  Returns (crossed module, projection to
+    xm1, projection to xm2)."""
     ok, wit = bb.is_morita(zb)
     if not ok:
         raise ValidationFailure(wit)
-    g1, g2 = xm1.g, xm2.g
     h1, h2 = xm1.h, xm2.h
     tau, sig = zb.lmom, zb.rmom
-    arrows, src, tgt, inv, comp = [], {}, {}, {}, {}
-    for p1 in zb.space:
-        for p2 in zb.space:
-            for ga in g1.hom(tau[p2], tau[p1]):
-                # p1 g2 = g1 p2 determines g2 uniquely via the g-function
-                lhs = zb.lact[(ga, p2)]
-                gb_sols = [nb for nb in g2.arrows_to(sig[p1])
-                           if zb.ract[(p1, nb)] == lhs]
-                for gb in gb_sols:
-                    a = pair(ga, p1, p2, gb)
-                    arrows.append(a)
-                    src[a], tgt[a] = p2, p1
-                    inv[a] = pair(g1.inv[ga], p2, p1, g2.inv[gb])
-    unit = {p: pair(g1.unit[tau[p]], p, p, g2.unit[sig[p]]) for p in zb.space}
-    for a in arrows:
-        ga, p1, p2, gb = unpair(a)
-        for b in arrows:
-            gc, q1, q2, gd = unpair(b)
-            if q1 == p2:
-                comp[(a, b)] = pair(g1.comp[(ga, gc)], p1, q2, g2.comp[(gb, gd)])
-    gprod = validate_groupoid(zb.space, arrows, src, tgt, inv, unit, comp)
+    gprod = bb.projective_groupoid(zb)
 
     harrows, hsrc, hinv, hcomp2 = [], {}, {}, {}
     for p in zb.space:

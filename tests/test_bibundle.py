@@ -7,7 +7,7 @@ import pytest
 
 from xmodforge import bibundle as bb
 from xmodforge import exchanger as exm
-from xmodforge import fingrpd, generators, util
+from xmodforge import cli, fingrpd, gdf, generators, util
 from xmodforge.errors import EmptyComposite, ValidationFailure, Violation
 from xmodforge.fingrpd import (cyclic_groupoid, identity_morphism, unit_groupoid,
                                validate_groupoid_morphism)
@@ -293,6 +293,43 @@ def reference_check_bibundle(zb):
     return violations
 
 
+def reference_g_function(zb):
+    """g_function as its own sweep, raising at the first failed pair."""
+    reach = {z: {} for z in zb.space}
+    for (z, n), z2 in zb.ract.items():
+        reach[z].setdefault(z2, []).append(n)
+    table = {}
+    for x in zb.left.objects:
+        fiber = zb.lfiber(x)
+        for z in fiber:
+            for z2 in fiber:
+                sols = reach[z].get(z2, ())
+                if not sols:
+                    raise ValidationFailure([Violation("NotTransitive", (z, z2))])
+                if len(sols) > 1:
+                    raise ValidationFailure([Violation("NotFree", (z, sols[0], sols[1]))])
+                table[(z, z2)] = sols[0]
+    return table
+
+
+def reference_morita_failures(zb):
+    """is_morita's witnesses as a sweep over each right-moment fibre."""
+    violations = []
+    reach = {z: {} for z in zb.space}
+    for (m, z), z2 in zb.lact.items():
+        reach[z].setdefault(z2, []).append(m)
+    for y in zb.right.objects:
+        fiber = [z for z in zb.space if zb.rmom[z] == y]
+        for z in fiber:
+            for z2 in fiber:
+                sols = reach[z].get(z2, ())
+                if not sols:
+                    violations.append(Violation("NotTransitive", (z, z2), "left"))
+                elif len(sols) > 1:
+                    violations.append(Violation("NotFree", (z, sols[0], sols[1]), "left"))
+    return violations
+
+
 def reference_compose_bibundles(z1, z2):
     """compose_bibundles as a union-find over the pair labels themselves,
     scanning all of Z2 for every (a, n)."""
@@ -409,6 +446,68 @@ def test_check_bibundle_matches_sweep_on_generated_and_corrupted(generated_bibun
             forms |= {_law_form(v) for v in want}
     # every law checked on rows was broken, and found, on some input
     assert {"NotAction-left", "NotAction-right", "NonCommuting-3"} <= forms
+
+
+def _g_report(g_function, zb):
+    try:
+        return list(g_function(zb).items())
+    except ValidationFailure as e:
+        return _report(e.violations)
+
+
+def test_division_matches_the_three_sweeps(generated_bibundles):
+    # check_bibundle, is_morita and g_function read one division; each
+    # gives what its own sweep gave, in the same order
+    rng = random.Random(7)
+    forms = set()
+    for zb in generated_bibundles:
+        cases = [zb, *_corruptions(zb, rng)]
+        # the witnesses follow the action tables' order, so read them reversed
+        # too; test_check_bibundle_matches_sweep_on_generated_and_corrupted
+        # compares check_bibundle on tables in their own order
+        flipped = [_with(case, lact=dict(reversed(case.lact.items())),
+                         ract=dict(reversed(case.ract.items()))) for case in cases]
+        for case in flipped:
+            assert _report(bb.check_bibundle(case)) == _report(reference_check_bibundle(case))
+        for case in cases + flipped:
+            want = reference_morita_failures(case)
+            assert _report(bb.is_morita(case)[1]) == _report(want)
+            assert _g_report(bb.g_function, case) == _g_report(reference_g_function, case)
+            table, violations = bb.division(case, "right")
+            if not violations:
+                assert list(table.items()) == list(reference_g_function(case).items())
+            forms |= {(v.code, v.detail) for v in want + violations}
+    assert {("NotTransitive", ""), ("NotFree", ""),
+            ("NotTransitive", "left"), ("NotFree", "left")} <= forms
+
+
+def test_division_left_table_solves_the_left_action(generated_bibundles):
+    for zb in generated_bibundles:
+        table, violations = bb.division(zb, "left")
+        if violations:
+            continue
+        fibres = {}
+        for z in zb.space:
+            fibres.setdefault(zb.rmom[z], []).append(z)
+        assert set(table) == {(z, z2) for fib in fibres.values() for z in fib for z2 in fib}
+        for (z, z2), m in table.items():
+            assert zb.lact[(m, z)] == z2
+
+
+def test_action_entries_outside_the_tables_are_spurious(c2, tmp_path, capsys):
+    # keyed by a point or an arrow the bibundle lacks: a violation, which
+    # `xmodforge check` reports with exit 1, not a KeyError
+    z = bb.identity_bibundle(c2)
+    bad = _with(z, lact={**z.lact, ("c0", "w"): "c0"}, ract={**z.ract, ("c0", "zz"): "c0"})
+    assert _report(bb.check_bibundle(bad)) == [
+        ("SpuriousActionEntry", ("left", "c0", "w"), ""),
+        ("SpuriousActionEntry", ("right", "c0", "zz"), "")]
+    for side in ("lact", "ract"):
+        path = tmp_path / f"{side}.gdf"
+        path.write_text(gdf.print_gdf(gdf.document_of(
+            gdf.bibundle_blocks("Z", _with(z, **{side: getattr(bad, side)})))))
+        assert cli.main(["check", str(path)]) == 1
+        assert "SpuriousActionEntry" in capsys.readouterr().out
 
 
 def _cyclic_on_three(prefix):

@@ -289,6 +289,33 @@ def test_pullback_to_an_unknown_object_exits_1(name, tmp_path, capsys):
     assert "BadObjectImage witness=('z0',)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, old, new, code", [
+    # a reference line without a name: exit 2, not an IndexError
+    ("fixtures/sc2.gdf", "  groupoid: SC2_G", "  groupoid:", 2),
+    # a token ending in '{' would be printed last on its line, as a header
+    ("fixtures/pair2.gdf", "  objects: a b", "  objects: { a b", 2),
+    # an object map whose keys are arrows: exit 1, not a KeyError
+    ("faults/z4maps.gdf", "  objects: *=*\n  left:", "  left: *=*\n  objects:", 1),
+])
+def test_malformed_entries_end_in_an_exit_code(path, old, new, code, tmp_path, capsys):
+    with open(os.path.join(os.path.dirname(__file__), path)) as fh:
+        text = fh.read()
+    assert text.count(old) == 1
+    p = tmp_path / "in.gdf"
+    p.write_text(text.replace(old, new))
+    assert run_cli(["check", str(p)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_an_empty_entry_line_prints_and_parses_back():
+    with open(fixture("sc2.gdf")) as fh:
+        text = fh.read().replace("  unit: *=c0\n  comp: c0.c0=c0 c0.c1=c1 c1.c0=c1 c1.c1=c0\n}\nxmod",
+                                 "  unit:\n  comp: c0.c0=c0 c0.c1=c1 c1.c0=c1 c1.c1=c0\n}\nxmod")
+    printed = gdf.print_gdf(gdf.parse_gdf(text))
+    assert printed == text
+    assert gdf.print_gdf(gdf.parse_gdf(printed)) == printed
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "xmodforge.cli", "check",
                            fixture("pair2.gdf")],

@@ -1,5 +1,6 @@
 """Layout rules for the library source, read with ast: no unreferenced
-top-level definitions or module-level names, no assert statements, no module reaching into
+top-level definitions or module-level names, no imported name that nothing
+reads, no assert statements, no module reaching into
 another module's private names, and label sets built once by util.labelset and
 never re-sorted or copied."""
 
@@ -159,3 +160,43 @@ def test_no_sorted_or_set_copy_of_a_label_set():
                     and call.args[0].attr in LABEL_SETS:
                 found.append((module, call.func.id, call.lineno))
     assert found == []
+
+
+def library_import_froms(tree):
+    """The `from ... import` statements that import from xmodforge."""
+    return [sub for sub in ast.walk(tree) if isinstance(sub, ast.ImportFrom) and (
+        sub.level > 0 or (sub.module or "").startswith("xmodforge"))]
+
+
+def reads_through(path):
+    """{(module, name)}: the names a file reads off a library module, as
+    an attribute of its alias or by importing them from it."""
+    tree, aliases, out = parse(path), {}, set()
+    for sub in library_import_froms(tree):
+        source = (sub.module or "").rpartition(".")[2]
+        for alias in sub.names:
+            if source in ("", "xmodforge"):
+                aliases[alias.asname or alias.name] = alias.name
+            else:
+                out.add((source, alias.name))
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) \
+                and sub.value.id in aliases:
+            out.add((aliases[sub.value.id], sub.attr))
+    return out
+
+
+def test_every_imported_name_is_read():
+    # an imported name is read in the module that imports it, or through
+    # that module by the library, the tests or the benchmark
+    through = set()
+    for path in python_files("src", "tests", "perfbench"):
+        through |= reads_through(path)
+    unread = []
+    for module, tree in library_modules():
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for sub in library_import_froms(tree):
+            for name in (alias.asname or alias.name for alias in sub.names):
+                if name not in read and (module, name) not in through:
+                    unread.append(f"{module}.{name}")
+    assert unread == []

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from xmodforge import bibundle as bb
-from xmodforge import extensions, fingrpd, twogpd, xmod
+from xmodforge import extensions, fingrpd, generators, twogpd, xmod
 from xmodforge.errors import (IllDefinedAction, NotAbelian, UnitSpaceMismatch,
                               ValidationFailure)
 from xmodforge.fingrpd import (as_group_bundle, cyclic_groupoid, pair,
@@ -372,3 +374,74 @@ def test_hom2_functoriality(sc2):
     comp = chi.then(chi)
     g, _, _ = xmod.hom2_from_xmorphism(comp)
     assert g.m2 == {a: f.m2[f.m2[a]] for a in f.m2}
+
+
+# -- oracle: M *_P N by scanning for the right arrow ------------------------------
+
+
+def reference_projective_middle(m, n, p):
+    """M *_P N: quadruples (m, p1, p2, n) with s(m)=lmom(p2),
+    rmom(p1)=t(n), p1.n = m.p2, found by scanning n; unit space the carrier."""
+    arrows, src, tgt, inv = [], {}, {}, {}
+    for p1 in p.space:
+        for p2 in p.space:
+            for mm in m.hom(p.lmom[p2], p.lmom[p1]):
+                lhs = p.lact[(mm, p2)]
+                for nn in n.arrows_to(p.rmom[p1]):
+                    if p.ract[(p1, nn)] == lhs:
+                        q = mkpair(mm, p1, p2, nn)
+                        arrows.append(q)
+                        src[q], tgt[q] = p2, p1
+                        inv[q] = mkpair(m.inv[mm], p2, p1, n.inv[nn])
+    unit = {pz: mkpair(m.unit[p.lmom[pz]], pz, pz, n.unit[p.rmom[pz]])
+            for pz in p.space}
+    comp = {}
+    by_tgt = {}
+    for q in arrows:
+        by_tgt.setdefault(tgt[q], []).append(q)
+    for q in arrows:
+        mm, p1, p2, nn = unpair(q)
+        for q2 in by_tgt.get(p2, ()):
+            mm2, _, p3, nn2 = unpair(q2)
+            comp[(q, q2)] = mkpair(m.comp[(mm, mm2)], p1, p3, n.comp[(nn, nn2)])
+    # the tables are compared, so the oracle skips check_groupoid
+    return fingrpd.Groupoid(p.space, arrows, src, tgt, inv, unit, comp)
+
+
+def _groupoid_tables(g):
+    return (list(g.objects), list(g.arrows), g.src, g.tgt, g.inv, g.unit,
+            list(g.comp.items()))
+
+
+@pytest.fixture(scope="module")
+def morita_bibundles():
+    """Identity and Morita-witness bibundles of random groupoids, and the
+    carriers of random exchangers and their inverses."""
+    rng = random.Random(4)
+    out = []
+    for _ in range(5):
+        g = generators.random_groupoid(rng)
+        out += [bb.identity_bibundle(g), bb.morita_witness(g, g)]
+    erng = random.Random(9)
+    while len(out) < 24:
+        p = generators.random_exchanger(erng).p
+        out += [p, bb.inverse_bibundle(p)]
+    return out
+
+
+def test_projective_groupoid_matches_the_scan(morita_bibundles):
+    multi = 0
+    for zb in morita_bibundles:
+        assert bb.is_morita(zb)[0]
+        want = _groupoid_tables(reference_projective_middle(zb.left, zb.right, zb))
+        assert _groupoid_tables(bb.projective_groupoid(zb)) == want
+        multi += len(zb.left.objects) > 1
+    assert multi >= 4
+
+
+def test_projective_product_reads_the_projective_groupoid(morita_bibundles):
+    for zb in morita_bibundles[:8]:
+        prod, _, _ = xmod.projective_product(
+            xmod.unit_xmod(zb.left), xmod.unit_xmod(zb.right), zb)
+        assert _groupoid_tables(prod.g) == \
+            _groupoid_tables(reference_projective_middle(zb.left, zb.right, zb))
