@@ -7,7 +7,7 @@ from itertools import repeat
 from .errors import CoherenceFailure, EmptyComposite, ValidationFailure, Violation
 from .fingrpd import (inertia, pullback_groupoid, validate_groupoid,
                       validate_groupoid_morphism)
-from .util import UnionFind, cls_label, pair, search_bijection, unpair
+from .util import pair, quotient, search_bijection, unpair
 
 
 class Bibundle:
@@ -165,7 +165,10 @@ def _mismatches(fib, lhs, rhs):
 
 
 def validate_bibundle(left, right, space, lmom, rmom, lact, ract):
-    zb = Bibundle(left, right, space, lmom, rmom, lact, ract)
+    return _validated(Bibundle(left, right, space, lmom, rmom, lact, ract))
+
+
+def _validated(zb):
     violations = check_bibundle(zb)
     if violations:
         raise ValidationFailure(violations)
@@ -317,55 +320,57 @@ def phi_Z_bijective(f):
     return (not not_injective and not not_surjective, not_injective, not_surjective)
 
 
-def compose_bibundles(z1, z2):
-    """Z1 . Z2 = (Z1 x_{N^0} Z2)/N with (z1 n, z2) ~ (z1, n z2).
+def quotient_bibundle(left, right, members, links, lmom, rmom, lact, ract):
+    """The bibundle left -> right on the classes of util.quotient(members,
+    links), not yet checked: (bibundle, reps), with pair_class set to the
+    class_of map.
 
-    The fibred pairs are numbered in the order of their labels pair(a, b),
-    so the union-find representative of a class, its least number, is its
-    least label, and the class is labelled by it.  The composite g-function
-    identity g^{Z1.Z2}([a,b],[a',b']) = g^{Z2}(b, g^{Z1}(a,a').b') is
-    checked exhaustively before returning.
+    Every table is read at the parts r of a class's least member: lmom(r)
+    and rmom(r) are its moments, lact(m, r) the member label of m.r for
+    each left arrow m out of lmom(r), and ract(r, n) that of r.n for each
+    right arrow n into rmom(r); the class of a member label is the value."""
+    class_of, reps = quotient(members, links)
+    lmoms = {c: lmom(r) for c, r in reps.items()}
+    rmoms = {c: rmom(r) for c, r in reps.items()}
+    lacts, racts = {}, {}
+    for c, r in reps.items():
+        for m in left.arrows_from(lmoms[c]):
+            lacts[(m, c)] = class_of[lact(m, r)]
+        for n in right.arrows_to(rmoms[c]):
+            racts[(c, n)] = class_of[ract(r, n)]
+    zb = Bibundle(left, right, reps, lmoms, rmoms, lacts, racts)
+    zb.pair_class = class_of
+    return zb, reps
+
+
+def compose_bibundles(z1, z2):
+    """Z1 . Z2 = (Z1 x_{N^0} Z2)/N with (z1 n, z2) ~ (z1, n z2), a quotient
+    bibundle whose classes are labelled by their least pair(a, b).  The
+    composite g-function identity
+    g^{Z1.Z2}([a,b],[a',b']) = g^{Z2}(b, g^{Z1}(a,a').b') is checked
+    exhaustively before returning.
     """
     if z1.right is not z2.left and z1.right.arrows != z2.left.arrows:
         raise ValidationFailure([Violation("MiddleMismatch", None)])
     n = z1.right
     over = _fibres(z2.space, z2.lmom)
-    fibred = [(a, b) for a in z1.space for b in over.get(z1.rmom[a], ())]
-    if not fibred:
+    members = {pair(a, b): (a, b) for a in z1.space for b in over.get(z1.rmom[a], ())}
+    if not members:
         raise EmptyComposite("fibered product of bibundle spaces is empty")
-    labels = [pair(a, b) for a, b in fibred]
-    order = sorted(set(labels))
-    number = {lab: k for k, lab in enumerate(order)}
-    num = dict(zip(fibred, map(number.__getitem__, labels)))
-    uf = UnionFind(range(len(order)))
-    for a in z1.space:
-        for nn in n.arrows_to(z1.rmom[a]):
-            an = z1.ract[(a, nn)]
-            for b in over.get(n.src[nn], ()):
-                # (a.n, b) ~ (a, n.b)
-                uf.union(num[(an, b)], num[(a, z2.lact[(nn, b)])])
-    cmap = uf.class_map()
-    name = {k: cls_label(order[r]) for k, r in cmap.items()}
-    cls = {ab: name[k] for ab, k in num.items()}
-    reps = {name[k]: ab for ab, k in num.items() if cmap[k] == k}
-    space = sorted(reps)
-    lmom = {c: z1.lmom[reps[c][0]] for c in space}
-    rmom = {c: z2.rmom[reps[c][1]] for c in space}
-    lact, ract = {}, {}
-    for c in space:
-        a, b = reps[c]
-        for m in z1.left.arrows_from(lmom[c]):
-            lact[(m, c)] = cls[(z1.lact[(m, a)], b)]
-        for nn in z2.right.arrows_to(rmom[c]):
-            ract[(c, nn)] = cls[(a, z2.ract[(b, nn)])]
-    out = validate_bibundle(z1.left, z2.right, space, lmom, rmom, lact, ract)
-    out.pair_class = {order[k]: c for k, c in name.items()}
+    # (a.n, b) ~ (a, n.b)
+    links = [(pair(z1.ract[(a, nn)], b), pair(a, z2.lact[(nn, b)]))
+             for a in z1.space for nn in n.arrows_to(z1.rmom[a])
+             for b in over.get(n.src[nn], ())]
+    out, reps = quotient_bibundle(
+        z1.left, z2.right, members, links, lambda r: z1.lmom[r[0]],
+        lambda r: z2.rmom[r[1]], lambda m, r: pair(z1.lact[(m, r[0])], r[1]),
+        lambda r, nn: pair(r[0], z2.ract[(r[1], nn)]))
+    _validated(out)
 
     g1, g2, gc = g_function(z1), g_function(z2), g_function(out)
-    same_lmom = _fibres(space, lmom)
-    for c in space:
-        a, b = reps[c]
-        for c2 in same_lmom[lmom[c]]:
+    same_lmom = _fibres(out.space, out.lmom)
+    for c, (a, b) in reps.items():
+        for c2 in same_lmom[out.lmom[c]]:
             a2, b2 = reps[c2]
             # move a2 into a's N-orbit slot: lmom equal guarantees g1 solves it
             nmid = g1[(a, a2)]
@@ -419,32 +424,20 @@ def morita_witness(g, h, node_cap=10**6):
     matched = _match_orbits(g, h, gorbs, horbs, gb, hb)
     if matched is None:
         return None
-    space, lmom, rmom, lact, ract = [], {}, {}, {}, {}
+    members, links = {}, []
     for (x, y, theta) in matched:
         # classes [gg, hh] with gg: x -> *, hh: * -> y, modulo isotropy at x via theta
-        members = [pair(gg, hh) for gg in g.arrows_from(x) for hh in h.arrows_to(y)]
-        uf = UnionFind(members)
         for gg in g.arrows_from(x):
             for hh in h.arrows_to(y):
-                for s in gb.fiber(x):
-                    uf.union(pair(g.comp[(gg, s)], hh),
-                             pair(gg, h.comp[(theta[s], hh)]))
-        cmap = uf.class_map()
-        reps = {}
-        for rep in set(cmap.values()):
-            lab = cls_label(rep)
-            reps[lab] = unpair(rep)
-            space.append(lab)
-            gg, hh = reps[lab]
-            lmom[lab] = g.tgt[gg]
-            rmom[lab] = h.src[hh]
-        for lab, (gg, hh) in reps.items():
-            for m in g.arrows_from(g.tgt[gg]):
-                lact[(m, lab)] = cls_label(cmap[pair(g.comp[(m, gg)], hh)])
-            for nn in h.arrows_to(h.src[hh]):
-                ract[(lab, nn)] = cls_label(cmap[pair(gg, h.comp[(hh, nn)])])
+                members[pair(gg, hh)] = (gg, hh)
+                links += [(pair(g.comp[(gg, s)], hh), pair(gg, h.comp[(theta[s], hh)]))
+                          for s in gb.fiber(x)]
+    zb, _ = quotient_bibundle(
+        g, h, members, links, lambda r: g.tgt[r[0]], lambda r: h.src[r[1]],
+        lambda m, r: pair(g.comp[(m, r[0])], r[1]),
+        lambda r, nn: pair(r[0], h.comp[(r[1], nn)]))
     try:
-        zb = validate_bibundle(g, h, space, lmom, rmom, lact, ract)
+        _validated(zb)
     except ValidationFailure:
         return None
     ok, _ = is_morita(zb)
@@ -452,24 +445,24 @@ def morita_witness(g, h, node_cap=10**6):
 
 
 def _orbits(g):
-    uf = UnionFind(g.objects)
-    for a in g.arrows:
-        uf.union(g.src[a], g.tgt[a])
-    return uf.classes()
+    """The orbits of g's objects, each in label order, by least member."""
+    class_of, _ = quotient({x: x for x in g.objects},
+                           ((g.src[a], g.tgt[a]) for a in g.arrows))
+    orbits = {}
+    for x, c in class_of.items():
+        orbits.setdefault(c, []).append(x)
+    return list(orbits.values())
 
 
 def _match_orbits(g, h, gorbs, horbs, gb, hb):
     """Greedy-with-backtracking orbit matching by isotropy isomorphism.
     Returns [(x, y, theta: iso fiber_g(x) -> fiber_h(y))] or None."""
-    gitems = sorted(gorbs.items())
-    hitems = sorted(horbs.items())
-
     def extend(i, used):
-        if i == len(gitems):
+        if i == len(gorbs):
             return []
-        _, gmembers = gitems[i]
+        gmembers = gorbs[i]
         x = gmembers[0]
-        for j, (_, hmembers) in enumerate(hitems):
+        for j, hmembers in enumerate(horbs):
             if j in used:
                 continue
             if len(gmembers) and len(hmembers):

@@ -9,10 +9,9 @@ from .errors import (CoherenceFailure, EmptyFiberedProduct, ExactnessSolveFailur
                      NotAHypercover, ValidationFailure, Violation)
 from . import bibundle as bb
 from . import xmod as xmd
-from .fingrpd import (aut_label, pullback_groupoid, validate_action,
-                      validate_group_bundle, validate_groupoid,
-                      validate_groupoid_morphism)
-from .util import UnionFind, cls_label, pair, strip_class, unpair
+from .fingrpd import (aut_label, pullback_groupoid, quotient_groupoid, validate_action,
+                      validate_group_bundle, validate_groupoid_morphism)
+from .util import pair, strip_class, unpair
 
 # One side of a crossing: (src, tau, a1, a2) with tag "a" or
 # (dst, sigma, b1, b2) with tag "b".
@@ -418,52 +417,30 @@ def _same_xmod(x, y):
 def _diamond_core(cm, cn):
     m, n = cm.m, cn.m
     mid = cm.dst  # == cn.src
-    pairs = [pair(mm, nn) for mm in m.arrows for nn in n.arrows
-             if m.tgt[mm] == n.tgt[nn] and m.src[mm] == n.src[nn]
-             and cm.b2[mm] == cn.a2[nn]]
-    if not pairs:
+    members = {pair(mm, nn): (mm, nn) for mm in m.arrows for nn in n.arrows_to(m.tgt[mm])
+               if m.src[mm] == n.src[nn] and cm.b2[mm] == cn.a2[nn]}
+    if not members:
         raise EmptyFiberedProduct("diamond: fibered product of middles is empty")
-    uf = UnionFind(pairs)
-    for mm in m.arrows:
+    links = []
+    for p, (mm, nn) in members.items():
         u = m.tgt[mm]
-        for h2 in mid.h.fiber(cm.sigma[u]):
-            shifted_m = m.comp[(cm.b1[(u, h2)], mm)]
-            for nn in n.arrows:
-                if n.tgt[nn] == u and m.src[mm] == n.src[nn] \
-                        and cm.b2[mm] == cn.a2[nn]:
-                    shifted_n = n.comp[(cn.a1[(u, h2)], nn)]
-                    uf.union(pair(shifted_m, shifted_n), pair(mm, nn))
-    cmap = uf.class_map()
-
-    def cl(mm, nn):
-        return cls_label(cmap[pair(mm, nn)])
-
-    arrows = sorted({cls_label(r) for r in cmap.values()})
-    reps = {cls_label(r): unpair(r) for r in set(cmap.values())}
-    src = {a: m.src[reps[a][0]] for a in arrows}
-    tgt = {a: m.tgt[reps[a][0]] for a in arrows}
-    inv = {a: cl(m.inv[reps[a][0]], n.inv[reps[a][1]]) for a in arrows}
-    unit = {u: cl(m.unit[u], n.unit[u]) for u in m.objects}
-    comp = {}
-    for a in arrows:
-        ma, na = reps[a]
-        for b_ in arrows:
-            mb, nb = reps[b_]
-            if m.src[ma] == m.tgt[mb]:
-                comp[(a, b_)] = cl(m.comp[(ma, mb)], n.comp[(na, nb)])
-    dm = validate_groupoid(m.objects, arrows, src, tgt, inv, unit, comp)
-
-    a1 = {(u, h1): cl(cm.a1[(u, h1)], n.unit[u])
+        links += [(pair(m.comp[(cm.b1[(u, h2)], mm)], n.comp[(cn.a1[(u, h2)], nn)]), p)
+                  for h2 in mid.h.fiber(cm.sigma[u])]
+    dm, class_of, reps = quotient_groupoid(
+        m.objects, members, links, lambda r: m.src[r[0]], lambda r: m.tgt[r[0]],
+        lambda r: pair(m.inv[r[0]], n.inv[r[1]]), lambda u: pair(m.unit[u], n.unit[u]),
+        lambda r, r2: pair(m.comp[(r[0], r2[0])], n.comp[(r[1], r2[1])]))
+    a1 = {(u, h1): class_of[pair(cm.a1[(u, h1)], n.unit[u])]
           for u in dm.objects for h1 in cm.src.h.fiber(cm.tau[u])}
-    b1 = {(u, h3): cl(m.unit[u], cn.b1[(u, h3)])
+    b1 = {(u, h3): class_of[pair(m.unit[u], cn.b1[(u, h3)])]
           for u in dm.objects for h3 in cn.dst.h.fiber(cn.sigma[u])}
-    a2 = {a: cm.a2[reps[a][0]] for a in arrows}
-    b2 = {a: cn.b2[reps[a][1]] for a in arrows}
+    a2 = {a: cm.a2[mm] for a, (mm, _) in reps.items()}
+    b2 = {a: cn.b2[nn] for a, (_, nn) in reps.items()}
     both_ext = cm.is_extension and cn.is_extension
     make = validate_crossed_extension if both_ext else validate_crossing
     out = make(cm.src, cn.dst, dm, dict(cm.tau), dict(cn.sigma),
                a1, a2, b1, b2)
-    out.pair_class = {p: cls_label(r) for p, r in cmap.items()}
+    out.pair_class = class_of
     return out
 
 
@@ -518,39 +495,23 @@ def crossed_semidirect(c, side="H1"):
     bund, mom, leg2_self, act_mod = s.xm.h, s.mom, s.leg2, s.xm
     other_bund, other_mom, other_leg = o.xm.h, o.mom, o.leg1
 
-    members = [pair(m.tgt[mm], hh, mm) for mm in m.arrows
-               for hh in bund.fiber(mom[m.tgt[mm]])]
-    uf = UnionFind(members)
-    for mm in m.arrows:
-        u = m.tgt[mm]
-        for hh in bund.fiber(mom[u]):
-            for kk in other_bund.fiber(other_mom[u]):
-                shifted = m.comp[(other_leg[(u, kk)], mm)]
-                uf.union(pair(u, hh, shifted), pair(u, hh, mm))
-    cmap = uf.class_map()
+    members = {pair(m.tgt[mm], hh, mm): (m.tgt[mm], hh, mm) for mm in m.arrows
+               for hh in bund.fiber(mom[m.tgt[mm]])}
+    links = [(pair(u, hh, m.comp[(other_leg[(u, kk)], mm)]), p)
+             for p, (u, hh, mm) in members.items() for kk in other_bund.fiber(other_mom[u])]
 
-    def cl(u, hh, mm):
-        return cls_label(cmap[pair(u, hh, mm)])
+    def inv(r):
+        _, hh, mm = r
+        return pair(m.src[mm], bund.inv[act_mod.act(leg2_self[mm], hh)], m.inv[mm])
 
-    arrows = sorted({cls_label(r) for r in cmap.values()})
-    reps = {cls_label(r): unpair(r, 3) for r in set(cmap.values())}
-    src = {a: m.src[reps[a][2]] for a in arrows}
-    tgt = {a: m.tgt[reps[a][2]] for a in arrows}
-    unit = {u: cl(u, bund.unit[mom[u]], m.unit[u]) for u in m.objects}
-    inv, comp = {}, {}
-    for a in arrows:
-        u, hh, mm = reps[a]
-        hg = act_mod.act(leg2_self[mm], hh)
-        inv[a] = cl(m.src[mm], bund.inv[hg], m.inv[mm])
-    for a in arrows:
-        u, hh, mm = reps[a]
-        for b_ in arrows:
-            v, kk, nn = reps[b_]
-            if m.src[mm] == m.tgt[nn]:
-                twisted = act_mod.act(act_mod.g.inv[leg2_self[mm]], kk)
-                comp[(a, b_)] = cl(u, bund.comp[(hh, twisted)], m.comp[(mm, nn)])
-    gpd = validate_groupoid(m.objects, arrows, src, tgt, inv, unit, comp)
-    class_of = {mem: cls_label(cmap[mem]) for mem in members}
+    def comp(r, r2):
+        u, hh, mm = r
+        twisted = act_mod.act(act_mod.g.inv[leg2_self[mm]], r2[1])
+        return pair(u, bund.comp[(hh, twisted)], m.comp[(mm, r2[2])])
+
+    gpd, class_of, _ = quotient_groupoid(
+        m.objects, members, links, lambda r: m.src[r[2]], lambda r: m.tgt[r[2]], inv,
+        lambda u: pair(u, bund.unit[mom[u]], m.unit[u]), comp)
     return gpd, class_of
 
 

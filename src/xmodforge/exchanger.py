@@ -7,10 +7,10 @@ from .errors import (CoherenceFailure, ExactnessSolveFailure, NotComposable,
 from . import bibundle as bb
 from . import crossing as cr
 from . import xmod as xmd
-from .fingrpd import (check_groupoid_morphism, identity_morphism,
-                      validate_action, validate_group_bundle, validate_groupoid,
+from .fingrpd import (check_groupoid_morphism, identity_morphism, quotient_groupoid,
+                      validate_action, validate_group_bundle,
                       validate_groupoid_morphism)
-from .util import UnionFind, cls_label, pair, strip_class, unpair
+from .util import pair, quotient, strip_class, unpair
 
 
 # -- homomorphisms of crossed extensions -------------------------------------
@@ -485,15 +485,14 @@ def horizontal_diamond(ex1, ex2):
     src_d = cr.diamond(a1c, b1c)
     dst_d = cr.diamond(a2c, b2c)
     p1, p2 = ex1.p, ex2.p
-    carrier = [pair(x, y) for x in p1.space for y in p2.space
-               if p1.lmom[x] == p2.lmom[y] and p1.rmom[x] == p2.rmom[y]]
+    carrier = {pair(x, y): (x, y) for x in p1.space for y in p2.space
+               if p1.lmom[x] == p2.lmom[y] and p1.rmom[x] == p2.rmom[y]}
     if not carrier:
         raise NotComposable("EmptyDiamond: no compatible carrier pairs")
     # Quotient by the diagonal (h2, h5)-action of the H2 x H5 bundle:
     # (h2,h5).(p1,p2) = (b1(h2) p1 mu1(h5)^-1, d1(h2) p2 nu1(h5)^-1).
-    uf = UnionFind(carrier)
-    for z in carrier:
-        x, y = unpair(z)
+    links = []
+    for z, (x, y) in carrier.items():
         u = p1.lmom[x]
         v = p1.rmom[x]
         for h2 in a1c.dst.h.fiber(a1c.sigma[u]):
@@ -502,45 +501,43 @@ def horizontal_diamond(ex1, ex2):
             for h5 in a2c.dst.h.fiber(a2c.sigma[v]):
                 x2 = p1.ract[(x1, p1.right.inv[a2c.b1[(v, h5)]])]
                 y2 = p2.ract[(y1, p2.right.inv[b2c.a1[(v, h5)]])]
-                uf.union(pair(x2, y2), z)
-    cmap = uf.class_map()
-    space_all = sorted({cls_label(r) for r in cmap.values()})
-    reps = {cls_label(r): unpair(r) for r in set(cmap.values())}
-    lmom = {c: p1.lmom[reps[c][0]] for c in space_all}
-    rmom = {c: p1.rmom[reps[c][0]] for c in space_all}
-    lact, ract = {}, {}
-    comp_uf = UnionFind(space_all)
-    for c in space_all:
-        x, y = reps[c]
-        for mm in src_d.m.arrows_from(lmom[c]):
-            m1, m2 = unpair(strip_class(mm))
-            lact[(mm, c)] = cls_label(cmap[pair(p1.lact[(m1, x)],
-                                                p2.lact[(m2, y)])])
-            comp_uf.union(c, lact[(mm, c)])
-        for nn in dst_d.m.arrows_to(rmom[c]):
-            n1, n2 = unpair(strip_class(nn))
-            ract[(c, nn)] = cls_label(cmap[pair(p1.ract[(x, n1)],
-                                                p2.ract[(y, n2)])])
-            comp_uf.union(c, ract[(c, nn)])
+                links.append((pair(x2, y2), z))
+
+    def lact(mm, r):
+        m1, m2 = unpair(strip_class(mm))
+        return pair(p1.lact[(m1, r[0])], p2.lact[(m2, r[1])])
+
+    def ract(r, nn):
+        n1, n2 = unpair(strip_class(nn))
+        return pair(p1.ract[(r[0], n1)], p2.ract[(r[1], n2)])
+
+    whole, _ = bb.quotient_bibundle(src_d.m, dst_d.m, carrier, links,
+                                    lambda r: p1.lmom[r[0]], lambda r: p1.rmom[r[0]],
+                                    lact, ract)
     # The double-fibered carrier splits into action-closed components; only
     # components that are genuinely principal represent the composite 1-cell
     # (the unrestricted carrier is too wide when the middle bundles
     # are small; see the ledger). Take the least-labeled valid component.
+    component, _ = quotient({c: c for c in whole.space},
+                            [(c, v) for (_, c), v in whole.lact.items()] +
+                            [(c, v) for (c, _), v in whole.ract.items()])
+    components = {}
+    for c, k in component.items():
+        components.setdefault(k, []).append(c)
     failures = []
-    for rep_lbl, members in sorted(comp_uf.classes().items()):
+    for members in components.values():
         comp_set = set(members)
-        sub_lact = {k: v for k, v in lact.items() if k[1] in comp_set}
-        sub_ract = {k: v for k, v in ract.items() if k[0] in comp_set}
+        sub_lact = {k: v for k, v in whole.lact.items() if k[1] in comp_set}
+        sub_ract = {k: v for k, v in whole.ract.items() if k[0] in comp_set}
         try:
-            p = bb.validate_bibundle(src_d.m, dst_d.m, sorted(comp_set),
-                                     {c: lmom[c] for c in comp_set},
-                                     {c: rmom[c] for c in comp_set},
+            p = bb.validate_bibundle(src_d.m, dst_d.m, members,
+                                     {c: whole.lmom[c] for c in members},
+                                     {c: whole.rmom[c] for c in members},
                                      sub_lact, sub_ract)
         except ValidationFailure as e:
             failures.extend(e.violations)
             continue
-        p.pair_class = {z: cls_label(r) for z, r in cmap.items()
-                        if cls_label(r) in comp_set}
+        p.pair_class = {z: c for z, c in whole.pair_class.items() if c in comp_set}
         out = SemiExchanger(src_d, dst_d, p)
         violations = check_semi_exchanger(out)
         if violations:
@@ -593,35 +590,21 @@ def _quotient_middle(p, mn, s, t):
     of the target: the b sides give the Q1 of the G1^P module, the a sides
     the Q2. Returns (groupoid, class_of)."""
     m, n = p.left, p.right
-    uf = UnionFind(mn.arrows)
+    links = []
     for q in mn.arrows:
         mm, p1, p2, nn = unpair(q)
         u2, v1 = p.lmom[p2], p.rmom[p1]
         for h2 in s.xm.h.fiber(s.mom[u2]):
             m2 = m.comp[(mm, s.leg1[(u2, h2)])]
             for h4 in t.xm.h.fiber(t.mom[v1]):
-                n2 = n.comp[(t.leg1[(v1, h4)], nn)]
-                q2 = pair(m2, p1, p2, n2)
+                q2 = pair(m2, p1, p2, n.comp[(t.leg1[(v1, h4)], nn)])
                 if q2 in mn.arrows:
-                    uf.union(q2, q)
-    cmap = uf.class_map()
-    class_of = {q: cls_label(r) for q, r in cmap.items()}
-    arrows = sorted(set(class_of.values()))
-    reps = {cls_label(r): unpair(r) for r in set(cmap.values())}
-    src = {c: mn.src[pair(*reps[c])] for c in arrows}
-    tgt = {c: mn.tgt[pair(*reps[c])] for c in arrows}
-    inv = {c: class_of[mn.inv[pair(*reps[c])]] for c in arrows}
-    unit = {pz: class_of[mn.unit[pz]] for pz in mn.objects}
-    comp = {}
-    by_tgt = {}
-    for c in arrows:
-        by_tgt.setdefault(tgt[c], []).append(c)
-    for c in arrows:
-        qc = pair(*reps[c])
-        for c2 in by_tgt.get(src[c], ()):
-            q2 = pair(*reps[c2])
-            comp[(c, c2)] = class_of[mn.comp[(qc, q2)]]
-    return validate_groupoid(mn.objects, arrows, src, tgt, inv, unit, comp), class_of
+                    links.append((q2, q))
+    gpd, class_of, _ = quotient_groupoid(
+        mn.objects, {q: q for q in mn.arrows}, links, mn.src.__getitem__,
+        mn.tgt.__getitem__, mn.inv.__getitem__, mn.unit.__getitem__,
+        lambda q, q2: mn.comp[(q, q2)])
+    return gpd, class_of
 
 
 def _decomp_module(p, s, t, qgpd, class_of):

@@ -8,7 +8,7 @@ arrow calculus and the GDF table entry `g.h=k`.
 """
 
 from .errors import ValidationFailure, Violation, SizeLimitExceeded
-from .util import labelset, pair, search_bijection, unpair
+from .util import labelset, pair, quotient, search_bijection, unpair
 
 DEFAULT_FIBER_CAP = 12
 
@@ -148,6 +148,32 @@ def validate_groupoid(objects, arrows, src, tgt, inv, unit, comp):
     if violations:
         raise ValidationFailure(violations)
     return Groupoid(objects, arrows, src, tgt, inv, unit, comp)
+
+
+def quotient_groupoid(objects, members, links, src, tgt, inv, unit, comp):
+    """The groupoid on objects whose arrows are the classes of util.quotient
+    (members, links): (groupoid, class_of, reps).
+
+    Every table is read at the parts r of a class's least member: src(r)
+    and tgt(r) are its endpoints, inv(r) the member label of its inverse,
+    comp(r, r2) that of the composite with the class r2, and unit(x) the
+    member label of the unit at x; the class of a member label is the
+    value.  The composites of a class are taken only with the classes whose
+    target is its source.  Raises ValidationFailure when the tables do not
+    form a groupoid."""
+    class_of, reps = quotient(members, links)
+    source = {c: src(r) for c, r in reps.items()}
+    target = {c: tgt(r) for c, r in reps.items()}
+    by_tgt = {}
+    for c, y in target.items():
+        by_tgt.setdefault(y, []).append(c)
+    gpd = validate_groupoid(
+        objects, reps.keys(), source, target,
+        {c: class_of[inv(r)] for c, r in reps.items()},
+        {x: class_of[unit(x)] for x in objects},
+        {(c, c2): class_of[comp(r, reps[c2])]
+         for c, r in reps.items() for c2 in by_tgt.get(source[c], ())})
+    return gpd, class_of, reps
 
 
 # -- stock groupoids -------------------------------------------------------

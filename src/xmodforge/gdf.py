@@ -328,15 +328,11 @@ def _build_morphism(b, env):
         _pairs(e.get("left", []), b.line),
         _pairs(e.get("right", []), b.line),
         _pairs(e.get("map", []), b.line))
-    if frm is not None and frm not in env:
-        raise UnresolvedReference(frm, b)
-    if to is not None and to not in env:
-        raise UnresolvedReference(to, b)
-    if frm and to and data.lmap and data.rmap:
-        src, dst = env[frm], env[to]
-        if isinstance(src, xmmod.CrossedModule):
-            return xmmod.validate_strict_xmorphism(
-                src, dst, data.omap, data.lmap, data.rmap)
+    src, dst = (None if name is None else _ref(env, name, b) for name in (frm, to))
+    if isinstance(src, xmmod.CrossedModule) and dst is not None and data.lmap and data.rmap:
+        # a strict morphism of crossed modules: its target is one too
+        return xmmod.validate_strict_xmorphism(
+            src, _ref(env, to, b, xmmod.CrossedModule), data.omap, data.lmap, data.rmap)
     return data
 
 

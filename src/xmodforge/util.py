@@ -1,4 +1,4 @@
-"""Label algebra, union-find quotients, and small backtracking searches.
+"""Label algebra, orbit-space quotients, and small backtracking searches.
 
 Tuple labels "(a,b,...)" and class labels "{rep}" are built and read only
 here: pair/unpair and cls_label/strip_class."""
@@ -63,39 +63,41 @@ def strip_class(label):
     return label[1:-1]
 
 
-class UnionFind:
-    """Union-find over label strings; class representative is the
-    lexicographically least member, so quotient output is bit-stable."""
+def quotient(members, links):
+    """The classes of members under the equivalence that links generate.
 
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+    members maps each member label to the parts it was built from (the
+    tuple with pair(*parts) == label) or to the label itself; links holds
+    (label, label) pairs to glue.  The labels are numbered in label order
+    and glued by union-find on the numbers, the larger root under the
+    smaller, so a class's least number is its least label.  Returns
+    (class_of, reps): class_of maps each member, in the order of members,
+    to cls_label(least member); reps maps each class label, in class-label
+    order, to the parts of its least member.  No label is parsed, so a
+    label may contain any character."""
+    order = sorted(members)
+    number = {lab: k for k, lab in enumerate(order)}
+    root = list(range(len(order)))
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
+    def find(k):
+        while root[k] != k:
+            root[k] = k = root[root[k]]
+        return k
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
+    for a, b in links:
+        ra, rb = find(number[a]), find(number[b])
         if ra != rb:
-            self.parent[rb] = ra
-
-    def classes(self):
-        by_root = {}
-        for x in self.parent:
-            by_root.setdefault(self.find(x), []).append(x)
-        return {min(members): sorted(members) for members in by_root.values()}
-
-    def class_map(self):
-        """item -> representative (lexicographic least of its class)."""
-        out = {}
-        for rep, members in self.classes().items():
-            for m in members:
-                out[m] = rep
-        return out
+            root[max(ra, rb)] = min(ra, rb)
+    name, reps = [], {}
+    for k, lab in enumerate(order):
+        r = find(k)  # r <= k: a class is named at its least member
+        if r < k:
+            name.append(name[r])
+        else:
+            name.append(cls_label(lab))
+            reps[name[k]] = members[lab]
+    return ({lab: name[number[lab]] for lab in members},
+            dict(sorted(reps.items())))
 
 
 def search_bijection(xs, ys, candidates, consistent, node_cap=10**6):

@@ -11,7 +11,9 @@ from xmodforge import cli, fingrpd, gdf, generators, util
 from xmodforge.errors import EmptyComposite, ValidationFailure, Violation
 from xmodforge.fingrpd import (cyclic_groupoid, identity_morphism, unit_groupoid,
                                validate_groupoid_morphism)
-from xmodforge.util import UnionFind, cls_label, pair
+from xmodforge.util import cls_label, pair
+
+from quotient_oracles import UnionFind
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -287,6 +288,41 @@ def test_pullback_to_an_unknown_object_exits_1(name, tmp_path, capsys):
     code = run_cli(["compose", str(p), "--op", "pullback:f", "--inputs", name])
     assert code == cli.EXIT_VALIDATION
     assert "BadObjectImage witness=('z0',)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("morphism, name", [
+    ("  from: NOPE\n  to: OSC2_M\n", "NOPE"),
+    # from an xmod, with both leg maps, to a groupoid
+    ("  from: OSC2_src\n  to: OSC2_M\n  objects: *=*\n  left: c0=c0 c1=c1\n"
+     "  right: c0=c0 c1=c1\n", "OSC2_M"),
+], ids=["unknown-from", "xmod-to-groupoid"])
+def test_a_bad_morphism_reference_names_the_block(morphism, name, tmp_path, capsys):
+    with open(fixture("osc2.gdf")) as fh:
+        text = fh.read()
+    p = tmp_path / "in.gdf"
+    p.write_text(text + "morphism f {\n" + morphism + "}\n")
+    message = f"block 'f' references unknown name '{name}'"
+    assert run_cli(["check", str(p)]) == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().out
+    assert run_cli(["compose", str(p), "--op", "pullback:f", "--inputs", "OSC2_M"]) == 2
+    assert f"document error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["morita-witness", "--left", "OSC2_M", "--right", "OSC2_M"],
+    ["compose", "--op", "diamond", "--inputs", "OSC2", "OSC2"],
+    ["compose", "--op", "semidirect", "--inputs", "OSC2"],
+], ids=["morita-witness", "diamond", "semidirect"])
+def test_quotients_of_labels_with_commas(argv, tmp_path, capsys):
+    # the middle groupoid's arrows (cX,cY) renamed to atoms mcXcY,r, which
+    # contain the tuple separator; the output builds again
+    with open(fixture("osc2.gdf")) as fh:
+        text = re.sub(r"\((c\d),(c\d)\)", r"m\1\2,r", fh.read())
+    assert "mc0c1,r" in text
+    p = tmp_path / "commas.gdf"
+    p.write_text(text)
+    assert run_cli([argv[0], str(p), *argv[1:]]) == cli.EXIT_OK
+    assert gdf.build_document(gdf.parse_gdf(capsys.readouterr().out))
 
 
 @pytest.mark.parametrize("path, old, new, code", [

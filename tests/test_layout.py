@@ -1,8 +1,8 @@
 """Layout rules for the library source, read with ast: no unreferenced
 top-level definitions or module-level names, no imported name that nothing
 reads, no assert statements, no module reaching into
-another module's private names, and label sets built once by util.labelset and
-never re-sorted or copied."""
+another module's private names, label sets built once by util.labelset and
+never re-sorted or copied, and every quotient built by util.quotient."""
 
 import ast
 import functools
@@ -159,6 +159,21 @@ def test_no_sorted_or_set_copy_of_a_label_set():
                     not call.keywords and isinstance(call.args[0], ast.Attribute) \
                     and call.args[0].attr in LABEL_SETS:
                 found.append((module, call.func.id, call.lineno))
+    assert found == []
+
+
+def test_every_quotient_is_built_by_util_quotient():
+    # classes are named by cls_label in util alone, and no union-find is
+    # defined or read outside it
+    found = []
+    for module, tree in library_modules():
+        found += [(module, "cls_label", call.lineno) for call in calls(tree, "cls_label")
+                  if module != "util"]
+        found += [(module, "UnionFind") for name in names_used(tree) if name == "UnionFind"]
+        found += [(module, "import UnionFind") for sub in library_import_froms(tree)
+                  for alias in sub.names if alias.name == "UnionFind"]
+        found += [(module, top.name) for top in tree.body
+                  if isinstance(top, ast.ClassDef) and top.name == "UnionFind"]
     assert found == []
 
 
