@@ -4,8 +4,8 @@ composition of bibundles."""
 
 from itertools import repeat
 
-from .errors import CoherenceFailure, EmptyComposite, ValidationFailure, Violation
-from .fingrpd import (inertia, pullback_groupoid, validate_groupoid,
+from .errors import CoherenceFailure, EmptyComposite, ValidationFailure, Violation, require
+from .fingrpd import (groupoid_of_parts, inertia, pullback_groupoid,
                       validate_groupoid_morphism)
 from .util import pair, quotient, search_bijection, unpair
 
@@ -169,10 +169,7 @@ def validate_bibundle(left, right, space, lmom, rmom, lact, ract):
 
 
 def _validated(zb):
-    violations = check_bibundle(zb)
-    if violations:
-        raise ValidationFailure(violations)
-    return zb
+    return require(zb, check_bibundle(zb))
 
 
 def division(zb, side):
@@ -253,9 +250,7 @@ def g_function(zb):
     Raises ValidationFailure with the first witness of the right division
     (NotTransitive or NotFree) when zb is not right-principal."""
     table, violations = division(zb, "right")
-    if violations:
-        raise ValidationFailure(violations[:1])
-    return table
+    return require(table, violations[:1])
 
 
 def projective_groupoid(zb):
@@ -270,24 +265,17 @@ def projective_groupoid(zb):
     """
     m, n = zb.left, zb.right
     g = g_function(zb)
-    arrows, src, tgt, inv, by_tgt = [], {}, {}, {}, {}
+    parts = {}
     for z1 in zb.space:
         for z2 in zb.space:
             for mm in m.hom(zb.lmom[z2], zb.lmom[z1]):
                 nn = g[(z1, zb.lact[(mm, z2)])]
-                q = pair(mm, z1, z2, nn)
-                arrows.append(q)
-                src[q], tgt[q] = z2, z1
-                inv[q] = pair(m.inv[mm], z2, z1, n.inv[nn])
-                by_tgt.setdefault(z1, []).append(q)
-    unit = {z: pair(m.unit[zb.lmom[z]], z, z, n.unit[zb.rmom[z]]) for z in zb.space}
-    comp = {}
-    for q in arrows:
-        mm, z1, z2, nn = unpair(q)
-        for q2 in by_tgt.get(z2, ()):
-            mm2, _, z3, nn2 = unpair(q2)
-            comp[(q, q2)] = pair(m.comp[(mm, mm2)], z1, z3, n.comp[(nn, nn2)])
-    return validate_groupoid(zb.space, arrows, src, tgt, inv, unit, comp)
+                parts[pair(mm, z1, z2, nn)] = (mm, z1, z2, nn)
+    return groupoid_of_parts(
+        zb.space, parts, lambda r: r[2], lambda r: r[1],
+        lambda r: pair(m.inv[r[0]], r[2], r[1], n.inv[r[3]]),
+        lambda z: pair(m.unit[zb.lmom[z]], z, z, n.unit[zb.rmom[z]]),
+        lambda r, r2: pair(m.comp[(r[0], r2[0])], r[1], r2[2], n.comp[(r[3], r2[3])]))
 
 
 def phi_Z(zb):

@@ -6,11 +6,11 @@ pullbacks, and the M-diamond-Mbar equivalence."""
 from collections import namedtuple
 
 from .errors import (CoherenceFailure, EmptyFiberedProduct, ExactnessSolveFailure,
-                     NotAHypercover, ValidationFailure, Violation)
+                     NotAHypercover, ValidationFailure, Violation, require)
 from . import bibundle as bb
 from . import xmod as xmd
-from .fingrpd import (aut_label, pullback_groupoid, quotient_groupoid, validate_action,
-                      validate_group_bundle, validate_groupoid_morphism)
+from .fingrpd import (as_group_bundle, aut_label, groupoid_of_parts, pullback_groupoid,
+                      quotient_groupoid, validate_action, validate_groupoid_morphism)
 from .util import pair, strip_class, unpair
 
 # One side of a crossing: (src, tau, a1, a2) with tag "a" or
@@ -203,18 +203,12 @@ def check_cr3_prime(c):
 
 def validate_crossing(src_xmod, dst_xmod, m, tau, sigma, a1, a2, b1, b2):
     c = Crossing(src_xmod, dst_xmod, m, tau, sigma, a1, a2, b1, b2)
-    violations = check_crossing(c)
-    if violations:
-        raise ValidationFailure(violations)
-    return c
+    return require(c, check_crossing(c))
 
 
 def validate_crossed_extension(src_xmod, dst_xmod, m, tau, sigma, a1, a2, b1, b2):
     c = CrossedExtension(src_xmod, dst_xmod, m, tau, sigma, a1, a2, b1, b2)
-    violations = check_crossing(c, prime=True)
-    if violations:
-        raise ValidationFailure(violations)
-    return c
+    return require(c, check_crossing(c, prime=True))
 
 
 def images_commute(c):
@@ -314,10 +308,7 @@ def mbar(c):
     """Swap the legs: a crossed extension of (dst, src)."""
     flipped = CrossedExtension(c.dst, c.src, c.m, dict(c.sigma), dict(c.tau),
                                dict(c.b1), dict(c.b2), dict(c.a1), dict(c.a2))
-    violations = check_crossing(flipped, prime=True)
-    if violations:
-        raise ValidationFailure(violations)
-    return flipped
+    return require(flipped, check_crossing(flipped, prime=True))
 
 
 # -- pullback ---------------------------------------------------------------
@@ -346,42 +337,28 @@ def decompose_crossing(c):
     """The third crossed module G' = (H1[M^0] x H2[M^0] -> M) with the two
     projection strict morphisms; chi_left is a hypercover, and chi_right too
     when c is a crossed extension."""
-    m = c.m
-    harrows, hsrc, hinv, hcomp = [], {}, {}, {}
-    for u in m.objects:
-        for h1 in c.src.h.fiber(c.tau[u]):
-            for h2 in c.dst.h.fiber(c.sigma[u]):
-                a = pair(u, h1, h2)
-                harrows.append(a)
-                hsrc[a] = u
-                hinv[a] = pair(u, c.src.h.inv[h1], c.dst.h.inv[h2])
-    hunit = {u: pair(u, c.src.h.unit[c.tau[u]], c.dst.h.unit[c.sigma[u]])
-             for u in m.objects}
-    for a in harrows:
-        u, h1, h2 = unpair(a, 3)
-        for b_ in harrows:
-            v, k1, k2 = unpair(b_, 3)
-            if v == u:
-                hcomp[(a, b_)] = pair(u, c.src.h.comp[(h1, k1)],
-                                      c.dst.h.comp[(h2, k2)])
-    bundle = validate_group_bundle(m.objects, harrows, hsrc, dict(hsrc),
-                                   hinv, hunit, hcomp)
-    boundary = {}
-    for a in harrows:
-        u, h1, h2 = unpair(a, 3)
-        boundary[a] = m.comp[(c.a1[(u, h1)], c.b1[(u, h2)])]
+    m, h1s, h2s = c.m, c.src.h, c.dst.h
+    parts = {pair(u, h1, h2): (u, h1, h2) for u in m.objects
+             for h1 in h1s.fiber(c.tau[u]) for h2 in h2s.fiber(c.sigma[u])}
+    bundle = as_group_bundle(groupoid_of_parts(
+        m.objects, parts, lambda r: r[0], lambda r: r[0],
+        lambda r: pair(r[0], h1s.inv[r[1]], h2s.inv[r[2]]),
+        lambda u: pair(u, h1s.unit[c.tau[u]], h2s.unit[c.sigma[u]]),
+        lambda r, r2: pair(r[0], h1s.comp[(r[1], r2[1])], h2s.comp[(r[2], r2[2])])))
+    boundary = {a: m.comp[(c.a1[(u, h1)], c.b1[(u, h2)])]
+                for a, (u, h1, h2) in parts.items()}
     act = {}
     for mm in m.arrows:
         u1, u2 = m.tgt[mm], m.src[mm]
         for a in bundle.fiber(u1):
-            _, h1, h2 = unpair(a, 3)
+            _, h1, h2 = parts[a]
             act[(mm, a)] = pair(u2, c.src.act(c.a2[mm], h1),
                                 c.dst.act(c.b2[mm], h2))
     gprime = xmd.validate_crossed_module(m, bundle, boundary,
                                          validate_action(m, bundle, act))
     # chi_left, then chi_right: the projections onto the a and b sides
     chis = [xmd.validate_strict_xmorphism(
-        gprime, s.xm, dict(s.mom), {a: unpair(a, 3)[k] for a in harrows},
+        gprime, s.xm, dict(s.mom), {a: r[k] for a, r in parts.items()},
         {mm: s.leg2[mm] for mm in m.arrows}) for k, s in enumerate(c.sides(), 1)]
     return (gprime, *chis)
 
@@ -660,22 +637,13 @@ def crossing_to_extension(c):
     for x in c.src.g.objects:
         if len(c.src.h.fiber(x)) != 1:
             raise ValidationFailure([Violation("NotAGroupoidModule", (x,))])
-    m = c.m
+    m, h2s = c.m, c.dst.h
     pb_g, _ = xmd.pullback_xmod(c.src, m.objects, c.tau)
-    harrows = [pair(u, hh) for u in m.objects
-               for hh in c.dst.h.fiber(c.sigma[u])]
-    hsrc = {a: unpair(a)[0] for a in harrows}
-    hinv = {a: pair(unpair(a)[0], c.dst.h.inv[unpair(a)[1]]) for a in harrows}
-    hunit = {u: pair(u, c.dst.h.unit[c.sigma[u]]) for u in m.objects}
-    hcomp = {}
-    for a in harrows:
-        u, ha = unpair(a)
-        for b_ in harrows:
-            v, hb = unpair(b_)
-            if v == u:
-                hcomp[(a, b_)] = pair(u, c.dst.h.comp[(ha, hb)])
-    abundle = validate_group_bundle(m.objects, harrows, hsrc, dict(hsrc),
-                                    hinv, hunit, hcomp)
-    iota = {pair(u, hh): c.b1[(u, hh)] for u, hh in map(unpair, harrows)}
+    parts = {pair(u, hh): (u, hh) for u in m.objects for hh in h2s.fiber(c.sigma[u])}
+    abundle = as_group_bundle(groupoid_of_parts(
+        m.objects, parts, lambda r: r[0], lambda r: r[0],
+        lambda r: pair(r[0], h2s.inv[r[1]]), lambda u: pair(u, h2s.unit[c.sigma[u]]),
+        lambda r, r2: pair(r[0], h2s.comp[(r[1], r2[1])])))
+    iota = {a: c.b1[r] for a, r in parts.items()}
     piarr = {mm: pair(m.tgt[mm], c.a2[mm], m.src[mm]) for mm in m.arrows}
     return xmd.validate_extension(abundle, m, pb_g.g, iota, piarr)

@@ -32,6 +32,13 @@ class ValidationFailure(XModForgeError):
         return [v.code for v in self.violations]
 
 
+def require(value, violations):
+    """value, or ValidationFailure(violations) raised when there are any."""
+    if violations:
+        raise ValidationFailure(violations)
+    return value
+
+
 class SizeLimitExceeded(XModForgeError):
     def __init__(self, what, size, cap):
         self.what, self.size, self.cap = what, size, cap

@@ -3,12 +3,12 @@ exchangers, their three compositions, structural isomorphisms, the exchanger
 decomposition, horizontal diamonds, and the weak-unit witnesses."""
 
 from .errors import (CoherenceFailure, ExactnessSolveFailure, NotComposable,
-                     ValidationFailure, Violation)
+                     ValidationFailure, Violation, require)
 from . import bibundle as bb
 from . import crossing as cr
 from . import xmod as xmd
-from .fingrpd import (check_groupoid_morphism, identity_morphism, quotient_groupoid,
-                      validate_action, validate_group_bundle,
+from .fingrpd import (as_group_bundle, check_groupoid_morphism, groupoid_of_parts,
+                      identity_morphism, quotient_groupoid, validate_action,
                       validate_groupoid_morphism)
 from .util import pair, quotient, strip_class, unpair
 
@@ -72,10 +72,7 @@ def check_xext_homomorphism(hom):
 
 def validate_xext_homomorphism(src, dst, chi1, phi, chi2):
     hom = XExtHomomorphism(src, dst, chi1, phi, chi2)
-    violations = check_xext_homomorphism(hom)
-    if violations:
-        raise ValidationFailure(violations)
-    return hom
+    return require(hom, check_xext_homomorphism(hom))
 
 
 def check_xext_equivalence(hom):
@@ -249,10 +246,7 @@ def check_exchanger(ex):
 
 def validate_semi_exchanger(source, target, p):
     ex = SemiExchanger(source, target, p)
-    violations = check_semi_exchanger(ex)
-    if violations:
-        raise ValidationFailure(violations)
-    return ex
+    return require(ex, check_semi_exchanger(ex))
 
 
 def actions_commute(ex):
@@ -316,22 +310,16 @@ def _check_pphi_orbits(hom, ex):
                 raise CoherenceFailure(("orbit space mismatch", key))
 
 
-def vertical_compose(ex1, ex2, require=False):
-    """P bullet Q over the middle crossed extension; E1/E2 re-verified."""
-    p = bb.compose_bibundles(ex1.p, ex2.p)
-    out = SemiExchanger(ex1.source, ex2.target, p)
-    violations = check_semi_exchanger(out)
-    if require and violations:
-        raise ValidationFailure(violations)
-    return out
+def vertical_compose(ex1, ex2):
+    """P bullet Q over the middle crossed extension.  E1/E2 are not
+    re-checked; validate_semi_exchanger checks them."""
+    return SemiExchanger(ex1.source, ex2.target, bb.compose_bibundles(ex1.p, ex2.p))
 
 
 def exchanger_inverse(ex):
     """Pbar with n.pbar = p n^-1, pbar.m = m^-1 p, plus the two witness
     isomorphisms P bullet Pbar => I_source and Pbar bullet P => I_target."""
-    violations = check_exchanger(ex)
-    if violations:
-        raise ValidationFailure(violations)
+    require(ex, check_exchanger(ex))
     pbar = bb.inverse_bibundle(ex.p)
     exbar = SemiExchanger(ex.target, ex.source, pbar)
 
@@ -388,10 +376,7 @@ def check_exchanger_morphism(mor):
 
 def validate_exchanger_morphism(src, dst, eta):
     mor = ExchangerMorphism(src, dst, eta)
-    violations = check_exchanger_morphism(mor)
-    if violations:
-        raise ValidationFailure(violations)
-    return mor
+    return require(mor, check_exchanger_morphism(mor))
 
 
 def _require_bijective(**morphisms):
@@ -571,17 +556,16 @@ def eta_square(ex_p1, ex_p2, ex_q1, ex_q2):
 
 
 def _matched_triples(p, s, t):
-    """(h, pz, k) with s.leg1(h).pz = pz.t.leg1(k), for s a side of the
-    source crossing and t the same side of the target."""
-    out = []
+    """{pair(h, pz, k): (h, pz, k)} with s.leg1(h).pz = pz.t.leg1(k), for s
+    a side of the source crossing and t the same side of the target."""
+    out = {}
     for pz in p.space:
         u, v = p.lmom[pz], p.rmom[pz]
         for hh in s.xm.h.fiber(s.mom[u]):
             moved = p.lact[(s.leg1[(u, hh)], pz)]
-            ks = [kk for kk in t.xm.h.fiber(t.mom[v])
-                  if p.ract[(pz, t.leg1[(v, kk)])] == moved]
-            for kk in ks:
-                out.append((hh, pz, kk))
+            for kk in t.xm.h.fiber(t.mom[v]):
+                if p.ract[(pz, t.leg1[(v, kk)])] == moved:
+                    out[pair(hh, pz, kk)] = (hh, pz, kk)
     return out
 
 
@@ -610,35 +594,21 @@ def _quotient_middle(p, mn, s, t):
 def _decomp_module(p, s, t, qgpd, class_of):
     """The crossed module (H_s *_P H_t -> Q) of the decomposition, for s a
     side of the source crossing and t the same side of the target."""
-    triples = _matched_triples(p, s, t)
+    parts = _matched_triples(p, s, t)
     ba, bbnd = s.xm.h, t.xm.h
-    harrows = [pair(h, pz, k) for (h, pz, k) in triples]
-    hsrc = {pair(h, pz, k): pz for (h, pz, k) in triples}
-    hinv = {pair(h, pz, k): pair(ba.inv[h], pz, bbnd.inv[k])
-            for (h, pz, k) in triples}
-    hunit = {pz: pair(ba.unit[s.mom[p.lmom[pz]]], pz,
-                      bbnd.unit[t.mom[p.rmom[pz]]]) for pz in p.space}
-    hcomp = {}
-    by_point = {}
-    for x in harrows:
-        by_point.setdefault(hsrc[x], []).append(x)
-    for x in harrows:
-        h, pz, k = unpair(x, 3)
-        for x2 in by_point.get(pz, ()):
-            h2, _, k2 = unpair(x2, 3)
-            hcomp[(x, x2)] = pair(ba.comp[(h, h2)], pz, bbnd.comp[(k, k2)])
-    bundle = validate_group_bundle(p.space, harrows, hsrc, dict(hsrc),
-                                   hinv, hunit, hcomp)
-    boundary = {}
-    for x in harrows:
-        h, pz, k = unpair(x, 3)
-        u, v = p.lmom[pz], p.rmom[pz]
-        boundary[x] = class_of[pair(s.leg1[(u, h)], pz, pz, t.leg1[(v, k)])]
+    bundle = as_group_bundle(groupoid_of_parts(
+        p.space, parts, lambda r: r[1], lambda r: r[1],
+        lambda r: pair(ba.inv[r[0]], r[1], bbnd.inv[r[2]]),
+        lambda pz: pair(ba.unit[s.mom[p.lmom[pz]]], pz, bbnd.unit[t.mom[p.rmom[pz]]]),
+        lambda r, r2: pair(ba.comp[(r[0], r2[0])], r[1], bbnd.comp[(r[2], r2[2])])))
+    boundary = {x: class_of[pair(s.leg1[(p.lmom[pz], h)], pz, pz,
+                                 t.leg1[(p.rmom[pz], k)])]
+                for x, (h, pz, k) in parts.items()}
     act = {}
     for c in qgpd.arrows:
         mm, p1, p2, nn = unpair(strip_class(c))
         for x in bundle.fiber(p1):
-            h, _, k = unpair(x, 3)
+            h, _, k = parts[x]
             act[(c, x)] = pair(s.xm.act(s.leg2[mm], h), p2,
                                t.xm.act(t.leg2[nn], k))
     mod = xmd.validate_crossed_module(qgpd, bundle, boundary,
@@ -651,9 +621,7 @@ def exchanger_decompose(ex):
     equivalence homomorphisms A <- P -> B of the decomposition theorem.
 
     Returns (P, hom_to_source, hom_to_target)."""
-    violations = check_exchanger(ex)
-    if violations:
-        raise ValidationFailure(violations)
+    require(ex, check_exchanger(ex))
     a = same_base_form(ex.source)
     b = same_base_form(ex.target)
     p0 = ex.p

@@ -4,7 +4,7 @@ Morita classification of groupoid A-extensions."""
 import itertools
 
 from .errors import CoherenceFailure, SizeLimitExceeded
-from .fingrpd import (as_group_bundle, cyclic_groupoid, validate_groupoid,
+from .fingrpd import (as_group_bundle, cyclic_groupoid, groupoid_of_parts,
                       validate_groupoid_morphism)
 from .util import pair, search_bijection
 from . import xmod as xm
@@ -74,23 +74,19 @@ def cocycle_extension(gname, aname, f_or_value, cap=DEFAULT_ENUM_CAP):
     def lab(ai, gi):
         return pair(f"a{ai}", f"g{gi}")
 
-    earr = [lab(ai, gi) for ai in range(an) for gi in range(gn)]
-    src = {e: "*" for e in earr}
-    comp, inv = {}, {}
-    for ai in range(an):
-        for gi in range(gn):
-            for bi in range(an):
-                for hi in range(gn):
-                    comp[(lab(ai, gi), lab(bi, hi))] = lab(
-                        (ai + bi + f[(gi, hi)]) % an, (gi + hi) % gn)
-    for ai in range(an):
-        for gi in range(gn):
-            bi = (-ai - f[(gi, (-gi) % gn)]) % an
-            inv[lab(ai, gi)] = lab(bi, (-gi) % gn)
-    e = validate_groupoid(["*"], earr, src, dict(src), inv,
-                          {"*": lab(0, 0)}, comp)
+    def inverse(r):
+        ai, gi = r
+        return lab((-ai - f[(gi, (-gi) % gn)]) % an, (-gi) % gn)
+
+    def compose(r, r2):
+        (ai, gi), (bi, hi) = r, r2
+        return lab((ai + bi + f[(gi, hi)]) % an, (gi + hi) % gn)
+
+    parts = {lab(ai, gi): (ai, gi) for ai in range(an) for gi in range(gn)}
+    e = groupoid_of_parts(["*"], parts, lambda r: "*", lambda r: "*", inverse,
+                          lambda x: lab(0, 0), compose)
     iota = {f"a{ai}": lab(ai, 0) for ai in range(an)}
-    pi = {lab(ai, gi): f"g{gi}" for ai in range(an) for gi in range(gn)}
+    pi = {a: f"g{gi}" for a, (_, gi) in parts.items()}
     return xm.validate_extension(as_group_bundle(a), e, g, iota, pi)
 
 

@@ -7,7 +7,7 @@ means "h then g", matching the juxtaposition gh of the usual right-to-left
 arrow calculus and the GDF table entry `g.h=k`.
 """
 
-from .errors import ValidationFailure, Violation, SizeLimitExceeded
+from .errors import ValidationFailure, Violation, SizeLimitExceeded, require
 from .util import labelset, pair, quotient, search_bijection, unpair
 
 DEFAULT_FIBER_CAP = 12
@@ -32,15 +32,8 @@ class Groupoid:
 
     # -- queries ---------------------------------------------------------
 
-    def compose(self, g, h):
-        """gh, defined when src(g) == tgt(h)."""
-        return self.comp[(g, h)]
-
     def composable(self, g, h):
         return self.src[g] == self.tgt[h]
-
-    def identity(self, x):
-        return self.unit[x]
 
     def is_unit(self, g):
         return self.unit[self.src[g]] == g
@@ -144,35 +137,47 @@ def check_groupoid(objects, arrows, src, tgt, inv, unit, comp):
 
 def validate_groupoid(objects, arrows, src, tgt, inv, unit, comp):
     objects, arrows = labelset(objects), labelset(arrows)
-    violations = check_groupoid(objects, arrows, src, tgt, inv, unit, comp)
-    if violations:
-        raise ValidationFailure(violations)
-    return Groupoid(objects, arrows, src, tgt, inv, unit, comp)
+    return require(Groupoid(objects, arrows, src, tgt, inv, unit, comp),
+                   check_groupoid(objects, arrows, src, tgt, inv, unit, comp))
+
+
+def groupoid_of_parts(objects, parts, src, tgt, inv, unit, comp):
+    """The groupoid on objects whose arrows are the labels of parts, a dict
+    from each arrow label to the parts it was built from.
+
+    Every table is read at the parts r of an arrow: src(r) and tgt(r) are
+    its endpoints, inv(r) the label of its inverse and comp(r, r2) that of
+    its composite with the arrow of parts r2, taken only for the arrows
+    whose target is its source; unit(x) is the label of the unit at x.  No
+    label is parsed.  The arrows iterate in label order, as every label set
+    does, but each table keeps the insertion order of its input: src, tgt
+    and inv follow parts, unit follows objects, and comp lists the arrows in
+    parts order, each with its composites in parts order.  Raises
+    ValidationFailure when the tables do not form a groupoid."""
+    source = {a: src(r) for a, r in parts.items()}
+    target = {a: tgt(r) for a, r in parts.items()}
+    by_tgt = {}
+    for a, y in target.items():
+        by_tgt.setdefault(y, []).append(a)
+    return validate_groupoid(
+        objects, list(parts), source, target,
+        {a: inv(r) for a, r in parts.items()},
+        {x: unit(x) for x in objects},
+        {(a, a2): comp(r, parts[a2])
+         for a, r in parts.items() for a2 in by_tgt.get(source[a], ())})
 
 
 def quotient_groupoid(objects, members, links, src, tgt, inv, unit, comp):
     """The groupoid on objects whose arrows are the classes of util.quotient
     (members, links): (groupoid, class_of, reps).
 
-    Every table is read at the parts r of a class's least member: src(r)
-    and tgt(r) are its endpoints, inv(r) the member label of its inverse,
-    comp(r, r2) that of the composite with the class r2, and unit(x) the
-    member label of the unit at x; the class of a member label is the
-    value.  The composites of a class are taken only with the classes whose
-    target is its source.  Raises ValidationFailure when the tables do not
-    form a groupoid."""
+    It is groupoid_of_parts with reps as the parts: every table is read at
+    the parts r of a class's least member, but inv(r), unit(x) and
+    comp(r, r2) give member labels, and the class of each is the value."""
     class_of, reps = quotient(members, links)
-    source = {c: src(r) for c, r in reps.items()}
-    target = {c: tgt(r) for c, r in reps.items()}
-    by_tgt = {}
-    for c, y in target.items():
-        by_tgt.setdefault(y, []).append(c)
-    gpd = validate_groupoid(
-        objects, reps.keys(), source, target,
-        {c: class_of[inv(r)] for c, r in reps.items()},
-        {x: class_of[unit(x)] for x in objects},
-        {(c, c2): class_of[comp(r, reps[c2])]
-         for c, r in reps.items() for c2 in by_tgt.get(source[c], ())})
+    gpd = groupoid_of_parts(
+        objects, reps, src, tgt, lambda r: class_of[inv(r)],
+        lambda x: class_of[unit(x)], lambda r, r2: class_of[comp(r, r2)])
     return gpd, class_of, reps
 
 
@@ -181,41 +186,31 @@ def quotient_groupoid(objects, members, links, src, tgt, inv, unit, comp):
 
 def unit_groupoid(objects):
     objects = sorted(set(objects))
-    unit = {x: pair("id", x) for x in objects}
-    arrows = list(unit.values())
-    src = {unit[x]: x for x in objects}
-    return validate_groupoid(objects, arrows, src, dict(src),
-                             {a: a for a in arrows}, unit,
-                             {(a, a): a for a in arrows})
+
+    def ident(x):
+        return pair("id", x)
+
+    return groupoid_of_parts(objects, {ident(x): x for x in objects},
+                             lambda x: x, lambda x: x, ident, ident,
+                             lambda x, _: ident(x))
 
 
 def pair_groupoid(objects):
     """Arrows (y,x): x -> y, one for each ordered pair."""
     objects = sorted(set(objects))
-    arrows, src, tgt, inv, comp = [], {}, {}, {}, {}
-    for y in objects:
-        for x in objects:
-            a = pair(y, x)
-            arrows.append(a)
-            src[a], tgt[a], inv[a] = x, y, pair(x, y)
-    unit = {x: pair(x, x) for x in objects}
-    for z, y1 in ((z, y) for z in objects for y in objects):
-        for y2, x in ((y, x) for y in objects for x in objects):
-            if y1 == y2:
-                comp[(pair(z, y1), pair(y2, x))] = pair(z, x)
-    return validate_groupoid(objects, arrows, src, tgt, inv, unit, comp)
+    return groupoid_of_parts(
+        objects, {pair(y, x): (y, x) for y in objects for x in objects},
+        lambda r: r[1], lambda r: r[0], lambda r: pair(r[1], r[0]),
+        lambda x: pair(x, x), lambda r, r2: pair(r[0], r2[1]))
 
 
 def group_as_groupoid(elements, mul, inverse, identity, obj="*", prefix=""):
     """One-object groupoid from a group table. mul(a,b) composes like comp."""
     lab = {e: (prefix + str(e)) for e in elements}
-    arrows = [lab[e] for e in elements]
-    src = {a: obj for a in arrows}
-    comp = {(lab[a], lab[b]): lab[mul(a, b)] for a in elements for b in elements}
-    return validate_groupoid(
-        [obj], arrows, src, dict(src),
-        {lab[e]: lab[inverse(e)] for e in elements},
-        {obj: lab[identity]}, comp)
+    return groupoid_of_parts(
+        [obj], {a: e for e, a in lab.items()}, lambda e: obj, lambda e: obj,
+        lambda e: lab[inverse(e)], lambda x: lab[identity],
+        lambda e, e2: lab[mul(e, e2)])
 
 
 def cyclic_groupoid(n, obj="*", prefix="c"):
@@ -224,22 +219,14 @@ def cyclic_groupoid(n, obj="*", prefix="c"):
 
 
 def disjoint_union(g1, g2, tag1="A", tag2="B"):
-    def t(tag, s):
-        return {pair(tag, k) if isinstance(k, str) else k: v for k, v in s.items()}
-
-    objects = [pair(tag1, x) for x in g1.objects] + [pair(tag2, x) for x in g2.objects]
-    arrows = [pair(tag1, a) for a in g1.arrows] + [pair(tag2, a) for a in g2.arrows]
-    src, tgt, inv, unit, comp = {}, {}, {}, {}, {}
+    parts, unit = {}, {}
     for tag, g in ((tag1, g1), (tag2, g2)):
-        for a in g.arrows:
-            src[pair(tag, a)] = pair(tag, g.src[a])
-            tgt[pair(tag, a)] = pair(tag, g.tgt[a])
-            inv[pair(tag, a)] = pair(tag, g.inv[a])
-        for x in g.objects:
-            unit[pair(tag, x)] = pair(tag, g.unit[x])
-        for (a, b), c in g.comp.items():
-            comp[(pair(tag, a), pair(tag, b))] = pair(tag, c)
-    return validate_groupoid(objects, arrows, src, tgt, inv, unit, comp)
+        parts.update((pair(tag, a), (tag, g, a)) for a in g.arrows)
+        unit.update((pair(tag, x), pair(tag, g.unit[x])) for x in g.objects)
+    return groupoid_of_parts(
+        list(unit), parts, lambda r: pair(r[0], r[1].src[r[2]]),
+        lambda r: pair(r[0], r[1].tgt[r[2]]), lambda r: pair(r[0], r[1].inv[r[2]]),
+        unit.__getitem__, lambda r, r2: pair(r[0], r[1].comp[(r[2], r2[2])]))
 
 
 # -- strict morphisms ------------------------------------------------------
@@ -254,21 +241,12 @@ class GroupoidMorphism:
     def __call__(self, arrow):
         return self.amap[arrow]
 
-    def on_object(self, x):
-        return self.omap[x]
-
     def then(self, other):
         """self followed by other (dom(other) == cod(self))."""
         return GroupoidMorphism(
             self.dom, other.cod,
             {x: other.omap[self.omap[x]] for x in self.omap},
             {a: other.amap[self.amap[a]] for a in self.amap})
-
-    def is_injective(self):
-        return len(set(self.amap.values())) == len(self.amap)
-
-    def is_surjective(self):
-        return set(self.amap.values()) == self.cod.arrows
 
     def __repr__(self):
         return f"GroupoidMorphism(|dom|={len(self.dom)}, |cod|={len(self.cod)})"
@@ -300,10 +278,7 @@ def check_groupoid_morphism(f):
 
 def validate_groupoid_morphism(dom, cod, omap, amap):
     f = GroupoidMorphism(dom, cod, omap, amap)
-    violations = check_groupoid_morphism(f)
-    if violations:
-        raise ValidationFailure(violations)
-    return f
+    return require(f, check_groupoid_morphism(f))
 
 
 def identity_morphism(g):
@@ -394,19 +369,14 @@ def unit_bundle(objects):
     return as_group_bundle(unit_groupoid(objects))
 
 
-def trivial_bundle(objects, model, prefix="h"):
+def trivial_bundle(objects, model):
     """Constant bundle: one copy of the one-object groupoid `model` per point."""
     objects = sorted(set(objects))
-    arrows, src, inv, unit, comp = [], {}, {}, {}, {}
-    for x in objects:
-        for a in model.arrows:
-            arrows.append(pair(x, a))
-            src[pair(x, a)] = x
-            inv[pair(x, a)] = pair(x, model.inv[a])
-        unit[x] = pair(x, next(iter(model.unit.values())))
-        for (a, b), c in model.comp.items():
-            comp[(pair(x, a), pair(x, b))] = pair(x, c)
-    return validate_group_bundle(objects, arrows, src, dict(src), inv, unit, comp)
+    e = next(iter(model.unit.values()))
+    return as_group_bundle(groupoid_of_parts(
+        objects, {pair(x, a): (x, a) for x in objects for a in model.arrows},
+        lambda r: r[0], lambda r: r[0], lambda r: pair(r[0], model.inv[r[1]]),
+        lambda x: pair(x, e), lambda r, r2: pair(r[0], model.comp[(r[1], r2[1])])))
 
 
 def iso_maps(bundle, y, x):
@@ -477,9 +447,6 @@ class AutBundle(Groupoid):
         self.bundle = bundle
         self.maps = maps  # arrow label -> dict fiber(tgt) -> fiber(src)
 
-    def apply(self, arrow, h):
-        return self.maps[arrow][h]
-
 
 def aut_bundle(bundle, fiber_cap=DEFAULT_FIBER_CAP):
     """Aut(H): brute-force enumeration of bijective fiber homomorphisms."""
@@ -487,28 +454,18 @@ def aut_bundle(bundle, fiber_cap=DEFAULT_FIBER_CAP):
         n = len(bundle.fiber(x))
         if n > fiber_cap:
             raise SizeLimitExceeded(f"fiber at {x}", n, fiber_cap)
-    arrows, src, tgt, maps = [], {}, {}, {}
-    for x in bundle.objects:
-        for y in bundle.objects:
-            for iso in iso_maps(bundle, y, x):
-                a = aut_label(x, y, iso)
-                arrows.append(a)
-                src[a], tgt[a] = x, y
-                maps[a] = iso
-    unit = {x: aut_label(x, x, {h: h for h in bundle.fiber(x)}) for x in bundle.objects}
-    inv, comp = {}, {}
-    for a in arrows:
-        inv[a] = aut_label(tgt[a], src[a], {v: k for k, v in maps[a].items()})
-    for a in arrows:
-        for b in arrows:
-            if src[a] == tgt[b]:
-                # arrow composition ab covers "b then a"; underlying map is
-                # maps[b] after maps[a] (arrows x->y carry maps fiber(y)->fiber(x))
-                composed = {h: maps[b][maps[a][h]] for h in maps[a]}
-                comp[(a, b)] = aut_label(src[b], tgt[a], composed)
-    gpd = validate_groupoid(bundle.objects, arrows, src, tgt, inv, unit, comp)
+    parts = {aut_label(x, y, iso): (x, y, iso) for x in bundle.objects
+             for y in bundle.objects for iso in iso_maps(bundle, y, x)}
+    # arrow composition ab covers "b then a"; its underlying map is b's
+    # after a's (arrows x->y carry maps fiber(y)->fiber(x))
+    gpd = groupoid_of_parts(
+        bundle.objects, parts, lambda r: r[0], lambda r: r[1],
+        lambda r: aut_label(r[1], r[0], {v: k for k, v in r[2].items()}),
+        lambda x: aut_label(x, x, {h: h for h in bundle.fiber(x)}),
+        lambda r, r2: aut_label(r2[0], r[1], {h: r2[2][r[2][h]] for h in r[2]}))
     return AutBundle(bundle, gpd.objects, gpd.arrows, gpd.src, gpd.tgt,
-                     gpd.inv, gpd.unit, gpd.comp, maps)
+                     gpd.inv, gpd.unit, gpd.comp,
+                     {a: iso for a, (_, _, iso) in parts.items()})
 
 
 # -- actions ---------------------------------------------------------------
@@ -583,10 +540,8 @@ def check_action(base, bundle, act):
 
 
 def validate_action(base, bundle, act):
-    violations = check_action(base, bundle, act)
-    if violations:
-        raise ValidationFailure(violations)
-    return ActionByAutomorphisms(base, bundle, act)
+    return require(ActionByAutomorphisms(base, bundle, act),
+                   check_action(base, bundle, act))
 
 
 def trivial_action(base, bundle):
@@ -627,25 +582,12 @@ def pullback_groupoid(g, space, sigma):
     bad = [Violation("BadObjectImage", (z,)) for z in space if sigma[z] not in g.objects]
     if bad:
         raise ValidationFailure(bad)
-    arrows, src, tgt, inv, comp = [], {}, {}, {}, {}
-    for z1 in space:
-        for z2 in space:
-            for gg in g.hom(sigma[z2], sigma[z1]):
-                a = pair(z1, gg, z2)
-                arrows.append(a)
-                src[a], tgt[a] = z2, z1
-                inv[a] = pair(z2, g.inv[gg], z1)
-    unit = {z: pair(z, g.unit[sigma[z]], z) for z in space}
-    parts = {a: unpair(a, 3) for a in arrows}
-    by_first = {}
-    for b in arrows:
-        by_first.setdefault(parts[b][0], []).append(b)
-    for a in arrows:
-        z1, gg, z2 = parts[a]
-        for b in by_first.get(z2, ()):
-            _, hh, w2 = parts[b]
-            comp[(a, b)] = pair(z1, g.comp[(gg, hh)], w2)
-    return validate_groupoid(space, arrows, src, tgt, inv, unit, comp)
+    return groupoid_of_parts(
+        space, {pair(z1, gg, z2): (z1, gg, z2) for z1 in space for z2 in space
+                for gg in g.hom(sigma[z2], sigma[z1])},
+        lambda r: r[2], lambda r: r[0], lambda r: pair(r[2], g.inv[r[1]], r[0]),
+        lambda z: pair(z, g.unit[sigma[z]], z),
+        lambda r, r2: pair(r[0], g.comp[(r[1], r2[1])], r2[2]))
 
 
 def pullback_iso_to_base(g, pulled, sigma):
@@ -666,40 +608,29 @@ def semidirect_product(action):
     (h,g)(k,f) = (h k^{g^-1}, gf); inverse ((h^g)^-1, g^-1).
     The result is re-verified against all groupoid axioms."""
     base, bundle, act = action.base, action.bundle, action.act
-    arrows, src, tgt, inv = [], {}, {}, {}
-    for g in base.arrows:
-        for h in bundle.fiber(base.tgt[g]):
-            a = pair(h, g)
-            arrows.append(a)
-            src[a], tgt[a] = base.src[g], base.tgt[g]
-            hg = act[(g, h)]
-            inv[a] = pair(bundle.inv[hg], base.inv[g])
-    unit = {x: pair(bundle.unit[x], base.unit[x]) for x in base.objects}
-    parts = {a: unpair(a) for a in arrows}
-    by_base_tgt = {}
-    for b in arrows:
-        by_base_tgt.setdefault(base.tgt[parts[b][1]], []).append(b)
-    comp = {}
-    for a in arrows:
-        h, g = parts[a]
-        ginv = base.inv[g]
-        for b in by_base_tgt.get(base.src[g], ()):
-            k, f = parts[b]
-            kg = act[(ginv, k)]
-            comp[(a, b)] = pair(bundle.comp[(h, kg)], base.comp[(g, f)])
-    return validate_groupoid(base.objects, arrows, src, tgt, inv, unit, comp)
+
+    def inverse(r):
+        h, g = r
+        return pair(bundle.inv[act[(g, h)]], base.inv[g])
+
+    def compose(r, r2):
+        (h, g), (k, f) = r, r2
+        return pair(bundle.comp[(h, act[(base.inv[g], k)])], base.comp[(g, f)])
+
+    return groupoid_of_parts(
+        base.objects, {pair(h, g): (h, g) for g in base.arrows
+                       for h in bundle.fiber(base.tgt[g])},
+        lambda r: base.src[r[1]], lambda r: base.tgt[r[1]], inverse,
+        lambda x: pair(bundle.unit[x], base.unit[x]), compose)
 
 
 def inertia(g):
     """Inertia bundle SG = {loops} with the conjugation action Ad:
     h^g = g^-1 h g (right convention)."""
-    loops = [a for a in g.arrows if g.src[a] == g.tgt[a]]
-    sub_comp = {(a, b): g.comp[(a, b)] for a in loops for b in loops
-                if g.src[a] == g.tgt[b]}
-    bundle = validate_group_bundle(
-        g.objects, loops,
-        {a: g.src[a] for a in loops}, {a: g.tgt[a] for a in loops},
-        {a: g.inv[a] for a in loops}, dict(g.unit), sub_comp)
+    bundle = as_group_bundle(groupoid_of_parts(
+        g.objects, {a: a for a in g.arrows if g.src[a] == g.tgt[a]},
+        g.src.__getitem__, g.tgt.__getitem__, g.inv.__getitem__,
+        g.unit.__getitem__, lambda a, b: g.comp[(a, b)]))
     act = {}
     for gg in g.arrows:
         for h in bundle.fiber(g.tgt[gg]):

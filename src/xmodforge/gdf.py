@@ -54,20 +54,11 @@ KEY_ORDER = {
     "zigzag": ["modules", "arrows", "dirs"],
 }
 
-REQUIRED = {
-    "groupoid": ["objects", "arrows", "src", "tgt", "inv", "unit", "comp"],
-    "bundle": ["objects", "arrows", "base", "inv", "unit", "comp"],
-    "action": ["groupoid", "bundle", "act"],
-    "two-groupoid": ["objects", "arrows", "src", "tgt", "inv", "unit", "comp",
-                     "cells", "src2", "tgt2", "vinv", "vunit", "vcomp", "hcomp"],
-    "xmod": ["groupoid", "bundle", "boundary", "act"],
-    "bibundle": ["left", "right", "space", "lmom", "rmom", "lact", "ract"],
-    "crossing": ["source", "target", "groupoid", "tau", "sigma",
-                 "a1", "a2", "b1", "b2"],
-    "exchanger": ["source", "target", "space", "lmom", "rmom", "lact", "ract"],
-    "morphism": [],
-    "zigzag": ["modules", "arrows", "dirs"],
-}
+# the keys a block may leave out
+OPTIONAL = {"two-groupoid": ["hinv"], "crossing": ["extension"],
+            "morphism": KEY_ORDER["morphism"]}
+REQUIRED = {kind: [key for key in keys if key not in OPTIONAL.get(kind, ())]
+            for kind, keys in KEY_ORDER.items()}
 
 
 class Block:

@@ -8,9 +8,9 @@ only apply constructions proved to preserve validity, then revalidate.
 import itertools
 
 from .errors import ValidationFailure
-from .fingrpd import (cyclic_groupoid, group_as_groupoid, transport_action,
-                      trivial_action, trivial_bundle, unit_groupoid,
-                      validate_groupoid)
+from .fingrpd import (cyclic_groupoid, group_as_groupoid, groupoid_of_parts,
+                      transport_action, trivial_action, trivial_bundle,
+                      unit_groupoid, validate_groupoid)
 from .util import pair, unpair
 
 
@@ -45,22 +45,12 @@ def random_group(rng, max_order=4, prefix="g"):
 def transitive_block(objects, group, tag):
     """Pair groupoid on `objects` with isotropy `group` at every point."""
     objects = sorted(objects)
-    arrows, src, tgt, inv, comp = [], {}, {}, {}, {}
-    for y in objects:
-        for x in objects:
-            for gamma in group.arrows:
-                a = pair(tag, y, gamma, x)
-                arrows.append(a)
-                src[a], tgt[a] = x, y
-                inv[a] = pair(tag, x, group.inv[gamma], y)
-    unit = {x: pair(tag, x, group.unit["*"], x) for x in objects}
-    for a in arrows:
-        _, y, ga, x = unpair(a)
-        for b in arrows:
-            _, y2, gb, x2 = unpair(b)
-            if y2 == x:
-                comp[(a, b)] = pair(tag, y, group.comp[(ga, gb)], x2)
-    return validate_groupoid(objects, arrows, src, tgt, inv, unit, comp)
+    return groupoid_of_parts(
+        objects, {pair(tag, y, gamma, x): (y, gamma, x) for y in objects
+                  for x in objects for gamma in group.arrows},
+        lambda r: r[2], lambda r: r[0], lambda r: pair(tag, r[2], group.inv[r[1]], r[0]),
+        lambda x: pair(tag, x, group.unit["*"], x),
+        lambda r, r2: pair(tag, r[0], group.comp[(r[1], r2[1])], r2[2]))
 
 
 def random_groupoid(rng, max_objects=4, max_order=3, max_components=2):

@@ -2,8 +2,8 @@
 homomorphisms, transformations, and strong/weak equivalences.
 
 Vertical composition is stored in the same fibered-product convention as
-1-cell composition: starV(a, b) is defined when s2(a) == t2(b) and means
-"b then a". Horizontal composition starH(a, b) covers comp1(s2(a), s2(b)).
+1-cell composition: vcomp[(a, b)] is defined when s2(a) == t2(b) and means
+"b then a". The horizontal composite hcomp[(a, b)] covers comp1(s2(a), s2(b)).
 
 Cover 2-groupoids carry 2-cells between differently indexed copies of one
 underlying arrow; these violate the strict bigon condition s(s2)=s(t2),
@@ -11,7 +11,7 @@ t(s2)=t(t2). The container tolerates that (strict_bigons flag); operations
 whose statements need honest bigons require the flag.
 """
 
-from .errors import ValidationFailure, Violation
+from .errors import ValidationFailure, Violation, require
 from .fingrpd import Groupoid, check_groupoid
 from .util import labelset, pair, unpair
 
@@ -28,9 +28,12 @@ class TwoGroupoid:
         self.vinv, self.vunit, self.vcomp = dict(vinv), dict(vunit), dict(vcomp)
         self.hcomp = dict(hcomp)
         self.hinv = dict(hinv)
+        # read with get: a document may leave a cell's ends undefined, which
+        # check_2groupoid reports before it reads this flag
+        s, t = self.s.get, self.t.get
         self.strict_bigons = all(
-            self.s[self.s2[a]] == self.s[self.t2[a]] and
-            self.t[self.s2[a]] == self.t[self.t2[a]] for a in self.g2)
+            s(self.s2.get(a)) == s(self.t2.get(a)) and
+            t(self.s2.get(a)) == t(self.t2.get(a)) for a in self.g2)
 
     # level-1 and level-2 groupoid views ----------------------------------
 
@@ -47,13 +50,6 @@ class TwoGroupoid:
 
     def is_unit1(self, g):
         return self.unit1[self.s[g]] == g
-
-    def starV(self, a, b):
-        """b then a (s2(a) == t2(b))."""
-        return self.vcomp[(a, b)]
-
-    def starH(self, a, b):
-        return self.hcomp[(a, b)]
 
     def vchain(self, *cells):
         """Compose 2-cells listed in diagram order (left to right)."""
@@ -243,7 +239,7 @@ def _sweep_laws(tg):
                 violations.append(Violation("HNonAssociative", (a, b, c)))
 
     # interchange: (a1*h a2)*v(b1*h b2) = (a1*v b1)*h(a2*v b2), i.e. with
-    # function-order starV: vcomp(a1 h a2, b1 h b2) = hcomp(vcomp(a1,b1), vcomp(a2,b2));
+    # function-order vcomp: vcomp(a1 h a2, b1 h b2) = hcomp(vcomp(a1,b1), vcomp(a2,b2));
     # b2 ranges over the h-successors of b1 whose t2 is s2(a2)
     for (a1, b1), v1 in tg.vcomp.items():
         for a2 in hnext.get(a1, ()):
@@ -263,10 +259,7 @@ def _sweep_laws(tg):
 
 
 def validate_2groupoid(tg):
-    violations = check_2groupoid(tg)
-    if violations:
-        raise ValidationFailure(violations)
-    return tg
+    return require(tg, check_2groupoid(tg))
 
 
 def make_2groupoid(g0, g1, s, t, inv1, unit1, comp1, g2, s2, t2,
@@ -451,10 +444,7 @@ def check_strict_hom2(f):
 
 def validate_strict_hom2(dom, cod, m0, m1, m2):
     f = StrictHom2(dom, cod, m0, m1, m2)
-    violations = check_strict_hom2(f)
-    if violations:
-        raise ValidationFailure(violations)
-    return f
+    return require(f, check_strict_hom2(f))
 
 
 def identity_hom2(tg):

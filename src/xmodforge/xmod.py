@@ -4,13 +4,13 @@ pullbacks, projective products, transformations, the equivalence with strict
 2-groupoids, and hypercovers."""
 
 from .errors import (CoherenceFailure, IllDefinedAction, NotAbelian,
-                     UnitSpaceMismatch, ValidationFailure, Violation)
+                     UnitSpaceMismatch, ValidationFailure, Violation, require)
 from . import bibundle as bb
 from . import twogpd as tgd
-from .fingrpd import (GroupoidMorphism, aut_bundle, aut_label, unit_bundle,
-                      check_groupoid_morphism, inertia, pullback_groupoid,
-                      semidirect_product, validate_action,
-                      validate_group_bundle, validate_groupoid_morphism)
+from .fingrpd import (GroupoidMorphism, as_group_bundle, aut_bundle, aut_label,
+                      check_groupoid_morphism, groupoid_of_parts, inertia,
+                      pullback_groupoid, semidirect_product, unit_bundle,
+                      validate_action, validate_groupoid_morphism)
 from .util import pair, unpair
 
 
@@ -25,10 +25,6 @@ class CrossedModule:
         self.boundary = dict(boundary)  # H-arrow -> G-arrow
         self.action = action            # ActionByAutomorphisms(g, h, act)
         self._vertical2 = None          # xmod_to_2groupoid's memo
-
-    @property
-    def unit_space(self):
-        return self.g.objects
 
     def act(self, garrow, harrow):
         return self.action.act[(garrow, harrow)]
@@ -66,10 +62,7 @@ def check_crossed_module(xm):
 
 def validate_crossed_module(g, h, boundary, action):
     xm = CrossedModule(g, h, boundary, action)
-    violations = check_crossed_module(xm)
-    if violations:
-        raise ValidationFailure(violations)
-    return xm
+    return require(xm, check_crossed_module(xm))
 
 
 # -- stock crossed modules -------------------------------------------------
@@ -160,10 +153,7 @@ def check_extension(ext):
 
 def validate_extension(a, e, g, iota, pi):
     ext = GroupoidExtension(a, e, g, iota, pi)
-    violations = check_extension(ext)
-    if violations:
-        raise ValidationFailure(violations)
-    return ext
+    return require(ext, check_extension(ext))
 
 
 def extension_xmod(ext, require_abelian=True):
@@ -244,10 +234,7 @@ def check_strict_xmorphism(chi):
 
 def validate_strict_xmorphism(dom, cod, omap, lmap, rmap):
     chi = StrictXMorphism(dom, cod, omap, lmap, rmap)
-    violations = check_strict_xmorphism(chi)
-    if violations:
-        raise ValidationFailure(violations)
-    return chi
+    return require(chi, check_strict_xmorphism(chi))
 
 
 def identity_xmorphism(xm):
@@ -326,7 +313,6 @@ def twogpd_to_xmod(tg):
     whiskering. On strict-bigon inputs this is exactly the identity-sourced
     cell bundle."""
     level1 = tg.level1()
-    harrows = []
     base_of = {}
     for a in tg.g2:
         g0 = tg.s2[a]
@@ -335,20 +321,12 @@ def twogpd_to_xmod(tg):
         x = tg.s[g0]
         tcell = tg.t2[a]
         if tg.s[tcell] == x and tg.t[tcell] == x:
-            harrows.append(a)
             base_of[a] = x
-    hsrc = dict(base_of)
-    hcomp_table, hinv_table, hunit = {}, {}, {}
-    for x in tg.g0:
-        hunit[x] = tg.vunit[tg.unit1[x]]
-    for a in harrows:
-        hinv_table[a] = tg.hinv[a]
-        for b in harrows:
-            if base_of[a] == base_of[b]:
-                hcomp_table[(a, b)] = tg.hcomp[(a, b)]
-    bundle = validate_group_bundle(tg.g0, harrows, hsrc, dict(hsrc),
-                                   hinv_table, hunit, hcomp_table)
-    boundary = {a: tg.t2[a] for a in harrows}
+    bundle = as_group_bundle(groupoid_of_parts(
+        tg.g0, {a: a for a in base_of}, base_of.__getitem__, base_of.__getitem__,
+        tg.hinv.__getitem__, lambda x: tg.vunit[tg.unit1[x]],
+        lambda a, b: tg.hcomp[(a, b)]))
+    boundary = {a: tg.t2[a] for a in base_of}
     act = {}
     for gg in tg.g1:
         u_inv = tg.vunit[tg.inv1[gg]]
@@ -409,24 +387,12 @@ def pullback_xmod(xm, space, sigma):
     """sigma^* xm over `space`, plus the projection strict morphism."""
     g, h = xm.g, xm.h
     pg = pullback_groupoid(g, space, sigma)
-    harrows, hsrc, hinv, hcomp = [], {}, {}, {}
-    for z in pg.objects:
-        for hh in h.fiber(sigma[z]):
-            a = pair(z, hh)
-            harrows.append(a)
-            hsrc[a] = z
-            hinv[a] = pair(z, h.inv[hh])
-    hunit = {z: pair(z, h.unit[sigma[z]]) for z in pg.objects}
-    for a in harrows:
-        za, ha = unpair(a)
-        for b in harrows:
-            zb, hb = unpair(b)
-            if za == zb:
-                hcomp[(a, b)] = pair(za, h.comp[(ha, hb)])
-    ph = validate_group_bundle(pg.objects, harrows, hsrc, dict(hsrc),
-                               hinv, hunit, hcomp)
-    boundary = {pair(z, hh): pair(z, xm.boundary[hh], z)
-                for (z, hh) in map(unpair, harrows)}
+    parts = {pair(z, hh): (z, hh) for z in pg.objects for hh in h.fiber(sigma[z])}
+    ph = as_group_bundle(groupoid_of_parts(
+        pg.objects, parts, lambda r: r[0], lambda r: r[0],
+        lambda r: pair(r[0], h.inv[r[1]]), lambda z: pair(z, h.unit[sigma[z]]),
+        lambda r, r2: pair(r[0], h.comp[(r[1], r2[1])])))
+    boundary = {a: pair(z, xm.boundary[hh], z) for a, (z, hh) in parts.items()}
     act = {}
     for arrow in pg.arrows:
         z1, gg, z2 = unpair(arrow, 3)
@@ -435,7 +401,7 @@ def pullback_xmod(xm, space, sigma):
     pxm = validate_crossed_module(pg, ph, boundary, validate_action(pg, ph, act))
     proj = validate_strict_xmorphism(
         pxm, xm, {z: sigma[z] for z in pg.objects},
-        {a: unpair(a)[1] for a in harrows},
+        {a: hh for a, (_, hh) in parts.items()},
         {arrow: unpair(arrow, 3)[1] for arrow in pg.arrows})
     return pxm, proj
 
@@ -452,42 +418,35 @@ def projective_product(xm1, xm2, zb):
     tau, sig = zb.lmom, zb.rmom
     gprod = bb.projective_groupoid(zb)
 
-    harrows, hsrc, hinv, hcomp2 = [], {}, {}, {}
+    parts = {}
     for p in zb.space:
         for ha in h1.fiber(tau[p]):
             target = zb.lact[(xm1.boundary[ha], p)]
             for hb in h2.fiber(sig[p]):
                 if zb.ract[(p, xm2.boundary[hb])] == target:
-                    a = pair(ha, p, hb)
-                    harrows.append(a)
-                    hsrc[a] = p
-                    hinv[a] = pair(h1.inv[ha], p, h2.inv[hb])
-    hunit = {p: pair(h1.unit[tau[p]], p, h2.unit[sig[p]]) for p in zb.space}
-    for a in harrows:
-        ha, p, hb = unpair(a, 3)
-        for b in harrows:
-            hc, q, hd = unpair(b, 3)
-            if q == p:
-                hcomp2[(a, b)] = pair(h1.comp[(ha, hc)], p, h2.comp[(hb, hd)])
-    hprod = validate_group_bundle(zb.space, harrows, hsrc, dict(hsrc),
-                                  hinv, hunit, hcomp2)
-    boundary = {pair(ha, p, hb): pair(xm1.boundary[ha], p, p, xm2.boundary[hb])
-                for ha, p, hb in (unpair(a, 3) for a in harrows)}
+                    parts[pair(ha, p, hb)] = (ha, p, hb)
+    hprod = as_group_bundle(groupoid_of_parts(
+        zb.space, parts, lambda r: r[1], lambda r: r[1],
+        lambda r: pair(h1.inv[r[0]], r[1], h2.inv[r[2]]),
+        lambda p: pair(h1.unit[tau[p]], p, h2.unit[sig[p]]),
+        lambda r, r2: pair(h1.comp[(r[0], r2[0])], r[1], h2.comp[(r[2], r2[2])])))
+    boundary = {a: pair(xm1.boundary[ha], p, p, xm2.boundary[hb])
+                for a, (ha, p, hb) in parts.items()}
     act = {}
     for arrow in gprod.arrows:
         ga, p1, p2, gb = unpair(arrow)
         for hcell in hprod.fiber(p1):
-            ha, _, hb = unpair(hcell, 3)
+            ha, _, hb = parts[hcell]
             act[(arrow, hcell)] = pair(xm1.act(ga, ha), p2, xm2.act(gb, hb))
     prod = validate_crossed_module(gprod, hprod, boundary,
                                    validate_action(gprod, hprod, act))
     pr1 = validate_strict_xmorphism(
         prod, xm1, {p: tau[p] for p in zb.space},
-        {a: unpair(a, 3)[0] for a in harrows},
+        {a: r[0] for a, r in parts.items()},
         {a: unpair(a)[0] for a in gprod.arrows})
     pr2 = validate_strict_xmorphism(
         prod, xm2, {p: sig[p] for p in zb.space},
-        {a: unpair(a, 3)[2] for a in harrows},
+        {a: r[2] for a, r in parts.items()},
         {a: unpair(a)[3] for a in gprod.arrows})
     return prod, pr1, pr2
 

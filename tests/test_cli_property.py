@@ -10,6 +10,7 @@ import contextlib
 import io
 import os
 import re
+from random import Random
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from xmodforge import bibundle as bb
 from xmodforge import cli, crossing, gdf, xmod
 from xmodforge import exchanger as exm
 from xmodforge.fingrpd import cyclic_groupoid
+from xmodforge.generators import random_exchanger
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 
@@ -36,8 +38,31 @@ def _generated():
     return gdf.print_gdf(gdf.document_of(blocks))
 
 
+def _exchanger():
+    """A non-trivial exchanger: its carrier has nine points, and its two
+    crossings differ."""
+    ex = random_exchanger(Random(5))
+    return gdf.print_gdf(gdf.document_of(gdf.exchanger_blocks("P", ex)))
+
+
+def _typed():
+    """A document with two-groupoid, action and morphism blocks, so that
+    2gpd2xmod, semidirect on an action and pullback reach their builders."""
+    sc2 = xmod.inertia_xmod(cyclic_groupoid(2))
+    act = sorted(f"{g}.{h}={k}" for (g, h), k in sc2.action.act.items())
+    ident = ["c0=c0", "c1=c1"]
+    blocks = gdf.xmod_blocks("SC2", sc2) + [
+        gdf.two_groupoid_block("T", xmod.xmod_to_2groupoid(sc2)),
+        gdf.Block("action", "A", {"groupoid": ["SC2_G"], "bundle": ["SC2_H"],
+                                  "act": act}, 0),
+        gdf.Block("morphism", "chi", {"from": ["SC2"], "to": ["SC2"], "objects": ["*=*"],
+                                      "left": ident, "right": ident}, 0),
+        gdf.Block("morphism", "two", {"objects": ["z0=*", "z1=*"]}, 0)]
+    return gdf.print_gdf(gdf.document_of(blocks))
+
+
 DOCUMENTS = [_read("fixtures", name) for name in ("osc2.gdf", "pair2.gdf", "sc2.gdf")] + \
-    [_read("faults", "z4maps.gdf"), _generated()]
+    [_read("faults", "z4maps.gdf"), _generated(), _exchanger(), _typed()]
 # characters a character edit writes: GDF punctuation, label characters, space
 ALPHABET = "=.,:(){}*# \nacz0189_-"
 

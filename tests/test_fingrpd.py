@@ -5,7 +5,8 @@ import pytest
 from xmodforge import fingrpd
 from xmodforge.errors import SizeLimitExceeded, ValidationFailure
 from xmodforge.fingrpd import (
-    aut_bundle, check_groupoid, disjoint_union, inertia, pair_groupoid,
+    aut_bundle, check_groupoid, disjoint_union, groupoid_of_parts, inertia,
+    pair_groupoid,
     pullback_groupoid, pullback_iso_to_base, search_groupoid_iso,
     semidirect_product, trivial_action, trivial_bundle, unit_bundle,
     unit_groupoid, validate_action, validate_groupoid, cyclic_groupoid,
@@ -37,6 +38,31 @@ def test_corrupted_c2_reports_bad_inverse_and_associativity():
         validate_groupoid(["*"], arrows, {a: "*" for a in arrows},
                           {a: "*" for a in arrows}, {"e": "e", "s": "s"},
                           {"*": "e"}, comp)
+
+
+def test_groupoid_of_parts_orders_arrows_by_label_and_keeps_table_order():
+    # parts inserted in reverse label order: the arrows still iterate in
+    # label order, the tables follow parts, and they are the pair groupoid's
+    objects = ["x", "y", "z"]
+    parts = {pair(y, x): (y, x) for y in reversed(objects) for x in reversed(objects)}
+    g = groupoid_of_parts(objects, parts, lambda r: r[1], lambda r: r[0],
+                          lambda r: pair(r[1], r[0]), lambda x: pair(x, x),
+                          lambda r, r2: pair(r[0], r2[1]))
+    assert list(g.arrows) == sorted(parts)
+    assert list(g.src) == list(g.tgt) == list(g.inv) == list(parts)
+    assert list(g.comp) == [(a, b) for a, (_, x) in parts.items()
+                            for b, (y, _) in parts.items() if y == x]
+    # the pair groupoid's tables, written out by hand
+    labels = {(y, x): pair(y, x) for y in objects for x in objects}
+    assert g.src == {a: x for (_, x), a in labels.items()}
+    assert g.tgt == {a: y for (y, _), a in labels.items()}
+    assert g.inv == {a: labels[(x, y)] for (y, x), a in labels.items()}
+    assert g.unit == {x: labels[(x, x)] for x in objects}
+    assert g.comp == {(labels[(z, y)], labels[(y, x)]): labels[(z, x)]
+                      for z, y, x in itertools.product(objects, repeat=3)}
+    hand = pair_groupoid(objects)
+    assert (list(hand.arrows), hand.src, hand.tgt, hand.inv, hand.unit, hand.comp) == \
+        (list(g.arrows), g.src, g.tgt, g.inv, g.unit, g.comp)
 
 
 def test_pullback_c2_two_points(c2):

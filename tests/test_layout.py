@@ -1,11 +1,13 @@
 """Layout rules for the library source, read with ast: no unreferenced
-top-level definitions or module-level names, no imported name that nothing
-reads, no assert statements, no module reaching into
+top-level definitions, module-level names or methods, no imported name that
+nothing reads, no assert statements, no module reaching into
 another module's private names, label sets built once by util.labelset and
-never re-sorted or copied, and every quotient built by util.quotient."""
+never re-sorted or copied, every quotient built by util.quotient, and every
+constructed groupoid built by fingrpd.groupoid_of_parts."""
 
 import ast
 import functools
+import itertools
 import os
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -68,6 +70,39 @@ def test_every_top_level_definition_is_referenced():
                 if not used.get(name, set()) - {own}:
                     unreferenced.append(f"{module}.{name}")
     assert unreferenced == []
+
+
+def script_trees(tree):
+    """The trees of the multi-line string constants of a module that parse
+    as Python: the scripts a test runs in a subprocess."""
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and "\n" in sub.value:
+            try:
+                yield ast.parse(sub.value)
+            except SyntaxError:
+                pass
+
+
+def test_every_method_is_read():
+    # a method other than a dunder counts when an attribute of its name is
+    # read outside its own definition, in the library, the tests, the
+    # scripts the tests run or the benchmark
+    reads = {}
+    for path in python_files("src", "tests", "perfbench"):
+        tree = parse(path)
+        for sub in itertools.chain(*map(ast.walk, [tree, *script_trees(tree)])):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                reads.setdefault(sub.attr, []).append(sub)
+    unread = []
+    for module, tree in library_modules():
+        for cls in (top for top in tree.body if isinstance(top, ast.ClassDef)):
+            for method in cls.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("__"):
+                    own = set(map(id, ast.walk(method)))
+                    if all(id(sub) in own for sub in reads.get(method.name, ())):
+                        unread.append(f"{module}.{cls.name}.{method.name}")
+    assert unread == []
 
 
 def test_no_assert_outside_the_allow_list():
@@ -215,3 +250,19 @@ def test_every_imported_name_is_read():
                 if name not in read and (module, name) not in through:
                     unread.append(f"{module}.{name}")
     assert unread == []
+
+
+def test_constructed_groupoids_go_through_groupoid_of_parts():
+    # a construction builds its groupoid or group bundle with
+    # fingrpd.groupoid_of_parts; only the builder, the bundle validator, the
+    # GDF reader and the merge of generated blocks validate tables directly
+    callers = {"validate_groupoid": set(), "validate_group_bundle": set()}
+    for module, tree in library_modules():
+        for top in tree.body:
+            for call in calls(top, *callers):
+                name = getattr(call.func, "id", None) or call.func.attr
+                callers[name].add(module if module == "gdf" else f"{module}.{top.name}")
+    assert callers == {
+        "validate_groupoid": {"fingrpd.groupoid_of_parts", "fingrpd.validate_group_bundle",
+                              "gdf", "generators._merge"},
+        "validate_group_bundle": {"gdf"}}

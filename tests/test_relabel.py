@@ -1,8 +1,9 @@
 """Label invariance: a checker's verdict depends on the tables, not on the
 labels.  Every label of a generated input is renamed by a seeded injection
 into opaque atoms, which puts the labels in a new order; the violation codes
-and the verdicts of the quotient constructions must not change, also when
-the atoms contain ',', which a tuple label uses as its separator."""
+and the verdicts of the quotient constructions and the decomposition must not
+change, also when the atoms contain ',', which a tuple label uses as its
+separator."""
 
 import random
 from collections import Counter
@@ -179,3 +180,13 @@ def test_bibundle_quotients_with_commas_in_the_labels():
         want = bb.compose_bibundles(p, pbar)
         got = bb.compose_bibundles(rename.bibundle(p), rename.bibundle(pbar))
         assert bb.search_equivariant_iso(rename.bibundle(want), got) is not None
+
+
+def test_decompose_crossing_with_commas_in_the_labels():
+    # the decomposition bundle is read at its parts, so no label is split
+    for seed in range(20):
+        c = generators.random_crossed_extension(random.Random(seed))
+        want = cr.decompose_crossing(c)[0].h
+        got = cr.decompose_crossing(Relabel(seed, ",r").crossing(c))[0].h
+        assert sorted(map(len, map(got.fiber, got.objects))) == \
+            sorted(map(len, map(want.fiber, want.objects)))
