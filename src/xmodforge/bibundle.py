@@ -5,9 +5,9 @@ composition of bibundles."""
 from itertools import repeat
 
 from .errors import CoherenceFailure, EmptyComposite, ValidationFailure, Violation, require
-from .fingrpd import (groupoid_of_parts, inertia, pullback_groupoid,
+from .fingrpd import (group_isos, groupoid_of_parts, inertia, pullback_groupoid,
                       validate_groupoid_morphism)
-from .util import pair, quotient, search_bijection, unpair
+from .util import pair, quotient, search_bijection
 
 
 class Bibundle:
@@ -22,6 +22,7 @@ class Bibundle:
         self.rmom = dict(rmom)
         self.lact = dict(lact)
         self.ract = dict(ract)
+        self.parts = None  # set by its builder: point label -> its parts
 
     def lfiber(self, x):
         return [z for z in self.space if self.lmom[z] == x]
@@ -229,19 +230,18 @@ def identity_bibundle(m):
 def bibundle_from_hom(f):
     """Z_f = M^0 x_{f,t} N for a strict morphism f: M -> N."""
     m, n = f.dom, f.cod
-    space = [pair(x, nn) for x in m.objects for nn in n.arrows_to(f.omap[x])]
-    lmom, rmom, lact, ract = {}, {}, {}, {}
-    for z in space:
-        x, nn = unpair(z)
-        lmom[z] = x
-        rmom[z] = n.src[nn]
-    for z in space:
-        x, nn = unpair(z)
+    parts = {pair(x, nn): (x, nn) for x in m.objects for nn in n.arrows_to(f.omap[x])}
+    lmom = {z: x for z, (x, _) in parts.items()}
+    rmom = {z: n.src[nn] for z, (_, nn) in parts.items()}
+    lact, ract = {}, {}
+    for z, (x, nn) in parts.items():
         for g in m.arrows_from(x):
             lact[(g, z)] = pair(m.tgt[g], n.comp[(f.amap[g], nn)])
         for n2 in n.arrows_to(n.src[nn]):
             ract[(z, n2)] = pair(x, n.comp[(nn, n2)])
-    return validate_bibundle(m, n, space, lmom, rmom, lact, ract)
+    zb = validate_bibundle(m, n, parts, lmom, rmom, lact, ract)
+    zb.parts = parts
+    return zb
 
 
 def g_function(zb):
@@ -288,7 +288,7 @@ def phi_Z(zb):
     cod = pullback_groupoid(zb.right, zb.space, zb.rmom)
     amap = {}
     for a in dom.arrows:
-        z, m, z2 = unpair(a, 3)
+        z, m, z2 = dom.parts[a]
         mz2 = zb.lact[(m, z2)]
         amap[a] = pair(z, g[(z, mz2)], z2)
     f = validate_groupoid_morphism(dom, cod, {z: z for z in dom.objects}, amap)
@@ -310,7 +310,7 @@ def phi_Z_bijective(f):
 
 def quotient_bibundle(left, right, members, links, lmom, rmom, lact, ract):
     """The bibundle left -> right on the classes of util.quotient(members,
-    links), not yet checked: (bibundle, reps), with pair_class set to the
+    links), not yet checked, with parts set to reps and pair_class to the
     class_of map.
 
     Every table is read at the parts r of a class's least member: lmom(r)
@@ -327,8 +327,9 @@ def quotient_bibundle(left, right, members, links, lmom, rmom, lact, ract):
         for n in right.arrows_to(rmoms[c]):
             racts[(c, n)] = class_of[ract(r, n)]
     zb = Bibundle(left, right, reps, lmoms, rmoms, lacts, racts)
+    zb.parts = reps
     zb.pair_class = class_of
-    return zb, reps
+    return zb
 
 
 def compose_bibundles(z1, z2):
@@ -349,7 +350,7 @@ def compose_bibundles(z1, z2):
     links = [(pair(z1.ract[(a, nn)], b), pair(a, z2.lact[(nn, b)]))
              for a in z1.space for nn in n.arrows_to(z1.rmom[a])
              for b in over.get(n.src[nn], ())]
-    out, reps = quotient_bibundle(
+    out = quotient_bibundle(
         z1.left, z2.right, members, links, lambda r: z1.lmom[r[0]],
         lambda r: z2.rmom[r[1]], lambda m, r: pair(z1.lact[(m, r[0])], r[1]),
         lambda r, nn: pair(r[0], z2.ract[(r[1], nn)]))
@@ -357,9 +358,9 @@ def compose_bibundles(z1, z2):
 
     g1, g2, gc = g_function(z1), g_function(z2), g_function(out)
     same_lmom = _fibres(out.space, out.lmom)
-    for c, (a, b) in reps.items():
+    for c, (a, b) in out.parts.items():
         for c2 in same_lmom[out.lmom[c]]:
-            a2, b2 = reps[c2]
+            a2, b2 = out.parts[c2]
             # move a2 into a's N-orbit slot: lmom equal guarantees g1 solves it
             nmid = g1[(a, a2)]
             if gc[(c, c2)] != g2[(b, z2.lact[(nmid, b2)])]:
@@ -401,6 +402,8 @@ def morita_witness(g, h, node_cap=10**6):
 
     Matches orbits by brute-forced isotropy isomorphism, then glues the
     standard (arrows into x) x_theta (arrows out of y) torsor per orbit.
+    Each isotropy search may explore node_cap nodes; one more raises
+    SizeLimitExceeded.
     """
     gorbs = _orbits(g)
     horbs = _orbits(h)
@@ -409,7 +412,7 @@ def morita_witness(g, h, node_cap=10**6):
     gb, _ = inertia(g)
     hb, _ = inertia(h)
 
-    matched = _match_orbits(g, h, gorbs, horbs, gb, hb)
+    matched = _match_orbits(g, h, gorbs, horbs, gb, hb, node_cap)
     if matched is None:
         return None
     members, links = {}, []
@@ -420,7 +423,7 @@ def morita_witness(g, h, node_cap=10**6):
                 members[pair(gg, hh)] = (gg, hh)
                 links += [(pair(g.comp[(gg, s)], hh), pair(gg, h.comp[(theta[s], hh)]))
                           for s in gb.fiber(x)]
-    zb, _ = quotient_bibundle(
+    zb = quotient_bibundle(
         g, h, members, links, lambda r: g.tgt[r[0]], lambda r: h.src[r[1]],
         lambda m, r: pair(g.comp[(m, r[0])], r[1]),
         lambda r, nn: pair(r[0], h.comp[(r[1], nn)]))
@@ -442,8 +445,9 @@ def _orbits(g):
     return list(orbits.values())
 
 
-def _match_orbits(g, h, gorbs, horbs, gb, hb):
-    """Greedy-with-backtracking orbit matching by isotropy isomorphism.
+def _match_orbits(g, h, gorbs, horbs, gb, hb, node_cap):
+    """Greedy-with-backtracking orbit matching by isotropy isomorphism,
+    each isotropy search capped at node_cap nodes.
     Returns [(x, y, theta: iso fiber_g(x) -> fiber_h(y))] or None."""
     def extend(i, used):
         if i == len(gorbs):
@@ -455,7 +459,7 @@ def _match_orbits(g, h, gorbs, horbs, gb, hb):
                 continue
             if len(gmembers) and len(hmembers):
                 y = hmembers[0]
-                isos = _cross_isos(gb, hb, x, y)
+                isos = group_isos(gb, x, hb, y, node_cap)
                 for theta in isos:
                     rest = extend(i + 1, used | {j})
                     if rest is not None:
@@ -463,49 +467,6 @@ def _match_orbits(g, h, gorbs, horbs, gb, hb):
         return None
 
     return extend(0, frozenset())
-
-
-def _cross_isos(gb, hb, x, y):
-    """Group isomorphisms fiber_g(x) -> fiber_h(y) by brute force."""
-    fx, fy = gb.fiber(x), hb.fiber(y)
-    if len(fx) != len(fy):
-        return []
-    out = []
-    ex, ey = gb.unit[x], hb.unit[y]
-
-    def extend(partial):
-        if len(partial) == len(fx):
-            out.append(dict(partial))
-            return
-        a = fx[len(partial)]
-        for b in fy:
-            if b in partial.values():
-                continue
-            if (a == ex) != (b == ey):
-                continue
-            ok = True
-            for a2, b2 in partial.items():
-                p = partial.get(gb.comp[(a, a2)])
-                if p is not None and hb.comp[(b, b2)] != p:
-                    ok = False
-                    break
-                p = partial.get(gb.comp[(a2, a)])
-                if p is not None and hb.comp[(b2, b)] != p:
-                    ok = False
-                    break
-            if ok:
-                partial[a] = b
-                extend(partial)
-                del partial[a]
-
-    extend({})
-    return [t for t in out if _hom_ok(gb, hb, t)]
-
-
-def _hom_ok(gb, hb, t):
-    dom = list(t)
-    return all(hb.comp[(t[a], t[b])] == t[gb.comp[(a, b)]]
-               for a in dom for b in dom)
 
 
 def inverse_bibundle(zb):

@@ -11,7 +11,7 @@ from . import bibundle as bb
 from . import xmod as xmd
 from .fingrpd import (as_group_bundle, aut_label, groupoid_of_parts, pullback_groupoid,
                       quotient_groupoid, validate_action, validate_groupoid_morphism)
-from .util import pair, strip_class, unpair
+from .util import pair
 
 # One side of a crossing: (src, tau, a1, a2) with tag "a" or
 # (dst, sigma, b1, b2) with tag "b".
@@ -252,7 +252,7 @@ def _crossing_same_base(chi, as_extension):
         for h2 in c.h.fiber(x):
             b1[(x, h2)] = pair(h2, d.g.unit[x])
     for arrow in m.arrows:
-        h2, g1 = unpair(arrow)
+        h2, g1 = m.parts[arrow]
         a2[arrow] = g1
         b2[arrow] = c.g.comp[(c.boundary[h2], chi.rmap[g1])]
     make = validate_crossed_extension if as_extension else validate_crossing
@@ -261,21 +261,19 @@ def _crossing_same_base(chi, as_extension):
 
 def _crossing_general(chi, as_extension):
     d, c = chi.dom, chi.cod
-    space = [pair(x, g2) for x in d.g.objects
-             for g2 in c.g.arrows_to(chi.omap[x])]
-    tau = {z: unpair(z)[0] for z in space}
-    sigma = {z: c.g.src[unpair(z)[1]] for z in space}
+    space = {pair(x, g2): (x, g2) for x in d.g.objects
+             for g2 in c.g.arrows_to(chi.omap[x])}
+    tau = {z: x for z, (x, _) in space.items()}
+    sigma = {z: c.g.src[g2] for z, (_, g2) in space.items()}
     pb1, _ = xmd.pullback_xmod(d, space, tau)
     pb2, _ = xmd.pullback_xmod(c, space, sigma)
     lmap, rmap = {}, {}
-    for z in space:
-        x, g2 = unpair(z)
+    for z, (x, g2) in space.items():
         for h1 in d.h.fiber(x):
             lmap[pair(z, h1)] = pair(z, c.act(g2, chi.lmap[h1]))
     for arrow in pb1.g.arrows:
-        z1, g1, z2 = unpair(arrow, 3)
-        _, f2 = unpair(z1)
-        _, g2 = unpair(z2)
+        z1, g1, z2 = pb1.g.parts[arrow]
+        f2, g2 = space[z1][1], space[z2][1]
         mid = c.g.comp[(c.g.comp[(c.g.inv[f2], chi.rmap[g1])], g2)]
         rmap[arrow] = pair(z1, mid, z2)
     chi_tilde = xmd.validate_strict_xmorphism(
@@ -286,8 +284,8 @@ def _crossing_general(chi, as_extension):
           for z in space for h1 in d.h.fiber(tau[z])}
     b1 = {(z, h2): core.b1[(z, pair(z, h2))]
           for z in space for h2 in c.h.fiber(sigma[z])}
-    a2 = {mm: unpair(core.a2[mm], 3)[1] for mm in core.m.arrows}
-    b2 = {mm: unpair(core.b2[mm], 3)[1] for mm in core.m.arrows}
+    a2 = {mm: pb1.g.parts[core.a2[mm]][1] for mm in core.m.arrows}
+    b2 = {mm: pb2.g.parts[core.b2[mm]][1] for mm in core.m.arrows}
     make = validate_crossed_extension if as_extension else validate_crossing
     return make(d, c, core.m, tau, sigma, a1, a2, b1, b2)
 
@@ -324,8 +322,8 @@ def pullback_crossing(c, space, phi):
           for z in mz.objects for h1 in c.src.h.fiber(tau[z])}
     b1 = {(z, h2): pair(z, c.b1[(phi[z], h2)], z)
           for z in mz.objects for h2 in c.dst.h.fiber(sigma[z])}
-    a2 = {arrow: c.a2[unpair(arrow, 3)[1]] for arrow in mz.arrows}
-    b2 = {arrow: c.b2[unpair(arrow, 3)[1]] for arrow in mz.arrows}
+    a2 = {arrow: c.a2[mz.parts[arrow][1]] for arrow in mz.arrows}
+    b2 = {arrow: c.b2[mz.parts[arrow][1]] for arrow in mz.arrows}
     make = validate_crossed_extension if c.is_extension else validate_crossing
     return make(c.src, c.dst, mz, tau, sigma, a1, a2, b1, b2)
 
@@ -376,12 +374,12 @@ def diamond(cm, cn):
     if cm.m.objects == cn.m.objects and \
             all(cm.sigma[u] == cn.tau[u] for u in cm.m.objects):
         return _diamond_core(cm, cn)
-    z = [pair(u, v) for u in cm.m.objects for v in cn.m.objects
-         if cm.sigma[u] == cn.tau[v]]
+    z = {pair(u, v): (u, v) for u in cm.m.objects for v in cn.m.objects
+         if cm.sigma[u] == cn.tau[v]}
     if not z:
         raise EmptyFiberedProduct("diamond: no compatible unit-space pairs")
-    cm2 = pullback_crossing(cm, z, {w: unpair(w)[0] for w in z})
-    cn2 = pullback_crossing(cn, z, {w: unpair(w)[1] for w in z})
+    cm2 = pullback_crossing(cm, z, {w: u for w, (u, _) in z.items()})
+    cn2 = pullback_crossing(cn, z, {w: v for w, (_, v) in z.items()})
     return _diamond_core(cm2, cn2)
 
 
@@ -403,7 +401,7 @@ def _diamond_core(cm, cn):
         u = m.tgt[mm]
         links += [(pair(m.comp[(cm.b1[(u, h2)], mm)], n.comp[(cn.a1[(u, h2)], nn)]), p)
                   for h2 in mid.h.fiber(cm.sigma[u])]
-    dm, class_of, reps = quotient_groupoid(
+    dm, class_of = quotient_groupoid(
         m.objects, members, links, lambda r: m.src[r[0]], lambda r: m.tgt[r[0]],
         lambda r: pair(m.inv[r[0]], n.inv[r[1]]), lambda u: pair(m.unit[u], n.unit[u]),
         lambda r, r2: pair(m.comp[(r[0], r2[0])], n.comp[(r[1], r2[1])]))
@@ -411,8 +409,8 @@ def _diamond_core(cm, cn):
           for u in dm.objects for h1 in cm.src.h.fiber(cm.tau[u])}
     b1 = {(u, h3): class_of[pair(m.unit[u], cn.b1[(u, h3)])]
           for u in dm.objects for h3 in cn.dst.h.fiber(cn.sigma[u])}
-    a2 = {a: cm.a2[mm] for a, (mm, _) in reps.items()}
-    b2 = {a: cn.b2[nn] for a, (_, nn) in reps.items()}
+    a2 = {a: cm.a2[mm] for a, (mm, _) in dm.parts.items()}
+    b2 = {a: cn.b2[nn] for a, (_, nn) in dm.parts.items()}
     both_ext = cm.is_extension and cn.is_extension
     make = validate_crossed_extension if both_ext else validate_crossing
     out = make(cm.src, cn.dst, dm, dict(cm.tau), dict(cn.sigma),
@@ -486,7 +484,7 @@ def crossed_semidirect(c, side="H1"):
         twisted = act_mod.act(act_mod.g.inv[leg2_self[mm]], r2[1])
         return pair(u, bund.comp[(hh, twisted)], m.comp[(mm, r2[2])])
 
-    gpd, class_of, _ = quotient_groupoid(
+    gpd, class_of = quotient_groupoid(
         m.objects, members, links, lambda r: m.src[r[2]], lambda r: m.tgt[r[2]], inv,
         lambda u: pair(u, bund.unit[mom[u]], m.unit[u]), comp)
     return gpd, class_of
@@ -502,7 +500,7 @@ def crossed_semidirect_iso(c, side="H1"):
     sd, _ = xmd.semidirect_of_morphism(xmd.identity_xmorphism(pb))
     amap = {}
     for a in gpd.arrows:
-        u, hh, mm = unpair(strip_class(a), 3)
+        u, hh, mm = gpd.parts[a]
         triple = pair(c.m.tgt[mm], s.leg2[mm], c.m.src[mm])
         amap[a] = pair(pair(u, hh), triple)
     iso = validate_groupoid_morphism(gpd, sd, {u: u for u in gpd.objects}, amap)
@@ -539,20 +537,13 @@ def verify_m_mbar(c, want_witness=True):
     # class representatives of the diamond are pairs (m1, m2)
     phi1, psi1 = {}, {}
     for a in d1.m.arrows:
-        m1, m2 = unpair(strip_class(a))
+        m1, m2 = d1.m.parts[a]
         h1 = solve_alpha_tilde(c, m1, m2)
         phi1[a] = class_of[pair(c.m.tgt[m1], h1, m1)]
     for a in cs1.arrows:
-        u, h1, mm = unpair(strip_class(a), 3)
-        target = c.m.comp[(c.a1[(u, h1)], mm)]
-        # find the diamond class of (mm, a1(h1) mm)
-        psi1[a] = None
-        key = pair(mm, target)
-        for b_ in d1.m.arrows:
-            mb1, mb2 = unpair(strip_class(b_))
-            if _diamond_equivalent(c, cb, (mm, target), (mb1, mb2)):
-                psi1[a] = b_
-                break
+        u, h1, mm = cs1.parts[a]
+        # (mm, a1(h1) mm) is a diamond member by CR2; its class is the image
+        psi1[a] = d1.pair_class.get(pair(mm, c.m.comp[(c.a1[(u, h1)], mm)]))
         if psi1[a] is None:
             raise CoherenceFailure(("psi1 image missing", a))
     mor_phi = validate_groupoid_morphism(d1.m, cs1,
@@ -571,22 +562,6 @@ def verify_m_mbar(c, want_witness=True):
         if witness is None:
             raise CoherenceFailure("M<>Mbar and Mbar<>M admit no Morita witness")
     return mor_phi, mor_psi, d1, d2, witness
-
-
-def _diamond_equivalent(cm, cn, pair_a, pair_b):
-    """(m1,n1) ~ (m2,n2) in the diamond quotient: n2 shifted from n1 by the
-    same middle element that shifts m1 to m2."""
-    m1, n1 = pair_a
-    m2, n2 = pair_b
-    m = cm.m
-    if m.tgt[m1] != m.tgt[m2] or m.src[m1] != m.src[m2]:
-        return False
-    u = m.tgt[m1]
-    for h2 in cm.dst.h.fiber(cm.sigma[u]):
-        if m.comp[(cm.b1[(u, h2)], m1)] == m2 and \
-                cn.m.comp[(cn.a1[(u, h2)], n1)] == n2:
-            return True
-    return False
 
 
 # -- extensions vs crossings ---------------------------------------------------

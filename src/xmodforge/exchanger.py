@@ -10,7 +10,7 @@ from . import xmod as xmd
 from .fingrpd import (as_group_bundle, check_groupoid_morphism, groupoid_of_parts,
                       identity_morphism, quotient_groupoid, validate_action,
                       validate_groupoid_morphism)
-from .util import pair, quotient, strip_class, unpair
+from .util import pair, quotient
 
 
 # -- homomorphisms of crossed extensions -------------------------------------
@@ -103,7 +103,7 @@ def pullback_homomorphism(a, space, phi):
     az = cr.pullback_crossing(a, space, phi)
     proj = validate_groupoid_morphism(
         az.m, a.m, {z: phi[z] for z in set(space)},
-        {arrow: unpair(arrow, 3)[1] for arrow in az.m.arrows})
+        {arrow: az.m.parts[arrow][1] for arrow in az.m.arrows})
     return validate_xext_homomorphism(
         az, a, xmd.identity_xmorphism(a.src), proj,
         xmd.identity_xmorphism(a.dst))
@@ -139,10 +139,10 @@ def unit_equivalence(a):
     def twist_chi(src_mod, dst_mod, base_g, act_mod, leg2):
         lmap, rmap = {}, {}
         for hh in src_mod.h.arrows:
-            mm, h0 = unpair(hh)
+            mm, h0 = src_mod.h.parts[hh]
             lmap[hh] = pair(mm, act_mod.act(leg2[mm], h0))
         for arrow in src_mod.g.arrows:
-            m1, g0, m2 = unpair(arrow, 3)
+            m1, g0, m2 = src_mod.g.parts[arrow]
             mid = base_g.comp[(base_g.comp[(base_g.inv[leg2[m1]], g0)], leg2[m2])]
             rmap[arrow] = pair(m1, mid, m2)
         return xmd.validate_strict_xmorphism(
@@ -157,7 +157,7 @@ def unit_equivalence(a):
     g = bb.g_function(ident)
     amap = {}
     for arrow in ta.m.arrows:
-        z, mm, z2 = unpair(arrow, 3)
+        z, mm, z2 = ta.m.parts[arrow]
         amap[arrow] = pair(z, g[(z, ident.lact[(mm, z2)])], z2)
     phi = validate_groupoid_morphism(ta.m, sa.m, {z: z for z in ta.m.objects}, amap)
     return validate_xext_homomorphism(ta, sa, chi1, phi, chi2)
@@ -299,7 +299,7 @@ def _check_pphi_orbits(hom, ex):
     for s, t in zip(hom.src.sides(), hom.dst.sides()[::-1]):
         classes = {}
         for z in ex.p.space:
-            u, nn = unpair(z)
+            u, nn = ex.p.parts[z]
             classes.setdefault((u, t.leg2[nn], n.src[nn]), set()).add(z)
         # same class <=> same orbit under the matching H-actions
         left = _left_h_action(ex, s)
@@ -325,8 +325,8 @@ def exchanger_inverse(ex):
 
     fwd, bwd = vertical_compose(ex, exbar), vertical_compose(exbar, ex)
     # [pz, qz] goes to the m with m.qz = pz, [qz, pz] to the n with qz.n = pz
-    to_i_src = {c: unpair(strip_class(c))[::-1] for c in fwd.p.space}
-    to_i_tgt = {c: unpair(strip_class(c)) for c in bwd.p.space}
+    to_i_src = {c: fwd.p.parts[c][::-1] for c in fwd.p.space}
+    to_i_tgt = {c: bwd.p.parts[c] for c in bwd.p.space}
     for side, eta in (("left", to_i_src), ("right", to_i_tgt)):
         table = bb.division(ex.p, side)[0]
         for c, key in eta.items():
@@ -396,11 +396,12 @@ def structural_isos(ex1, ex2, ex3):
     ex1, validated as invertible exchanger morphisms."""
     outer = vertical_compose(ex1, ex2)
     left = vertical_compose(outer, ex3)
-    right = vertical_compose(ex1, vertical_compose(ex2, ex3))
+    inner = vertical_compose(ex2, ex3)
+    right = vertical_compose(ex1, inner)
     eta = {}
     for c in right.p.space:
-        pz, inner_c = unpair(strip_class(c))
-        qz, tz = unpair(strip_class(inner_c))
+        pz, inner_c = right.p.parts[c]
+        qz, tz = inner.p.parts[inner_c]
         eta[c] = left.p.pair_class[pair(outer.p.pair_class[pair(pz, qz)], tz)]
     assoc = validate_exchanger_morphism(right, left, eta)
 
@@ -408,7 +409,7 @@ def structural_isos(ex1, ex2, ex3):
     ip = vertical_compose(i_src, ex1)
     r_eta = {}
     for c in ip.p.space:
-        mm, pz = unpair(strip_class(c))
+        mm, pz = ip.p.parts[c]
         r_eta[c] = ex1.p.lact[(mm, pz)]
     r_p = validate_exchanger_morphism(ip, ex1, r_eta)
 
@@ -416,7 +417,7 @@ def structural_isos(ex1, ex2, ex3):
     pi = vertical_compose(ex1, i_tgt)
     l_eta = {}
     for c in pi.p.space:
-        pz, nn = unpair(strip_class(c))
+        pz, nn = pi.p.parts[c]
         l_eta[c] = ex1.p.ract[(pz, nn)]
     l_p = validate_exchanger_morphism(pi, ex1, l_eta)
     _require_bijective(assoc=assoc, r_p=r_p, l_p=l_p)
@@ -437,7 +438,7 @@ def morphism_compose(kind, eta, zeta):
         dst = vertical_compose(eta.dst, zeta.dst)
         out = {}
         for c in src.p.space:
-            p1, p2 = unpair(strip_class(c))
+            p1, p2 = src.p.parts[c]
             out[c] = dst.p.pair_class[pair(eta.eta[p1], zeta.eta[p2])]
         return validate_exchanger_morphism(src, dst, out)
     if kind == "spatial":
@@ -445,7 +446,7 @@ def morphism_compose(kind, eta, zeta):
         dst = horizontal_diamond(eta.dst, zeta.dst)
         out = {}
         for c in src.p.space:
-            p1, p2 = unpair(strip_class(c))
+            p1, p2 = src.p.parts[c]
             out[c] = dst.p.pair_class[pair(eta.eta[p1], zeta.eta[p2])]
         return validate_exchanger_morphism(src, dst, out)
     raise NotComposable(f"unknown composition kind {kind!r}")
@@ -489,20 +490,21 @@ def horizontal_diamond(ex1, ex2):
                 links.append((pair(x2, y2), z))
 
     def lact(mm, r):
-        m1, m2 = unpair(strip_class(mm))
+        m1, m2 = src_d.m.parts[mm]
         return pair(p1.lact[(m1, r[0])], p2.lact[(m2, r[1])])
 
     def ract(r, nn):
-        n1, n2 = unpair(strip_class(nn))
+        n1, n2 = dst_d.m.parts[nn]
         return pair(p1.ract[(r[0], n1)], p2.ract[(r[1], n2)])
 
-    whole, _ = bb.quotient_bibundle(src_d.m, dst_d.m, carrier, links,
+    whole = bb.quotient_bibundle(src_d.m, dst_d.m, carrier, links,
                                     lambda r: p1.lmom[r[0]], lambda r: p1.rmom[r[0]],
                                     lact, ract)
     # The double-fibered carrier splits into action-closed components; only
     # components that are genuinely principal represent the composite 1-cell
-    # (the unrestricted carrier is too wide when the middle bundles
-    # are small; see the ledger). Take the least-labeled valid component.
+    # (the unrestricted carrier is too wide when the middle bundles are
+    # small).  Return the valid component whose least class label is least:
+    # a choice that depends on label order, not on structure alone.
     component, _ = quotient({c: c for c in whole.space},
                             [(c, v) for (_, c), v in whole.lact.items()] +
                             [(c, v) for (c, _), v in whole.ract.items()])
@@ -522,6 +524,7 @@ def horizontal_diamond(ex1, ex2):
         except ValidationFailure as e:
             failures.extend(e.violations)
             continue
+        p.parts = {c: whole.parts[c] for c in members}
         p.pair_class = {z: c for z, c in whole.pair_class.items() if c in comp_set}
         out = SemiExchanger(src_d, dst_d, p)
         violations = check_semi_exchanger(out)
@@ -536,16 +539,17 @@ def horizontal_diamond(ex1, ex2):
 def eta_square(ex_p1, ex_p2, ex_q1, ex_q2):
     """The coherence square: the component permutation
     (P1 <> P2) bullet (Q1 <> Q2)  =>  (P1 bullet Q1) <> (P2 bullet Q2)."""
-    lhs = vertical_compose(horizontal_diamond(ex_p1, ex_p2),
-                           horizontal_diamond(ex_q1, ex_q2))
+    dp = horizontal_diamond(ex_p1, ex_p2)
+    dq = horizontal_diamond(ex_q1, ex_q2)
+    lhs = vertical_compose(dp, dq)
     bq1 = vertical_compose(ex_p1, ex_q1)
     bq2 = vertical_compose(ex_p2, ex_q2)
     rhs = horizontal_diamond(bq1, bq2)
     eta = {}
     for c in lhs.p.space:
-        dmc, dqc = unpair(strip_class(c))
-        pz1, pz2 = unpair(strip_class(dmc))
-        qz1, qz2 = unpair(strip_class(dqc))
+        dmc, dqc = lhs.p.parts[c]
+        pz1, pz2 = dp.p.parts[dmc]
+        qz1, qz2 = dq.p.parts[dqc]
         left_cls = bq1.p.pair_class[pair(pz1, qz1)]
         right_cls = bq2.p.pair_class[pair(pz2, qz2)]
         eta[c] = rhs.p.pair_class[pair(left_cls, right_cls)]
@@ -572,11 +576,12 @@ def _matched_triples(p, s, t):
 def _quotient_middle(p, mn, s, t):
     """MN / (H x H') by the leg1 images of side s of the source and side t
     of the target: the b sides give the Q1 of the G1^P module, the a sides
-    the Q2. Returns (groupoid, class_of)."""
+    the Q2. Returns (groupoid, class_of); the groupoid's parts map each
+    class to its least arrow of MN."""
     m, n = p.left, p.right
     links = []
     for q in mn.arrows:
-        mm, p1, p2, nn = unpair(q)
+        mm, p1, p2, nn = mn.parts[q]
         u2, v1 = p.lmom[p2], p.rmom[p1]
         for h2 in s.xm.h.fiber(s.mom[u2]):
             m2 = m.comp[(mm, s.leg1[(u2, h2)])]
@@ -584,16 +589,17 @@ def _quotient_middle(p, mn, s, t):
                 q2 = pair(m2, p1, p2, n.comp[(t.leg1[(v1, h4)], nn)])
                 if q2 in mn.arrows:
                     links.append((q2, q))
-    gpd, class_of, _ = quotient_groupoid(
+    gpd, class_of = quotient_groupoid(
         mn.objects, {q: q for q in mn.arrows}, links, mn.src.__getitem__,
         mn.tgt.__getitem__, mn.inv.__getitem__, mn.unit.__getitem__,
         lambda q, q2: mn.comp[(q, q2)])
     return gpd, class_of
 
 
-def _decomp_module(p, s, t, qgpd, class_of):
+def _decomp_module(p, mn, s, t, qgpd, class_of):
     """The crossed module (H_s *_P H_t -> Q) of the decomposition, for s a
-    side of the source crossing and t the same side of the target."""
+    side of the source crossing and t the same side of the target; Q is a
+    quotient of MN by _quotient_middle."""
     parts = _matched_triples(p, s, t)
     ba, bbnd = s.xm.h, t.xm.h
     bundle = as_group_bundle(groupoid_of_parts(
@@ -606,7 +612,7 @@ def _decomp_module(p, s, t, qgpd, class_of):
                 for x, (h, pz, k) in parts.items()}
     act = {}
     for c in qgpd.arrows:
-        mm, p1, p2, nn = unpair(strip_class(c))
+        mm, p1, p2, nn = mn.parts[qgpd.parts[c]]
         for x in bundle.fiber(p1):
             h, _, k = parts[x]
             act[(c, x)] = pair(s.xm.act(s.leg2[mm], h), p2,
@@ -633,10 +639,10 @@ def exchanger_decompose(ex):
     quotients = [_quotient_middle(p, mn, s, t) for s, t in sides[::-1]]
     mods, legs1, legs2 = [], [], []
     for (s, t), (qgpd, q_class) in zip(sides, quotients):
-        mod = _decomp_module(p, s, t, qgpd, q_class)
+        mod = _decomp_module(p, mn, s, t, qgpd, q_class)
         leg1 = {}
         for x in mod.h.arrows:
-            h, pz, k = unpair(x, 3)
+            h, pz, k = mod.h.parts[x]
             leg1[(pz, x)] = pair(s.leg1[(p.lmom[pz], h)], pz, pz,
                                  t.leg1[(p.rmom[pz], k)])
         mods.append(mod)
@@ -652,11 +658,11 @@ def exchanger_decompose(ex):
     for end, mom, hpos, mpos in ((a, p.lmom, 0, 0), (b, p.rmom, 2, 3)):
         omap = {pz: mom[pz] for pz in p.space}
         chis = [xmd.validate_strict_xmorphism(
-            mod, s.xm, omap, {h: unpair(h, 3)[hpos] for h in mod.h.arrows},
-            {c: s.leg2[unpair(strip_class(c))[mpos]] for c in mod.g.arrows})
+            mod, s.xm, omap, {h: mod.h.parts[h][hpos] for h in mod.h.arrows},
+            {c: s.leg2[mn.parts[mod.g.parts[c]][mpos]] for c in mod.g.arrows})
             for mod, s in zip(mods, end.sides())]
         pr = validate_groupoid_morphism(mn, end.m, omap,
-                                        {q: unpair(q)[mpos] for q in mn.arrows})
+                                        {q: mn.parts[q][mpos] for q in mn.arrows})
         homs.append(validate_xext_homomorphism(pext, end, chis[0], pr, chis[1]))
     return (pext, *homs)
 
@@ -680,14 +686,13 @@ def unit_witnesses(c):
     dmo = cr.diamond(msb, o2)
     dom_ = cr.diamond(o1, msb)
 
-    def rep(cls):
-        return unpair(strip_class(cls))
-
+    # the middles of the diamonds and of o1, o2 are read at their parts:
+    # classes (mm, ocell) or (ocell, mm), and cells ocell = (h, g)
     # R: dmo => msb on the carrier M
     lact = {}
     for cls in dmo.m.arrows:
-        mm, ocell = rep(cls)
-        h2, _ = unpair(ocell)
+        mm, ocell = dmo.m.parts[cls]
+        h2, _ = o2.m.parts[ocell]
         shift = m.comp[(msb.b1[(m.tgt[mm], h2)], mm)]
         for m2 in m.arrows_to(m.src[mm]):
             lact[(cls, m2)] = m.comp[(shift, m2)]
@@ -702,10 +707,10 @@ def unit_witnesses(c):
     lact_bar = {}
     for mm in m.arrows:
         for cls in dmo.m.arrows:
-            m1, ocell = rep(cls)
+            m1, ocell = dmo.m.parts[cls]
             if m.tgt[m1] != m.src[mm]:
                 continue
-            h2, gg2 = unpair(ocell)
+            h2, gg2 = o2.m.parts[ocell]
             h2_tw = g2mod.act(g2mod.g.inv[msb.b2[mm]], h2)
             ocell2 = pair(h2_tw, g2mod.g.comp[(msb.b2[mm], gg2)])
             lact_bar[(mm, cls)] = dmo.pair_class[pair(m.comp[(mm, m1)], ocell2)]
@@ -721,8 +726,8 @@ def unit_witnesses(c):
     # L: dom_ => msb on the carrier M
     lact_l = {}
     for cls in dom_.m.arrows:
-        ocell, mm = rep(cls)
-        k1, _ = unpair(ocell)
+        ocell, mm = dom_.m.parts[cls]
+        k1, _ = o1.m.parts[ocell]
         shift = m.comp[(msb.a1[(m.tgt[mm], g1mod.h.inv[k1])], mm)]
         for m2 in m.arrows_to(m.src[mm]):
             lact_l[(cls, m2)] = m.comp[(shift, m2)]
@@ -735,10 +740,10 @@ def unit_witnesses(c):
     lact_lbar = {}
     for mm in m.arrows:
         for cls in dom_.m.arrows:
-            ocell, m1 = rep(cls)
+            ocell, m1 = dom_.m.parts[cls]
             if m.tgt[m1] != m.src[mm]:
                 continue
-            k1, gg1 = unpair(ocell)
+            k1, gg1 = o1.m.parts[ocell]
             k1_tw = g1mod.act(g1mod.g.inv[msb.a2[mm]], k1)
             ocell2 = pair(k1_tw, g1mod.g.comp[(msb.a2[mm], gg1)])
             lact_lbar[(mm, cls)] = dom_.pair_class[pair(ocell2, m.comp[(mm, m1)])]
@@ -756,7 +761,7 @@ def unit_witnesses(c):
         comp_ex = vertical_compose(first, second)
         eta = {}
         for cls in comp_ex.p.space:
-            z1, z2 = rep(cls)
+            z1, z2 = comp_ex.p.parts[cls]
             eta[cls] = second.p.lact[(z1, z2)]
         return validate_exchanger_morphism(comp_ex, target_triv, eta)
 

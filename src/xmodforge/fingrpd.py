@@ -8,7 +8,7 @@ arrow calculus and the GDF table entry `g.h=k`.
 """
 
 from .errors import ValidationFailure, Violation, SizeLimitExceeded, require
-from .util import labelset, pair, quotient, search_bijection, unpair
+from .util import bijections, labelset, pair, quotient, search_bijection, unpair
 
 DEFAULT_FIBER_CAP = 12
 
@@ -27,6 +27,7 @@ class Groupoid:
         self.inv = dict(inv)
         self.unit = dict(unit)
         self.comp = dict(comp)
+        self.parts = None  # set by groupoid_of_parts: arrow label -> its parts
         self._by_src = None
         self._by_tgt = None
 
@@ -143,7 +144,9 @@ def validate_groupoid(objects, arrows, src, tgt, inv, unit, comp):
 
 def groupoid_of_parts(objects, parts, src, tgt, inv, unit, comp):
     """The groupoid on objects whose arrows are the labels of parts, a dict
-    from each arrow label to the parts it was built from.
+    from each arrow label to the parts it was built from.  The result keeps
+    parts as its .parts table, so a reader looks an arrow's parts up there
+    instead of parsing its label.
 
     Every table is read at the parts r of an arrow: src(r) and tgt(r) are
     its endpoints, inv(r) the label of its inverse and comp(r, r2) that of
@@ -159,26 +162,29 @@ def groupoid_of_parts(objects, parts, src, tgt, inv, unit, comp):
     by_tgt = {}
     for a, y in target.items():
         by_tgt.setdefault(y, []).append(a)
-    return validate_groupoid(
+    gpd = validate_groupoid(
         objects, list(parts), source, target,
         {a: inv(r) for a, r in parts.items()},
         {x: unit(x) for x in objects},
         {(a, a2): comp(r, parts[a2])
          for a, r in parts.items() for a2 in by_tgt.get(source[a], ())})
+    gpd.parts = parts
+    return gpd
 
 
 def quotient_groupoid(objects, members, links, src, tgt, inv, unit, comp):
     """The groupoid on objects whose arrows are the classes of util.quotient
-    (members, links): (groupoid, class_of, reps).
+    (members, links), and the class_of map: (groupoid, class_of).
 
-    It is groupoid_of_parts with reps as the parts: every table is read at
-    the parts r of a class's least member, but inv(r), unit(x) and
-    comp(r, r2) give member labels, and the class of each is the value."""
+    It is groupoid_of_parts with reps as the parts, so the groupoid keeps
+    reps as its .parts: every table is read at the parts r of a class's
+    least member, but inv(r), unit(x) and comp(r, r2) give member labels,
+    and the class of each is the value."""
     class_of, reps = quotient(members, links)
     gpd = groupoid_of_parts(
         objects, reps, src, tgt, lambda r: class_of[inv(r)],
         lambda x: class_of[unit(x)], lambda r, r2: class_of[comp(r, r2)])
-    return gpd, class_of, reps
+    return gpd, class_of
 
 
 # -- stock groupoids -------------------------------------------------------
@@ -286,7 +292,10 @@ def identity_morphism(g):
 
 
 def search_groupoid_iso(g1, g2, node_cap=10**6):
-    """Brute-force isomorphism search; returns a GroupoidMorphism or None."""
+    """Brute-force isomorphism search; returns a GroupoidMorphism or None.
+    The object bijections that keep loop and out-degree counts are tried
+    in search order, each with one arrow search; the object enumeration
+    and each arrow search may explore node_cap nodes."""
     if len(g1.objects) != len(g2.objects) or len(g1.arrows) != len(g2.arrows):
         return None
     # object signature: multiset of (|loops|, |hom(x,y)| profile) is overkill
@@ -294,7 +303,10 @@ def search_groupoid_iso(g1, g2, node_cap=10**6):
     sig1 = {x: (len(g1.loops(x)), len(g1.arrows_from(x))) for x in g1.objects}
     sig2 = {x: (len(g2.loops(x)), len(g2.arrows_from(x))) for x in g2.objects}
 
-    for omap in _object_bijections(g1.objects, g2.objects, sig1, sig2):
+    omaps = bijections(g1.objects, g2.objects,
+                       lambda x: [y for y in g2.objects if sig1[x] == sig2[y]],
+                       lambda partial, x, y: True, node_cap)
+    for omap in omaps:
         def candidates(a):
             return g2.hom(omap[g1.src[a]], omap[g1.tgt[a]])
 
@@ -321,27 +333,6 @@ def search_groupoid_iso(g1, g2, node_cap=10**6):
     return None
 
 
-def _object_bijections(xs, ys, sig1, sig2):
-    def cands(x):
-        return [y for y in ys if sig1[x] == sig2[y]]
-
-    def consistent(partial, x, y):
-        return True
-
-    seen = search_bijection(xs, ys, cands, consistent)
-    if seen is not None:
-        yield seen
-        # try remaining object bijections lazily only if the first fails at
-        # the arrow level: enumerate all (desk scale keeps this tiny)
-        import itertools
-        for perm in itertools.permutations(ys):
-            omap = dict(zip(xs, perm))
-            if omap == seen:
-                continue
-            if all(sig1[x] == sig2[omap[x]] for x in xs):
-                yield omap
-
-
 # -- group bundles and Aut ------------------------------------------------
 
 
@@ -358,11 +349,14 @@ def validate_group_bundle(objects, arrows, src, tgt, inv, unit, comp):
 
 
 def as_group_bundle(g):
-    """Reinterpret a validated groupoid whose arrows are all loops."""
+    """Reinterpret a validated groupoid whose arrows are all loops; the
+    bundle keeps the groupoid's parts table."""
     bad = [h for h in g.arrows if g.src[h] != g.tgt[h]]
     if bad:
         raise ValidationFailure([Violation("NotEndoArrow", (h,)) for h in bad])
-    return GroupBundle(g.objects, g.arrows, g.src, g.tgt, g.inv, g.unit, g.comp)
+    bundle = GroupBundle(g.objects, g.arrows, g.src, g.tgt, g.inv, g.unit, g.comp)
+    bundle.parts = g.parts
+    return bundle
 
 
 def unit_bundle(objects):
@@ -379,58 +373,33 @@ def trivial_bundle(objects, model):
         lambda x: pair(x, e), lambda r, r2: pair(r[0], model.comp[(r[1], r2[1])])))
 
 
-def iso_maps(bundle, y, x):
-    """All group isomorphisms fiber(y) -> fiber(x), as dicts (brute force)."""
-    fy, fx = bundle.fiber(y), bundle.fiber(x)
-    if len(fy) != len(fx):
-        return []
-    ey, ex = bundle.unit[y], bundle.unit[x]
+def group_isos(gb, x, hb, y, node_cap=10**6):
+    """All group isomorphisms fiber_gb(x) -> fiber_hb(y), as dicts, in
+    search order: the unit goes to the unit, and the other elements of
+    fiber(x) are assigned in fiber order, each to the images in fiber order
+    that agree with the products already fixed.  Raises SizeLimitExceeded
+    after node_cap search nodes."""
+    fx, fy = gb.fiber(x), hb.fiber(y)
+    ex, ey = gb.unit[x], hb.unit[y]
 
-    def candidates(h):
-        if h == ey:
-            return [ex]
-        return [k for k in fx if k != ex]
+    def candidates(a):
+        if a == ex:
+            return [ey]
+        return [b for b in fy if b != ey]
 
-    def consistent(partial, h, k):
-        for h2, k2 in partial.items():
-            prod = partial.get(bundle.comp[(h, h2)])
-            if prod is not None and bundle.comp[(k, k2)] != prod:
+    def consistent(partial, a, b):
+        for a2, b2 in partial.items():
+            prod = partial.get(gb.comp[(a, a2)])
+            if prod is not None and hb.comp[(b, b2)] != prod:
                 return False
-            prod = partial.get(bundle.comp[(h2, h)])
-            if prod is not None and bundle.comp[(k2, k)] != prod:
+            prod = partial.get(gb.comp[(a2, a)])
+            if prod is not None and hb.comp[(b2, b)] != prod:
                 return False
         return True
 
-    out = []
-    _all_bijections(fy, fx, candidates, consistent, {}, out, bundle)
-    return out
-
-
-def _all_bijections(xs, ys, candidates, consistent, partial, out, bundle):
-    if len(partial) == len(xs):
-        iso = dict(partial)
-        if _is_hom(bundle, iso):
-            out.append(iso)
-        return
-    h = xs[len(partial)]
-    used = set(partial.values())
-    for k in candidates(h):
-        if k in used:
-            continue
-        if not consistent(partial, h, k):
-            continue
-        partial[h] = k
-        _all_bijections(xs, ys, candidates, consistent, partial, out, bundle)
-        del partial[h]
-
-
-def _is_hom(bundle, iso):
-    dom = list(iso)
-    for a in dom:
-        for b in dom:
-            if bundle.comp[(iso[a], iso[b])] != iso[bundle.comp[(a, b)]]:
-                return False
-    return True
+    return [t for t in bijections(fx, fy, candidates, consistent, node_cap)
+            if all(hb.comp[(t[a], t[a2])] == t[gb.comp[(a, a2)]]
+                   for a in fx for a2 in fx)]
 
 
 def aut_label(x, y, iso):
@@ -438,34 +407,23 @@ def aut_label(x, y, iso):
     return pair(x, y, "[" + body + "]")
 
 
-class AutBundle(Groupoid):
-    """Groupoid whose arrow x -> y is a group isomorphism fiber(y) -> fiber(x)
-    of the underlying bundle (right-action convention)."""
-
-    def __init__(self, bundle, objects, arrows, src, tgt, inv, unit, comp, maps):
-        super().__init__(objects, arrows, src, tgt, inv, unit, comp)
-        self.bundle = bundle
-        self.maps = maps  # arrow label -> dict fiber(tgt) -> fiber(src)
-
-
 def aut_bundle(bundle, fiber_cap=DEFAULT_FIBER_CAP):
-    """Aut(H): brute-force enumeration of bijective fiber homomorphisms."""
+    """Aut(H): the groupoid whose arrow x -> y is a group isomorphism
+    fiber(y) -> fiber(x) of the bundle (right-action convention), with
+    parts (x, y, iso); brute-force enumeration."""
     for x in bundle.objects:
         n = len(bundle.fiber(x))
         if n > fiber_cap:
             raise SizeLimitExceeded(f"fiber at {x}", n, fiber_cap)
     parts = {aut_label(x, y, iso): (x, y, iso) for x in bundle.objects
-             for y in bundle.objects for iso in iso_maps(bundle, y, x)}
+             for y in bundle.objects for iso in group_isos(bundle, y, bundle, x)}
     # arrow composition ab covers "b then a"; its underlying map is b's
     # after a's (arrows x->y carry maps fiber(y)->fiber(x))
-    gpd = groupoid_of_parts(
+    return groupoid_of_parts(
         bundle.objects, parts, lambda r: r[0], lambda r: r[1],
         lambda r: aut_label(r[1], r[0], {v: k for k, v in r[2].items()}),
         lambda x: aut_label(x, x, {h: h for h in bundle.fiber(x)}),
         lambda r, r2: aut_label(r2[0], r[1], {h: r2[2][r[2][h]] for h in r[2]}))
-    return AutBundle(bundle, gpd.objects, gpd.arrows, gpd.src, gpd.tgt,
-                     gpd.inv, gpd.unit, gpd.comp,
-                     {a: iso for a, (_, _, iso) in parts.items()})
 
 
 # -- actions ---------------------------------------------------------------

@@ -10,8 +10,8 @@ import itertools
 from .errors import ValidationFailure
 from .fingrpd import (cyclic_groupoid, group_as_groupoid, groupoid_of_parts,
                       transport_action, trivial_action, trivial_bundle,
-                      unit_groupoid, validate_groupoid)
-from .util import pair, unpair
+                      validate_groupoid)
+from .util import pair
 
 
 def s3_groupoid(prefix="s"):
@@ -29,17 +29,9 @@ def s3_groupoid(prefix="s"):
     return group_as_groupoid(elems, mul, inverse, "012", prefix=prefix)
 
 
-GROUP_PALETTE = [
-    lambda p: unit_groupoid(["*"]) if False else cyclic_groupoid(1, prefix=p),
-    lambda p: cyclic_groupoid(2, prefix=p),
-    lambda p: cyclic_groupoid(3, prefix=p),
-    lambda p: cyclic_groupoid(4, prefix=p),
-]
-
-
 def random_group(rng, max_order=4, prefix="g"):
-    pool = [f for f in GROUP_PALETTE if len(f(prefix).arrows) <= max_order]
-    return rng.choice(pool)(prefix)
+    """A cyclic group of order 1-4 and at most max_order, drawn uniformly."""
+    return cyclic_groupoid(rng.choice(range(1, min(max_order, 4) + 1)), prefix=prefix)
 
 
 def transitive_block(objects, group, tag):
@@ -116,7 +108,7 @@ def random_abelian_module(rng, g):
 
     def carry(arrow, h):
         x = g.src[arrow]
-        _, a = unpair(h)
+        _, a = bundle.parts[h]
         if invert and not g.is_unit(arrow):
             k = int(a[1:])
             a = "a" + str((-k) % n)

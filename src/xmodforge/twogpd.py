@@ -13,7 +13,7 @@ whose statements need honest bigons require the flag.
 
 from .errors import ValidationFailure, Violation, require
 from .fingrpd import Groupoid, check_groupoid
-from .util import labelset, pair, unpair
+from .util import labelset, pair
 
 
 class TwoGroupoid:
@@ -28,6 +28,9 @@ class TwoGroupoid:
         self.vinv, self.vunit, self.vcomp = dict(vinv), dict(vunit), dict(vcomp)
         self.hcomp = dict(hcomp)
         self.hinv = dict(hinv)
+        # set by its builder: {level: {label: its parts}}, for the levels
+        # (0, 1, 2) whose labels the builder made
+        self.parts = None
         # read with get: a document may leave a cell's ends undefined, which
         # check_2groupoid reports before it reads this flag
         s, t = self.s.get, self.t.get
@@ -310,40 +313,35 @@ def from_groupoid(g):
 def cover_2groupoid(g, cover):
     """Cover 2-groupoid of an indexed open cover {i: subset of objects}.
 
-    1-cells (i,g,j) with t(g) in U_i, s(g) in U_j; 2-cells are doubly indexed
-    copies (i1,i2,g,g,j1,j2) of a single arrow.
+    Objects (i,x) with x in U_i; 1-cells (i,g,j) with t(g) in U_i, s(g) in
+    U_j; 2-cells are doubly indexed copies (i1,i2,g,g,j1,j2) of a single
+    arrow.  The tuples are kept as the parts of all three levels.
     """
     covered = set().union(*cover.values())
     missing = tuple(x for x in g.objects if x not in covered)
     if missing:
         raise ValidationFailure([Violation("NotACover", missing)])
     idx = sorted(cover)
-    objects, unit_obj = [], {}
-    for i in idx:
-        for x in sorted(cover[i]):
-            objects.append(pair(str(i), x))
-    g1, s, t, inv1 = [], {}, {}, {}
+    objects = {pair(str(i), x): (str(i), x) for i in idx for x in sorted(cover[i])}
+    g1, s, t, inv1 = {}, {}, {}, {}
     for i in idx:
         for j in idx:
             for gg in g.arrows:
                 if g.tgt[gg] in cover[i] and g.src[gg] in cover[j]:
                     a = pair(str(i), gg, str(j))
-                    g1.append(a)
+                    g1[a] = (str(i), gg, str(j))
                     s[a] = pair(str(j), g.src[gg])
                     t[a] = pair(str(i), g.tgt[gg])
                     inv1[a] = pair(str(j), g.inv[gg], str(i))
-    unit1 = {pair(str(i), x): pair(str(i), g.unit[x], str(i))
-             for i in idx for x in sorted(cover[i])}
+    unit1 = {x: pair(i, g.unit[y], i) for x, (i, y) in objects.items()}
     comp1 = {}
-    for a in g1:
-        i, ga, j = unpair(a)
-        for b in g1:
-            j2, gb, k = unpair(b)
+    for a, (i, ga, j) in g1.items():
+        for b, (j2, gb, k) in g1.items():
             if j == j2 and g.src[ga] == g.tgt[gb]:
                 comp1[(a, b)] = pair(i, g.comp[(ga, gb)], k)
 
     cell = lambda i1, i2, gg, j1, j2: pair(i1, i2, gg, gg, j1, j2)
-    g2, s2, t2, vinv = [], {}, {}, {}
+    g2, s2, t2, vinv = {}, {}, {}, {}
     for gg in g.arrows:
         iis = [str(i) for i in idx if g.tgt[gg] in cover[i]]
         jjs = [str(j) for j in idx if g.src[gg] in cover[j]]
@@ -352,38 +350,33 @@ def cover_2groupoid(g, cover):
                 for j1 in jjs:
                     for j2 in jjs:
                         a = cell(i1, i2, gg, j1, j2)
-                        g2.append(a)
+                        g2[a] = (i1, i2, gg, gg, j1, j2)
                         s2[a] = pair(i1, gg, j1)
                         t2[a] = pair(i2, gg, j2)
                         vinv[a] = cell(i2, i1, gg, j2, j1)
-    vunit = {pair(i, gg, j): cell(i, i, gg, j, j)
-             for (i, gg, j) in map(unpair, g1)}
-    parts = {a: unpair(a) for a in g2}
+    vunit = {a: cell(i, i, gg, j, j) for a, (i, gg, j) in g1.items()}
     by_t2 = {}
     by_hslot = {}
-    for b in g2:
-        k1, k2, gb, _, l1, l2 = parts[b]
+    for b, (k1, k2, gb, _, l1, l2) in g2.items():
         by_t2.setdefault((gb, k2, l2), []).append(b)
-        by_hslot.setdefault((gb_t := g.tgt[gb], k1, k2), []).append(b)
+        by_hslot.setdefault((g.tgt[gb], k1, k2), []).append(b)
     vcomp = {}
-    for a in g2:
-        i1, i2, ga, _, j1, j2 = parts[a]
+    for a, (i1, i2, ga, _, j1, j2) in g2.items():
         # function order: vcomp(a, b) needs s2(a) = t2(b)
         for b in by_t2.get((ga, i1, j1), ()):
-            k1, _, _, _, l1, _ = parts[b]
+            k1, _, _, _, l1, _ = g2[b]
             vcomp[(a, b)] = cell(k1, i2, ga, l1, j2)
     hcomp = {}
-    for a in g2:
-        i1, i2, ga, _, j1, j2 = parts[a]
+    for a, (i1, i2, ga, _, j1, j2) in g2.items():
         for b in by_hslot.get((g.src[ga], j1, j2), ()):
-            _, _, gb, _, l1, l2 = parts[b]
+            _, _, gb, _, l1, l2 = g2[b]
             hcomp[(a, b)] = cell(i1, i2, g.comp[(ga, gb)], l1, l2)
-    hinv = {}
-    for a in g2:
-        i1, i2, ga, _, j1, j2 = unpair(a)
-        hinv[a] = cell(j1, j2, g.inv[ga], i1, i2)
-    return make_2groupoid(objects, g1, s, t, inv1, unit1, comp1,
-                          g2, s2, t2, vinv, vunit, vcomp, hcomp, hinv)
+    hinv = {a: cell(j1, j2, g.inv[ga], i1, i2)
+            for a, (i1, i2, ga, _, j1, j2) in g2.items()}
+    tg = make_2groupoid(objects, g1, s, t, inv1, unit1, comp1,
+                        g2, s2, t2, vinv, vunit, vcomp, hcomp, hinv)
+    tg.parts = {0: objects, 1: g1, 2: g2}
+    return tg
 
 
 # -- strict homomorphisms, transformations --------------------------------
@@ -457,11 +450,11 @@ def cover_projection(g, cover):
     2-groupoid): (i1,i2,g,h,j1,j2) -> g h^-1 g."""
     dom = cover_2groupoid(g, cover)
     cod = from_groupoid(g)
-    m0 = {x: unpair(x)[1] for x in dom.g0}
-    m1 = {a: unpair(a)[1] for a in dom.g1}
+    m0 = {x: dom.parts[0][x][1] for x in dom.g0}
+    m1 = {a: dom.parts[1][a][1] for a in dom.g1}
     m2 = {}
     for a in dom.g2:
-        _, _, ga, ha, _, _ = unpair(a)
+        _, _, ga, ha, _, _ = dom.parts[2][a]
         m2[a] = pair("1", g.comp[(g.comp[(ga, g.inv[ha])], ga)])
     return validate_strict_hom2(dom, cod, m0, m1, m2), dom, cod
 

@@ -100,17 +100,18 @@ def quotient(members, links):
             dict(sorted(reps.items())))
 
 
-def search_bijection(xs, ys, candidates, consistent, node_cap=10**6):
-    """Backtracking search for a bijection f: xs -> ys.
+def bijections(xs, ys, candidates, consistent, node_cap=10**6):
+    """The bijections f: xs -> ys, by backtracking, in search order.
 
-    candidates(x) yields allowed images; consistent(partial, x, y) may veto an
-    assignment given the partial map built so far. Returns a dict or None.
-    Raises SizeLimitExceeded after node_cap explored nodes.
+    candidates(x) yields allowed images; consistent(partial, x, y) may veto
+    an assignment given the partial map built so far.  Each yielded dict is
+    a fresh copy.  Raises SizeLimitExceeded after node_cap explored nodes,
+    counted over the whole enumeration.
     """
     xs = list(xs)
     ys = set(ys)
     if len(xs) != len(ys):
-        return None
+        return
     assignment = {}
     used = set()
     nodes = 0
@@ -118,7 +119,8 @@ def search_bijection(xs, ys, candidates, consistent, node_cap=10**6):
     def extend(i):
         nonlocal nodes
         if i == len(xs):
-            return True
+            yield dict(assignment)
+            return
         x = xs[i]
         for y in candidates(x):
             nodes += 1
@@ -130,10 +132,13 @@ def search_bijection(xs, ys, candidates, consistent, node_cap=10**6):
                 continue
             assignment[x] = y
             used.add(y)
-            if extend(i + 1):
-                return True
+            yield from extend(i + 1)
             del assignment[x]
             used.discard(y)
-        return False
 
-    return dict(assignment) if extend(0) else None
+    yield from extend(0)
+
+
+def search_bijection(xs, ys, candidates, consistent, node_cap=10**6):
+    """The first of bijections(...), or None."""
+    return next(bijections(xs, ys, candidates, consistent, node_cap), None)

@@ -114,7 +114,7 @@ def ad_xmod(bundle, fiber_cap=12):
     act = {}
     for f in aut.arrows:
         for hh in bundle.fiber(aut.tgt[f]):
-            act[(f, hh)] = aut.maps[f][hh]
+            act[(f, hh)] = aut.parts[f][2][hh]
     return validate_crossed_module(aut, bundle, boundary,
                                    validate_action(aut, bundle, act))
 
@@ -260,13 +260,13 @@ def semidirect_of_morphism(chi):
 
 def vertical_groupoid(xm):
     """H x| G ==> G, the arrow groupoid of the associated 2-groupoid:
-    cells (h,g): g => boundary(h) g."""
+    cells (h,g): g => boundary(h) g.  cells maps each cell to its parts."""
     g, h = xm.g, xm.h
-    cells, s2, t2, vinv = [], {}, {}, {}
+    cells, s2, t2, vinv = {}, {}, {}, {}
     for gg in g.arrows:
         for hh in h.fiber(g.tgt[gg]):
             a = pair(hh, gg)
-            cells.append(a)
+            cells[a] = (hh, gg)
             s2[a] = gg
             t2[a] = g.comp[(xm.boundary[hh], gg)]
             vinv[a] = pair(h.inv[hh], t2[a])
@@ -275,34 +275,34 @@ def vertical_groupoid(xm):
     for b in cells:
         by_t2.setdefault(t2[b], []).append(b)
     vcomp = {}
-    for a in cells:
-        ka, ga = unpair(a)
+    for a, (ka, ga) in cells.items():
         for b in by_t2.get(ga, ()):  # function order: b then a
-            kb, gb = unpair(b)
+            kb, gb = cells[b]
             vcomp[(a, b)] = pair(h.comp[(ka, kb)], gb)
     return cells, s2, t2, vinv, vunit, vcomp
 
 
 def xmod_to_2groupoid(xm):
-    """The vertical semidirect product 2-groupoid of a crossed module.
-    Memoized per crossed-module instance (immutable after validation)."""
+    """The vertical semidirect product 2-groupoid of a crossed module, with
+    the (h, g) parts of its cells as its level-2 parts.  Memoized per
+    crossed-module instance (immutable after validation)."""
     if xm._vertical2 is not None:
         return xm._vertical2
     g, h = xm.g, xm.h
     cells, s2, t2, vinv, vunit, vcomp = vertical_groupoid(xm)
     by_base_tgt = {}
-    for b in cells:
-        by_base_tgt.setdefault(g.tgt[unpair(b)[1]], []).append(b)
+    for b, (_, gb) in cells.items():
+        by_base_tgt.setdefault(g.tgt[gb], []).append(b)
     hcomp = {}
-    for a in cells:
-        ha, ga = unpair(a)
+    for a, (ha, ga) in cells.items():
         ga_inv = g.inv[ga]
         for b in by_base_tgt.get(g.src[ga], ()):
-            hb, gb = unpair(b)
+            hb, gb = cells[b]
             hb_tw = xm.act(ga_inv, hb)
             hcomp[(a, b)] = pair(h.comp[(ha, hb_tw)], g.comp[(ga, gb)])
     out = tgd.make_2groupoid(g.objects, g.arrows, g.src, g.tgt, g.inv, g.unit,
                              g.comp, cells, s2, t2, vinv, vunit, vcomp, hcomp)
+    out.parts = {2: cells}
     xm._vertical2 = out
     return out
 
@@ -354,7 +354,7 @@ def roundtrip_iso(tg):
                                   {g: g for g in tg.g1}, m2)
     m2back = {}
     for cell in tg2.g2:
-        a, gamma = unpair(cell)
+        a, gamma = tg2.parts[2][cell]
         m2back[cell] = tg.hcomp[(a, tg.vunit[gamma])]
     psi = tgd.validate_strict_hom2(tg2, tg, {x: x for x in tg2.g0},
                                   {g: g for g in tg2.g1}, m2back)
@@ -374,7 +374,7 @@ def hom2_from_xmorphism(chi):
     cod2 = xmod_to_2groupoid(chi.cod)
     m2 = {}
     for cell in dom2.g2:
-        hh, gg = unpair(cell)
+        hh, gg = dom2.parts[2][cell]
         m2[cell] = pair(chi.lmap[hh], chi.rmap[gg])
     f = tgd.validate_strict_hom2(dom2, cod2, dict(chi.omap), dict(chi.rmap), m2)
     return f, dom2, cod2
@@ -395,14 +395,14 @@ def pullback_xmod(xm, space, sigma):
     boundary = {a: pair(z, xm.boundary[hh], z) for a, (z, hh) in parts.items()}
     act = {}
     for arrow in pg.arrows:
-        z1, gg, z2 = unpair(arrow, 3)
+        z1, gg, z2 = pg.parts[arrow]
         for hh in h.fiber(sigma[z1]):
             act[(arrow, pair(z1, hh))] = pair(z2, xm.act(gg, hh))
     pxm = validate_crossed_module(pg, ph, boundary, validate_action(pg, ph, act))
     proj = validate_strict_xmorphism(
         pxm, xm, {z: sigma[z] for z in pg.objects},
         {a: hh for a, (_, hh) in parts.items()},
-        {arrow: unpair(arrow, 3)[1] for arrow in pg.arrows})
+        {arrow: pg.parts[arrow][1] for arrow in pg.arrows})
     return pxm, proj
 
 
@@ -434,7 +434,7 @@ def projective_product(xm1, xm2, zb):
                 for a, (ha, p, hb) in parts.items()}
     act = {}
     for arrow in gprod.arrows:
-        ga, p1, p2, gb = unpair(arrow)
+        ga, p1, p2, gb = gprod.parts[arrow]
         for hcell in hprod.fiber(p1):
             ha, _, hb = parts[hcell]
             act[(arrow, hcell)] = pair(xm1.act(ga, ha), p2, xm2.act(gb, hb))
@@ -443,11 +443,11 @@ def projective_product(xm1, xm2, zb):
     pr1 = validate_strict_xmorphism(
         prod, xm1, {p: tau[p] for p in zb.space},
         {a: r[0] for a, r in parts.items()},
-        {a: unpair(a)[0] for a in gprod.arrows})
+        {a: gprod.parts[a][0] for a in gprod.arrows})
     pr2 = validate_strict_xmorphism(
         prod, xm2, {p: sig[p] for p in zb.space},
         {a: r[2] for a, r in parts.items()},
-        {a: unpair(a)[3] for a in gprod.arrows})
+        {a: gprod.parts[a][3] for a in gprod.arrows})
     return prod, pr1, pr2
 
 
@@ -553,7 +553,7 @@ def semidirect_iso_under_transformation(tmap, lam, chi, kappa):
     c = chi.cod
     amap = {}
     for a in sd_chi.arrows:
-        h2, g1 = unpair(a)
+        h2, g1 = sd_chi.parts[a]
         y = chi.dom.g.tgt[g1]
         amap[a] = pair(c.act(c.g.inv[tmap[y]], h2), g1)
     return validate_groupoid_morphism(sd_chi, sd_kappa,

@@ -270,7 +270,7 @@ def morita_witness(g, h):
     gb, _ = inertia(g)
     hb, _ = inertia(h)
 
-    matched = bb._match_orbits(g, h, gorbs, horbs, gb, hb)
+    matched = bb._match_orbits(g, h, gorbs, horbs, gb, hb, 10 ** 6)
     if matched is None:
         return None
     space, lmom, rmom, lact, ract = [], {}, {}, {}, {}

@@ -312,7 +312,8 @@ def test_a_bad_morphism_reference_names_the_block(morphism, name, tmp_path, caps
     ["morita-witness", "--left", "OSC2_M", "--right", "OSC2_M"],
     ["compose", "--op", "diamond", "--inputs", "OSC2", "OSC2"],
     ["compose", "--op", "semidirect", "--inputs", "OSC2"],
-], ids=["morita-witness", "diamond", "semidirect"])
+    ["decompose", "--name", "OSC2"],
+], ids=["morita-witness", "diamond", "semidirect", "decompose"])
 def test_quotients_of_labels_with_commas(argv, tmp_path, capsys):
     # the middle groupoid's arrows (cX,cY) renamed to atoms mcXcY,r, which
     # contain the tuple separator; the output builds again
@@ -323,6 +324,15 @@ def test_quotients_of_labels_with_commas(argv, tmp_path, capsys):
     p.write_text(text)
     assert run_cli([argv[0], str(p), *argv[1:]]) == cli.EXIT_OK
     assert gdf.build_document(gdf.parse_gdf(capsys.readouterr().out))
+
+
+@pytest.mark.parametrize("cap, code", [(0, cli.EXIT_CAP), (10 ** 6, cli.EXIT_OK)])
+def test_cap_iso_bounds_the_isotropy_search_of_morita_witness(cap, code, capsys):
+    argv = [f"--cap-iso={cap}", "morita-witness", fixture("osc2.gdf"),
+            "--left", "OSC2_M", "--right", "OSC2_M"]
+    assert run_cli(argv) == code
+    err = capsys.readouterr().err
+    assert ("size cap: " in err) == (code == cli.EXIT_CAP)
 
 
 @pytest.mark.parametrize("path, old, new, code", [

@@ -2,8 +2,9 @@
 top-level definitions, module-level names or methods, no imported name that
 nothing reads, no assert statements, no module reaching into
 another module's private names, label sets built once by util.labelset and
-never re-sorted or copied, every quotient built by util.quotient, and every
-constructed groupoid built by fingrpd.groupoid_of_parts."""
+never re-sorted or copied, every quotient built by util.quotient, every
+constructed groupoid built by fingrpd.groupoid_of_parts, and labels read
+through the parts tables of the objects that built them."""
 
 import ast
 import functools
@@ -266,3 +267,25 @@ def test_constructed_groupoids_go_through_groupoid_of_parts():
         "validate_groupoid": {"fingrpd.groupoid_of_parts", "fingrpd.validate_group_bundle",
                               "gdf", "generators._merge"},
         "validate_group_bundle": {"gdf"}}
+
+
+# the functions that read tuple labels of an object their caller supplied
+UNPAIR_ALLOWED = {("fingrpd", "trivial_action"), ("fingrpd", "pullback_iso_to_base"),
+                  ("xmod", "transformation_from_2gpd")}
+
+
+def test_labels_are_read_from_parts_tables():
+    # a construction reads the parts its builder kept in .parts; unpair is
+    # left for caller-supplied labels, and no class label is stripped
+    found = []
+    for module, tree in library_modules():
+        if module == "util":
+            continue
+        for top in tree.body:
+            name = getattr(top, "name", None)
+            found += [(module, name, "strip_class") for _ in calls(top, "strip_class")]
+            found += [(module, name, "unpair") for _ in calls(top, "unpair")
+                      if (module, name) not in UNPAIR_ALLOWED]
+            if name == "AutBundle":
+                found.append((module, name, "class"))
+    assert found == []

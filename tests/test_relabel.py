@@ -1,20 +1,27 @@
 """Label invariance: a checker's verdict depends on the tables, not on the
 labels.  Every label of a generated input is renamed by a seeded injection
 into opaque atoms, which puts the labels in a new order; the violation codes
-and the verdicts of the quotient constructions and the decomposition must not
-change, also when the atoms contain ',', which a tuple label uses as its
-separator."""
+and the verdicts of the quotient constructions, the inverse and the
+decompositions must not change, also when the atoms contain ',' or an
+unbalanced ')', the separator and a bracket of tuple labels.  The CLI tests
+write such a renamed exchanger as a document."""
 
 import random
 from collections import Counter
 
+import pytest
+
 from xmodforge import bibundle as bb
+from xmodforge import cli, gdf, generators
 from xmodforge import crossing as cr
 from xmodforge import exchanger as exm
-from xmodforge import generators
+from xmodforge import xmod as xmd
 from xmodforge.errors import XModForgeError
 from xmodforge.fingrpd import ActionByAutomorphisms, search_groupoid_iso
 from xmodforge.xmod import CrossedModule
+
+# ',' is the tuple separator; ')' leaves an atom's brackets unbalanced
+SUFFIXES = (",r", ")r")
 
 
 class Relabel:
@@ -77,6 +84,10 @@ class Relabel:
             self.groupoid(zb.left), self.groupoid(zb.right), map(self, zb.space),
             self.table(zb.lmom), self.table(zb.rmom), self.table(zb.lact),
             self.table(zb.ract)))
+
+    def exchanger(self, ex):
+        return self._once(ex, lambda ex: exm.SemiExchanger(
+            self.crossing(ex.source), self.crossing(ex.target), self.bibundle(ex.p)))
 
 
 LEGS = ("tau", "sigma", "a1", "a2", "b1", "b2")
@@ -190,3 +201,83 @@ def test_decompose_crossing_with_commas_in_the_labels():
         got = cr.decompose_crossing(Relabel(seed, ",r").crossing(c))[0].h
         assert sorted(map(len, map(got.fiber, got.objects))) == \
             sorted(map(len, map(want.fiber, want.objects)))
+
+
+def verdict(build, *args):
+    """What build(*args) gives, reduced by the caller, or the error raised."""
+    try:
+        return build(*args)
+    except XModForgeError as e:
+        return type(e).__name__
+
+
+def inverse_verdict(ex):
+    _, m1, m2 = exm.exchanger_inverse(ex)
+    return m1.is_bijective(), m2.is_bijective()
+
+
+def decompose_verdict(ex):
+    pext = exm.exchanger_decompose(ex)[0]
+    return len(pext.m.arrows), len(pext.src.h.arrows), len(pext.dst.h.arrows)
+
+
+def hypercover_verdict(c):
+    _, chi_left, chi_right = cr.decompose_crossing(c)
+    return xmd.is_hypercover(chi_left), xmd.is_hypercover(chi_right)
+
+
+def hdiamond_verdict(ex):
+    # the carrier may be another component (it depends on label order), so
+    # only whether the result is an exchanger is compared
+    return exm.check_exchanger(exm.horizontal_diamond(ex, ex)) == []
+
+
+@pytest.mark.parametrize("suffix", SUFFIXES)
+def test_exchanger_inverse_and_decomposition_with_tuple_characters(suffix):
+    # the decomposition is run on the carriers of at most 8 points: its
+    # middle has |P|^2 |M| arrows, and 1,024 of them take seconds to check
+    built = Counter()
+    for seed in range(20):
+        ex = generators.random_exchanger(random.Random(seed))
+        renamed = Relabel(seed, suffix).exchanger(ex)
+        reads = (inverse_verdict, decompose_verdict)[:1 + (len(ex.p.space) <= 8)]
+        for read in reads:
+            want = verdict(read, ex)
+            assert verdict(read, renamed) == want
+            built[read.__name__] += not isinstance(want, str)
+    assert built == {"inverse_verdict": 20, "decompose_verdict": 13}
+
+
+@pytest.mark.parametrize("suffix", SUFFIXES)
+def test_decomposition_projections_are_hypercovers_with_tuple_characters(suffix):
+    for seed in range(20):
+        c = generators.random_crossed_extension(random.Random(seed))
+        want = verdict(hypercover_verdict, c)
+        assert want == (True, True)
+        assert verdict(hypercover_verdict, Relabel(seed, suffix).crossing(c)) == want
+
+
+@pytest.mark.parametrize("suffix", SUFFIXES)
+def test_horizontal_diamond_with_tuple_characters(suffix):
+    composed = 0
+    for seed in range(20):
+        ex = generators.random_exchanger(random.Random(seed))
+        if verdict(hdiamond_verdict, ex) is True:
+            assert verdict(hdiamond_verdict, Relabel(seed, suffix).exchanger(ex)) is True
+            composed += 1
+    assert composed > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["compose", "FILE", "--op", "hdiamond", "--inputs", "P", "P"],
+    ["decompose", "FILE", "--name", "P"],
+], ids=["hdiamond", "decompose"])
+def test_cli_on_an_exchanger_with_commas_in_the_labels(argv, tmp_path, capsys):
+    # random_exchanger(Random(0)), and the same with every label renamed to
+    # an atom ending in ",r", as a document: both compose or decompose
+    ex = generators.random_exchanger(random.Random(0))
+    path = tmp_path / "in.gdf"
+    for doc in (ex, Relabel(0, ",r").exchanger(ex)):
+        path.write_text(gdf.print_gdf(gdf.document_of(gdf.exchanger_blocks("P", doc))))
+        assert cli.main([str(path) if a == "FILE" else a for a in argv]) == cli.EXIT_OK
+        assert gdf.build_document(gdf.parse_gdf(capsys.readouterr().out))
