@@ -71,9 +71,76 @@ class Groupoid:
         return f"Groupoid(|obj|={len(self.objects)}, |arr|={len(self.arrows)})"
 
 
+def generators(arrows, src, tgt, comp):
+    """A generating set S of a composition table, as a list in label order.
+
+    S is chosen greedily: the arrows are taken in label order, the
+    idempotents (in a groupoid, the units) last, and each one not yet
+    reached becomes a generator.  The arrows reached are the closure of S
+    under right multiplication, x -> comp[(x, s)] for s in S with src(x) ==
+    tgt(s), so every arrow is a left-normed product (..((s1 s2) s3)..) sk
+    of generators, and no associativity is assumed.  A unit is mostly
+    reached as a product of other arrows (g^-1 g), so it seldom becomes a
+    generator, and each generator costs a pass of every test that reads S.
+    comp must be total on the composable pairs, with composites among the
+    arrows."""
+    gens, reached = [], set()
+    gens_to, reached_from = {}, {}  # object -> generators ending, arrows reached starting there
+    for a in sorted(arrows, key=lambda a: src[a] == tgt[a] and comp[(a, a)] == a):
+        if a in reached:
+            continue
+        gens.append(a)
+        gens_to.setdefault(tgt[a], []).append(a)
+        todo = [a] + [comp[(x, a)] for x in reached_from.get(tgt[a], ())]
+        while todo:
+            y = todo.pop()
+            if y not in reached:
+                reached.add(y)
+                reached_from.setdefault(src[y], []).append(y)
+                todo += [comp[(y, s)] for s in gens_to.get(src[y], ())]
+    return sorted(gens)
+
+
 def check_groupoid(objects, arrows, src, tgt, inv, unit, comp):
     """Return the list of axiom violations (empty when the tables form a
-    groupoid). Witnesses carry the offending arrows."""
+    groupoid). Witnesses carry the offending arrows.  Associativity is
+    decided as in check_groupoid_generators, but the generators are looked
+    for only when the sweep would visit more than 2 |comp| triples: finding
+    them reads at most |comp| composites, and Light's test on a groupoid
+    visits at least |comp| triples, since right multiplication keeps
+    sources, so that every object is the source of a generator."""
+    return _check_groupoid(objects, arrows, src, tgt, inv, unit, comp, False)[0]
+
+
+def check_groupoid_generators(objects, arrows, src, tgt, inv, unit, comp):
+    """(check_groupoid's violations, S): S is generators(arrows, src, tgt,
+    comp), or None when the tables fail the endpoint or totality checks.
+
+    Associativity is decided by Light's test (Clifford & Preston, The
+    Algebraic Theory of Semigroups I, 1961, 1.2): the table is associative
+    iff (x s) y = x (s y) for every s in S and every composable x, y.  It
+    holds for partial composition once comp is total on the composable
+    pairs with composites of the right endpoints, which the checks before
+    it establish; the unit and inverse laws are not used.  Let T be the
+    arrows a with (x a) y = x (a y) for all composable x, y.  For a, b in T
+    with src(a) == tgt(b),
+      (x (ab)) y = ((xa) b) y = (xa) (by) = x (a (by)) = x ((ab) y),
+    using b, b, a and b in T in turn, so ab is in T.  T holds S and is
+    closed under composition, so it holds the closure of S, every arrow.
+    Conversely an associative table passes.  So the test finds a failure
+    iff the sweep of all composable triples does, and then the sweep runs
+    and lists every failing triple in its own order.
+
+    For an arrow a let w(a) = |arrows from tgt(a)| |arrows to src(a)|, the
+    triples the test sweeps for a generator a; the sweep visits the sum of
+    w over all arrows.  The test runs when the sum of w over S is smaller,
+    and the sweep otherwise."""
+    return _check_groupoid(objects, arrows, src, tgt, inv, unit, comp, True)
+
+
+def _check_groupoid(objects, arrows, src, tgt, inv, unit, comp, want_generators):
+    # the body of both checks above: want_generators asks for S whatever
+    # it costs, since the caller reads it again
     violations = []
     objects, arrows = labelset(objects), labelset(arrows)
 
@@ -89,10 +156,11 @@ def check_groupoid(objects, arrows, src, tgt, inv, unit, comp):
         elif src.get(e) != x or tgt.get(e) != x:
             violations.append(Violation("BadUnit", (x, e), "unit not a loop at its object"))
     if violations:
-        return violations
+        return violations, None
 
-    by_tgt = {}
+    by_src, by_tgt = {}, {}
     for h in arrows:
+        by_src.setdefault(src[h], []).append(h)
         by_tgt.setdefault(tgt[h], []).append(h)
 
     # comp total exactly on {(g,h): src(g)=tgt(h)}
@@ -110,7 +178,7 @@ def check_groupoid(objects, arrows, src, tgt, inv, unit, comp):
         if g not in arrows or h not in arrows or src[g] != tgt[h]:
             violations.append(Violation("SpuriousComposite", (g, h)))
     if violations:
-        return violations
+        return violations, None
 
     for g in arrows:
         if comp[(g, unit[src[g]])] != g:
@@ -126,6 +194,16 @@ def check_groupoid(objects, arrows, src, tgt, inv, unit, comp):
         if comp[(g, gi)] != unit[tgt[g]] or comp[(gi, g)] != unit[src[g]]:
             violations.append(Violation("BadInverse", (g, gi), "g*inv(g) or inv(g)*g not a unit"))
 
+    def weight(a):
+        return len(by_src[tgt[a]]) * len(by_tgt[src[a]])
+
+    triples, gens = sum(map(weight, arrows)), None
+    if want_generators or 2 * len(comp) < triples:
+        gens = generators(arrows, src, tgt, comp)
+        if sum(map(weight, gens)) < triples and \
+                _light_certifies(gens, by_src, by_tgt, src, tgt, comp):
+            return violations, gens
+
     # associativity on all composable triples
     for g in arrows:
         for h in by_tgt.get(src[g], ()):
@@ -133,7 +211,19 @@ def check_groupoid(objects, arrows, src, tgt, inv, unit, comp):
             for k in by_tgt.get(src[h], ()):
                 if comp[(gh, k)] != comp[(g, comp[(h, k)])]:
                     violations.append(Violation("NonAssociative", (g, h, k)))
-    return violations
+    return violations, gens
+
+
+def _light_certifies(gens, by_src, by_tgt, src, tgt, comp):
+    """(x s) y == x (s y) for every generator s and composable x, y."""
+    for s in gens:
+        s_y = [(y, comp[(s, y)]) for y in by_tgt[src[s]]]
+        for x in by_src[tgt[s]]:
+            xs = comp[(x, s)]
+            for y, sy in s_y:
+                if comp[(xs, y)] != comp[(x, sy)]:
+                    return False
+    return True
 
 
 def validate_groupoid(objects, arrows, src, tgt, inv, unit, comp):

@@ -12,7 +12,7 @@ whose statements need honest bigons require the flag.
 """
 
 from .errors import ValidationFailure, Violation, require
-from .fingrpd import Groupoid, check_groupoid
+from .fingrpd import Groupoid, check_groupoid_generators
 from .util import labelset, pair
 
 
@@ -31,6 +31,9 @@ class TwoGroupoid:
         # set by its builder: {level: {label: its parts}}, for the levels
         # (0, 1, 2) whose labels the builder made
         self.parts = None
+        # set by check_2groupoid when it certifies the tables on generators:
+        # (S1, SV), the generators of the level-1 and the vertical groupoid
+        self.certified = None
         # read with get: a document may leave a cell's ends undefined, which
         # check_2groupoid reports before it reads this flag
         s, t = self.s.get, self.t.get
@@ -47,9 +50,6 @@ class TwoGroupoid:
     def level2v(self):
         return Groupoid(self.g1, self.g2, self.s2, self.t2,
                         self.vinv, self.vunit, self.vcomp)
-
-    def hunit(self, x):
-        return self.vunit[self.unit1[x]]
 
     def is_unit1(self, g):
         return self.unit1[self.s[g]] == g
@@ -101,81 +101,113 @@ def check_2groupoid(tg):
     *h from (D), (W1) and (W2).  Conversely every strict 2-category
     satisfies them.  So when they hold the sweep would find nothing.  When
     they fail, or the bigons are loose (cover 2-groupoids), the sweep runs
-    and lists every failing witness in its own order.  The check costs
-    about |hcomp| + |vcomp| d + |G2| d^2 lookups, for d the number of
-    1-cells at an object.
+    and lists every failing witness in its own order.
+
+    Each law is checked on generators where a closure argument allows.  S1
+    and SV are the generators (fingrpd.generators) of the level-1 and the
+    vertical groupoid, which both level checks return; every 1-cell is a
+    left-normed product of S1 and every cell one of SV, and both levels
+    are associative by then.  A law whose set of instances is closed under
+    composition holds everywhere once it holds on generators:
+      (W2) first form, in k: if it holds for k1, k2 (all a, h), then
+           R(R(a, h), k1 k2) = R(R(R(a, h), k1), k2) = R(R(a, h k1), k2)
+           = R(a, h k1 k2).  The second form likewise in the outer g, and
+           the third in k, rewriting R(-, k1 k2) by the first form.
+      (W1) in the right factor: if R(x b, h) = R(x, h) . R(b, h) for all
+           x and b in {b1, b2}, then R(x b1 b2, h) = R(x b1, h) . R(b2, h)
+           = R(x, h) . R(b1 b2, h).  In h: R(-, h k) = R(R(-, h), k) by
+           (W2), a composite of maps that preserve ".".  L likewise.
+      (D)  the first form is checked on every hcomp entry.  Given it and
+           (W1), the second form for (a1 a2, b) follows from the forms for
+           (a1, b) and (a2, b):
+           R(a1 a2, h') . L(g, b) = R(a1, h') . R(a2, h') . L(g, b)
+           = R(a1, h') . L(g', b) . R(a2, h) = L(g'', b) . R(a1 a2, h),
+           and the same holds in b; so it is checked on SV x SV.
+    So the certificate checks (V) on comp1, the first form of (D) on hcomp,
+    (W2) with the outer 1-cell in S1, (W1) on SV x S1, and the second form
+    of (D) on SV x SV: about |hcomp| + |G2| d s lookups, for d the 1-cells
+    and s the generators in S1 at an object, where the same laws on every
+    instance read about |hcomp| + |vcomp| d + |G2| d^2.  When it passes,
+    the generators are kept in tg.certified, for check_strict_hom2.
     """
-    violations = _check_cells(tg)
-    if violations or (tg.strict_bigons and _whiskering_certifies(tg)):
+    tg.certified = None
+    violations, gens = _check_cells(tg)
+    if violations:
+        return violations
+    if tg.strict_bigons and _whiskering_certifies(tg, *gens):
+        tg.certified = gens
         return violations
     return _sweep_laws(tg)
 
 
 def _check_cells(tg):
-    """Both groupoid levels, horizontal composites, units and inverses."""
-    violations = list(check_groupoid(tg.g0, tg.g1, tg.s, tg.t,
-                                     tg.inv1, tg.unit1, tg.comp1))
+    """Both groupoid levels, horizontal composites, units and inverses:
+    (violations, (S1, SV)), the generators of the two levels."""
+    violations, s1 = check_groupoid_generators(tg.g0, tg.g1, tg.s, tg.t,
+                                               tg.inv1, tg.unit1, tg.comp1)
     if violations:
-        return [Violation("Level1:" + v.code, v.witness, v.detail) for v in violations]
-    violations = list(check_groupoid(tg.g1, tg.g2, tg.s2, tg.t2,
-                                     tg.vinv, tg.vunit, tg.vcomp))
+        return [Violation("Level1:" + v.code, v.witness, v.detail) for v in violations], None
+    violations, sv = check_groupoid_generators(tg.g1, tg.g2, tg.s2, tg.t2,
+                                               tg.vinv, tg.vunit, tg.vcomp)
     if violations:
-        return [Violation("Level2:" + v.code, v.witness, v.detail) for v in violations]
+        return [Violation("Level2:" + v.code, v.witness, v.detail) for v in violations], None
 
+    s, t, s2, t2, comp1 = tg.s, tg.t, tg.s2, tg.t2, tg.comp1
+    hcomp, vunit, cells = tg.hcomp, tg.vunit, tg.g2
     by_hsource = {}
-    for b in tg.g2:
-        by_hsource.setdefault((tg.t[tg.s2[b]], tg.t[tg.t2[b]]), []).append(b)
+    for b in cells:
+        by_hsource.setdefault((t[s2[b]], t[t2[b]]), []).append(b)
 
     # horizontal composition: defined exactly when both s2- and t2-cells
     # are comp1-composable; functorial over s2/t2; unit cells; inverses
     want_count = 0
-    for a in tg.g2:
-        for b in by_hsource.get((tg.s[tg.s2[a]], tg.s[tg.t2[a]]), ()):
+    for a in cells:
+        sa, ta = s2[a], t2[a]
+        for b in by_hsource.get((s[sa], s[ta]), ()):
             want_count += 1
-            if (a, b) not in tg.hcomp:
+            c = hcomp.get((a, b))
+            if c is None:
                 violations.append(Violation("MissingHComposite", (a, b)))
                 continue
-            c = tg.hcomp[(a, b)]
-            if (tg.s2[c] != tg.comp1[(tg.s2[a], tg.s2[b])] or
-                    tg.t2[c] != tg.comp1[(tg.t2[a], tg.t2[b])]):
+            if s2[c] != comp1[(sa, s2[b])] or t2[c] != comp1[(ta, t2[b])]:
                 violations.append(Violation("BadHComposite", (a, b, c)))
-    if want_count != len(tg.hcomp):
-        for (a, b) in tg.hcomp:
-            if (tg.s[tg.s2[a]] != tg.t[tg.s2[b]] or
-                    tg.s[tg.t2[a]] != tg.t[tg.t2[b]]):
+    if want_count != len(hcomp):
+        for (a, b) in hcomp:
+            if s[s2[a]] != t[s2[b]] or s[t2[a]] != t[t2[b]]:
                 violations.append(Violation("SpuriousHComposite", (a, b)))
     if violations:
-        return violations
+        return violations, None
 
-    for a in tg.g2:
-        x = tg.s[tg.s2[a]]
-        y = tg.t[tg.s2[a]]
-        if tg.s[tg.t2[a]] == x and tg.hcomp[(a, tg.hunit(x))] != a:
+    unit1 = tg.unit1
+    for a in cells:
+        x = s[s2[a]]
+        y = t[s2[a]]
+        if s[t2[a]] == x and hcomp[(a, vunit[unit1[x]])] != a:
             violations.append(Violation("BadHUnit", (a, x), "right"))
-        if tg.t[tg.t2[a]] == y and tg.hcomp[(tg.hunit(y), a)] != a:
+        if t[t2[a]] == y and hcomp[(vunit[unit1[y]], a)] != a:
             violations.append(Violation("BadHUnit", (a, y), "left"))
-    for a in tg.g2:
+    for a in cells:
         ah = tg.hinv.get(a)
         if ah is None:
             violations.append(Violation("MissingHInverse", (a,)))
             continue
-        if (a, ah) not in tg.hcomp or (ah, a) not in tg.hcomp:
+        if (a, ah) not in hcomp or (ah, a) not in hcomp:
             violations.append(Violation("BadHInverse", (a, ah), "not composable"))
             continue
         # a *h a^-h and a^-h *h a run between identity 1-cells, and are the
         # identity 2-cell where those coincide (always, for strict bigons)
-        for c in (tg.hcomp[(a, ah)], tg.hcomp[(ah, a)]):
-            g, h = tg.s2[c], tg.t2[c]
-            if not (tg.is_unit1(g) and tg.is_unit1(h)) or (g == h and c != tg.vunit[g]):
+        for c in (hcomp[(a, ah)], hcomp[(ah, a)]):
+            g, h = s2[c], t2[c]
+            if not (tg.is_unit1(g) and tg.is_unit1(h)) or (g == h and c != vunit[g]):
                 violations.append(Violation("BadHInverse", (a, ah, c)))
-    return violations
+    return violations, (s1, sv)
 
 
-def _whiskering_certifies(tg):
-    """(V), (D), (W1) and (W2) of check_2groupoid on tables that passed
-    _check_cells and have strict bigons.  Neither a missing entry nor an
-    hcomp key that is not a pair of cells (it has no whiskers in R, L)
-    certifies anything."""
+def _whiskering_certifies(tg, s1, sv):
+    """(V), (D), (W1) and (W2) of check_2groupoid, reduced to the
+    generators s1 and sv, on tables that passed _check_cells and have
+    strict bigons.  Neither a missing entry nor an hcomp key that is not a
+    pair of cells (it has no whiskers in R, L) certifies anything."""
     hcomp, vcomp, vunit, comp1 = tg.hcomp, tg.vcomp, tg.vunit, tg.comp1
     s, t, s2, t2, cells = tg.s, tg.t, tg.s2, tg.t2, tg.g2
     try:
@@ -183,6 +215,7 @@ def _whiskering_certifies(tg):
         for g in tg.g1:
             ends_at.setdefault(t[g], []).append((g, vunit[g]))
             starts_at.setdefault(s[g], []).append((g, vunit[g]))
+        gens_ending, gens_starting, cells_from = _indexes(tg, s1)
         # the whiskers: R[a][h] = R(a, h) and L[a][g] = L(g, a)
         R, L = {}, {}
         for a in cells:
@@ -192,38 +225,66 @@ def _whiskering_certifies(tg):
         for (g, h), gh in comp1.items():
             if hcomp[(vunit[g], vunit[h])] != vunit[gh]:
                 return False
-        # (D)
+        # (D), first form
         for (a, b), ab in hcomp.items():
-            ra, lb = R[a], L[b]
-            if (vcomp[(ra[t2[b]], lb[s2[a]])] != ab or
-                    vcomp[(lb[t2[a]], ra[s2[b]])] != ab):
+            if vcomp[(R[a][t2[b]], L[b][s2[a]])] != ab:
                 return False
-        # (W1)
-        for (a, b), ab in vcomp.items():
-            ra, rb, la, lb = R[a], R[b], L[a], L[b]
-            for h, rab in R[ab].items():
-                if rab != vcomp[(ra[h], rb[h])]:
-                    return False
-            for g, lab in L[ab].items():
-                if lab != vcomp[(la[g], lb[g])]:
-                    return False
-        # (W2)
+        # (W2), the outer 1-cell a generator
         for a in cells:
             ra, la = R[a], L[a]
             for h, rah in ra.items():
-                for k, rahk in R[rah].items():
-                    if rahk != ra[comp1[(h, k)]]:
+                rr = R[rah]
+                for k in gens_ending.get(s[h], ()):
+                    if rr[k] != ra[comp1[(h, k)]]:
                         return False
+            for k in gens_ending.get(s[s2[a]], ()):
+                lrak = L[ra[k]]
                 for g, lga in la.items():
-                    if R[lga][h] != L[rah][g]:
+                    if R[lga][k] != lrak[g]:
                         return False
             for g, lga in la.items():
-                for f, lfga in L[lga].items():
-                    if lfga != la[comp1[(f, g)]]:
+                ll = L[lga]
+                for f in gens_starting.get(t[g], ()):
+                    if ll[f] != la[comp1[(f, g)]]:
                         return False
+        # (W1), the right factor in sv and the 1-cell in s1
+        for b in sv:
+            rb, lb = R[b], L[b]
+            hs = gens_ending.get(s[s2[b]], ())
+            gs = gens_starting.get(t[s2[b]], ())
+            for a in cells_from.get(t2[b], ()):
+                ab = vcomp[(a, b)]
+                ra, la, rab, lab = R[a], L[a], R[ab], L[ab]
+                for h in hs:
+                    if rab[h] != vcomp[(ra[h], rb[h])]:
+                        return False
+                for g in gs:
+                    if lab[g] != vcomp[(la[g], lb[g])]:
+                        return False
+        # (D), second form, on generator pairs
+        sv_ending = {}  # object -> [generator in sv whose 1-cells end there]
+        for b in sv:
+            sv_ending.setdefault(t[s2[b]], []).append(b)
+        for a in sv:
+            ra = R[a]
+            for b in sv_ending.get(s[s2[a]], ()):
+                if vcomp[(L[b][t2[a]], ra[s2[b]])] != hcomp[(a, b)]:
+                    return False
     except KeyError:
         return False
     return True
+
+
+def _indexes(tg, s1):
+    """The generators s1 by the object they end at and by the one they
+    start at, and the cells by their s2."""
+    gens_ending, gens_starting, cells_from = {}, {}, {}
+    for g in s1:
+        gens_ending.setdefault(tg.t[g], []).append(g)
+        gens_starting.setdefault(tg.s[g], []).append(g)
+    for a in tg.g2:
+        cells_from.setdefault(tg.s2[a], []).append(a)
+    return gens_ending, gens_starting, cells_from
 
 
 def _sweep_laws(tg):
@@ -398,6 +459,27 @@ class StrictHom2:
 
 
 def check_strict_hom2(f):
+    """The violations of a strict homomorphism f: dom -> cod (empty when it
+    is one): images and ends at each level, then units and composites.
+
+    The vcomp and hcomp laws are certified on generators when both ends
+    carry the generators their own passing check_2groupoid certified them
+    on (dom.certified and cod.certified), and the earlier laws hold.  They
+    are swept entry by entry otherwise, or when the certificate fails, and
+    the sweep lists every failing pair in its own order.  With SV and S1
+    the vertical and level-1 generators of dom:
+      vcomp: if f(x b) = f(x) f(b) for all x and b in {b1, b2}, then
+             f(x b1 b2) = f(x b1) f(b2) = f(x) f(b1 b2) by vertical
+             associativity at both ends; so b in SV suffices.
+      hcomp: by (D) at both ends, a *h b = R(a, h') . L(g, b) (see
+             check_2groupoid), and f preserves "." and the identity cells,
+             so f preserves *h iff it preserves the whiskers:
+             f(R(a, h)) = R(f(a), f(h)) and f(L(g, b)) = L(f(g), f(b)).
+             These close under "." in the cell by (W1) at both ends, and
+             under comp1 in the 1-cell by (W2) at both ends and since f
+             preserves comp1; so a in SV and h, g in S1 suffice.
+    A cover 2-groupoid has loose bigons and so no whiskers; it is never
+    certified, and a homomorphism from or to one is swept."""
     violations = []
     d, c = f.dom, f.cod
     for x in d.g0:
@@ -426,6 +508,8 @@ def check_strict_hom2(f):
     for g in d.g1:
         if f.m2[d.vunit[g]] != c.vunit[f.m1[g]]:
             violations.append(Violation("NotFunctorial", (g,), "vunit"))
+    if not violations and d.certified and c.certified and _hom_certifies(f):
+        return violations
     for (a, b), ab in d.vcomp.items():
         if c.vcomp.get((f.m2[a], f.m2[b])) != f.m2[ab]:
             violations.append(Violation("NotFunctorial", (a, b), "vcomp"))
@@ -433,6 +517,30 @@ def check_strict_hom2(f):
         if c.hcomp.get((f.m2[a], f.m2[b])) != f.m2[ab]:
             violations.append(Violation("NotFunctorial", (a, b), "hcomp"))
     return violations
+
+
+def _hom_certifies(f):
+    """The vcomp and hcomp laws of check_strict_hom2 on the generators of
+    f.dom, for ends that check_2groupoid certified."""
+    d, c, m1, m2 = f.dom, f.cod, f.m1, f.m2
+    s1, sv = d.certified
+    s, t, s2 = d.s, d.t, d.s2
+    gens_ending, gens_starting, cells_from = _indexes(d, s1)
+    try:
+        for b in sv:
+            fb = m2[b]
+            for a in cells_from.get(d.t2[b], ()):
+                if c.vcomp[(m2[a], fb)] != m2[d.vcomp[(a, b)]]:
+                    return False
+            for h in gens_ending.get(s[s2[b]], ()):
+                if m2[d.hcomp[(b, d.vunit[h])]] != c.hcomp[(fb, c.vunit[m1[h]])]:
+                    return False
+            for g in gens_starting.get(t[s2[b]], ()):
+                if m2[d.hcomp[(d.vunit[g], b)]] != c.hcomp[(c.vunit[m1[g]], fb)]:
+                    return False
+    except KeyError:
+        return False
+    return True
 
 
 def validate_strict_hom2(dom, cod, m0, m1, m2):

@@ -260,17 +260,20 @@ def semidirect_of_morphism(chi):
 
 def vertical_groupoid(xm):
     """H x| G ==> G, the arrow groupoid of the associated 2-groupoid:
-    cells (h,g): g => boundary(h) g.  cells maps each cell to its parts."""
+    cells (h,g): g => boundary(h) g.  cells maps each cell to its parts, and
+    label maps the parts back to the cell; every inverse, unit and composite
+    takes its label from there rather than building it again."""
     g, h = xm.g, xm.h
-    cells, s2, t2, vinv = {}, {}, {}, {}
+    cells, label, s2, t2 = {}, {}, {}, {}
     for gg in g.arrows:
         for hh in h.fiber(g.tgt[gg]):
             a = pair(hh, gg)
             cells[a] = (hh, gg)
+            label[(hh, gg)] = a
             s2[a] = gg
             t2[a] = g.comp[(xm.boundary[hh], gg)]
-            vinv[a] = pair(h.inv[hh], t2[a])
-    vunit = {gg: pair(h.unit[g.tgt[gg]], gg) for gg in g.arrows}
+    vinv = {a: label[(h.inv[hh], t2[a])] for a, (hh, _) in cells.items()}
+    vunit = {gg: label[(h.unit[g.tgt[gg]], gg)] for gg in g.arrows}
     by_t2 = {}
     for b in cells:
         by_t2.setdefault(t2[b], []).append(b)
@@ -278,8 +281,8 @@ def vertical_groupoid(xm):
     for a, (ka, ga) in cells.items():
         for b in by_t2.get(ga, ()):  # function order: b then a
             kb, gb = cells[b]
-            vcomp[(a, b)] = pair(h.comp[(ka, kb)], gb)
-    return cells, s2, t2, vinv, vunit, vcomp
+            vcomp[(a, b)] = label[(h.comp[(ka, kb)], gb)]
+    return cells, label, s2, t2, vinv, vunit, vcomp
 
 
 def xmod_to_2groupoid(xm):
@@ -289,7 +292,7 @@ def xmod_to_2groupoid(xm):
     if xm._vertical2 is not None:
         return xm._vertical2
     g, h = xm.g, xm.h
-    cells, s2, t2, vinv, vunit, vcomp = vertical_groupoid(xm)
+    cells, label, s2, t2, vinv, vunit, vcomp = vertical_groupoid(xm)
     by_base_tgt = {}
     for b, (_, gb) in cells.items():
         by_base_tgt.setdefault(g.tgt[gb], []).append(b)
@@ -299,7 +302,7 @@ def xmod_to_2groupoid(xm):
         for b in by_base_tgt.get(g.src[ga], ()):
             hb, gb = cells[b]
             hb_tw = xm.act(ga_inv, hb)
-            hcomp[(a, b)] = pair(h.comp[(ha, hb_tw)], g.comp[(ga, gb)])
+            hcomp[(a, b)] = label[(h.comp[(ha, hb_tw)], g.comp[(ga, gb)])]
     out = tgd.make_2groupoid(g.objects, g.arrows, g.src, g.tgt, g.inv, g.unit,
                              g.comp, cells, s2, t2, vinv, vunit, vcomp, hcomp)
     out.parts = {2: cells}

@@ -1,16 +1,20 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
-from xmodforge import fingrpd
-from xmodforge.errors import SizeLimitExceeded, ValidationFailure
+from test_relabel import Relabel
+from xmodforge import fingrpd, xmod
+from xmodforge.errors import SizeLimitExceeded, ValidationFailure, Violation
 from xmodforge.fingrpd import (
-    aut_bundle, check_groupoid, disjoint_union, groupoid_of_parts, inertia,
-    pair_groupoid,
+    aut_bundle, as_group_bundle, check_groupoid, check_groupoid_generators,
+    disjoint_union, generators, groupoid_of_parts, inertia, pair_groupoid,
     pullback_groupoid, pullback_iso_to_base, search_groupoid_iso,
     semidirect_product, trivial_action, trivial_bundle, unit_bundle,
     unit_groupoid, validate_action, validate_groupoid, cyclic_groupoid,
 )
+from xmodforge.generators import random_crossed_module, random_groupoid, s3_groupoid
 from xmodforge.util import pair
 
 
@@ -236,3 +240,133 @@ def test_exhaustive_associativity_is_checked():
                                 {"e": "e", "a": "a", "b": "b", "c": "c"},
                                 {"*": "e"}, comp)
     assert any(v.code in ("NonAssociative", "BadInverse") for v in violations)
+
+
+# -- associativity by Light's test against the direct sweep -------------------
+
+
+def reference_associativity(arrows, src, tgt, comp):
+    """check_groupoid's associativity loop before Light's test: every
+    composable triple, in label order."""
+    by_tgt = {}
+    for h in sorted(arrows):
+        by_tgt.setdefault(tgt[h], []).append(h)
+    violations = []
+    for g in sorted(arrows):
+        for h in by_tgt.get(src[g], ()):
+            gh = comp[(g, h)]
+            for k in by_tgt.get(src[h], ()):
+                if comp[(gh, k)] != comp[(g, comp[(h, k)])]:
+                    violations.append(Violation("NonAssociative", (g, h, k)))
+    return violations
+
+
+def listed(violations):
+    return [(v.code, v.witness, v.detail) for v in violations]
+
+
+def tables(g):
+    return g.objects, g.arrows, g.src, g.tgt, g.inv, g.unit, g.comp
+
+
+def assert_associativity_matches_reference(*tabs):
+    """check_groupoid lists what check_groupoid_generators lists, and past
+    the totality checks its NonAssociative entries come last and are the
+    direct sweep's, in its order; Light's test on the generators holds
+    exactly when the sweep finds nothing.  Returns the sweep's list."""
+    objects, arrows, src, tgt, inv, unit, comp = tabs
+    got = listed(check_groupoid(*tabs))
+    violations, gens = check_groupoid_generators(*tabs)
+    assert listed(violations) == got
+    if gens is None:
+        assert got and all(code != "NonAssociative" for code, _, _ in got)
+        return []
+    laws = listed(reference_associativity(arrows, src, tgt, comp))
+    assert got == [v for v in got if v[0] != "NonAssociative"] + laws
+    by_src, by_tgt = {}, {}
+    for a in sorted(arrows):
+        by_src.setdefault(src[a], []).append(a)
+        by_tgt.setdefault(tgt[a], []).append(a)
+    assert fingrpd._light_certifies(gens, by_src, by_tgt, src, tgt, comp) == (laws == [])
+    return laws
+
+
+def generated_groupoids():
+    rng = random.Random(5)
+    out = [cyclic_groupoid(n) for n in (1, 2, 3, 4, 6)] + [s3_groupoid()]
+    out += [pair_groupoid([f"p{k}" for k in range(n)]) for n in (1, 2, 3, 4)]
+    out += [trivial_bundle(["u", "v", "w"], cyclic_groupoid(n)) for n in (2, 4)]
+    out.append(as_group_bundle(disjoint_union(cyclic_groupoid(3), s3_groupoid())))
+    out += [random_groupoid(rng, max_objects=4, max_order=4) for _ in range(10)]
+    out += [xmod.xmod_to_2groupoid(random_crossed_module(rng)).level2v() for _ in range(8)]
+    return out
+
+
+def parallel_arrows(g):
+    parallel = {}
+    for a in g.arrows:
+        parallel.setdefault((g.src[a], g.tgt[a]), []).append(a)
+    return parallel
+
+
+def test_check_groupoid_matches_sweep_on_generated():
+    light = 0
+    for g in generated_groupoids():
+        assert assert_associativity_matches_reference(*tables(g)) == []
+        gens = check_groupoid_generators(*tables(g))[1]
+        light += len(gens) < len(g.arrows)
+    assert light >= 20
+
+
+def test_check_groupoid_matches_sweep_on_corruptions():
+    """Single comp entries replaced by another arrow with the same ends, so
+    that the totality checks pass and associativity is decided."""
+    rng = random.Random(13)
+    codes, tried = set(), 0
+    for g in generated_groupoids():
+        parallel = parallel_arrows(g)
+        for key, value in rng.sample(sorted(g.comp.items()), min(16, len(g.comp))):
+            others = [a for a in parallel[(g.src[value], g.tgt[value])] if a != value]
+            if others:
+                tried += 1
+                comp = {**g.comp, key: rng.choice(others)}
+                tabs = (*tables(g)[:-1], comp)
+                assert_associativity_matches_reference(*tabs)
+                codes.update(v.code for v in check_groupoid(*tabs))
+    assert tried >= 200
+    assert "NonAssociative" in codes
+
+
+def right_closure(gens, src, tgt, comp):
+    reached, todo = set(), list(gens)
+    while todo:
+        y = todo.pop()
+        if y not in reached:
+            reached.add(y)
+            todo += [comp[(y, s)] for s in gens if tgt[s] == src[y]]
+    return reached
+
+
+def test_generators_generate_in_label_order_and_verdicts_ignore_the_labels():
+    rng = random.Random(17)
+    samples = []
+    for seed in range(12):
+        samples += [random_groupoid(rng, max_objects=4, max_order=4),
+                    trivial_bundle([f"z{k}" for k in range(rng.randint(1, 3))],
+                                   cyclic_groupoid(rng.randint(1, 5))),
+                    pair_groupoid([f"p{k}" for k in range(rng.randint(1, 4))])]
+    for seed, g in enumerate(samples):
+        gens = generators(g.arrows, g.src, g.tgt, g.comp)
+        assert right_closure(gens, g.src, g.tgt, g.comp) == set(g.arrows)
+        assert gens == sorted(gens)
+        assert len(gens) <= len(g.arrows)
+        parallel = parallel_arrows(g)
+        key, value = rng.choice(sorted(g.comp.items()))
+        others = [a for a in parallel[(g.src[value], g.tgt[value])] if a != value]
+        for comp in [g.comp] + [{**g.comp, key: a} for a in others[:1]]:
+            r = Relabel(seed)
+            renamed = ([r(x) for x in g.objects], [r(a) for a in g.arrows],
+                       *(r.table(t) for t in (g.src, g.tgt, g.inv, g.unit, comp)))
+            want = Counter(v.code for v in check_groupoid(*tables(g)[:-1], comp))
+            assert Counter(v.code for v in check_groupoid(*renamed)) == want
+            assert_associativity_matches_reference(*renamed)

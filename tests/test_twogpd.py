@@ -1,14 +1,18 @@
 import os
 import random
+from collections import Counter
 
 import pytest
 
+from test_relabel import Relabel
 from xmodforge import gdf, twogpd, xmod
+from xmodforge.crossing import decompose_crossing
 from xmodforge.errors import ValidationFailure, Violation
 from xmodforge.fingrpd import (Groupoid, as_group_bundle, cyclic_groupoid,
-                               pair_groupoid, trivial_action, unit_groupoid,
-                               unpair)
-from xmodforge.generators import random_cover, random_crossed_module, random_groupoid
+                               group_as_groupoid, pair_groupoid, trivial_action,
+                               unit_groupoid, unpair, validate_action)
+from xmodforge.generators import (random_cover, random_crossed_extension,
+                                  random_crossed_module, random_groupoid)
 from xmodforge.twogpd import (check_strong_equivalence, check_transformation2,
                               check_weak_equivalence, cover_2groupoid,
                               cover_projection, from_groupoid, identity_hom2,
@@ -268,14 +272,14 @@ def assert_matches_reference(tg):
     in the same order; on strict bigons the whiskering certificate holds
     exactly when the sweep finds nothing.  Returns the sweep's list."""
     got = listed(twogpd.check_2groupoid(tg))
-    cells = twogpd._check_cells(tg)
+    cells, gens = twogpd._check_cells(tg)
     if cells:
         assert got == listed(cells)
         return []
     laws = listed(reference_laws(tg))
     assert got == laws
     if tg.strict_bigons:
-        assert twogpd._whiskering_certifies(tg) == (laws == [])
+        assert twogpd._whiskering_certifies(tg, *gens) == (laws == [])
     return laws
 
 
@@ -419,7 +423,7 @@ NEG_OFF_0 = [lambda x: x, lambda x: -x, lambda x: -x]
 ])
 def test_check_2groupoid_matches_sweep_on_twisted_whiskers(n, k, d, hx, law):
     tg = cyclic_2groupoid(n, k, d, hx)
-    assert twogpd._check_cells(tg) == []
+    assert twogpd._check_cells(tg)[0] == []
     assert law in {code for code, _, _ in assert_matches_reference(tg)}
 
 
@@ -443,8 +447,9 @@ def test_check_2groupoid_matches_sweep_with_a_stray_hcomp_key():
                                tg.comp1, tg.g2, {**tg.s2, "x": tg.s2[c]},
                                {**tg.t2, "x": tg.t2[c]}, tg.vinv, tg.vunit,
                                tg.vcomp, hcomp, tg.hinv)
-    assert twogpd._check_cells(stray) == []
-    assert not twogpd._whiskering_certifies(stray)
+    cells, gens = twogpd._check_cells(stray)
+    assert cells == []
+    assert not twogpd._whiskering_certifies(stray, *gens)
     assert listed(twogpd.check_2groupoid(stray)) == listed(reference_laws(stray)) == []
 
 
@@ -459,3 +464,185 @@ def test_check_2groupoid_rejects_a_wrong_h_inverse():
     assert ("BadHInverse", ("(h0,g1)", "(h2,g1)", "(h2,g0)"), "") in listed(
         twogpd.check_2groupoid(bad))
     assert twogpd.check_2groupoid(tg) == []
+
+
+# -- check_strict_hom2 against the direct sweep ------------------------------
+
+
+def reference_hom_laws(f):
+    """check_strict_hom2's vcomp and hcomp loops before the certificate:
+    every entry of both tables of the domain."""
+    d, c = f.dom, f.cod
+    violations = []
+    for (a, b), ab in d.vcomp.items():
+        if c.vcomp.get((f.m2[a], f.m2[b])) != f.m2[ab]:
+            violations.append(Violation("NotFunctorial", (a, b), "vcomp"))
+    for (a, b), ab in d.hcomp.items():
+        if c.hcomp.get((f.m2[a], f.m2[b])) != f.m2[ab]:
+            violations.append(Violation("NotFunctorial", (a, b), "hcomp"))
+    return violations
+
+
+IMAGE_CHECKS = {"BadObjectImage", "BadArrowImage", "BadCellImage"}
+
+
+def assert_hom_matches_reference(f):
+    """check_strict_hom2 lists the earlier checks and then what the direct
+    sweep lists, in the same order; on certified ends with the earlier
+    checks passing, the certificate holds exactly when the sweep finds
+    nothing.  Returns the sweep's list."""
+    got = listed(twogpd.check_strict_hom2(f))
+    earlier = [v for v in got if v[2] not in ("vcomp", "hcomp")]
+    if any(code in IMAGE_CHECKS or detail in ("level-1 endpoints", "s2/t2")
+           for code, _, detail in earlier):
+        assert got == earlier
+        return []
+    laws = listed(reference_hom_laws(f))
+    assert got == earlier + laws
+    if f.dom.certified and f.cod.certified and not earlier:
+        assert twogpd._hom_certifies(f) == (laws == [])
+    return laws
+
+
+def generated_homs():
+    out = [identity_hom2(tg) for tg in generated_2groupoids()]
+    for seed in range(8):
+        c = random_crossed_extension(random.Random(seed))
+        _, chi_left, chi_right = decompose_crossing(c)
+        out += [xmod.hom2_from_xmorphism(chi)[0] for chi in (chi_left, chi_right)]
+    for tg in generated_2groupoids()[:12]:
+        out += list(xmod.roundtrip_iso(tg))
+    return out
+
+
+def with_cell_map(f, m2):
+    return twogpd.StrictHom2(f.dom, f.cod, f.m0, f.m1, m2)
+
+
+def test_check_strict_hom2_matches_sweep_on_generated():
+    homs = generated_homs()
+    assert all(f.dom.certified and f.cod.certified for f in homs)
+    assert sum(len(f.dom.g0) > 1 for f in homs) >= 10
+    for f in homs:
+        assert assert_hom_matches_reference(f) == []
+
+
+def test_check_strict_hom2_matches_sweep_on_corruptions():
+    """Single m2 entries replaced by another cell of the codomain with the
+    same s2 and t2, so that the earlier checks pass and the composite laws
+    decide."""
+    rng = random.Random(19)
+    details, tried = set(), 0
+    for f in generated_homs():
+        parallel = {}
+        for c in sorted(f.cod.g2):
+            parallel.setdefault((f.cod.s2[c], f.cod.t2[c]), []).append(c)
+        for a in rng.sample(sorted(f.m2), min(12, len(f.m2))):
+            b = f.m2[a]
+            others = [c for c in parallel[(f.cod.s2[b], f.cod.t2[b])] if c != b]
+            if others:
+                tried += 1
+                laws = assert_hom_matches_reference(
+                    with_cell_map(f, {**f.m2, a: rng.choice(others)}))
+                details.update(detail for _, _, detail in laws)
+    assert tried >= 200
+    assert details == {"vcomp", "hcomp"}
+
+
+def test_hom_certificate_needs_both_ends_certified_on_raw_tables():
+    # an hcomp entry of two non-identity cells corrupted in raw tables that
+    # never passed check_2groupoid: the certificate reads only whiskers, so
+    # it would pass, and the sweep must run and list the entry
+    tg = xmod.xmod_to_2groupoid(quotient_xmod(4, 2))
+    assert tg.certified is not None
+    key = next((a, b) for (a, b) in sorted(tg.hcomp)
+               if a not in tg.vunit.values() and b not in tg.vunit.values())
+    value = tg.hcomp[key]
+    other = next(c for c in sorted(tg.g2) if c != value and
+                 (tg.s2[c], tg.t2[c]) == (tg.s2[value], tg.t2[value]))
+    raw = corrupted(tg, "hcomp", key, other)
+    assert raw.certified is None
+    ident = ({x: x for x in tg.g0}, {g: g for g in tg.g1}, {a: a for a in tg.g2})
+    into, out_of = twogpd.StrictHom2(tg, raw, *ident), twogpd.StrictHom2(raw, tg, *ident)
+    assert twogpd._hom_certifies(into)
+    for f in (into, out_of):
+        laws = assert_hom_matches_reference(f)
+        assert ("NotFunctorial", key, "hcomp") in laws
+
+
+def test_hom_certificate_skips_cover_ends():
+    rng = random.Random(23)
+    loose = 0
+    for _ in range(8):
+        g = random_groupoid(rng, max_objects=3, max_order=2)
+        f, dom, cod = cover_projection(g, random_cover(rng, g))
+        loose += not dom.strict_bigons
+        # a cover with one chart has strict bigons and is certified
+        assert (dom.certified is not None) == dom.strict_bigons
+        assert cod.certified is not None
+        if dom.strict_bigons:
+            continue
+        for hom in (f, identity_hom2(dom)):
+            assert assert_hom_matches_reference(hom) == []
+        # a raw copy of the cover with one hcomp entry moved to another cell
+        key = sorted(dom.hcomp)[len(dom.hcomp) // 2]
+        other = next(c for c in sorted(dom.g2) if c != dom.hcomp[key])
+        raw = corrupted(dom, "hcomp", key, other)
+        ident = ({x: x for x in dom.g0}, {a: a for a in dom.g1}, {a: a for a in dom.g2})
+        for hom in (twogpd.StrictHom2(dom, raw, *ident), twogpd.StrictHom2(raw, dom, *ident)):
+            assert ("NotFunctorial", key, "hcomp") in assert_hom_matches_reference(hom)
+    assert loose >= 4
+
+
+def relabelled_2groupoid(r, tg):
+    return twogpd.TwoGroupoid(
+        map(r, tg.g0), map(r, tg.g1), *(r.table(t) for t in (tg.s, tg.t, tg.inv1, tg.unit1, tg.comp1)),
+        map(r, tg.g2), *(r.table(t) for t in (tg.s2, tg.t2, tg.vinv, tg.vunit, tg.vcomp,
+                                              tg.hcomp, tg.hinv)))
+
+
+def test_2groupoid_and_hom_verdicts_do_not_depend_on_the_labels():
+    rng = random.Random(29)
+    for seed, f in enumerate(generated_homs()[::3]):
+        parallel = {}
+        for c in sorted(f.cod.g2):
+            parallel.setdefault((f.cod.s2[c], f.cod.t2[c]), []).append(c)
+        a = rng.choice(sorted(f.m2))
+        others = [c for c in parallel[(f.cod.s2[f.m2[a]], f.cod.t2[f.m2[a]])] if c != f.m2[a]]
+        for m2 in [f.m2] + [{**f.m2, a: c} for c in others[:1]]:
+            r = Relabel(seed)
+            dom, cod = relabelled_2groupoid(r, f.dom), relabelled_2groupoid(r, f.cod)
+            for tg, renamed in ((f.dom, dom), (f.cod, cod)):
+                assert Counter(v.code for v in twogpd.check_2groupoid(renamed)) == \
+                    Counter(v.code for v in twogpd.check_2groupoid(tg))
+            assert dom.certified and cod.certified
+            renamed = twogpd.StrictHom2(dom, cod, *(r.table(t) for t in (f.m0, f.m1, m2)))
+            want = Counter(v.code for v in twogpd.check_strict_hom2(with_cell_map(f, m2)))
+            assert Counter(v.code for v in twogpd.check_strict_hom2(renamed)) == want
+            assert_hom_matches_reference(renamed)
+
+
+@pytest.mark.parametrize("whisker", ["left", "right"])
+def test_hom_certificate_checks_both_whiskers(whisker):
+    # Z/3 rotates the three involutions of V4, and f swaps two of them on
+    # the cells over each 1-cell k: the same two everywhere, so that f
+    # preserves "." and the right whiskers but not the left ones, which act
+    # through the rotation; or the swap conjugated by the rotation of k,
+    # so that f preserves the left whiskers but not the right ones
+    g = cyclic_groupoid(3, prefix="g")
+    v4 = as_group_bundle(group_as_groupoid(range(4), lambda a, b: a ^ b, lambda a: a,
+                                           0, prefix="v"))
+    rotate = [{f"v{a}": f"v{[0, 2, 3, 1][a]}" for a in range(4)}]
+    rotate = [{h: h for h in rotate[0]}, rotate[0], {h: rotate[0][r] for h, r in rotate[0].items()}]
+    act = {(f"g{k}", h): rotate[k][h] for k in range(3) for h in rotate[0]}
+    tg = xmod.xmod_to_2groupoid(xmod.module_xmod(g, v4, validate_action(g, v4, act)))
+    swap = {"v0": "v0", "v1": "v2", "v2": "v1", "v3": "v3"}
+    back = [{r: h for h, r in rot.items()} for rot in rotate]
+    over = {f"g{k}": (swap if whisker == "left" else
+                      {h: back[k][swap[rotate[k][h]]] for h in swap}) for k in range(3)}
+    label = {parts: cell for cell, parts in tg.parts[2].items()}
+    f = twogpd.StrictHom2(tg, tg, {x: x for x in tg.g0}, {k: k for k in tg.g1},
+                          {cell: label[(over[k][h], k)] for cell, (h, k) in tg.parts[2].items()})
+    assert tg.certified is not None
+    laws = assert_hom_matches_reference(f)
+    assert laws and {detail for _, _, detail in laws} == {"hcomp"}
