@@ -23,6 +23,9 @@ class Bibundle:
         self.lact = dict(lact)
         self.ract = dict(ract)
         self.parts = None  # set by its builder: point label -> its parts
+        # set by check_bibundle when zb passes: {side: division(zb, side)},
+        # the right side as the check found it, the left side once asked for
+        self.divisions = None
 
     def lfiber(self, x):
         return [z for z in self.space if self.lmom[z] == x]
@@ -37,29 +40,145 @@ def check_bibundle(zb):
     The moments, the shape of both action tables, the unit laws and the
     invariance of each moment under the other action are checked point by
     point; an entry keyed by an arrow or a point the bibundle does not have
-    is a SpuriousActionEntry after its side's sweep.  The action and commuting laws are checked on integer rows.
-    Points are numbered by their position in ``zb.space``.  A left arrow m
-    has the row i -> (position of m.z_i) over the fibre lmom = s(m), held
-    both as the list of images in fibre order and as a dict; a right arrow
-    n likewise over rmom = t(n).  Each law is compared on its own fibre
-    only, as two lists of positions: (m1 m2).z against m1.(m2.z) over
-    lmom = s(m2), z.(n1 n2) against (z.n1).n2 over rmom = t(n1), and
-    (m.z).n against m.(z.n) over each occupied moment pair (s(m), t(n)).
-    The lists are built by mapping rows over positions, so the lookups run
-    in C and number exactly those of a point-by-point sweep.  Per-point
-    witnesses are built only where two lists differ, in the sweep's order:
-    NotAction by composable pair, then by position; NonCommuting (m, z, n)
-    by position, then m, then n.  Right-principality comes last.
+    is a SpuriousActionEntry after its side's sweep.  The action and
+    commuting laws are checked on integer rows.  Points are numbered by
+    their position in ``zb.space``.  A left arrow m has the row i ->
+    (position of m.z_i) over the fibre lmom = s(m), held both as the list
+    of images in fibre order and as a dict; a right arrow n likewise over
+    rmom = t(n).  Each law is compared on its own fibre only, as two lists
+    of positions: (m1 m2).z against m1.(m2.z) over lmom = s(m2),
+    z.(n1 n2) against (z.n1).n2 over rmom = t(n1), and (m.z).n against
+    m.(z.n) over each occupied moment pair (s(m), t(n)).  The lists are
+    built by mapping rows over positions, so the lookups run in C and
+    number exactly those of a point-by-point sweep.  Per-point witnesses
+    are built only where two lists differ, in the sweep's order: NotAction
+    by composable pair, then by position; NonCommuting (m, z, n) by
+    position, then m, then n.  Right-principality comes last.
+
+    Two certificates decide first whether a sweep would find anything; on
+    "no" the sweep runs unchanged, so the codes and witnesses and their
+    order do not depend on them.
+
+    The shape certificate makes one pass over the lact and ract entries:
+    each is keyed by an arrow and a point, is one the sweep wants (m.z for
+    s(m) = lmom(z), z.n for t(n) = rmom(z)), and has its image over the
+    right moment.  The keys are then distinct wanted entries, so the
+    tables hold every wanted entry iff they have as many entries as are
+    wanted: the sum over z of |arrows from lmom(z)| on the left and of
+    |arrows to rmom(z)| on the right.
+
+    The law certificate runs when both ends are validated groupoids and so
+    give their generators S(M) and S(N) (fingrpd.generators; every arrow
+    is a left-normed product of generators, and both ends are
+    associative).  It checks the left action law for m1 in S(M), the right
+    action law for n2 in S(N), the invariance of rmom under S(M) and of
+    lmom under S(N), and commuting on S(M) x S(N), after the shape checks.
+    Each law holds for all arrows once it holds on generators:
+      left law: let T be the m1 with (m1 m2).z = m1.(m2.z) for all m2 and
+        z.  For a, b in T with s(a) = t(b),
+        ((ab) m2).z = (a (b m2)).z = a.((b m2).z) = a.(b.(m2.z))
+        = (ab).(m2.z), using a, b and a (with m2 = b) in T; so ab is in T.
+      right law: let T be the n2 with z.(n1 n2) = (z.n1).n2 for all n1
+        and z.  For a, b in T with s(a) = t(b),
+        z.(n1 (ab)) = z.((n1 a) b) = (z.(n1 a)).b = ((z.n1).a).b
+        = (z.n1).(ab), using b, a and b (with n1 = a) in T.
+      invariance, by the action laws: rmom((ab).z) = rmom(a.(b.z))
+        = rmom(b.z) = rmom(z), and lmom likewise.
+      commuting, by the action laws and invariance: if (m.z).n = m.(z.n)
+        for m in {a, b} and all z, then ((ab).z).n = (a.(b.z)).n
+        = a.((b.z).n) = a.(b.(z.n)) = (ab).(z.n); so it holds for every
+        m against each n in S(N), and in n likewise for every m.
+    The unit laws and principality are checked point by point as before.
+    When zb passes, it keeps its right division in zb.divisions, which
+    g_function reads.
+
+    A translation certificate comes before all of these: zb passes at once
+    when both ends are one validated groupoid M, the points are the arrows
+    of M with lmom = tgt and rmom = src, and both action tables are M's
+    composition table (identity_bibundle builds such a bibundle).  Then
+    comp is defined exactly on the wanted entries and has images over the
+    right moments, the unit laws are M's unit laws, the action laws and
+    commuting are M's associativity, tgt(zn) = tgt(z) and src(mz) = src(z)
+    give invariance, and z.n = z2 has the one solution n = z^-1 z2 when
+    tgt(z) = tgt(z2), so no sweep could find anything.
     """
+    zb.divisions = None
+    if _translation_certifies(zb):
+        zb.divisions = {"right": _unique_division(zb, "right") or _divide(zb, "right")}
+        return []
     violations = []
     left, right = zb.left, zb.right
-    space = set(zb.space)
     for z in zb.space:
         if zb.lmom.get(z) not in left.objects or zb.rmom.get(z) not in right.objects:
             violations.append(Violation("BadMoment", (z,)))
     if violations:
         return violations
+    if not _shape_certifies(zb):
+        violations = _shape_sweep(zb)
+        if violations:
+            return violations
 
+    for z in zb.space:
+        if zb.lact[(left.unit[zb.lmom[z]], z)] != z:
+            violations.append(Violation("BadUnitAction", ("left", z)))
+        if zb.ract[(z, right.unit[zb.rmom[z]])] != z:
+            violations.append(Violation("BadUnitAction", ("right", z)))
+
+    rows = _rows(zb)
+    if left.gens() is None or right.gens() is None or not _laws_certify(zb, rows):
+        violations += _action_sweep(zb, rows)
+        if violations:
+            return violations
+        violations += _commuting_sweep(zb, rows)
+    if violations:
+        return violations
+
+    # right-principal along lmom: no non-unit fixes a point, then the division
+    loops = [(z, n) for (z, n), z2 in zb.ract.items() if z2 == z and not right.is_unit(n)]
+    pos = {z: i for i, z in enumerate(zb.space)}
+    violations += [Violation("NotFree", (z, n, right.unit[zb.rmom[z]]))
+                   for z, n in sorted(loops, key=lambda zn: pos[zn[0]])]
+    divided = _unique_division(zb, "right") or _divide(zb, "right")
+    violations += divided[1]
+    if not violations:
+        zb.divisions = {"right": divided}
+    return violations
+
+
+def _translation_certifies(zb):
+    """zb is a validated groupoid acting on its own arrows by composition
+    on both sides (see check_bibundle)."""
+    m = zb.left
+    return (m is zb.right and m.validated and m.arrows == set(zb.space)
+            and zb.lmom == m.tgt and zb.rmom == m.src
+            and zb.lact == m.comp and zb.ract == m.comp)
+
+
+def _shape_certifies(zb):
+    """Every action entry is a wanted one with a good image, and the tables
+    have as many entries as are wanted (see check_bibundle)."""
+    left, right, lmom, rmom = zb.left, zb.right, zb.lmom, zb.rmom
+    space = set(zb.space)
+    arrows, src, tgt = left.arrows, left.src, left.tgt
+    for (m, z), mz in zb.lact.items():
+        if not (m in arrows and z in space and mz in space
+                and src[m] == lmom[z] and tgt[m] == lmom[mz]):
+            return False
+    arrows, src, tgt = right.arrows, right.src, right.tgt
+    for (z, n), zn in zb.ract.items():
+        if not (n in arrows and z in space and zn in space
+                and tgt[n] == rmom[z] and src[n] == rmom[zn]):
+            return False
+    return (len(zb.lact) == sum(len(left.arrows_from(lmom[z])) for z in zb.space)
+            and len(zb.ract) == sum(len(right.arrows_to(rmom[z])) for z in zb.space))
+
+
+def _shape_sweep(zb):
+    """MissingActionEntry, SpuriousActionEntry and BadActionImage, point by
+    point and arrow by arrow, then the entries keyed outside the tables."""
+    violations = []
+    left, right = zb.left, zb.right
+    space = set(zb.space)
     # left action axioms (moment lmom): m.z defined when s(m)=lmom(z)
     for z in zb.space:
         for m in left.arrows:
@@ -89,15 +208,15 @@ def check_bibundle(zb):
                     violations.append(Violation("BadActionImage", ("right", z, n)))
     violations += [Violation("SpuriousActionEntry", ("right", z, n)) for z, n in zb.ract
                    if z not in space or n not in right.arrows]
-    if violations:
-        return violations
+    return violations
 
-    for z in zb.space:
-        if zb.lact[(left.unit[zb.lmom[z]], z)] != z:
-            violations.append(Violation("BadUnitAction", ("left", z)))
-        if zb.ract[(z, right.unit[zb.rmom[z]])] != z:
-            violations.append(Violation("BadUnitAction", ("right", z)))
 
+def _rows(zb):
+    """The integer rows of a bibundle whose tables have the right shape:
+    (lfib, rfib, bifib, limg, lrow, rimg, rrow), the positions over each
+    left moment, right moment and pair of them, and for each arrow the
+    positions of its images over its fibre, as a list (limg, rimg) and as
+    a dict from position to position (lrow, rrow)."""
     zs = zb.space
     at = zs.__getitem__
     pos = {z: i for i, z in enumerate(zs)}.__getitem__
@@ -108,15 +227,56 @@ def check_bibundle(zb):
         rfib.setdefault(y, []).append(i)
         bifib.setdefault((x, y), []).append(i)
     limg, lrow, rimg, rrow = {}, {}, {}, {}
-    for m in left.arrows:
-        fib = lfib.get(left.src[m], ())
+    for m in zb.left.arrows:
+        fib = lfib.get(zb.left.src[m], ())
         limg[m] = list(map(pos, map(zb.lact.__getitem__, zip(repeat(m), map(at, fib)))))
         lrow[m] = dict(zip(fib, limg[m]))
-    for n in right.arrows:
-        fib = rfib.get(right.tgt[n], ())
+    for n in zb.right.arrows:
+        fib = rfib.get(zb.right.tgt[n], ())
         rimg[n] = list(map(pos, map(zb.ract.__getitem__, zip(map(at, fib), repeat(n)))))
         rrow[n] = dict(zip(fib, rimg[n]))
+    return lfib, rfib, bifib, limg, lrow, rimg, rrow
 
+
+def _laws_certify(zb, rows):
+    """The action laws, moment invariance and commuting on the generators
+    of both ends (see check_bibundle), on rows."""
+    left, right = zb.left, zb.right
+    lfib, rfib, bifib, limg, lrow, rimg, rrow = rows
+    for m1 in left.gens():
+        row = lrow[m1].__getitem__
+        for m2 in left.arrows_to(left.src[m1]):
+            if limg[left.comp[(m1, m2)]] != list(map(row, limg[m2])):
+                return False
+    for n2 in right.gens():
+        row = rrow[n2].__getitem__
+        for n1 in right.arrows_from(right.tgt[n2]):
+            if rimg[right.comp[(n1, n2)]] != list(map(row, rimg[n1])):
+                return False
+    lmom = [zb.lmom[z] for z in zb.space].__getitem__
+    rmom = [zb.rmom[z] for z in zb.space].__getitem__
+    for m in left.gens():
+        if list(map(rmom, limg[m])) != list(map(rmom, lfib.get(left.src[m], ()))):
+            return False
+    for n in right.gens():
+        if list(map(lmom, rimg[n])) != list(map(lmom, rfib.get(right.tgt[n], ()))):
+            return False
+    for m in left.gens():
+        mrow = lrow[m].__getitem__
+        for n in right.gens():
+            nrow = rrow[n].__getitem__
+            fib = bifib.get((left.src[m], right.tgt[n]), ())
+            if list(map(nrow, map(mrow, fib))) != list(map(mrow, map(nrow, fib))):
+                return False
+    return True
+
+
+def _action_sweep(zb, rows):
+    """NotAction on every composable pair, then the moment invariance of
+    every entry."""
+    violations = []
+    left, right, zs = zb.left, zb.right, zb.space
+    lfib, rfib, _, limg, lrow, rimg, rrow = rows
     for m1, m2 in left.composable_pairs():
         lhs, rhs = limg[left.comp[(m1, m2)]], list(map(lrow[m1].__getitem__, limg[m2]))
         if lhs != rhs:
@@ -128,7 +288,7 @@ def check_bibundle(zb):
             violations += [Violation("NotAction", ("right", zs[i], n1, n2))
                            for i in _mismatches(rfib[right.tgt[n1]], lhs, rhs)]
     # commuting: (m.z).n = m.(z.n); moments cross-invariant
-    for z in zb.space:
+    for z in zs:
         for m in left.arrows_from(zb.lmom[z]):
             mz = zb.lact[(m, z)]
             if zb.rmom[mz] != zb.rmom[z]:
@@ -137,8 +297,13 @@ def check_bibundle(zb):
             zn = zb.ract[(z, n)]
             if zb.lmom[zn] != zb.lmom[z]:
                 violations.append(Violation("NonCommuting", (z, n), "lmom moved by right action"))
-    if violations:
-        return violations
+    return violations
+
+
+def _commuting_sweep(zb, rows):
+    """NonCommuting (m, z, n) on every point and pair of arrows at it."""
+    left, right = zb.left, zb.right
+    _, _, bifib, _, lrow, _, rrow = rows
     bad = []
     for (x, y), fib in bifib.items():
         ms = [(m, lrow[m], list(map(lrow[m].__getitem__, fib))) for m in left.arrows_from(x)]
@@ -149,15 +314,7 @@ def check_bibundle(zb):
                 lhs, rhs = list(map(nrow, mz)), list(map(mrow.__getitem__, zn))
                 if lhs != rhs:
                     bad += [(i, m, n) for i in _mismatches(fib, lhs, rhs)]
-    violations += [Violation("NonCommuting", (m, zs[i], n)) for i, m, n in sorted(bad)]
-    if violations:
-        return violations
-
-    # right-principal along lmom: no non-unit fixes a point, then the division
-    loops = [(z, n) for (z, n), z2 in zb.ract.items() if z2 == z and not right.is_unit(n)]
-    violations += [Violation("NotFree", (z, n, right.unit[zb.rmom[z]]))
-                   for z, n in sorted(loops, key=lambda zn: pos(zn[0]))]
-    return violations + division(zb, "right")[1]
+    return [Violation("NonCommuting", (m, zb.space[i], n)) for i, m, n in sorted(bad)]
 
 
 def _mismatches(fib, lhs, rhs):
@@ -187,7 +344,39 @@ def division(zb, side):
     z2 in the order of zb.space; the table holds exactly the pairs that
     raised nothing.  zb is right-principal iff the right side gives no
     violations, and a bibundle is Morita iff the left side gives none too.
+    A bibundle that passed check_bibundle keeps both results in
+    zb.divisions, so each side of it is divided once, and every caller
+    shares them: read them, do not change them.
     """
+    kept = zb.divisions
+    if kept is None:
+        return _divide(zb, side)
+    if side not in kept:
+        kept[side] = _unique_division(zb, side) or _divide(zb, side)
+    return kept[side]
+
+
+def _unique_division(zb, side):
+    """(table, []) for a bibundle whose laws hold when every pair over one
+    moment is reached by exactly one arrow, else None.  The laws keep each
+    moment under the other action, so the action table reaches only pairs
+    over one moment; its entries reach distinct pairs, as many as there
+    are pairs over one moment, iff each pair is reached once, and then
+    _divide finds the same table, in the same order, and no violations."""
+    if side == "right":
+        reach = {(z, z2): n for (z, n), z2 in zb.ract.items()}
+        entries, mom, objects = len(zb.ract), zb.lmom, zb.left.objects
+    else:
+        reach = {(z, z2): m for (m, z), z2 in zb.lact.items()}
+        entries, mom, objects = len(zb.lact), zb.rmom, zb.right.objects
+    fibres = _fibres(zb.space, mom)
+    if len(reach) != entries or entries != sum(len(f) ** 2 for f in fibres.values()):
+        return None
+    return {(z, z2): reach[(z, z2)] for x in objects for fiber in (fibres.get(x, ()),)
+            for z in fiber for z2 in fiber}, []
+
+
+def _divide(zb, side):
     right = side == "right"
     reach = {z: {} for z in zb.space}
     for key, z2 in (zb.ract if right else zb.lact).items():
@@ -338,22 +527,37 @@ def compose_bibundles(z1, z2):
     composite g-function identity
     g^{Z1.Z2}([a,b],[a',b']) = g^{Z2}(b, g^{Z1}(a,a').b') is checked
     exhaustively before returning.
+
+    When both factors passed check_bibundle and N, the right end of Z1,
+    is a validated groupoid whose composition the left end of Z2 shares,
+    the pairs are glued only along the generators S(N): for n = n's with s
+    in S(N), the action laws of the factors give
+      (a.(n's), b) = ((a.n').s, b) ~ (a.n', s.b) ~ (a, n'.(s.b)) = (a, (n's).b),
+    the middle step by induction on the left-normed length of n'.  So both
+    relations have the same classes, the same least members and the same
+    class labels.  Otherwise every arrow of N glues.
     """
     if z1.right is not z2.left and z1.right.arrows != z2.left.arrows:
         raise ValidationFailure([Violation("MiddleMismatch", None)])
     n = z1.right
     over = _fibres(z2.space, z2.lmom)
-    members = {pair(a, b): (a, b) for a in z1.space for b in over.get(z1.rmom[a], ())}
-    if not members:
+    label = {(a, b): pair(a, b) for a in z1.space for b in over.get(z1.rmom[a], ())}
+    if not label:
         raise EmptyComposite("fibered product of bibundle spaces is empty")
+    members = {lab: ab for ab, lab in label.items()}
+    glue = n.arrows
+    if z1.divisions is not None and z2.divisions is not None and \
+            n.gens() is not None and (n is z2.left or n.comp == z2.left.comp):
+        glue = n.gens()
+    glue_to = _fibres(glue, n.tgt)
     # (a.n, b) ~ (a, n.b)
-    links = [(pair(z1.ract[(a, nn)], b), pair(a, z2.lact[(nn, b)]))
-             for a in z1.space for nn in n.arrows_to(z1.rmom[a])
+    links = [(label[(z1.ract[(a, nn)], b)], label[(a, z2.lact[(nn, b)])])
+             for a in z1.space for nn in glue_to.get(z1.rmom[a], ())
              for b in over.get(n.src[nn], ())]
     out = quotient_bibundle(
         z1.left, z2.right, members, links, lambda r: z1.lmom[r[0]],
-        lambda r: z2.rmom[r[1]], lambda m, r: pair(z1.lact[(m, r[0])], r[1]),
-        lambda r, nn: pair(r[0], z2.ract[(r[1], nn)]))
+        lambda r: z2.rmom[r[1]], lambda m, r: label[(z1.lact[(m, r[0])], r[1])],
+        lambda r, nn: label[(r[0], z2.ract[(r[1], nn)])])
     _validated(out)
 
     g1, g2, gc = g_function(z1), g_function(z2), g_function(out)

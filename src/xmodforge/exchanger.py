@@ -455,12 +455,25 @@ def morphism_compose(kind, eta, zeta):
 # -- horizontal diamond ---------------------------------------------------------
 
 
-def horizontal_diamond(ex1, ex2):
+def horizontal_diamond(ex1, ex2, diamonds=(None, None)):
     """P1 <> P2: the quotient of the double fibered product of carriers by the
     H2 x H5 action, an exchanger (A1 <> B1) => (A2 <> B2).
 
     Requires same-base columns: sources of ex1/ex2 over a common X, targets
-    over a common Y (pullback-normalize first otherwise)."""
+    over a common Y (pullback-normalize first otherwise).  diamonds may
+    give A1 <> B1 and A2 <> B2, already built by cr.diamond from these
+    same crossings; a None is built here.
+
+    The carrier pairs over moments (u, v) are glued along the action of the
+    fibre product H2(sigma u) x H5(sigma v), whose orbits are the classes.
+    When both carriers passed check_bibundle and both bundles are validated,
+    a pair is linked only through (s, 1) and (1, t), for s and t generators
+    (Groupoid.gens) of the two fibres.  These generate the product
+    group, and it acts: the legs of the validated crossings are
+    homomorphisms into the loops at u and v, and the carriers' actions
+    commute and keep the moments.  So the links give the same orbits, and
+    the same classes, least members and labels, as linking through every
+    (h2, h5), which the other inputs get."""
     a1c, b1c = ex1.source, ex2.source
     a2c, b2c = ex1.target, ex2.target
     for (u, v) in ((a1c, b1c), (a2c, b2c)):
@@ -468,34 +481,51 @@ def horizontal_diamond(ex1, ex2):
                 u.m.objects == v.m.objects):
             raise NotComposable("horizontal_diamond needs same-base columns; "
                                 "pullback-normalize the inputs first")
-    src_d = cr.diamond(a1c, b1c)
-    dst_d = cr.diamond(a2c, b2c)
+    src_d, dst_d = diamonds
+    if src_d is None:
+        src_d = cr.diamond(a1c, b1c)
+    if dst_d is None:
+        dst_d = cr.diamond(a2c, b2c)
     p1, p2 = ex1.p, ex2.p
-    carrier = {pair(x, y): (x, y) for x in p1.space for y in p2.space
-               if p1.lmom[x] == p2.lmom[y] and p1.rmom[x] == p2.rmom[y]}
-    if not carrier:
+    label = {(x, y): pair(x, y) for x in p1.space for y in p2.space
+             if p1.lmom[x] == p2.lmom[y] and p1.rmom[x] == p2.rmom[y]}
+    if not label:
         raise NotComposable("EmptyDiamond: no compatible carrier pairs")
+    carrier = {z: xy for xy, z in label.items()}
     # Quotient by the diagonal (h2, h5)-action of the H2 x H5 bundle:
     # (h2,h5).(p1,p2) = (b1(h2) p1 mu1(h5)^-1, d1(h2) p2 nu1(h5)^-1).
+    h2b, h5b = a1c.dst.h, a2c.dst.h
+    by_gens = p1.divisions is not None and p2.divisions is not None and \
+        h2b.gens() is not None and h5b.gens() is not None
+    if by_gens:
+        gens2, gens5 = {}, {}  # point -> the generators of the fibre there
+        for bundle, gens in ((h2b, gens2), (h5b, gens5)):
+            for s in bundle.gens():
+                gens.setdefault(bundle.src[s], []).append(s)
     links = []
     for z, (x, y) in carrier.items():
         u = p1.lmom[x]
         v = p1.rmom[x]
-        for h2 in a1c.dst.h.fiber(a1c.sigma[u]):
+        w2, w5 = a1c.sigma[u], a2c.sigma[v]
+        if by_gens:
+            moves = [(s, h5b.unit[w5]) for s in gens2.get(w2, ())] + \
+                [(h2b.unit[w2], t) for t in gens5.get(w5, ())]
+        else:
+            moves = [(h2, h5) for h2 in h2b.fiber(w2) for h5 in h5b.fiber(w5)]
+        for h2, h5 in moves:
             x1 = p1.lact[(a1c.b1[(u, h2)], x)]
             y1 = p2.lact[(b1c.a1[(u, h2)], y)]
-            for h5 in a2c.dst.h.fiber(a2c.sigma[v]):
-                x2 = p1.ract[(x1, p1.right.inv[a2c.b1[(v, h5)]])]
-                y2 = p2.ract[(y1, p2.right.inv[b2c.a1[(v, h5)]])]
-                links.append((pair(x2, y2), z))
+            x2 = p1.ract[(x1, p1.right.inv[a2c.b1[(v, h5)]])]
+            y2 = p2.ract[(y1, p2.right.inv[b2c.a1[(v, h5)]])]
+            links.append((label[(x2, y2)], z))
 
     def lact(mm, r):
         m1, m2 = src_d.m.parts[mm]
-        return pair(p1.lact[(m1, r[0])], p2.lact[(m2, r[1])])
+        return label[(p1.lact[(m1, r[0])], p2.lact[(m2, r[1])])]
 
     def ract(r, nn):
         n1, n2 = dst_d.m.parts[nn]
-        return pair(p1.ract[(r[0], n1)], p2.ract[(r[1], n2)])
+        return label[(p1.ract[(r[0], n1)], p2.ract[(r[1], n2)])]
 
     whole = bb.quotient_bibundle(src_d.m, dst_d.m, carrier, links,
                                     lambda r: p1.lmom[r[0]], lambda r: p1.rmom[r[0]],
@@ -538,13 +568,19 @@ def horizontal_diamond(ex1, ex2):
 
 def eta_square(ex_p1, ex_p2, ex_q1, ex_q2):
     """The coherence square: the component permutation
-    (P1 <> P2) bullet (Q1 <> Q2)  =>  (P1 bullet Q1) <> (P2 bullet Q2)."""
+    (P1 <> P2) bullet (Q1 <> Q2)  =>  (P1 bullet Q1) <> (P2 bullet Q2).
+
+    Each diamond of crossings is built once: P1 <> P2 ends at the one that
+    Q1 <> Q2 starts at when Q1, Q2 start at the very crossings where P1,
+    P2 end, and (P1 bullet Q1) <> (P2 bullet Q2) runs from the source of
+    P1 <> P2 to the target of Q1 <> Q2."""
     dp = horizontal_diamond(ex_p1, ex_p2)
-    dq = horizontal_diamond(ex_q1, ex_q2)
+    shared = ex_q1.source is ex_p1.target and ex_q2.source is ex_p2.target
+    dq = horizontal_diamond(ex_q1, ex_q2, (dp.target if shared else None, None))
     lhs = vertical_compose(dp, dq)
     bq1 = vertical_compose(ex_p1, ex_q1)
     bq2 = vertical_compose(ex_p2, ex_q2)
-    rhs = horizontal_diamond(bq1, bq2)
+    rhs = horizontal_diamond(bq1, bq2, (dp.source, dq.target))
     eta = {}
     for c in lhs.p.space:
         dmc, dqc = lhs.p.parts[c]
@@ -766,9 +802,10 @@ def unit_witnesses(c):
         return validate_exchanger_morphism(comp_ex, target_triv, eta)
 
     mu_r1 = bullet_to_trivial(r_ex, rbar_ex, trivial_exchanger(dmo))
-    mu_r2 = bullet_to_trivial(rbar_ex, r_ex, trivial_exchanger(msb))
+    i_msb = trivial_exchanger(msb)
+    mu_r2 = bullet_to_trivial(rbar_ex, r_ex, i_msb)
     mu_l1 = bullet_to_trivial(l_ex, lbar_ex, trivial_exchanger(dom_))
-    mu_l2 = bullet_to_trivial(lbar_ex, l_ex, trivial_exchanger(msb))
+    mu_l2 = bullet_to_trivial(lbar_ex, l_ex, i_msb)
     _require_bijective(mu_R_to_unit=mu_r1, mu_Rbar_to_unit=mu_r2,
                        mu_L_to_unit=mu_l1, mu_Lbar_to_unit=mu_l2)
     return {

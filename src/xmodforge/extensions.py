@@ -22,23 +22,35 @@ def _cyclic_data(name):
 
 
 def normalized_cocycles(gname, aname):
-    """All normalized 2-cocycles f: G x G -> A for cyclic G, A with trivial
-    action, as dicts on non-identity pairs (identity entries are zero)."""
+    """All normalized 2-cocycles f: G x G -> A for cyclic G = Z/n, A = Z/m
+    with trivial action, as dicts on all pairs (identity entries are zero),
+    ordered by their values on the non-identity pairs (g, h), g major.
+
+    They are solved for rather than searched.  H^2(Z/n, A) is A/nA,
+    represented by f_k(g, h) = k [g + h >= n] for k in A (the carry of
+    adding representatives; Brown, Cohomology of Groups, 1982, III.1 and
+    IV.3).  So every cocycle is f_k + dc with (dc)(g, h) = c(g) + c(h) -
+    c(g + h) for some c: G -> A, and it is normalized iff c(0) = (dc)(0, 0)
+    = 0.  The m^n candidates (k, c) give every normalized cocycle, some
+    more than once; each is kept once and checked again by _is_cocycle."""
     gn, an = _cyclic_data(gname), _cyclic_data(aname)
-    elems = list(range(gn))
-    nonident = [g for g in elems if g != 0]
+    nonident = range(1, gn)
+    found = set()
+    for k in range(an):
+        for c in itertools.product(range(an), repeat=gn - 1):
+            c = (0,) + c
+            found.add(tuple((k * (g + h >= gn) + c[g] + c[h] - c[(g + h) % gn]) % an
+                            for g in nonident for h in nonident))
     cocycles = []
-    for values in itertools.product(range(an), repeat=len(nonident) ** 2):
+    for values in sorted(found):
         f = {}
-        for g in elems:
+        for g in range(gn):
             f[(0, g)] = 0
             f[(g, 0)] = 0
-        it = iter(values)
-        for g in nonident:
-            for h in nonident:
-                f[(g, h)] = next(it)
-        if _is_cocycle(f, gn, an):
-            cocycles.append(f)
+        f.update(zip(((g, h) for g in nonident for h in nonident), values))
+        if not _is_cocycle(f, gn, an):
+            raise CoherenceFailure(("not a normalized cocycle", gname, aname, values))
+        cocycles.append(f)
     return cocycles
 
 

@@ -17,6 +17,9 @@ class Groupoid:
     """Finite groupoid with explicit src/tgt/inv/unit/comp tables.
 
     Instances are immutable after validation by convention; share freely.
+    A groupoid that validate_groupoid returned is marked validated, and
+    only such a groupoid gives its generators (gens); the certificates
+    that read them run on validated groupoids alone.
     """
 
     def __init__(self, objects, arrows, src, tgt, inv, unit, comp):
@@ -28,6 +31,8 @@ class Groupoid:
         self.unit = dict(unit)
         self.comp = dict(comp)
         self.parts = None  # set by groupoid_of_parts: arrow label -> its parts
+        self.validated = False  # set by validate_groupoid
+        self._gens = None
         self._by_src = None
         self._by_tgt = None
 
@@ -52,6 +57,14 @@ class Groupoid:
             for g in self.arrows:
                 self._by_tgt.setdefault(self.tgt[g], []).append(g)
         return self._by_tgt.get(y, [])
+
+    def gens(self):
+        """S = generators(arrows, src, tgt, comp) of a validated groupoid,
+        in label order: the one its check found, or computed on the first
+        call and kept.  None for a groupoid that was not validated."""
+        if self.validated and self._gens is None:
+            self._gens = generators(self.arrows, self.src, self.tgt, self.comp)
+        return self._gens
 
     def hom(self, x, y):
         return [g for g in self.arrows_from(x) if self.tgt[g] == y]
@@ -227,9 +240,14 @@ def _light_certifies(gens, by_src, by_tgt, src, tgt, comp):
 
 
 def validate_groupoid(objects, arrows, src, tgt, inv, unit, comp):
+    """The groupoid of the tables, marked validated and keeping the
+    generators its check found, if it looked for them (Groupoid.gens
+    finds them on request otherwise).  Raises ValidationFailure."""
     objects, arrows = labelset(objects), labelset(arrows)
-    return require(Groupoid(objects, arrows, src, tgt, inv, unit, comp),
-                   check_groupoid(objects, arrows, src, tgt, inv, unit, comp))
+    violations, gens = _check_groupoid(objects, arrows, src, tgt, inv, unit, comp, False)
+    gpd = require(Groupoid(objects, arrows, src, tgt, inv, unit, comp), violations)
+    gpd.validated, gpd._gens = True, gens
+    return gpd
 
 
 def groupoid_of_parts(objects, parts, src, tgt, inv, unit, comp):
@@ -440,12 +458,14 @@ def validate_group_bundle(objects, arrows, src, tgt, inv, unit, comp):
 
 def as_group_bundle(g):
     """Reinterpret a validated groupoid whose arrows are all loops; the
-    bundle keeps the groupoid's parts table."""
+    bundle keeps the groupoid's parts table, its mark and its generators.
+    The generators at a point generate the fibre there: composites stay in
+    their fibre."""
     bad = [h for h in g.arrows if g.src[h] != g.tgt[h]]
     if bad:
         raise ValidationFailure([Violation("NotEndoArrow", (h,)) for h in bad])
     bundle = GroupBundle(g.objects, g.arrows, g.src, g.tgt, g.inv, g.unit, g.comp)
-    bundle.parts = g.parts
+    bundle.parts, bundle.validated, bundle._gens = g.parts, g.validated, g._gens
     return bundle
 
 

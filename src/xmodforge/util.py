@@ -78,19 +78,21 @@ def quotient(members, links):
     order = sorted(members)
     number = {lab: k for k, lab in enumerate(order)}
     root = list(range(len(order)))
-
-    def find(k):
-        while root[k] != k:
-            root[k] = k = root[root[k]]
-        return k
-
+    # every number points at itself or at a smaller one
     for a, b in links:
-        ra, rb = find(number[a]), find(number[b])
-        if ra != rb:
-            root[max(ra, rb)] = min(ra, rb)
+        ra, rb = number[a], number[b]
+        while root[ra] != ra:
+            root[ra] = ra = root[root[ra]]
+        while root[rb] != rb:
+            root[rb] = rb = root[root[rb]]
+        if ra < rb:
+            root[rb] = ra
+        elif rb < ra:
+            root[ra] = rb
     name, reps = [], {}
     for k, lab in enumerate(order):
-        r = find(k)  # r <= k: a class is named at its least member
+        # the smaller numbers already point at their roots
+        r = root[k] = root[root[k]]  # r <= k: a class is named at its least member
         if r < k:
             name.append(name[r])
         else:

@@ -182,7 +182,8 @@ def quotient_middle(p, mn, s, t):
 
 def horizontal_diamond(ex1, ex2):
     """exchanger.horizontal_diamond with a second union-find for the
-    action-closed components."""
+    action-closed components, linking every carrier pair through every
+    (h2, h5) of the fibre product."""
     a1c, b1c = ex1.source, ex2.source
     a2c, b2c = ex1.target, ex2.target
     for (u, v) in ((a1c, b1c), (a2c, b2c)):
@@ -241,6 +242,7 @@ def horizontal_diamond(ex1, ex2):
         except ValidationFailure as e:
             failures.extend(e.violations)
             continue
+        p.parts = {c: reps[c] for c in comp_set}
         p.pair_class = {z: cls_label(r) for z, r in cmap.items()
                         if cls_label(r) in comp_set}
         out = exm.SemiExchanger(src_d, dst_d, p)

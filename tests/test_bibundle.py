@@ -369,6 +369,7 @@ def reference_compose_bibundles(z1, z2):
     violations = reference_check_bibundle(out)
     if violations:
         raise ValidationFailure(violations)
+    out.parts = reps
     out.pair_class = {p: cls_label(r) for p, r in cmap.items()}
     return out
 
@@ -450,6 +451,103 @@ def test_check_bibundle_matches_sweep_on_generated_and_corrupted(generated_bibun
     assert {"NotAction-left", "NotAction-right", "NonCommuting-3"} <= forms
 
 
+def reference_law_failures(zb):
+    """The action, moment-invariance and commuting laws, swept point by
+    point on tables of the right shape, whatever else fails."""
+    failures = []
+    left, right = zb.left, zb.right
+    for m1, m2 in left.composable_pairs():
+        for z in zb.lfiber(left.src[m2]):
+            if zb.lact[(left.comp[(m1, m2)], z)] != zb.lact[(m1, zb.lact[(m2, z)])]:
+                failures.append(("left", m1, m2, z))
+    for n1, n2 in right.composable_pairs():
+        for z in zb.space:
+            if zb.rmom[z] == right.tgt[n1] and \
+                    zb.ract[(z, right.comp[(n1, n2)])] != zb.ract[(zb.ract[(z, n1)], n2)]:
+                failures.append(("right", z, n1, n2))
+    for z in zb.space:
+        failures += [(m, z) for m in left.arrows_from(zb.lmom[z])
+                     if zb.rmom[zb.lact[(m, z)]] != zb.rmom[z]]
+        failures += [(z, n) for n in right.arrows_to(zb.rmom[z])
+                     if zb.lmom[zb.ract[(z, n)]] != zb.lmom[z]]
+    if failures:  # m.z.n is not defined where a moment moves
+        return failures
+    return [(m, z, n) for z in zb.space for m in left.arrows_from(zb.lmom[z])
+            for n in right.arrows_to(zb.rmom[z])
+            if zb.ract[(zb.lact[(m, z)], n)] != zb.lact[(m, zb.ract[(z, n)])]]
+
+
+SHAPE_CODES = {"MissingActionEntry", "SpuriousActionEntry", "BadActionImage"}
+
+
+def _shape_corruptions(zb, rng):
+    """An entry dropped, and an entry for an arrow out of another object."""
+    key = rng.choice(sorted(zb.lact))
+    yield _with(zb, lact={k: v for k, v in zb.lact.items() if k != key})
+    z = rng.choice(zb.space)
+    others = [m for m in zb.left.arrows if zb.left.src[m] != zb.lmom[z]]
+    if others:
+        yield _with(zb, lact={**zb.lact, (others[0], z): z})
+
+
+def test_certificates_match_the_sweeps_on_generated_and_corrupted(generated_bibundles):
+    # each certificate says yes exactly when its sweep finds nothing
+    rng = random.Random(5)
+    verdicts = set()
+    for zb in generated_bibundles:
+        for case in [zb, *_corruptions(zb, rng), *_shape_corruptions(zb, rng)]:
+            shape = not SHAPE_CODES & {v.code for v in reference_check_bibundle(case)}
+            assert bb._shape_certifies(case) == shape
+            if shape:
+                laws = reference_law_failures(case) == []
+                assert bb._laws_certify(case, bb._rows(case)) == laws
+                verdicts.add(("laws", laws))
+            verdicts.add(("shape", shape))
+        # keyed outside the tables: the reference has no check for it
+        z = zb.space[0]
+        for case in (_with(zb, lact={**zb.lact, ("no arrow", z): z}),
+                     _with(zb, ract={**zb.ract, (z, "no arrow"): z})):
+            assert not bb._shape_certifies(case) and bb._shape_sweep(case)
+    assert verdicts == {(kind, ok) for kind in ("shape", "laws") for ok in (True, False)}
+    # several generators at both ends, on several inputs
+    assert sum(len(zb.left.gens()) > 1 and len(zb.right.gens()) > 1
+               for zb in generated_bibundles) >= 5
+
+
+def test_the_certificates_decide_every_valid_generated_bibundle(generated_bibundles,
+                                                                monkeypatch):
+    def sweep(*args):
+        pytest.fail("a sweep ran on a valid bibundle")
+
+    for name in ("_shape_sweep", "_action_sweep", "_commuting_sweep"):
+        monkeypatch.setattr(bb, name, sweep)
+    for zb in generated_bibundles:
+        case = _with(zb)  # unchecked, so that the check runs again
+        assert bb.check_bibundle(case) == []
+        # the check keeps the right division, which g_function then reads
+        assert case.divisions["right"] == (reference_g_function(case), [])
+        assert bb.g_function(case) is case.divisions["right"][0]
+
+
+def _unvalidated(g):
+    return fingrpd.Groupoid(g.objects, g.arrows, g.src, g.tgt, g.inv, g.unit, g.comp)
+
+
+def test_a_bibundle_over_unvalidated_ends_takes_the_sweeps(generated_bibundles,
+                                                           monkeypatch):
+    def certificate(*args):
+        pytest.fail("the law certificate ran on unvalidated ends")
+
+    monkeypatch.setattr(bb, "_laws_certify", certificate)
+    rng = random.Random(3)
+    for zb in generated_bibundles[::3]:
+        raw = bb.Bibundle(_unvalidated(zb.left), _unvalidated(zb.right), zb.space,
+                          zb.lmom, zb.rmom, zb.lact, zb.ract)
+        assert raw.left.gens() is None and raw.right.gens() is None
+        for case in [raw, *_corruptions(raw, rng)]:
+            assert _report(bb.check_bibundle(case)) == _report(reference_check_bibundle(case))
+
+
 def _g_report(g_function, zb):
     try:
         return list(g_function(zb).items())
@@ -494,6 +592,49 @@ def test_division_left_table_solves_the_left_action(generated_bibundles):
         assert set(table) == {(z, z2) for fib in fibres.values() for z in fib for z2 in fib}
         for (z, z2), m in table.items():
             assert zb.lact[(m, z)] == z2
+
+
+def test_kept_divisions_are_the_sweeps_tables_in_their_order(generated_bibundles):
+    # a checked bibundle divides each side in one pass over its action
+    # table; the result is the sweep's, entry for entry and in its order
+    for zb in generated_bibundles:
+        assert zb.divisions is not None
+        for side in ("right", "left"):
+            table, violations = bb.division(zb, side)
+            want = bb._divide(zb, side)
+            assert list(table.items()) == list(want[0].items())
+            assert _report(violations) == _report(want[1])
+
+
+def _is_translation(zb):
+    return zb.left is zb.right and zb.lact == zb.left.comp
+
+
+def test_the_translation_certificate_decides_identity_bibundles(generated_bibundles,
+                                                                  monkeypatch):
+    identities = [zb for zb in generated_bibundles if _is_translation(zb)]
+    assert len(identities) >= 6
+    rng = random.Random(5)
+    for zb in identities:
+        raw = _unvalidated(zb.left)
+        plain = bb.Bibundle(raw, raw, zb.space, zb.lmom, zb.rmom, zb.lact, zb.ract)
+        assert not bb._translation_certifies(plain)
+        assert bb.check_bibundle(plain) == []
+        for case in _corruptions(zb, rng):
+            # a corruption that the certificate let through would pass
+            assert _report(bb.check_bibundle(case)) == _report(reference_check_bibundle(case))
+
+    def rows(*args):
+        pytest.fail("the rows of an identity bibundle were built")
+
+    monkeypatch.setattr(bb, "_rows", rows)
+    for zb in identities:
+        case = _with(zb)
+        assert bb._translation_certifies(case)
+        assert bb.check_bibundle(case) == []
+        assert list(case.divisions["right"][0].items()) == \
+            list(reference_g_function(case).items())
+        assert case.divisions["right"][1] == []
 
 
 def test_action_entries_outside_the_tables_are_spurious(c2, tmp_path, capsys):
@@ -553,22 +694,44 @@ def test_oracle_commuting_law_only(s3):
     assert _report(got) == _report(reference_check_bibundle(zb))
 
 
+def test_oracle_moment_invariance_only(c2):
+    # C2 swaps two points whose other moments differ: both actions are
+    # actions and commute wherever both are defined, but a moment moves
+    ends = unit_groupoid(["y0", "y1"])
+    zs = {"z0": "y0", "z1": "y1"}
+    swap = {("c0", z): z for z in zs} | {("c1", "z0"): "z1", ("c1", "z1"): "z0"}
+    for zb in (bb.Bibundle(c2, ends, zs, dict.fromkeys(zs, "*"), zs, swap,
+                           {(z, ends.unit[y]): z for z, y in zs.items()}),
+               bb.Bibundle(ends, c2, zs, zs, dict.fromkeys(zs, "*"),
+                           {(ends.unit[y], z): z for z, y in zs.items()},
+                           {(z, n): w for (n, z), w in swap.items()})):
+        got = bb.check_bibundle(zb)
+        assert {(v.code, len(v.witness)) for v in got} == {("NonCommuting", 2)}
+        assert _report(got) == _report(reference_check_bibundle(zb))
+
+
 def _tables(zb):
     return (zb.space, zb.lmom, zb.rmom, list(zb.lact.items()), list(zb.ract.items()),
-            zb.pair_class)
+            zb.parts, zb.pair_class)
 
 
 def test_compose_bibundles_matches_label_quotient(generated_bibundles):
-    composed = 0
+    # the oracle glues along every arrow of the middle groupoid; validated
+    # factors are glued along its generators, unchecked copies along every
+    # arrow too
+    composed = by_gens = 0
     for zb in generated_bibundles:
         pairs = [(bb.identity_bibundle(zb.left), zb), (zb, bb.identity_bibundle(zb.right))]
         if bb.is_morita(zb)[0]:
             zbar = bb.inverse_bibundle(zb)
             pairs += [(zb, zbar), (zbar, zb)]
+        pairs += [(_with(z1), _with(z2)) for z1, z2 in pairs[:1]]
         for z1, z2 in pairs:
             assert _tables(bb.compose_bibundles(z1, z2)) == \
                 _tables(reference_compose_bibundles(z1, z2))
             composed += 1
+            by_gens += z1.divisions is not None and z2.divisions is not None and \
+                len(z1.right.gens()) < len(z1.right.arrows)
     rng = random.Random(2)
     while composed < 100:
         ex = generators.random_exchanger(rng)
@@ -576,6 +739,7 @@ def test_compose_bibundles_matches_label_quotient(generated_bibundles):
         assert _tables(bb.compose_bibundles(ex.p, exbar.p)) == \
             _tables(reference_compose_bibundles(ex.p, exbar.p))
         composed += 1
+    assert by_gens >= 40
 
 
 def test_compose_bibundles_names_classes_by_least_label():

@@ -1,10 +1,12 @@
+import random
+
 import pytest
 
 from xmodforge import bibundle as bb
 from xmodforge import crossing as cr
 from xmodforge import exchanger as ex
-from xmodforge import fingrpd, xmod
-from xmodforge.errors import NotComposable, ValidationFailure
+from xmodforge import fingrpd, generators, xmod
+from xmodforge.errors import NotComposable, ValidationFailure, XModForgeError
 from xmodforge.fingrpd import cyclic_groupoid, trivial_bundle, trivial_action, unpair
 from xmodforge.util import pair as mkpair, strip_class
 
@@ -310,3 +312,97 @@ def test_thm_2cat_interchange_nonidentity(i_o, o_sc2):
         ex.morphism_compose("vertical", zeta1, zeta2))
     assert lhs.eta == rhs.eta
     assert lhs.eta != ex.identity_morphism_of(lhs.src).eta
+
+
+
+def _unchecked(e):
+    """e over an unchecked copy of its carrier, which keeps no division."""
+    p = e.p
+    return ex.SemiExchanger(e.source, e.target, bb.Bibundle(
+        p.left, p.right, p.space, p.lmom, p.rmom, p.lact, p.ract))
+
+
+def _quotient_tables(zb):
+    return (zb.space, zb.lmom, zb.rmom, list(zb.lact.items()), list(zb.ract.items()),
+            zb.parts, zb.pair_class)
+
+
+def test_generator_gluing_matches_gluing_along_every_arrow():
+    # validated carriers are glued along generators, unchecked copies of
+    # them along every arrow of N and every (h2, h5): the same quotients
+    built = diamonds = 0
+    for seed in range(30):
+        e = generators.random_exchanger(random.Random(seed))
+        ebar = ex.exchanger_inverse(e)[0]
+        for p, q in ((e, ebar), (ebar, e), (e, e)):
+            if p.target is not q.source:
+                continue
+            assert _quotient_tables(ex.vertical_compose(p, q).p) == \
+                _quotient_tables(ex.vertical_compose(_unchecked(p), _unchecked(q)).p)
+            built += 1
+        try:
+            want = ex.horizontal_diamond(_unchecked(e), _unchecked(e))
+        except XModForgeError as err:
+            with pytest.raises(type(err)) as got:
+                ex.horizontal_diamond(e, e)
+            assert str(got.value) == str(err)
+            continue
+        assert _quotient_tables(ex.horizontal_diamond(e, e).p) == _quotient_tables(want.p)
+        diamonds += 1
+    assert built >= 60 and diamonds >= 8
+
+
+def _eta_square_rebuilding_every_diamond(p1, p2, q1, q2):
+    # eta_square as it reads without shared diamonds: each horizontal
+    # diamond builds both of its diamonds of crossings
+    dp, dq = ex.horizontal_diamond(p1, p2), ex.horizontal_diamond(q1, q2)
+    lhs = ex.vertical_compose(dp, dq)
+    bq1, bq2 = ex.vertical_compose(p1, q1), ex.vertical_compose(p2, q2)
+    rhs = ex.horizontal_diamond(bq1, bq2)
+    eta = {}
+    for c in lhs.p.space:
+        dmc, dqc = lhs.p.parts[c]
+        (pz1, pz2), (qz1, qz2) = dp.p.parts[dmc], dq.p.parts[dqc]
+        eta[c] = rhs.p.pair_class[mkpair(bq1.p.pair_class[mkpair(pz1, qz1)],
+                                         bq2.p.pair_class[mkpair(pz2, qz2)])]
+    return lhs, rhs, eta
+
+
+def test_shared_diamonds_give_the_same_squares():
+    # horizontal_diamond over given diamonds of crossings, and eta_square,
+    # which shares its three, against building every diamond again
+    squares = 0
+    for seed in range(40):
+        e = generators.random_exchanger(random.Random(seed))
+        try:
+            want = ex.horizontal_diamond(e, e)
+        except XModForgeError:
+            continue
+        given = (cr.diamond(e.source, e.source), cr.diamond(e.target, e.target))
+        got = ex.horizontal_diamond(e, e, given)
+        assert got.source is given[0] and got.target is given[1]
+        assert _quotient_tables(got.p) == _quotient_tables(want.p)
+        if len(e.p.space) <= 8:
+            _assert_same_square((e, e, e, e))
+            squares += 1
+    # R, L: A <> O => A and their inverses run between different crossings
+    for seed in range(8):
+        c = generators.random_crossed_extension(random.Random(seed), max_objects=2,
+                                                max_middle=8)
+        w = ex.unit_witnesses(c)
+        for p, q in ((w["R"], w["Rbar"]), (w["L"], w["Lbar"])):
+            assert p.source is not p.target and q.source is p.target
+            _assert_same_square((p, p, q, q))
+            squares += 1
+    assert squares >= 24
+
+
+def _assert_same_square(exchangers):
+    lhs, rhs, eta = _eta_square_rebuilding_every_diamond(*exchangers)
+    sq = ex.eta_square(*exchangers)
+    assert sq.eta == eta and sq.is_bijective()
+    for got, want in ((sq.src, lhs), (sq.dst, rhs)):
+        assert _quotient_tables(got.p) == _quotient_tables(want.p)
+        for end in ("source", "target"):
+            g, w = getattr(got, end).m, getattr(want, end).m
+            assert (list(g.arrows), g.comp) == (list(w.arrows), w.comp)

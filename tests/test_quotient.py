@@ -144,8 +144,12 @@ def test_quotient_middle_matches_the_union_find_oracle(exchangers):
 
 
 def test_horizontal_diamond_matches_the_union_find_oracle(exchangers):
+    # the library links each carrier pair through generators of the H2 and
+    # H5 fibres, the oracle through every (h2, h5)
     built = 0
     for ex in exchangers:
+        assert ex.p.divisions is not None
+        assert ex.source.dst.h.gens() is not None and ex.target.dst.h.gens() is not None
         want = outcome(oracle.horizontal_diamond, ex, ex)
         got = outcome(exm.horizontal_diamond, ex, ex)
         if isinstance(want, tuple):
@@ -155,6 +159,7 @@ def test_horizontal_diamond_matches_the_union_find_oracle(exchangers):
         assert (got.p.lmom, got.p.rmom) == (want.p.lmom, want.p.rmom)
         assert bibundle_tables(got.p)[3:] == bibundle_tables(want.p)[3:]
         assert got.p.space == want.p.space
+        assert got.p.parts == want.p.parts
         assert crossing_tables(got.source) == crossing_tables(want.source)
         assert crossing_tables(got.target) == crossing_tables(want.target)
         built += 1

@@ -406,6 +406,11 @@ def cyclic_2groupoid(n, k, d, hx):
 SWAP12 = [0, 2, 1, 4, 3]
 # i -> NEG_OFF_0[i] is no homomorphism, and NEG_OFF_0[-i] inverts NEG_OFF_0[i]
 NEG_OFF_0 = [lambda x: x, lambda x: -x, lambda x: -x]
+# L(j, (x, i)) = (LEFT_BY_BASE[j][i] x, i + j) on Z/5 over Z/3, R trivial:
+# LEFT_BY_BASE[1] = (2, 4, 2) multiplies to 1 around the circle, so L is a
+# left action by automorphisms with two-sided h-inverses, but the factor
+# depends on the base 1-cell i, which R moves: R(L(g, b), k) != L(g, R(b, k))
+LEFT_BY_BASE = [[1, 1, 1], [2, 4, 2], [3, 3, 4]]
 
 
 @pytest.mark.parametrize("n, k, d, hx, law", [
@@ -420,6 +425,8 @@ NEG_OFF_0 = [lambda x: x, lambda x: -x, lambda x: -x]
     # L(g, L(h, c)) != L(gh, c), then R(R(a, h), k) != R(a, hk): (W2)
     (3, 3, 0, lambda x1, i1, x2, i2: x1 + NEG_OFF_0[i1](x2), "HNonAssociative"),
     (3, 3, 0, lambda x1, i1, x2, i2: NEG_OFF_0[i2](x1) + x2, "HNonAssociative"),
+    # the third form of (W2) alone: every other law the certificate reads holds
+    (5, 3, 0, lambda x1, i1, x2, i2: x1 + LEFT_BY_BASE[i1][i2] * x2, "HNonAssociative"),
 ])
 def test_check_2groupoid_matches_sweep_on_twisted_whiskers(n, k, d, hx, law):
     tg = cyclic_2groupoid(n, k, d, hx)
