@@ -37,23 +37,29 @@ class Bibundle:
 def check_bibundle(zb):
     """Violations of the bibundle axioms, empty when zb is a bibundle.
 
-    The moments, the shape of both action tables, the unit laws and the
-    invariance of each moment under the other action are checked point by
-    point; an entry keyed by an arrow or a point the bibundle does not have
-    is a SpuriousActionEntry after its side's sweep.  The action and
-    commuting laws are checked on integer rows.  Points are numbered by
+    The moments, the shape of both action tables and the unit laws are
+    checked point by point; an entry keyed by an arrow or a point the
+    bibundle does not have is a SpuriousActionEntry after its side's sweep.
+    The action laws, the invariance of each moment under the other action
+    and the commuting law are checked on integer rows, each by one body
+    that lists its failing instances among those built from the left and
+    right arrows it is given.  Points are numbered by
     their position in ``zb.space``.  A left arrow m has the row i ->
     (position of m.z_i) over the fibre lmom = s(m), held both as the list
     of images in fibre order and as a dict; a right arrow n likewise over
     rmom = t(n).  Each law is compared on its own fibre only, as two lists
     of positions: (m1 m2).z against m1.(m2.z) over lmom = s(m2),
-    z.(n1 n2) against (z.n1).n2 over rmom = t(n1), and (m.z).n against
-    m.(z.n) over each occupied moment pair (s(m), t(n)).  The lists are
-    built by mapping rows over positions, so the lookups run in C and
-    number exactly those of a point-by-point sweep.  Per-point witnesses
-    are built only where two lists differ, in the sweep's order: NotAction
-    by composable pair, then by position; NonCommuting (m, z, n) by
-    position, then m, then n.  Right-principality comes last.
+    z.(n1 n2) against (z.n1).n2 over rmom = t(n1), rmom(m.z) against
+    rmom(z) over lmom = s(m) and lmom(z.n) against lmom(z) over
+    rmom = t(n), and (m.z).n against m.(z.n) over each occupied moment
+    pair (s(m), t(n)).  The lists are built by mapping rows over
+    positions, so the lookups run in C and number exactly those of a
+    point-by-point sweep.  Per-point witnesses are built only where two
+    lists differ, and sorted into the sweep's order: NotAction by
+    composable pair, then by position; a moved moment, NonCommuting (m, z)
+    or (z, n), by position, the left side first, then by arrow;
+    NonCommuting (m, z, n) by position, then m, then n.  The sweep gives
+    the bodies every arrow.  Right-principality comes last.
 
     Two certificates decide first whether a sweep would find anything; on
     "no" the sweep runs unchanged, so the codes and witnesses and their
@@ -70,9 +76,11 @@ def check_bibundle(zb):
     The law certificate runs when both ends are validated groupoids and so
     give their generators S(M) and S(N) (fingrpd.generators; every arrow
     is a left-normed product of generators, and both ends are
-    associative).  It checks the left action law for m1 in S(M), the right
-    action law for n2 in S(N), the invariance of rmom under S(M) and of
-    lmom under S(N), and commuting on S(M) x S(N), after the shape checks.
+    associative).  It gives the four bodies S(M) and S(N) in place of every
+    arrow, and stops at the first failure: it checks the left action law
+    for m1 in S(M), the right action law for n2 in S(N), the invariance of
+    rmom under S(M) and of lmom under S(N), and commuting on S(M) x S(N),
+    after the shape checks.
     Each law holds for all arrows once it holds on generators:
       left law: let T be the m1 with (m1 m2).z = m1.(m2.z) for all m2 and
         z.  For a, b in T with s(a) = t(b),
@@ -104,7 +112,7 @@ def check_bibundle(zb):
     """
     zb.divisions = None
     if _translation_certifies(zb):
-        zb.divisions = {"right": _unique_division(zb, "right") or _divide(zb, "right")}
+        zb.divisions = {"right": _divide(zb, "right")}
         return []
     violations = []
     left, right = zb.left, zb.right
@@ -124,12 +132,22 @@ def check_bibundle(zb):
         if zb.ract[(z, right.unit[zb.rmom[z]])] != z:
             violations.append(Violation("BadUnitAction", ("right", z)))
 
-    rows = _rows(zb)
-    if left.gens() is None or right.gens() is None or not _laws_certify(zb, rows):
-        violations += _action_sweep(zb, rows)
+    rows, ms, ns = _rows(zb), left.gens(), right.gens()
+    laws = (_not_left_action, _not_right_action, _moved, _noncommuting)
+    if ms is None or ns is None or any(next(law(zb, rows, ms, ns), None) for law in laws):
+        ms, ns, zs = left.arrows, right.arrows, zb.space
+        violations += [Violation("NotAction", ("left", m1, m2, zs[i]))
+                       for m1, m2, i in sorted(_not_left_action(zb, rows, ms, ns))]
+        violations += [Violation("NotAction", ("right", zs[i], n1, n2))
+                       for n1, n2, i in sorted(_not_right_action(zb, rows, ms, ns))]
+        violations += [Violation("NonCommuting", (a, zs[i]), "rmom moved by left action")
+                       if side == "left" else
+                       Violation("NonCommuting", (zs[i], a), "lmom moved by right action")
+                       for i, side, a in sorted(_moved(zb, rows, ms, ns))]
         if violations:
             return violations
-        violations += _commuting_sweep(zb, rows)
+        violations += [Violation("NonCommuting", (m, zs[i], n))
+                       for i, m, n in sorted(_noncommuting(zb, rows, ms, ns))]
     if violations:
         return violations
 
@@ -138,7 +156,7 @@ def check_bibundle(zb):
     pos = {z: i for i, z in enumerate(zb.space)}
     violations += [Violation("NotFree", (z, n, right.unit[zb.rmom[z]]))
                    for z, n in sorted(loops, key=lambda zn: pos[zn[0]])]
-    divided = _unique_division(zb, "right") or _divide(zb, "right")
+    divided = _divide(zb, "right")
     violations += divided[1]
     if not violations:
         zb.divisions = {"right": divided}
@@ -238,83 +256,66 @@ def _rows(zb):
     return lfib, rfib, bifib, limg, lrow, rimg, rrow
 
 
-def _laws_certify(zb, rows):
-    """The action laws, moment invariance and commuting on the generators
-    of both ends (see check_bibundle), on rows."""
-    left, right = zb.left, zb.right
-    lfib, rfib, bifib, limg, lrow, rimg, rrow = rows
-    for m1 in left.gens():
+def _not_left_action(zb, rows, ms, ns):
+    """The left action law (m1 m2).z = m1.(m2.z) for m1 in ms, on rows:
+    the failing (m1, m2, position of z), m1 by m1."""
+    left = zb.left
+    lfib, _, _, limg, lrow, _, _ = rows
+    for m1 in ms:
         row = lrow[m1].__getitem__
         for m2 in left.arrows_to(left.src[m1]):
-            if limg[left.comp[(m1, m2)]] != list(map(row, limg[m2])):
-                return False
-    for n2 in right.gens():
+            lhs, rhs = limg[left.comp[(m1, m2)]], list(map(row, limg[m2]))
+            if lhs != rhs:
+                yield from ((m1, m2, i) for i in _mismatches(lfib[left.src[m2]], lhs, rhs))
+
+
+def _not_right_action(zb, rows, ms, ns):
+    """The right action law z.(n1 n2) = (z.n1).n2 for n2 in ns, on rows:
+    the failing (n1, n2, position of z), n2 by n2."""
+    right = zb.right
+    _, rfib, _, _, _, rimg, rrow = rows
+    for n2 in ns:
         row = rrow[n2].__getitem__
         for n1 in right.arrows_from(right.tgt[n2]):
-            if rimg[right.comp[(n1, n2)]] != list(map(row, rimg[n1])):
-                return False
+            lhs, rhs = rimg[right.comp[(n1, n2)]], list(map(row, rimg[n1]))
+            if lhs != rhs:
+                yield from ((n1, n2, i) for i in _mismatches(rfib[right.tgt[n1]], lhs, rhs))
+
+
+def _moved(zb, rows, ms, ns):
+    """Moment invariance, rmom(m.z) = rmom(z) for m in ms and lmom(z.n) =
+    lmom(z) for n in ns, on rows: the failing (position of z, side, arrow),
+    the left side first."""
+    lfib, rfib, _, limg, _, rimg, _ = rows
     lmom = [zb.lmom[z] for z in zb.space].__getitem__
     rmom = [zb.rmom[z] for z in zb.space].__getitem__
-    for m in left.gens():
-        if list(map(rmom, limg[m])) != list(map(rmom, lfib.get(left.src[m], ()))):
-            return False
-    for n in right.gens():
-        if list(map(lmom, rimg[n])) != list(map(lmom, rfib.get(right.tgt[n], ()))):
-            return False
-    for m in left.gens():
-        mrow = lrow[m].__getitem__
-        for n in right.gens():
-            nrow = rrow[n].__getitem__
-            fib = bifib.get((left.src[m], right.tgt[n]), ())
-            if list(map(nrow, map(mrow, fib))) != list(map(mrow, map(nrow, fib))):
-                return False
-    return True
+    for side, arrows, ends, fibre, img, mom in (("left", ms, zb.left.src, lfib, limg, rmom),
+                                                ("right", ns, zb.right.tgt, rfib, rimg, lmom)):
+        for a in arrows:
+            fib = fibre.get(ends[a], ())
+            lhs, rhs = list(map(mom, img[a])), list(map(mom, fib))
+            if lhs != rhs:
+                yield from ((i, side, a) for i in _mismatches(fib, lhs, rhs))
 
 
-def _action_sweep(zb, rows):
-    """NotAction on every composable pair, then the moment invariance of
-    every entry."""
-    violations = []
-    left, right, zs = zb.left, zb.right, zb.space
-    lfib, rfib, _, limg, lrow, rimg, rrow = rows
-    for m1, m2 in left.composable_pairs():
-        lhs, rhs = limg[left.comp[(m1, m2)]], list(map(lrow[m1].__getitem__, limg[m2]))
-        if lhs != rhs:
-            violations += [Violation("NotAction", ("left", m1, m2, zs[i]))
-                           for i in _mismatches(lfib[left.src[m2]], lhs, rhs)]
-    for n1, n2 in right.composable_pairs():
-        lhs, rhs = rimg[right.comp[(n1, n2)]], list(map(rrow[n2].__getitem__, rimg[n1]))
-        if lhs != rhs:
-            violations += [Violation("NotAction", ("right", zs[i], n1, n2))
-                           for i in _mismatches(rfib[right.tgt[n1]], lhs, rhs)]
-    # commuting: (m.z).n = m.(z.n); moments cross-invariant
-    for z in zs:
-        for m in left.arrows_from(zb.lmom[z]):
-            mz = zb.lact[(m, z)]
-            if zb.rmom[mz] != zb.rmom[z]:
-                violations.append(Violation("NonCommuting", (m, z), "rmom moved by left action"))
-        for n in right.arrows_to(zb.rmom[z]):
-            zn = zb.ract[(z, n)]
-            if zb.lmom[zn] != zb.lmom[z]:
-                violations.append(Violation("NonCommuting", (z, n), "lmom moved by right action"))
-    return violations
-
-
-def _commuting_sweep(zb, rows):
-    """NonCommuting (m, z, n) on every point and pair of arrows at it."""
-    left, right = zb.left, zb.right
+def _noncommuting(zb, rows, ms, ns):
+    """The commuting law (m.z).n = m.(z.n) for m in ms and n in ns, on rows
+    whose moments are invariant: the failing (position of z, m, n), m by m."""
     _, _, bifib, _, lrow, _, rrow = rows
-    bad = []
-    for (x, y), fib in bifib.items():
-        ms = [(m, lrow[m], list(map(lrow[m].__getitem__, fib))) for m in left.arrows_from(x)]
-        for n in right.arrows_to(y):
-            nrow = rrow[n].__getitem__
-            zn = list(map(nrow, fib))
-            for m, mrow, mz in ms:
-                lhs, rhs = list(map(nrow, mz)), list(map(mrow.__getitem__, zn))
+    ns_to = {}
+    for n in ns:
+        ns_to.setdefault(zb.right.tgt[n], []).append((n, rrow[n].__getitem__))
+    for m in ms:
+        mrow, x = lrow[m].__getitem__, zb.left.src[m]
+        for y, nrows in ns_to.items():
+            fib = bifib.get((x, y))
+            if fib is None:
+                continue
+            mz = list(map(mrow, fib))
+            for n, nrow in nrows:
+                lhs, rhs = list(map(nrow, mz)), list(map(mrow, map(nrow, fib)))
                 if lhs != rhs:
-                    bad += [(i, m, n) for i in _mismatches(fib, lhs, rhs)]
-    return [Violation("NonCommuting", (m, zb.space[i], n)) for i, m, n in sorted(bad)]
+                    yield from ((i, m, n) for i in _mismatches(fib, lhs, rhs))
 
 
 def _mismatches(fib, lhs, rhs):
@@ -352,51 +353,40 @@ def division(zb, side):
     if kept is None:
         return _divide(zb, side)
     if side not in kept:
-        kept[side] = _unique_division(zb, side) or _divide(zb, side)
+        kept[side] = _divide(zb, side)
     return kept[side]
 
 
-def _unique_division(zb, side):
-    """(table, []) for a bibundle whose laws hold when every pair over one
-    moment is reached by exactly one arrow, else None.  The laws keep each
-    moment under the other action, so the action table reaches only pairs
-    over one moment; its entries reach distinct pairs, as many as there
-    are pairs over one moment, iff each pair is reached once, and then
-    _divide finds the same table, in the same order, and no violations."""
-    if side == "right":
-        reach = {(z, z2): n for (z, n), z2 in zb.ract.items()}
-        entries, mom, objects = len(zb.ract), zb.lmom, zb.left.objects
-    else:
-        reach = {(z, z2): m for (m, z), z2 in zb.lact.items()}
-        entries, mom, objects = len(zb.lact), zb.rmom, zb.right.objects
-    fibres = _fibres(zb.space, mom)
-    if len(reach) != entries or entries != sum(len(f) ** 2 for f in fibres.values()):
-        return None
-    return {(z, z2): reach[(z, z2)] for x in objects for fiber in (fibres.get(x, ()),)
-            for z in fiber for z2 in fiber}, []
-
-
 def _divide(zb, side):
+    """division(zb, side), read off the action table: in one pass when no
+    pair is reached by two arrows and every pair over one moment is
+    reached, and otherwise with the second solutions looked up for the
+    NotFree witnesses."""
     right = side == "right"
-    reach = {z: {} for z in zb.space}
-    for key, z2 in (zb.ract if right else zb.lact).items():
-        z, arrow = key if right else key[::-1]
-        reach[z].setdefault(z2, []).append(arrow)
+    acts = zb.ract if right else zb.lact
+    # (z, z2) -> the first solution in table order, which is written last
+    if right:
+        first = {(z, z2): n for (z, n), z2 in reversed(acts.items())}
+    else:
+        first = {(z, z2): m for (m, z), z2 in reversed(acts.items())}
     fibres = _fibres(zb.space, zb.lmom if right else zb.rmom)
+    pairs = [(z, z2) for x in (zb.left if right else zb.right).objects
+             for fiber in (fibres.get(x, ()),) for z in fiber for z2 in fiber]
+    if len(first) == len(acts):  # no pair is reached by two arrows
+        try:
+            return dict(zip(pairs, map(first.__getitem__, pairs))), []
+        except KeyError:  # a pair over one moment is reached by none
+            pass
+    second = {}
+    for (a, b), z2 in acts.items():
+        key, arrow = ((a, z2), b) if right else ((b, z2), a)
+        if arrow != first[key]:
+            second.setdefault(key, arrow)
     detail = "" if right else "left"
-    table, violations = {}, []
-    for x in (zb.left if right else zb.right).objects:
-        fiber = fibres.get(x, ())
-        for z in fiber:
-            for z2 in fiber:
-                sols = reach[z].get(z2, ())
-                if len(sols) == 1:
-                    table[(z, z2)] = sols[0]
-                elif not sols:
-                    violations.append(Violation("NotTransitive", (z, z2), detail))
-                else:
-                    violations.append(Violation("NotFree", (z, sols[0], sols[1]), detail))
-    return table, violations
+    violations = [Violation("NotFree", (key[0], first[key], second[key]), detail)
+                  if key in second else Violation("NotTransitive", key, detail)
+                  for key in pairs if key in second or key not in first]
+    return {key: first[key] for key in pairs if key in first and key not in second}, violations
 
 
 def is_morita(zb):

@@ -237,15 +237,16 @@ def cmd_enumerate_extensions(args):
             crossings.append(cr.extension_to_crossing(
                 rep_ext, fiber_cap=args.cap_fiber))
     sys.stdout.write(gdf.print_gdf(gdf.document_of(blocks)))
+    # inequivalent middle groupoids separate two classes; equivalent ones
+    # decide nothing, since the middle groupoid forgets iota and pi
     if args.cross_check:
         for i in range(len(crossings)):
             for j in range(i + 1, len(crossings)):
                 wit = bb.morita_witness(crossings[i].m, crossings[j].m,
                                         node_cap=args.cap_iso)
-                verdict = "EQUIVALENT?!" if wit is not None else "inequivalent"
+                verdict = "inequivalent" if wit is None else \
+                    "Morita equivalent, so they do not separate the pair"
                 print(f"# classes {i},{j}: middle groupoids {verdict}")
-                if wit is not None:
-                    return EXIT_VALIDATION
     return EXIT_OK
 
 
@@ -311,8 +312,8 @@ def make_parser():
     p.add_argument("--module", required=True, choices=sorted(extmod.GROUPS))
     p.add_argument("--action", default="trivial", choices=["trivial"])
     p.add_argument("--cross-check", action="store_true",
-                   help="verify distinct classes give exchanger-inequivalent "
-                        "crossings")
+                   help="compare the middle groupoids of the classes' "
+                        "crossings pair by pair")
     p.set_defaults(func=cmd_enumerate_extensions)
 
     p = sub.add_parser("morita-witness",

@@ -142,7 +142,9 @@ def check_groupoid_generators(objects, arrows, src, tgt, inv, unit, comp):
     closed under composition, so it holds the closure of S, every arrow.
     Conversely an associative table passes.  So the test finds a failure
     iff the sweep of all composable triples does, and then the sweep runs
-    and lists every failing triple in its own order.
+    and lists every failing triple in label order.  Both are one body, the
+    law on the triples with their middle arrow in a given set: the test
+    gives it S, the sweep every arrow.
 
     For an arrow a let w(a) = |arrows from tgt(a)| |arrows to src(a)|, the
     triples the test sweeps for a generator a; the sweep visits the sum of
@@ -214,29 +216,25 @@ def _check_groupoid(objects, arrows, src, tgt, inv, unit, comp, want_generators)
     if want_generators or 2 * len(comp) < triples:
         gens = generators(arrows, src, tgt, comp)
         if sum(map(weight, gens)) < triples and \
-                _light_certifies(gens, by_src, by_tgt, src, tgt, comp):
+                next(_nonassociative(gens, by_src, by_tgt, src, tgt, comp), None) is None:
             return violations, gens
-
-    # associativity on all composable triples
-    for g in arrows:
-        for h in by_tgt.get(src[g], ()):
-            gh = comp[(g, h)]
-            for k in by_tgt.get(src[h], ()):
-                if comp[(gh, k)] != comp[(g, comp[(h, k)])]:
-                    violations.append(Violation("NonAssociative", (g, h, k)))
+    violations += [Violation("NonAssociative", xsy)
+                   for xsy in sorted(_nonassociative(arrows, by_src, by_tgt, src, tgt, comp))]
     return violations, gens
 
 
-def _light_certifies(gens, by_src, by_tgt, src, tgt, comp):
-    """(x s) y == x (s y) for every generator s and composable x, y."""
-    for s in gens:
+def _nonassociative(middles, by_src, by_tgt, src, tgt, comp):
+    """The composable triples (x, s, y) with s in middles and (x s) y !=
+    x (s y), middle by middle.  Light's test runs it on the generators and
+    stops at the first; the sweep runs it on every arrow and sorts, which
+    lists the triples in label order."""
+    for s in middles:
         s_y = [(y, comp[(s, y)]) for y in by_tgt[src[s]]]
         for x in by_src[tgt[s]]:
             xs = comp[(x, s)]
             for y, sy in s_y:
                 if comp[(xs, y)] != comp[(x, sy)]:
-                    return False
-    return True
+                    yield x, s, y
 
 
 def validate_groupoid(objects, arrows, src, tgt, inv, unit, comp):

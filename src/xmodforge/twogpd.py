@@ -462,12 +462,15 @@ def check_strict_hom2(f):
     """The violations of a strict homomorphism f: dom -> cod (empty when it
     is one): images and ends at each level, then units and composites.
 
-    The vcomp and hcomp laws are certified on generators when both ends
-    carry the generators their own passing check_2groupoid certified them
-    on (dom.certified and cod.certified), and the earlier laws hold.  They
-    are swept entry by entry otherwise, or when the certificate fails, and
-    the sweep lists every failing pair in its own order.  With SV and S1
-    the vertical and level-1 generators of dom:
+    The vcomp and hcomp laws are each one body, run on the pairs it is
+    given.  It runs first on generator pairs when both ends carry the
+    generators their own passing check_2groupoid certified them on
+    (dom.certified and cod.certified) and the earlier laws hold, and stops
+    at the first failure.  It runs on every entry of dom's table otherwise,
+    or when a generator pair fails, and lists every failing pair in the
+    table's order.  With SV and S1 the vertical and level-1 generators of
+    dom, the generator pairs are (a, b) with b in SV for vcomp and the
+    whiskers (a, 1_h) and (1_g, a) with a in SV and h, g in S1 for hcomp:
       vcomp: if f(x b) = f(x) f(b) for all x and b in {b1, b2}, then
              f(x b1 b2) = f(x b1) f(b2) = f(x) f(b1 b2) by vertical
              associativity at both ends; so b in SV suffices.
@@ -508,39 +511,31 @@ def check_strict_hom2(f):
     for g in d.g1:
         if f.m2[d.vunit[g]] != c.vunit[f.m1[g]]:
             violations.append(Violation("NotFunctorial", (g,), "vunit"))
-    if not violations and d.certified and c.certified and _hom_certifies(f):
+    if not violations and d.certified and c.certified and not any(
+            next(_unpreserved(f, law, pairs), None) for law, pairs in _generator_pairs(d)):
         return violations
-    for (a, b), ab in d.vcomp.items():
-        if c.vcomp.get((f.m2[a], f.m2[b])) != f.m2[ab]:
-            violations.append(Violation("NotFunctorial", (a, b), "vcomp"))
-    for (a, b), ab in d.hcomp.items():
-        if c.hcomp.get((f.m2[a], f.m2[b])) != f.m2[ab]:
-            violations.append(Violation("NotFunctorial", (a, b), "hcomp"))
+    for law in ("vcomp", "hcomp"):
+        violations += [Violation("NotFunctorial", ab, law)
+                       for ab in _unpreserved(f, law, getattr(d, law))]
     return violations
 
 
-def _hom_certifies(f):
-    """The vcomp and hcomp laws of check_strict_hom2 on the generators of
-    f.dom, for ends that check_2groupoid certified."""
-    d, c, m1, m2 = f.dom, f.cod, f.m1, f.m2
+def _unpreserved(f, law, pairs):
+    """The pairs (a, b) among pairs, keys of the table law ("vcomp" or
+    "hcomp") of f.dom, with f(a b) != f(a) f(b) in that table."""
+    dom, cod, m2 = getattr(f.dom, law), getattr(f.cod, law), f.m2
+    return ((a, b) for a, b in pairs if cod.get((m2[a], m2[b])) != m2[dom[(a, b)]])
+
+
+def _generator_pairs(d):
+    """The generator pairs of check_strict_hom2 for a certified d:
+    [("vcomp", pairs), ("hcomp", whiskers)]."""
     s1, sv = d.certified
-    s, t, s2 = d.s, d.t, d.s2
     gens_ending, gens_starting, cells_from = _indexes(d, s1)
-    try:
-        for b in sv:
-            fb = m2[b]
-            for a in cells_from.get(d.t2[b], ()):
-                if c.vcomp[(m2[a], fb)] != m2[d.vcomp[(a, b)]]:
-                    return False
-            for h in gens_ending.get(s[s2[b]], ()):
-                if m2[d.hcomp[(b, d.vunit[h])]] != c.hcomp[(fb, c.vunit[m1[h]])]:
-                    return False
-            for g in gens_starting.get(t[s2[b]], ()):
-                if m2[d.hcomp[(d.vunit[g], b)]] != c.hcomp[(c.vunit[m1[g]], fb)]:
-                    return False
-    except KeyError:
-        return False
-    return True
+    vcomps = [(a, b) for b in sv for a in cells_from.get(d.t2[b], ())]
+    whiskers = [(b, d.vunit[h]) for b in sv for h in gens_ending.get(d.s[d.s2[b]], ())]
+    whiskers += [(d.vunit[g], b) for b in sv for g in gens_starting.get(d.t[d.s2[b]], ())]
+    return [("vcomp", vcomps), ("hcomp", whiskers)]
 
 
 def validate_strict_hom2(dom, cod, m0, m1, m2):

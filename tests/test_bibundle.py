@@ -490,17 +490,49 @@ def _shape_corruptions(zb, rng):
         yield _with(zb, lact={**zb.lact, (others[0], z): z})
 
 
-def test_certificates_match_the_sweeps_on_generated_and_corrupted(generated_bibundles):
-    # each certificate says yes exactly when its sweep finds nothing
+LAW_BODIES = ("_not_left_action", "_not_right_action", "_moved", "_noncommuting")
+
+
+@pytest.fixture
+def law_runs(monkeypatch):
+    """The runs of check_bibundle's law bodies, in order: (body, the left
+    instances, the right instances), each "generators" when it is given
+    the generators of its end, "all" when it is given every arrow."""
+    runs = []
+
+    def given(xs, end):
+        return "generators" if xs is end.gens() else "all" if list(xs) == list(end.arrows) \
+            else "other"
+
+    for name in LAW_BODIES:
+        def run(zb, rows, ms, ns, body=getattr(bb, name), name=name):
+            runs.append((name, given(ms, zb.left), given(ns, zb.right)))
+            return body(zb, rows, ms, ns)
+        monkeypatch.setattr(bb, name, run)
+    return runs
+
+
+def test_certificates_match_the_sweeps_on_generated_and_corrupted(generated_bibundles,
+                                                                   law_runs):
+    # each certificate says yes exactly when its sweep finds nothing; the
+    # law certificate is the law bodies run on the generators, and it says
+    # no exactly when the bodies then run on every arrow
     rng = random.Random(5)
     verdicts = set()
     for zb in generated_bibundles:
         for case in [zb, *_corruptions(zb, rng), *_shape_corruptions(zb, rng)]:
             shape = not SHAPE_CODES & {v.code for v in reference_check_bibundle(case)}
             assert bb._shape_certifies(case) == shape
-            if shape:
+            if shape and not bb._translation_certifies(case):
                 laws = reference_law_failures(case) == []
-                assert bb._laws_certify(case, bb._rows(case)) == laws
+                del law_runs[:]
+                bb.check_bibundle(_with(case))
+                first = [run for run in law_runs if run[1:] == ("generators", "generators")]
+                assert law_runs[:len(first)] == first and first
+                assert all(run[1:] == ("all", "all") for run in law_runs[len(first):])
+                assert (len(first) == len(law_runs)) == laws
+                if laws:
+                    assert [name for name, _, _ in first] == list(LAW_BODIES)
                 verdicts.add(("laws", laws))
             verdicts.add(("shape", shape))
         # keyed outside the tables: the reference has no check for it
@@ -514,16 +546,51 @@ def test_certificates_match_the_sweeps_on_generated_and_corrupted(generated_bibu
                for zb in generated_bibundles) >= 5
 
 
+def test_the_law_bodies_list_the_oracles_failures(generated_bibundles):
+    # each body, given every arrow, lists the instances that the
+    # point-by-point oracle finds failing; given the generators, it lists
+    # only instances with generators in them
+    rng = random.Random(9)
+    kinds = set()
+    for zb in generated_bibundles[::2]:
+        for case in [zb, *_corruptions(zb, rng)]:
+            if SHAPE_CODES & {v.code for v in reference_check_bibundle(case)}:
+                continue
+            rows, zs = bb._rows(case), case.space
+            left, right = case.left, case.right
+            ms, ns = left.arrows, right.arrows
+            found = [("left", m1, m2, zs[i]) for m1, m2, i in
+                     bb._not_left_action(case, rows, ms, ns)]
+            found += [("right", zs[i], n1, n2) for n1, n2, i in
+                      bb._not_right_action(case, rows, ms, ns)]
+            found += [(a, zs[i]) if side == "left" else (zs[i], a)
+                      for i, side, a in bb._moved(case, rows, ms, ns)]
+            if not found:
+                found = [(m, zs[i], n) for i, m, n in bb._noncommuting(case, rows, ms, ns)]
+            want = reference_law_failures(case)
+            assert sorted(found) == sorted(want)
+            kinds |= {len(w) for w in want}
+            ms, ns = left.gens(), right.gens()
+            assert {m1 for m1, _, _ in bb._not_left_action(case, rows, ms, ns)} <= set(ms)
+            assert {n2 for _, n2, _ in bb._not_right_action(case, rows, ms, ns)} <= set(ns)
+            assert {a for _, _, a in bb._moved(case, rows, ms, ns)} <= set(ms) | set(ns)
+    assert kinds == {2, 3, 4}
+
+
 def test_the_certificates_decide_every_valid_generated_bibundle(generated_bibundles,
-                                                                monkeypatch):
+                                                                monkeypatch, law_runs):
     def sweep(*args):
         pytest.fail("a sweep ran on a valid bibundle")
 
-    for name in ("_shape_sweep", "_action_sweep", "_commuting_sweep"):
-        monkeypatch.setattr(bb, name, sweep)
+    monkeypatch.setattr(bb, "_shape_sweep", sweep)
     for zb in generated_bibundles:
         case = _with(zb)  # unchecked, so that the check runs again
+        del law_runs[:]
         assert bb.check_bibundle(case) == []
+        # each law body ran once, on the generators of both ends, unless
+        # the translation certificate passed the bibundle first
+        assert law_runs == [] if _is_translation(zb) else \
+            [(name, "generators", "generators") for name in LAW_BODIES]
         # the check keeps the right division, which g_function then reads
         assert case.divisions["right"] == (reference_g_function(case), [])
         assert bb.g_function(case) is case.divisions["right"][0]
@@ -533,19 +600,19 @@ def _unvalidated(g):
     return fingrpd.Groupoid(g.objects, g.arrows, g.src, g.tgt, g.inv, g.unit, g.comp)
 
 
-def test_a_bibundle_over_unvalidated_ends_takes_the_sweeps(generated_bibundles,
-                                                           monkeypatch):
-    def certificate(*args):
-        pytest.fail("the law certificate ran on unvalidated ends")
-
-    monkeypatch.setattr(bb, "_laws_certify", certificate)
+def test_a_bibundle_over_unvalidated_ends_takes_the_sweeps(generated_bibundles, law_runs):
     rng = random.Random(3)
     for zb in generated_bibundles[::3]:
         raw = bb.Bibundle(_unvalidated(zb.left), _unvalidated(zb.right), zb.space,
                           zb.lmom, zb.rmom, zb.lact, zb.ract)
         assert raw.left.gens() is None and raw.right.gens() is None
         for case in [raw, *_corruptions(raw, rng)]:
+            del law_runs[:]
             assert _report(bb.check_bibundle(case)) == _report(reference_check_bibundle(case))
+            # no body ran on generators: every run was given every arrow
+            assert all(run[1:] == ("all", "all") for run in law_runs)
+            if case is raw:
+                assert [name for name, _, _ in law_runs] == list(LAW_BODIES)
 
 
 def _g_report(g_function, zb):
@@ -594,16 +661,50 @@ def test_division_left_table_solves_the_left_action(generated_bibundles):
             assert zb.lact[(m, z)] == z2
 
 
+def reference_division(zb, side):
+    """division(zb, side) as a sweep over each fibre's pairs of the lists
+    of solutions, in the order of the action table."""
+    right = side == "right"
+    reach = {z: {} for z in zb.space}
+    for key, z2 in (zb.ract if right else zb.lact).items():
+        z, arrow = key if right else key[::-1]
+        reach[z].setdefault(z2, []).append(arrow)
+    mom, detail = (zb.lmom, "") if right else (zb.rmom, "left")
+    table, violations = {}, []
+    for x in sorted((zb.left if right else zb.right).objects):
+        fiber = [z for z in zb.space if mom[z] == x]
+        for z in fiber:
+            for z2 in fiber:
+                sols = reach[z].get(z2, ())
+                if len(sols) == 1:
+                    table[(z, z2)] = sols[0]
+                elif not sols:
+                    violations.append(Violation("NotTransitive", (z, z2), detail))
+                else:
+                    violations.append(Violation("NotFree", (z, sols[0], sols[1]), detail))
+    return table, violations
+
+
 def test_kept_divisions_are_the_sweeps_tables_in_their_order(generated_bibundles):
-    # a checked bibundle divides each side in one pass over its action
-    # table; the result is the sweep's, entry for entry and in its order
+    # a division, kept on a checked bibundle or read from a corrupted one
+    # whose tables keep their shape, is the sweep's, entry for entry and in
+    # its order, and so are its violations
+    rng = random.Random(13)
+    paths = set()
     for zb in generated_bibundles:
         assert zb.divisions is not None
-        for side in ("right", "left"):
-            table, violations = bb.division(zb, side)
-            want = bb._divide(zb, side)
-            assert list(table.items()) == list(want[0].items())
-            assert _report(violations) == _report(want[1])
+        cases = [zb] + [case for case in _corruptions(zb, rng)
+                        if not SHAPE_CODES & {v.code for v in reference_check_bibundle(case)}]
+        cases += [_with(case, lact=dict(reversed(case.lact.items())),
+                        ract=dict(reversed(case.ract.items()))) for case in cases[1:4]]
+        for case in cases:
+            for side in ("right", "left"):
+                table, violations = bb.division(case, side)
+                want = reference_division(case, side)
+                assert list(table.items()) == list(want[0].items())
+                assert _report(violations) == _report(want[1])
+                paths |= {v.code for v in violations} or {"unique"}
+    assert paths == {"unique", "NotTransitive", "NotFree"}
 
 
 def _is_translation(zb):

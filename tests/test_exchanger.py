@@ -83,7 +83,7 @@ def test_p_phi_of_equivalence_is_exchanger(o_sc2):
     assert ex.check_exchanger(p) == []
 
 
-def test_e1_failure_freeness():
+def collapse_candidate():
     # collapse morphism: Z_f for f: A x| C2 -> C2 kills the H1-action freeness
     c2 = cyclic_groupoid(2)
     bundle = trivial_bundle(["*"], cyclic_groupoid(2, prefix="a"))
@@ -95,11 +95,33 @@ def test_e1_failure_freeness():
         h, g = unpair(mm)
         fmap[mm] = mkpair(b.dst.h.unit["*"], g)
     f = fingrpd.validate_groupoid_morphism(a.m, b.m, {"*": "*"}, fmap)
-    p = bb.bibundle_from_hom(f)
-    cand = ex.SemiExchanger(a, b, p)
-    violations = ex.check_semi_exchanger(cand)
+    return ex.SemiExchanger(a, b, bb.bibundle_from_hom(f))
+
+
+def test_e1_failure_freeness():
+    violations = ex.check_semi_exchanger(collapse_candidate())
     assert any(v.code == "E1Failure" and v.witness[0] == "left-not-free"
                for v in violations)
+
+
+def test_only_a_validated_exchanger_skips_e1_e2(o_sc2, monkeypatch):
+    # a raw semi-exchanger is checked again, so one that fails E1 does not
+    # invert; one that validate_semi_exchanger passed is not
+    raw = collapse_candidate()
+    assert not raw.validated
+    assert "E1Failure" in {v.code for v in ex.check_exchanger(raw)}
+    with pytest.raises(ValidationFailure) as failed:
+        ex.exchanger_inverse(raw)
+    assert "E1Failure" in failed.value.codes
+    p = ex.exchanger_from_homomorphism(two_point_pullback(o_sc2))
+    assert p.validated
+
+    def again(_):
+        pytest.fail("E1/E2 checked again on a validated exchanger")
+
+    monkeypatch.setattr(ex, "check_semi_exchanger", again)
+    assert ex.check_exchanger(p) == []
+    ex.exchanger_inverse(p)
 
 
 def test_e1_failure_orbit_mismatch(o_sc2):

@@ -287,7 +287,13 @@ def assert_associativity_matches_reference(*tabs):
     for a in sorted(arrows):
         by_src.setdefault(src[a], []).append(a)
         by_tgt.setdefault(tgt[a], []).append(a)
-    assert fingrpd._light_certifies(gens, by_src, by_tgt, src, tgt, comp) == (laws == [])
+    # one body: on the generators it finds a failure exactly when the
+    # sweep does, and on every arrow it finds the sweep's triples
+    found = list(fingrpd._nonassociative(gens, by_src, by_tgt, src, tgt, comp))
+    assert (found == []) == (laws == [])
+    assert {m for _, m, _ in found} <= set(gens)
+    swept = fingrpd._nonassociative(arrows, by_src, by_tgt, src, tgt, comp)
+    assert [("NonAssociative", xsy, "") for xsy in sorted(swept)] == laws
     return laws
 
 

@@ -218,6 +218,20 @@ def test_cmd_enumerate_counts(capsys):
     assert "# 1 Morita classes" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("group, classes", [("Z3", 3), ("Z4", 4)])
+def test_cross_check_does_not_fail_on_equivalent_middles(group, classes, capsys):
+    # two classes of Z/n by Z/n have Morita equivalent middle groupoids;
+    # the middle groupoid forgets iota and pi, so that decides nothing, and
+    # every pair is still compared
+    assert run_cli(["enumerate-extensions", "--group", group, "--module", group,
+                    "--cross-check"]) == cli.EXIT_OK
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("# classes")]
+    assert len(lines) == classes * (classes - 1) // 2
+    assert any(line.endswith("do not separate the pair") for line in lines)
+    assert "?!" not in "".join(lines)
+
+
 def test_cmd_enumerate_trivial_group(capsys):
     assert run_cli(["enumerate-extensions", "--group", "Z1",
                     "--module", "Z3"]) == cli.EXIT_OK

@@ -289,3 +289,18 @@ def test_labels_are_read_from_parts_tables():
             if name == "AutBundle":
                 found.append((module, name, "class"))
     assert found == []
+
+
+# the second bodies that certificates once had beside their sweeps: a law
+# is one function, run on the generators by the certificate and on every
+# instance by the sweep
+RETIRED_BODIES = {"_light_certifies", "_laws_certify", "_action_sweep", "_commuting_sweep",
+                  "_unique_division", "_hom_certifies"}
+
+
+def test_each_certified_law_has_one_body():
+    found = [(module, sub.name, sub.lineno) for module, tree in library_modules()
+             for sub in ast.walk(tree)
+             if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+             and sub.name in RETIRED_BODIES]
+    assert found == []

@@ -507,8 +507,23 @@ def assert_hom_matches_reference(f):
     laws = listed(reference_hom_laws(f))
     assert got == earlier + laws
     if f.dom.certified and f.cod.certified and not earlier:
-        assert twogpd._hom_certifies(f) == (laws == [])
+        # the law bodies find a failing generator pair exactly when the
+        # sweep finds a failure, and each one they find is the sweep's
+        failures = generator_failures(f)
+        assert (failures == []) == (laws == [])
+        assert {("NotFunctorial", ab, law) for law, ab in failures} <= set(laws)
     return laws
+
+
+def generator_failures(f):
+    """The failing generator pairs of check_strict_hom2's certificate, as
+    (law, pair): its law bodies run on the generator pairs of f.dom, which
+    are entries of the law's table."""
+    out = []
+    for law, pairs in twogpd._generator_pairs(f.dom):
+        assert set(pairs) <= set(getattr(f.dom, law))
+        out += [(law, ab) for ab in twogpd._unpreserved(f, law, pairs)]
+    return out
 
 
 def generated_homs():
@@ -571,7 +586,7 @@ def test_hom_certificate_needs_both_ends_certified_on_raw_tables():
     assert raw.certified is None
     ident = ({x: x for x in tg.g0}, {g: g for g in tg.g1}, {a: a for a in tg.g2})
     into, out_of = twogpd.StrictHom2(tg, raw, *ident), twogpd.StrictHom2(raw, tg, *ident)
-    assert twogpd._hom_certifies(into)
+    assert generator_failures(into) == []
     for f in (into, out_of):
         laws = assert_hom_matches_reference(f)
         assert ("NotFunctorial", key, "hcomp") in laws
