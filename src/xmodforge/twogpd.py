@@ -11,6 +11,8 @@ t(s2)=t(t2). The container tolerates that (strict_bigons flag); operations
 whose statements need honest bigons require the flag.
 """
 
+from collections.abc import Mapping
+
 from .errors import ValidationFailure, Violation, require
 from .fingrpd import Groupoid, check_groupoid_generators
 from .util import labelset, pair
@@ -18,7 +20,7 @@ from .util import labelset, pair
 
 class TwoGroupoid:
     def __init__(self, g0, g1, s, t, inv1, unit1, comp1,
-                 g2, s2, t2, vinv, vunit, vcomp, hcomp, hinv):
+                 g2, s2, t2, vinv, vunit, vcomp, hcomp, hinv, whiskers=None):
         self.g0 = labelset(g0)
         self.g1 = labelset(g1)
         self.s, self.t = dict(s), dict(t)
@@ -26,7 +28,11 @@ class TwoGroupoid:
         self.g2 = labelset(g2)
         self.s2, self.t2 = dict(s2), dict(t2)
         self.vinv, self.vunit, self.vcomp = dict(vinv), dict(vunit), dict(vcomp)
-        self.hcomp = dict(hcomp)
+        # (R, L), R[a][h] = a *h 1_h and L[b][g] = 1_g *h b, when the builder
+        # gave the whiskers: hcomp is then computed from them (WhiskeredHComp)
+        # rather than stored, and hcomp is passed as None
+        self.whiskers = whiskers
+        self.hcomp = dict(hcomp) if whiskers is None else WhiskeredHComp(self)
         self.hinv = dict(hinv)
         # set by its builder: {level: {label: its parts}}, for the levels
         # (0, 1, 2) whose labels the builder made
@@ -72,6 +78,47 @@ class TwoGroupoid:
     def __repr__(self):
         return (f"TwoGroupoid(|G0|={len(self.g0)}, |G1|={len(self.g1)}, "
                 f"|G2|={len(self.g2)})")
+
+
+class WhiskeredHComp(Mapping):
+    """The horizontal composition of a 2-groupoid given by its whiskers:
+    a *h b = R(a, t2 b) . L(s2 a, b), the first form of (D) in
+    check_2groupoid, read off vcomp and the whiskers at each lookup.  It is
+    a table that is computed, not stored: its keys are the h-composable
+    pairs of cells, the cells in the order of R, and iterating it visits
+    every one of them.  Once check_2groupoid has found the whisker ends
+    right, a pair is a key exactly when its lookup succeeds."""
+
+    def __init__(self, tg):
+        self._right, self._left = tg.whiskers
+        self._vcomp, self._s2, self._t2 = tg.vcomp, tg.s2, tg.t2
+        self._s, self._t, self._cells = tg.s, tg.t, tg.g2
+        self._rows = None  # [(a, [b, ...])] over the cells a, on first iteration
+
+    def __getitem__(self, key):
+        try:
+            a, b = key
+        except (TypeError, ValueError):  # not a pair: missing, as from a dict
+            raise KeyError(key) from None
+        return self._vcomp[(self._right[a][self._t2[b]], self._left[b][self._s2[a]])]
+
+    def _composable(self):
+        if self._rows is None:
+            s, t, s2, t2 = self._s, self._t, self._s2, self._t2
+            cells = [a for a in self._right if a in self._cells]
+            by_end = {}
+            for b in cells:
+                by_end.setdefault((t[s2[b]], t[t2[b]]), []).append(b)
+            self._rows = [(a, by_end.get((s[s2[a]], s[t2[a]]), ())) for a in cells]
+        return self._rows
+
+    def __iter__(self):
+        for a, bs in self._composable():
+            for b in bs:
+                yield (a, b)
+
+    def __len__(self):
+        return sum(len(bs) for _, bs in self._composable())
 
 
 def check_2groupoid(tg):
@@ -129,6 +176,37 @@ def check_2groupoid(tg):
     and s the generators in S1 at an object, where the same laws on every
     instance read about |hcomp| + |vcomp| d + |G2| d^2.  When it passes,
     the generators are kept in tg.certified, for check_strict_hom2.
+
+    Tables built with whiskers (tg.whiskers, as xmod.xmod_to_2groupoid
+    builds them) store R and L instead of hcomp, and tg.hcomp is the
+    WhiskeredHComp computed from them by the first form of (D).  Two checks
+    of the whiskers replace the cell-by-cell check of hcomp and the checks
+    of (V) and the first form of (D):
+      Whisker ends, with the cell checks: R[a] is defined exactly at the
+           1-cells h ending at s(s2 a), with R(a, h): (s2 a) h => (t2 a) h,
+           and L[b] exactly at the 1-cells g starting at t(s2 b), with
+           L(g, b): g (s2 b) => g (t2 b); each miss is a BadWhisker.  At
+           h = 1 the composite (t2 a) h exists, so s(t2 a) = s(s2 a), and
+           L gives t(t2 b) = t(s2 b): the bigons are strict.  Let (a, b)
+           be h-composable.  Then t(t2 b) = s(t2 a) = s(s2 a) and s(s2 a)
+           = t(s2 b), so R(a, t2 b) and L(s2 a, b) are defined, and s2 of
+           the first is (s2 a)(t2 b), t2 of the second; the level-2 check
+           gives their composite, with s2 = (s2 a)(s2 b) and t2 =
+           (t2 a)(t2 b).  For any other pair one of the two lookups
+           misses.  So hcomp is defined exactly on the h-composable pairs,
+           with the ends MissingHComposite, BadHComposite and
+           SpuriousHComposite ask for, and no entry need be read.
+      Unit whiskers, in the certificate: R(1_g, h) = 1_{gh} = L(g, 1_h).
+           Then the whiskers read off hcomp are the stored ones:
+           a *h 1_h = R(a, h) . L(g, 1_h) = R(a, h) . 1_{gh} = R(a, h) and
+           1_g *h b = R(1_g, h') . L(g, b) = L(g, b), by the vertical
+           units.  So the first form of (D) holds by the definition of
+           hcomp, and (V) as 1_g *h 1_h = 1_{gh} . 1_{gh}.  When a unit
+           whisker fails the certificate declines, and the sweep runs over
+           the computed table, which sees every entry.
+    (W1), (W2) and the second form of (D) are checked on generators as
+    above.  The whisker checks read about |G2| d + |G1| d entries, so the
+    whole check costs about |G2| d s lookups, with no |hcomp| term.
     """
     tg.certified = None
     violations, gens = _check_cells(tg)
@@ -152,14 +230,46 @@ def _check_cells(tg):
     if violations:
         return [Violation("Level2:" + v.code, v.witness, v.detail) for v in violations], None
 
+    violations = _hcomp_ends(tg) if tg.whiskers is None else _whisker_ends(tg)
+    if violations:
+        return violations, None
+
+    s, t, s2, t2 = tg.s, tg.t, tg.s2, tg.t2
+    hcomp, vunit, cells, unit1 = tg.hcomp, tg.vunit, tg.g2, tg.unit1
+    for a in cells:
+        x = s[s2[a]]
+        y = t[s2[a]]
+        if s[t2[a]] == x and hcomp[(a, vunit[unit1[x]])] != a:
+            violations.append(Violation("BadHUnit", (a, x), "right"))
+        if t[t2[a]] == y and hcomp[(vunit[unit1[y]], a)] != a:
+            violations.append(Violation("BadHUnit", (a, y), "left"))
+    for a in cells:
+        ah = tg.hinv.get(a)
+        if ah is None:
+            violations.append(Violation("MissingHInverse", (a,)))
+            continue
+        cs = (hcomp.get((a, ah)), hcomp.get((ah, a)))
+        if None in cs:
+            violations.append(Violation("BadHInverse", (a, ah), "not composable"))
+            continue
+        # a *h a^-h and a^-h *h a run between identity 1-cells, and are the
+        # identity 2-cell where those coincide (always, for strict bigons)
+        for c in cs:
+            g, h = s2[c], t2[c]
+            if not (tg.is_unit1(g) and tg.is_unit1(h)) or (g == h and c != vunit[g]):
+                violations.append(Violation("BadHInverse", (a, ah, c)))
+    return violations, (s1, sv)
+
+
+def _hcomp_ends(tg):
+    """Horizontal composition stored as a table: defined exactly when both
+    s2- and t2-cells are comp1-composable, and functorial over s2/t2."""
     s, t, s2, t2, comp1 = tg.s, tg.t, tg.s2, tg.t2, tg.comp1
-    hcomp, vunit, cells = tg.hcomp, tg.vunit, tg.g2
+    hcomp, cells = tg.hcomp, tg.g2
     by_hsource = {}
     for b in cells:
         by_hsource.setdefault((t[s2[b]], t[t2[b]]), []).append(b)
-
-    # horizontal composition: defined exactly when both s2- and t2-cells
-    # are comp1-composable; functorial over s2/t2; unit cells; inverses
+    violations = []
     want_count = 0
     for a in cells:
         sa, ta = s2[a], t2[a]
@@ -175,60 +285,84 @@ def _check_cells(tg):
         for (a, b) in hcomp:
             if s[s2[a]] != t[s2[b]] or s[t2[a]] != t[t2[b]]:
                 violations.append(Violation("SpuriousHComposite", (a, b)))
-    if violations:
-        return violations, None
+    return violations
 
-    unit1 = tg.unit1
+
+def _whisker_ends(tg):
+    """The whisker ends of check_2groupoid: R[a] defined exactly at the
+    1-cells ending at s(s2 a) and L[b] at those starting at t(s2 b), each
+    whisker a cell with the composite ends.  A BadWhisker names a whisker
+    table that is missing, not a cell's or defined on the wrong 1-cells,
+    as (a,), or a whisker with the wrong ends, as (a, 1-cell, whisker)."""
+    s, t, s2, t2, comp1, cells = tg.s, tg.t, tg.s2, tg.t2, tg.comp1, tg.g2
+    ending, starting = {}, {}
+    for g in tg.g1:
+        ending.setdefault(t[g], set()).add(g)
+        starting.setdefault(s[g], set()).add(g)
+    right, left = tg.whiskers
+    violations = [Violation("BadWhisker", (a,), "right") for a in right if a not in cells]
     for a in cells:
-        x = s[s2[a]]
-        y = t[s2[a]]
-        if s[t2[a]] == x and hcomp[(a, vunit[unit1[x]])] != a:
-            violations.append(Violation("BadHUnit", (a, x), "right"))
-        if t[t2[a]] == y and hcomp[(vunit[unit1[y]], a)] != a:
-            violations.append(Violation("BadHUnit", (a, y), "left"))
+        sa, ta = s2[a], t2[a]
+        row = right.get(a)
+        if row is None or row.keys() != ending[s[sa]]:
+            violations.append(Violation("BadWhisker", (a,), "right"))
+            continue
+        for h, c in row.items():
+            if c not in cells or s2[c] != comp1[(sa, h)] or t2[c] != comp1.get((ta, h)):
+                violations.append(Violation("BadWhisker", (a, h, c), "right"))
+    violations += [Violation("BadWhisker", (a,), "left") for a in left if a not in cells]
     for a in cells:
-        ah = tg.hinv.get(a)
-        if ah is None:
-            violations.append(Violation("MissingHInverse", (a,)))
+        sa, ta = s2[a], t2[a]
+        row = left.get(a)
+        if row is None or row.keys() != starting[t[sa]]:
+            violations.append(Violation("BadWhisker", (a,), "left"))
             continue
-        if (a, ah) not in hcomp or (ah, a) not in hcomp:
-            violations.append(Violation("BadHInverse", (a, ah), "not composable"))
-            continue
-        # a *h a^-h and a^-h *h a run between identity 1-cells, and are the
-        # identity 2-cell where those coincide (always, for strict bigons)
-        for c in (hcomp[(a, ah)], hcomp[(ah, a)]):
-            g, h = s2[c], t2[c]
-            if not (tg.is_unit1(g) and tg.is_unit1(h)) or (g == h and c != vunit[g]):
-                violations.append(Violation("BadHInverse", (a, ah, c)))
-    return violations, (s1, sv)
+        for g, c in row.items():
+            if c not in cells or s2[c] != comp1[(g, sa)] or t2[c] != comp1.get((g, ta)):
+                violations.append(Violation("BadWhisker", (a, g, c), "left"))
+    return violations
 
 
 def _whiskering_certifies(tg, s1, sv):
     """(V), (D), (W1) and (W2) of check_2groupoid, reduced to the
     generators s1 and sv, on tables that passed _check_cells and have
-    strict bigons.  Neither a missing entry nor an hcomp key that is not a
-    pair of cells (it has no whiskers in R, L) certifies anything."""
+    strict bigons; on whiskered tables the unit whiskers in place of (V)
+    and the first form of (D).  Neither a missing entry nor an hcomp key
+    that is not a pair of cells (it has no whiskers in R, L) certifies
+    anything."""
     hcomp, vcomp, vunit, comp1 = tg.hcomp, tg.vcomp, tg.vunit, tg.comp1
     s, t, s2, t2, cells = tg.s, tg.t, tg.s2, tg.t2, tg.g2
     try:
-        ends_at, starts_at = {}, {}  # object -> [(1-cell, its identity 2-cell)]
-        for g in tg.g1:
-            ends_at.setdefault(t[g], []).append((g, vunit[g]))
-            starts_at.setdefault(s[g], []).append((g, vunit[g]))
         gens_ending, gens_starting, cells_from = _indexes(tg, s1)
-        # the whiskers: R[a][h] = R(a, h) and L[a][g] = L(g, a)
-        R, L = {}, {}
-        for a in cells:
-            R[a] = {h: hcomp[(a, u)] for h, u in ends_at[s[s2[a]]]}
-            L[a] = {g: hcomp[(u, a)] for g, u in starts_at[t[s2[a]]]}
-        # (V)
-        for (g, h), gh in comp1.items():
-            if hcomp[(vunit[g], vunit[h])] != vunit[gh]:
-                return False
-        # (D), first form
-        for (a, b), ab in hcomp.items():
-            if vcomp[(R[a][t2[b]], L[b][s2[a]])] != ab:
-                return False
+        if tg.whiskers is None:
+            ends_at, starts_at = {}, {}  # object -> [(1-cell, its identity 2-cell)]
+            for g in tg.g1:
+                ends_at.setdefault(t[g], []).append((g, vunit[g]))
+                starts_at.setdefault(s[g], []).append((g, vunit[g]))
+            # the whiskers: R[a][h] = R(a, h) and L[a][g] = L(g, a)
+            R, L = {}, {}
+            for a in cells:
+                R[a] = {h: hcomp[(a, u)] for h, u in ends_at[s[s2[a]]]}
+                L[a] = {g: hcomp[(u, a)] for g, u in starts_at[t[s2[a]]]}
+            # (V)
+            for (g, h), gh in comp1.items():
+                if hcomp[(vunit[g], vunit[h])] != vunit[gh]:
+                    return False
+            # (D), first form
+            for (a, b), ab in hcomp.items():
+                if vcomp[(R[a][t2[b]], L[b][s2[a]])] != ab:
+                    return False
+        else:
+            R, L = tg.whiskers
+            # the unit whiskers R(1_g, h) = 1_{gh} = L(f, 1_g)
+            for g in tg.g1:
+                u = vunit[g]
+                for h, c in R[u].items():
+                    if c != vunit[comp1[(g, h)]]:
+                        return False
+                for f, c in L[u].items():
+                    if c != vunit[comp1[(f, g)]]:
+                        return False
         # (W2), the outer 1-cell a generator
         for a in cells:
             ra, la = R[a], L[a]
@@ -289,35 +423,37 @@ def _indexes(tg, s1):
 
 def _sweep_laws(tg):
     """h-associativity, interchange and h-multiplicative units, every
-    composable instance checked directly."""
+    composable instance checked directly.  A computed hcomp is read into a
+    dict first, entry by entry."""
     violations = []
+    hcomp, vcomp = dict(tg.hcomp), tg.vcomp
     hnext, hnext_by_t2 = {}, {}
-    for (a, b) in tg.hcomp:
+    for (a, b) in hcomp:
         hnext.setdefault(a, []).append(b)
         hnext_by_t2.setdefault((a, tg.t2[b]), []).append(b)
 
     # h-associativity on composable triples
-    for (a, b), ab in tg.hcomp.items():
+    for (a, b), ab in hcomp.items():
         for c in hnext.get(b, ()):
-            if tg.hcomp[(ab, c)] != tg.hcomp[(a, tg.hcomp[(b, c)])]:
+            if hcomp[(ab, c)] != hcomp[(a, hcomp[(b, c)])]:
                 violations.append(Violation("HNonAssociative", (a, b, c)))
 
     # interchange: (a1*h a2)*v(b1*h b2) = (a1*v b1)*h(a2*v b2), i.e. with
     # function-order vcomp: vcomp(a1 h a2, b1 h b2) = hcomp(vcomp(a1,b1), vcomp(a2,b2));
     # b2 ranges over the h-successors of b1 whose t2 is s2(a2)
-    for (a1, b1), v1 in tg.vcomp.items():
+    for (a1, b1), v1 in vcomp.items():
         for a2 in hnext.get(a1, ()):
             for b2 in hnext_by_t2.get((b1, tg.s2[a2]), ()):
-                if (a2, b2) not in tg.vcomp:  # a stray hcomp key, not a cell
+                if (a2, b2) not in vcomp:  # a stray hcomp key, not a cell
                     continue
-                lhs = tg.vcomp.get((tg.hcomp[(a1, a2)], tg.hcomp[(b1, b2)]))
-                rhs = tg.hcomp.get((v1, tg.vcomp[(a2, b2)]))
+                lhs = vcomp.get((hcomp[(a1, a2)], hcomp[(b1, b2)]))
+                rhs = hcomp.get((v1, vcomp[(a2, b2)]))
                 if lhs is None or rhs is None or lhs != rhs:
                     violations.append(
                         Violation("InterchangeFailure", (a1, a2, b1, b2)))
     # strict units at both levels interact: 1_g *h 1_h = 1_{gh}
     for g, h in tg.level1().composable_pairs():
-        if tg.hcomp[(tg.vunit[g], tg.vunit[h])] != tg.vunit[tg.comp1[(g, h)]]:
+        if hcomp[(tg.vunit[g], tg.vunit[h])] != tg.vunit[tg.comp1[(g, h)]]:
             violations.append(Violation("BadHUnit", (g, h), "vunit not h-multiplicative"))
     return violations
 
@@ -327,11 +463,12 @@ def validate_2groupoid(tg):
 
 
 def make_2groupoid(g0, g1, s, t, inv1, unit1, comp1, g2, s2, t2,
-                   vinv, vunit, vcomp, hcomp, hinv=None):
+                   vinv, vunit, vcomp, hcomp, hinv=None, whiskers=None):
     """Assemble and validate; derive horizontal inverses when absent via
-    a^-h = vinv(1_{g^-1} *h a *h 1_{h^-1})."""
+    a^-h = vinv(1_{g^-1} *h a *h 1_{h^-1}).  hcomp is None when whiskers
+    (R, L) are given (see TwoGroupoid)."""
     tg = TwoGroupoid(g0, g1, s, t, inv1, unit1, comp1, g2, s2, t2,
-                     vinv, vunit, vcomp, hcomp, {})
+                     vinv, vunit, vcomp, hcomp, {}, whiskers)
     derived = {}
     for a in tg.g2:
         g, h = tg.s2[a], tg.t2[a]

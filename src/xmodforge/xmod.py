@@ -11,7 +11,7 @@ from .fingrpd import (GroupoidMorphism, as_group_bundle, aut_bundle, aut_label,
                       check_groupoid_morphism, groupoid_of_parts, inertia,
                       pullback_groupoid, semidirect_product, unit_bundle,
                       validate_action, validate_groupoid_morphism)
-from .util import pair, unpair
+from .util import pair
 
 
 class CrossedModule:
@@ -287,24 +287,28 @@ def vertical_groupoid(xm):
 
 def xmod_to_2groupoid(xm):
     """The vertical semidirect product 2-groupoid of a crossed module, with
-    the (h, g) parts of its cells as its level-2 parts.  Memoized per
+    the (h, g) parts of its cells as its level-2 parts.  It is built from
+    its whiskers, (h, g) *h 1_k = (h, g k) and 1_k *h (h, g) =
+    (h^{k^-1}, k g), and its hcomp, (h, g) *h (h', g') = (h h'^{g^-1}, g g'),
+    is computed from them (twogpd.WhiskeredHComp).  Memoized per
     crossed-module instance (immutable after validation)."""
     if xm._vertical2 is not None:
         return xm._vertical2
-    g, h = xm.g, xm.h
+    g = xm.g
     cells, label, s2, t2, vinv, vunit, vcomp = vertical_groupoid(xm)
-    by_base_tgt = {}
-    for b, (_, gb) in cells.items():
-        by_base_tgt.setdefault(g.tgt[gb], []).append(b)
-    hcomp = {}
+    ending, starting = {}, {}
+    for k in g.arrows:
+        ending.setdefault(g.tgt[k], []).append(k)
+        starting.setdefault(g.src[k], []).append((k, g.inv[k]))
+    comp, act = g.comp, xm.action.act
+    right, left = {}, {}
     for a, (ha, ga) in cells.items():
-        ga_inv = g.inv[ga]
-        for b in by_base_tgt.get(g.src[ga], ()):
-            hb, gb = cells[b]
-            hb_tw = xm.act(ga_inv, hb)
-            hcomp[(a, b)] = label[(h.comp[(ha, hb_tw)], g.comp[(ga, gb)])]
+        right[a] = {k: label[(ha, comp[(ga, k)])] for k in ending[g.src[ga]]}
+        left[a] = {k: label[(act[(k_inv, ha)], comp[(k, ga)])]
+                   for k, k_inv in starting[g.tgt[ga]]}
     out = tgd.make_2groupoid(g.objects, g.arrows, g.src, g.tgt, g.inv, g.unit,
-                             g.comp, cells, s2, t2, vinv, vunit, vcomp, hcomp)
+                             g.comp, cells, s2, t2, vinv, vunit, vcomp, None,
+                             whiskers=(right, left))
     out.parts = {2: cells}
     xm._vertical2 = out
     return out
@@ -534,6 +538,8 @@ def transformation_from_2gpd(v, f, k):
     T(x) = vbar(x) and lambda(g) = H-part of
     1_{v_y^-1} *h v_g *h 1_{v_x^-1} *h 1_{kappa(g)^-1} *h 1_{v_y}."""
     cod2 = f.cod
+    if cod2.parts is None:  # the H-part of a cell is read from its parts
+        raise CoherenceFailure(("bridge codomain has no cell parts", cod2))
     tmap = {x: cod2.s2[v[f.dom.unit1[x]]] for x in f.dom.g0}
     lam = {}
     for g in f.dom.g1:
@@ -542,7 +548,7 @@ def transformation_from_2gpd(v, f, k):
             cod2.vunit[cod2.inv1[tmap[y]]], v[g],
             cod2.vunit[cod2.inv1[tmap[x]]],
             cod2.vunit[cod2.inv1[k.m1[g]]], cod2.vunit[tmap[y]])
-        hpart, base = unpair(cell)
+        hpart, base = cod2.parts[2][cell]
         if not cod2.is_unit1(base):
             raise CoherenceFailure(("bridge cell not unit-sourced", g, cell))
         lam[g] = hpart

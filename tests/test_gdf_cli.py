@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -174,6 +175,24 @@ def test_cmd_convert_roundtrip_byte_stable(capsys):
     assert first == second
     env = gdf.build_document(gdf.parse_gdf(first))
     assert len(env["SC2_2gpd"].g2) == 4
+
+
+# sha256 of `convert --direction xmod2gpd` on the fixtures, recorded when
+# the 2-groupoid still stored every hcomp entry: the table computed from the
+# whiskers prints the same bytes
+CONVERT_SHA256 = {
+    ("sc2.gdf", "SC2"): "3a5ff7cd9beed38c51b4f570459b0ec37216a370ffe3272c7a00dcc6b2cc0b96",
+    ("osc2.gdf", "OSC2_src"): "bc84d80ae71f76b5980f9163ccc949c56e10156b73feffc5a8efdedc0a53ee93",
+    ("osc2.gdf", "OSC2_dst"): "5333ee3e3c06ed0fc0b160111896a371de449277f3c867807b970a44f1a45357",
+}
+
+
+@pytest.mark.parametrize("name, xm", sorted(CONVERT_SHA256))
+def test_cmd_convert_output_is_the_recorded_bytes(name, xm, capsys):
+    assert run_cli(["convert", fixture(name), "--name", xm,
+                    "--direction", "xmod2gpd"]) == cli.EXIT_OK
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == CONVERT_SHA256[(name, xm)]
 
 
 def test_cmd_convert_back(tmp_path, capsys):

@@ -270,8 +270,7 @@ def test_constructed_groupoids_go_through_groupoid_of_parts():
 
 
 # the functions that read tuple labels of an object their caller supplied
-UNPAIR_ALLOWED = {("fingrpd", "trivial_action"), ("fingrpd", "pullback_iso_to_base"),
-                  ("xmod", "transformation_from_2gpd")}
+UNPAIR_ALLOWED = {("fingrpd", "trivial_action"), ("fingrpd", "pullback_iso_to_base")}
 
 
 def test_labels_are_read_from_parts_tables():
@@ -303,4 +302,24 @@ def test_each_certified_law_has_one_body():
              for sub in ast.walk(tree)
              if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
              and sub.name in RETIRED_BODIES]
+    assert found == []
+
+
+def test_xmod_builds_whiskers_not_hcomp():
+    # the 2-groupoid of a crossed module stores its whiskers, and its hcomp
+    # is computed from them: no subscript store into a table named hcomp,
+    # so the all-pairs loop survives only as the tests' oracle
+    tree = parse(os.path.join(SRC, "xmod.py"))
+    found = []
+    for sub in ast.walk(tree):
+        targets = sub.targets if isinstance(sub, ast.Assign) else \
+            [sub.target] if isinstance(sub, (ast.AugAssign, ast.AnnAssign)) else []
+        for target in targets:
+            for store in ast.walk(target):
+                if isinstance(store, ast.Subscript):
+                    table = store.value
+                    name = table.id if isinstance(table, ast.Name) else \
+                        table.attr if isinstance(table, ast.Attribute) else None
+                    if name == "hcomp":
+                        found.append(store.lineno)
     assert found == []

@@ -12,7 +12,8 @@ from xmodforge.fingrpd import (Groupoid, as_group_bundle, cyclic_groupoid,
                                group_as_groupoid, pair_groupoid, trivial_action,
                                unit_groupoid, unpair, validate_action)
 from xmodforge.generators import (random_cover, random_crossed_extension,
-                                  random_crossed_module, random_groupoid)
+                                  random_crossed_module, random_crossing,
+                                  random_groupoid)
 from xmodforge.twogpd import (check_strong_equivalence, check_transformation2,
                               check_weak_equivalence, cover_2groupoid,
                               cover_projection, from_groupoid, identity_hom2,
@@ -471,6 +472,142 @@ def test_check_2groupoid_rejects_a_wrong_h_inverse():
     assert ("BadHInverse", ("(h0,g1)", "(h2,g1)", "(h2,g0)"), "") in listed(
         twogpd.check_2groupoid(bad))
     assert twogpd.check_2groupoid(tg) == []
+
+
+# -- whiskered 2-groupoids against the all-pairs hcomp -----------------------
+
+
+def reference_hcomp(xm):
+    """The horizontal composition of xmod_to_2groupoid(xm) by the all-pairs
+    loop: (h, g) *h (h', g') = (h h'^{g^-1}, g g') for every pair of cells
+    with t(g') = s(g), cells in the builder's order."""
+    g, h = xm.g, xm.h
+    cells = xmod.xmod_to_2groupoid(xm).parts[2]
+    label = {parts: cell for cell, parts in cells.items()}
+    hcomp = {}
+    for a, (ha, ga) in cells.items():
+        for b, (hb, gb) in cells.items():
+            if g.tgt[gb] == g.src[ga]:
+                hcomp[(a, b)] = label[(h.comp[(ha, xm.act(g.inv[ga], hb))],
+                                       g.comp[(ga, gb)])]
+    return hcomp
+
+
+def oracle_crossed_modules():
+    """The crossed modules of seeds 0-39 of random_crossed_module and those
+    of the decompositions of seeds 0-19 of random_crossing."""
+    out = [random_crossed_module(random.Random(seed)) for seed in range(40)]
+    for seed in range(20):
+        c = random_crossing(random.Random(seed))
+        gprime, _, _ = decompose_crossing(c)
+        out += [gprime, c.src, c.dst]
+    return out
+
+
+def test_whiskered_hcomp_is_the_all_pairs_table():
+    sizes = set()
+    for xm in oracle_crossed_modules():
+        tg = xmod.xmod_to_2groupoid(xm)
+        want = reference_hcomp(xm)
+        assert isinstance(tg.hcomp, twogpd.WhiskeredHComp)
+        assert dict(tg.hcomp) == want
+        assert list(tg.hcomp) == list(want) and len(tg.hcomp) == len(want)
+        assert all(((a, b) in tg.hcomp) == ((a, b) in want)
+                   for a in tg.g2 for b in tg.g2)
+        a = next(iter(tg.g2))
+        assert a not in tg.hcomp and (a, a, a) not in tg.hcomp and None not in tg.hcomp
+        assert tg.certified is not None
+        sizes.add(len(tg.g2))
+    assert max(sizes) >= 50 and len(sizes) >= 10
+
+
+def whiskered(tg, side, a, k, c):
+    """A raw copy of the whiskered tg with one whisker replaced: R(a, k) or
+    L(k, a) becomes c."""
+    right, left = ({x: dict(row) for x, row in table.items()} for table in tg.whiskers)
+    (right if side == "right" else left)[a][k] = c
+    return twogpd.TwoGroupoid(tg.g0, tg.g1, tg.s, tg.t, tg.inv1, tg.unit1, tg.comp1,
+                              tg.g2, tg.s2, tg.t2, tg.vinv, tg.vunit, tg.vcomp,
+                              None, tg.hinv, (right, left))
+
+
+def stored_twin(tg):
+    return twogpd.TwoGroupoid(tg.g0, tg.g1, tg.s, tg.t, tg.inv1, tg.unit1, tg.comp1,
+                              tg.g2, tg.s2, tg.t2, tg.vinv, tg.vunit, tg.vcomp,
+                              dict(tg.hcomp), tg.hinv)
+
+
+def test_whisker_corruptions_match_the_stored_twin(monkeypatch):
+    """Single-entry corruptions of R or L by a cell with the same ends (all
+    of them on the small 2-groupoids and at the unit cells) and by a cell
+    with other ends (a sample): one that breaks the ends is a BadWhisker,
+    one that keeps them is checked as the stored-hcomp twin is, and a
+    corrupted unit whisker that passes the cell checks sends the check to
+    the sweep."""
+    sweeps = []
+    sweep = twogpd._sweep_laws
+    monkeypatch.setattr(twogpd, "_sweep_laws", lambda tg: sweeps.append(tg) or sweep(tg))
+    rng = random.Random(31)
+    z4 = quotient_xmod(4, 2)
+    pulled, _ = xmod.pullback_xmod(z4, ["p", "q"], {"p": "*", "q": "*"})
+    # (crossed module, the shares of the corruptions kept at unit cells
+    # and at the others): all of them on the small ones
+    xms = [(z4, (1, 1)), (quotient_xmod(6, 3), (1, 0.2)), (pulled, (0.5, 0.05))]
+    xms += [(random_crossed_module(random.Random(seed)), (1, 1)) for seed in range(6)]
+    codes, broken, kept, units = set(), 0, 0, 0
+    for xm, shares in xms:
+        tg = xmod.xmod_to_2groupoid(xm)
+        units_cells = set(tg.vunit.values())
+        for side, table in zip(("right", "left"), tg.whiskers):
+            for a, row in table.items():
+                for k, value in row.items():
+                    for c in sorted(tg.g2):
+                        if c == value:
+                            continue
+                        same_ends = (tg.s2[c], tg.t2[c]) == (tg.s2[value], tg.t2[value])
+                        if rng.random() > (0.03 if not same_ends else
+                                           shares[a not in units_cells]):
+                            continue
+                        bad = whiskered(tg, side, a, k, c)
+                        del sweeps[:]
+                        got = listed(twogpd.check_2groupoid(bad))
+                        if not same_ends:
+                            broken += 1
+                            assert got == [("BadWhisker", (a, k, c), side)]
+                            continue
+                        kept += 1
+                        assert got == listed(twogpd.check_2groupoid(stored_twin(bad)))
+                        codes.update(code for code, _, _ in got)
+                        if a in units_cells and twogpd._check_cells(bad)[0] == []:
+                            # past the cell checks, which read R(a, 1) and
+                            # L(1, a), the certificate must decline
+                            units += 1
+                            assert sweeps[:1] == [bad] and got
+    assert broken >= 100 and kept >= 100 and units >= 10
+    assert codes >= {"HNonAssociative", "InterchangeFailure", "BadHUnit"}
+
+
+def test_whisker_tables_of_the_wrong_shape_are_bad_whiskers():
+    tg = xmod.xmod_to_2groupoid(quotient_xmod(4, 2))
+    right, left = tg.whiskers
+    a = "(h1,g0)"
+    rows = ({**right, "stray": right[a]}, {x: row for x, row in left.items() if x != a})
+
+    def missing_one(table):
+        out = {x: dict(row) for x, row in table.items()}
+        del out[a]["g1"]
+        return out
+
+    for whiskers, want in [
+            (rows, [(("stray",), "right"), ((a,), "left")]),
+            ((missing_one(right), left), [((a,), "right")]),
+            ((right, missing_one(left)), [((a,), "left")])]:
+        bad = twogpd.TwoGroupoid(tg.g0, tg.g1, tg.s, tg.t, tg.inv1, tg.unit1,
+                                 tg.comp1, tg.g2, tg.s2, tg.t2, tg.vinv, tg.vunit,
+                                 tg.vcomp, None, tg.hinv, whiskers)
+        got = twogpd.check_2groupoid(bad)
+        assert {v.code for v in got} == {"BadWhisker"}
+        assert [(v.witness, v.detail) for v in got] == want
 
 
 # -- check_strict_hom2 against the direct sweep ------------------------------

@@ -4,8 +4,8 @@ import pytest
 
 from xmodforge import bibundle as bb
 from xmodforge import extensions, fingrpd, generators, twogpd, xmod
-from xmodforge.errors import (IllDefinedAction, NotAbelian, UnitSpaceMismatch,
-                              ValidationFailure)
+from xmodforge.errors import (CoherenceFailure, IllDefinedAction, NotAbelian,
+                              UnitSpaceMismatch, ValidationFailure)
 from xmodforge.fingrpd import (as_group_bundle, cyclic_groupoid, pair,
                                trivial_action, trivial_bundle, unit_groupoid,
                                unpair, validate_action)
@@ -356,8 +356,25 @@ def test_transformation_bridge_roundtrip(sc2):
     f, dom2, cod2 = xmod.hom2_from_xmorphism(chi)
     assert twogpd.check_transformation2(v, f, f) == []
     tmap2, lam2 = xmod.transformation_from_2gpd(v, f, f)
-    assert tmap2 == tmap
+    assert tmap2 == tmap and lam2 == lam
     assert xmod.check_transformation_xmod(tmap2, lam2, chi, chi) == []
+
+
+def test_transformation_bridge_needs_the_cell_parts(sc2):
+    # the H-part of a bridge cell is read from the parts its builder kept;
+    # a codomain built from raw tables has none, and the bridge refuses it
+    chi = xmod.identity_xmorphism(sc2)
+    tmap = {"*": "c1"}
+    lam = {g: sc2.h.unit["*"] for g in sc2.g.arrows}
+    v = xmod.transformation_to_2gpd(tmap, lam, chi, chi)
+    f, _, cod2 = xmod.hom2_from_xmorphism(chi)
+    raw = twogpd.TwoGroupoid(cod2.g0, cod2.g1, cod2.s, cod2.t, cod2.inv1, cod2.unit1,
+                             cod2.comp1, cod2.g2, cod2.s2, cod2.t2, cod2.vinv,
+                             cod2.vunit, cod2.vcomp, dict(cod2.hcomp), cod2.hinv)
+    assert raw.parts is None
+    g = twogpd.StrictHom2(f.dom, raw, f.m0, f.m1, f.m2)
+    with pytest.raises(CoherenceFailure):
+        xmod.transformation_from_2gpd(v, g, g)
 
 
 def test_semidirect_iso_under_transformation(sc2):
