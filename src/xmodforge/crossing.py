@@ -573,11 +573,12 @@ def extension_to_crossing(ext, fiber_cap=12):
     extension and diamond with the Ad-side strict morphism."""
     # middle crossed module (A -> E) with the conjugation action of E on A
     e, a = ext.e, ext.a
+    iota_inv = {v: k for k, v in ext.iota.items()}
     act = {}
     for ee in e.arrows:
         for aa in a.fiber(e.tgt[ee]):
             conj = e.comp[(e.comp[(e.inv[ee], ext.iota[aa])], ee)]
-            act[(ee, aa)] = _iota_inv(ext)[conj]
+            act[(ee, aa)] = iota_inv[conj]
     mid_mod = xmd.validate_crossed_module(
         e, a, {aa: ext.iota[aa] for aa in a.arrows},
         validate_action(e, a, act))
@@ -600,10 +601,6 @@ def extension_to_crossing(ext, fiber_cap=12):
         {aa: aa for aa in a.arrows}, admap)
     m2 = crossing_from_strict(chi_down)
     return diamond(mbar(m1), m2)
-
-
-def _iota_inv(ext):
-    return {v: k for k, v in ext.iota.items()}
 
 
 def crossing_to_extension(c):

@@ -16,11 +16,6 @@ GROUPS = {
 }
 
 
-def _cyclic_data(name):
-    n = GROUPS[name]
-    return n
-
-
 def normalized_cocycles(gname, aname):
     """All normalized 2-cocycles f: G x G -> A for cyclic G = Z/n, A = Z/m
     with trivial action, as dicts on all pairs (identity entries are zero),
@@ -33,7 +28,7 @@ def normalized_cocycles(gname, aname):
     c(g + h) for some c: G -> A, and it is normalized iff c(0) = (dc)(0, 0)
     = 0.  The m^n candidates (k, c) give every normalized cocycle, some
     more than once; each is kept once and checked again by _is_cocycle."""
-    gn, an = _cyclic_data(gname), _cyclic_data(aname)
+    gn, an = GROUPS[gname], GROUPS[aname]
     nonident = range(1, gn)
     found = set()
     for k in range(an):
@@ -71,7 +66,7 @@ def cocycle_extension(gname, aname, f_or_value, cap=DEFAULT_ENUM_CAP):
 
     E = A x G with (a,g)(b,h) = (a + b + f(g,h), g+h). f_or_value may be a
     full cocycle dict or, for |G|=2, the single value f(1,1)."""
-    gn, an = _cyclic_data(gname), _cyclic_data(aname)
+    gn, an = GROUPS[gname], GROUPS[aname]
     if gn * an > cap:
         raise SizeLimitExceeded("|G|*|A|", gn * an, cap)
     if isinstance(f_or_value, dict):
@@ -144,7 +139,7 @@ def enumerate_extensions(gname, aname, cap=DEFAULT_ENUM_CAP):
 
     Returns (classes, extensions): classes is a list of lists of cocycle
     indices, extensions the corresponding GroupoidExtension objects."""
-    gn, an = _cyclic_data(gname), _cyclic_data(aname)
+    gn, an = GROUPS[gname], GROUPS[aname]
     if gn * an > cap:
         raise SizeLimitExceeded("|G|*|A|", gn * an, cap)
     cocycles = normalized_cocycles(gname, aname)

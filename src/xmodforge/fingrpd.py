@@ -7,7 +7,8 @@ means "h then g", matching the juxtaposition gh of the usual right-to-left
 arrow calculus and the GDF table entry `g.h=k`.
 """
 
-from .errors import ValidationFailure, Violation, SizeLimitExceeded, require
+from .errors import (CoherenceFailure, ValidationFailure, Violation, SizeLimitExceeded,
+                     require)
 from .util import bijections, labelset, pair, quotient, search_bijection, unpair
 
 DEFAULT_FIBER_CAP = 12
@@ -611,8 +612,10 @@ def validate_action(base, bundle, act):
 
 
 def trivial_action(base, bundle):
-    """Identity on fibers over loops; labelwise transport (y,a) -> (x,a) on
-    constant bundles built by trivial_bundle/unit_bundle."""
+    """Identity on fibers over loops; transport (y,a) -> (x,a) on constant
+    bundles built by trivial_bundle/unit_bundle, reading the model arrow a
+    from the bundle's parts.  Raises CoherenceFailure on a bundle without
+    parts whose fibers it would transport."""
     act = {}
     for g in base.arrows:
         x, y = base.src[g], base.tgt[g]
@@ -621,9 +624,10 @@ def trivial_action(base, bundle):
                 act[(g, h)] = h
             elif bundle.unit[y] == h:
                 act[(g, h)] = bundle.unit[x]
+            elif bundle.parts is None:
+                raise CoherenceFailure(("trivial action needs bundle parts", h))
             else:
-                _, a = unpair(h)  # constant-bundle label (point, model arrow)
-                act[(g, h)] = pair(x, a)
+                act[(g, h)] = pair(x, bundle.parts[h][1])
     return validate_action(base, bundle, act)
 
 
@@ -657,11 +661,15 @@ def pullback_groupoid(g, space, sigma):
 
 
 def pullback_iso_to_base(g, pulled, sigma):
-    """For sigma = identity, the explicit iso (x,g,y) -> g and its inverse."""
+    """For sigma = identity, the explicit iso (x,g,y) -> g and its inverse;
+    g is read from the parts of pulled, as pullback_groupoid keeps them.
+    Raises CoherenceFailure when pulled has no parts."""
+    if pulled.parts is None:
+        raise CoherenceFailure(("pullback iso needs the pulled parts", pulled))
     fwd = validate_groupoid_morphism(
         pulled, g,
         {z: sigma[z] for z in pulled.objects},
-        {a: unpair(a, 3)[1] for a in pulled.arrows})
+        {a: pulled.parts[a][1] for a in pulled.arrows})
     back = validate_groupoid_morphism(
         g, pulled,
         {x: x for x in g.objects},

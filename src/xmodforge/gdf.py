@@ -251,14 +251,17 @@ def _build_xmod(b, env):
 
 def _build_two_groupoid(b, env):
     e = b.entries
-    tg = tgmod.TwoGroupoid(
+    # raw levels: check_2groupoid checks them, with Level1:/Level2: codes
+    level1 = fingrpd.Groupoid(
         e["objects"], e["arrows"], _pairs(e["src"], b.line),
         _pairs(e["tgt"], b.line), _pairs(e["inv"], b.line),
-        _pairs(e["unit"], b.line), _comp_pairs(e["comp"], b.line),
-        e["cells"], _pairs(e["src2"], b.line), _pairs(e["tgt2"], b.line),
+        _pairs(e["unit"], b.line), _comp_pairs(e["comp"], b.line))
+    vertical = fingrpd.Groupoid(
+        level1.arrows, e["cells"], _pairs(e["src2"], b.line), _pairs(e["tgt2"], b.line),
         _pairs(e["vinv"], b.line), _pairs(e["vunit"], b.line),
-        _comp_pairs(e["vcomp"], b.line), _comp_pairs(e["hcomp"], b.line),
-        _pairs(e.get("hinv", []), b.line))
+        _comp_pairs(e["vcomp"], b.line))
+    tg = tgmod.TwoGroupoid(level1, vertical, _comp_pairs(e["hcomp"], b.line),
+                           _pairs(e.get("hinv", []), b.line))
     return tgmod.validate_2groupoid(tg)
 
 

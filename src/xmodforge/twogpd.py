@@ -1,8 +1,9 @@
 """Strict 2-groupoids with tabulated cells, cover 2-groupoids, strict
 homomorphisms, transformations, and strong/weak equivalences.
 
-Vertical composition is stored in the same fibered-product convention as
-1-cell composition: vcomp[(a, b)] is defined when s2(a) == t2(b) and means
+A strict 2-groupoid is a groupoid object in groupoids, held as two
+fingrpd.Groupoids (TwoGroupoid).  Vertical composition is the vertical
+groupoid's, in the same fibered-product convention as 1-cell composition: vcomp[(a, b)] is defined when s2(a) == t2(b) and means
 "b then a". The horizontal composite hcomp[(a, b)] covers comp1(s2(a), s2(b)).
 
 Cover 2-groupoids carry 2-cells between differently indexed copies of one
@@ -14,20 +15,21 @@ whose statements need honest bigons require the flag.
 from collections.abc import Mapping
 
 from .errors import ValidationFailure, Violation, require
-from .fingrpd import Groupoid, check_groupoid_generators
-from .util import labelset, pair
+from .fingrpd import check_groupoid_generators, groupoid_of_parts
+from .util import pair
 
 
 class TwoGroupoid:
-    def __init__(self, g0, g1, s, t, inv1, unit1, comp1,
-                 g2, s2, t2, vinv, vunit, vcomp, hcomp, hinv, whiskers=None):
-        self.g0 = labelset(g0)
-        self.g1 = labelset(g1)
-        self.s, self.t = dict(s), dict(t)
-        self.inv1, self.unit1, self.comp1 = dict(inv1), dict(unit1), dict(comp1)
-        self.g2 = labelset(g2)
-        self.s2, self.t2 = dict(s2), dict(t2)
-        self.vinv, self.vunit, self.vcomp = dict(vinv), dict(vunit), dict(vcomp)
+    """The level-1 groupoid (objects G0, 1-cells G1) and the vertical one
+    (1-cells, cells G2), with hcomp and hinv; g0, g1, s, t, inv1, unit1,
+    comp1 and g2, s2, t2, vinv, vunit, vcomp are the levels' own tables."""
+
+    def __init__(self, level1, vertical, hcomp, hinv, whiskers=None):
+        self.level1, self.vertical = level1, vertical
+        self.g0, self.g1, self.s, self.t = level1.objects, level1.arrows, level1.src, level1.tgt
+        self.inv1, self.unit1, self.comp1 = level1.inv, level1.unit, level1.comp
+        self.g2, self.s2, self.t2 = vertical.arrows, vertical.src, vertical.tgt
+        self.vinv, self.vunit, self.vcomp = vertical.inv, vertical.unit, vertical.comp
         # (R, L), R[a][h] = a *h 1_h and L[b][g] = 1_g *h b, when the builder
         # gave the whiskers: hcomp is then computed from them (WhiskeredHComp)
         # rather than stored, and hcomp is passed as None
@@ -46,16 +48,6 @@ class TwoGroupoid:
         self.strict_bigons = all(
             s(self.s2.get(a)) == s(self.t2.get(a)) and
             t(self.s2.get(a)) == t(self.t2.get(a)) for a in self.g2)
-
-    # level-1 and level-2 groupoid views ----------------------------------
-
-    def level1(self):
-        return Groupoid(self.g0, self.g1, self.s, self.t,
-                        self.inv1, self.unit1, self.comp1)
-
-    def level2v(self):
-        return Groupoid(self.g1, self.g2, self.s2, self.t2,
-                        self.vinv, self.vunit, self.vcomp)
 
     def is_unit1(self, g):
         return self.unit1[self.s[g]] == g
@@ -152,7 +144,8 @@ def check_2groupoid(tg):
 
     Each law is checked on generators where a closure argument allows.  S1
     and SV are the generators (fingrpd.generators) of the level-1 and the
-    vertical groupoid, which both level checks return; every 1-cell is a
+    vertical groupoid, which Groupoid.gens gives for a validated level and
+    the level check returns for any other; every 1-cell is a
     left-normed product of S1 and every cell one of SV, and both levels
     are associative by then.  A law whose set of instances is closed under
     composition holds everywhere once it holds on generators:
@@ -170,18 +163,29 @@ def check_2groupoid(tg):
            R(a1 a2, h') . L(g, b) = R(a1, h') . R(a2, h') . L(g, b)
            = R(a1, h') . L(g', b) . R(a2, h) = L(g'', b) . R(a1 a2, h),
            and the same holds in b; so it is checked on SV x SV.
-    So the certificate checks (V) on comp1, the first form of (D) on hcomp,
-    (W2) with the outer 1-cell in S1, (W1) on SV x S1, and the second form
-    of (D) on SV x SV: about |hcomp| + |G2| d s lookups, for d the 1-cells
-    and s the generators in S1 at an object, where the same laws on every
-    instance read about |hcomp| + |vcomp| d + |G2| d^2.  When it passes,
-    the generators are kept in tg.certified, for check_strict_hom2.
+    So the certificate checks the first form of (D) on hcomp, (W2) with
+    the outer 1-cell in S1, (W1) on SV x S1 and the second form of (D) on
+    SV x SV, and (V) follows from them:
+      (V)  every cell, units included, is a product of SV, so (W1) on SV x
+           S1 gives R(1_g, h) = R(1_g . 1_g, h) = R(1_g, h) . R(1_g, h) for
+           h in S1: R(1_g, h) is an idempotent of the vertical groupoid,
+           hence the unit 1_{gh} at its s2, which its ends fix.  The first
+           form of (W2) carries it to every h, a product of S1:
+           R(1_g, h k) = R(R(1_g, h), k) = R(1_{gh}, k) = 1_{ghk} for k in
+           S1.  L(g, 1_h) = 1_{gh} follows likewise by its (W1) and the
+           second form of (W2), L(f g, 1_h) = L(f, L(g, 1_h)) for f in S1.
+           Then 1_g *h 1_h = R(1_g, h) . L(g, 1_h) = 1_{gh} by (D).
+    The certificate reads about |hcomp| + |G2| d s lookups, for d the
+    1-cells and s the generators in S1 at an object, where the same laws
+    on every instance read about |hcomp| + |vcomp| d + |G2| d^2.  When it
+    passes, the generators are kept in tg.certified, for check_strict_hom2.
 
     Tables built with whiskers (tg.whiskers, as xmod.xmod_to_2groupoid
     builds them) store R and L instead of hcomp, and tg.hcomp is the
-    WhiskeredHComp computed from them by the first form of (D).  Two checks
-    of the whiskers replace the cell-by-cell check of hcomp and the checks
-    of (V) and the first form of (D):
+    WhiskeredHComp computed from them by the first form of (D).  A check of
+    the whisker ends replaces the cell-by-cell check of hcomp, and the
+    first form of (D) holds by the definition of hcomp once the unit
+    whiskers do:
       Whisker ends, with the cell checks: R[a] is defined exactly at the
            1-cells h ending at s(s2 a), with R(a, h): (s2 a) h => (t2 a) h,
            and L[b] exactly at the 1-cells g starting at t(s2 b), with
@@ -196,13 +200,13 @@ def check_2groupoid(tg):
            misses.  So hcomp is defined exactly on the h-composable pairs,
            with the ends MissingHComposite, BadHComposite and
            SpuriousHComposite ask for, and no entry need be read.
-      Unit whiskers, in the certificate: R(1_g, h) = 1_{gh} = L(g, 1_h).
-           Then the whiskers read off hcomp are the stored ones:
+      Unit whiskers: R(1_g, h) = 1_{gh} = L(g, 1_h) by the proof of (V),
+           which reads (W1), (W2) and the whisker ends alone.  Then the
+           whiskers read off hcomp are the stored ones:
            a *h 1_h = R(a, h) . L(g, 1_h) = R(a, h) . 1_{gh} = R(a, h) and
            1_g *h b = R(1_g, h') . L(g, b) = L(g, b), by the vertical
-           units.  So the first form of (D) holds by the definition of
-           hcomp, and (V) as 1_g *h 1_h = 1_{gh} . 1_{gh}.  When a unit
-           whisker fails the certificate declines, and the sweep runs over
+           units.  When a unit whisker is wrong, (W1) or (W2) fails on
+           generators, the certificate declines, and the sweep runs over
            the computed table, which sees every entry.
     (W1), (W2) and the second form of (D) are checked on generators as
     above.  The whisker checks read about |G2| d + |G1| d entries, so the
@@ -220,15 +224,20 @@ def check_2groupoid(tg):
 
 def _check_cells(tg):
     """Both groupoid levels, horizontal composites, units and inverses:
-    (violations, (S1, SV)), the generators of the two levels."""
-    violations, s1 = check_groupoid_generators(tg.g0, tg.g1, tg.s, tg.t,
-                                               tg.inv1, tg.unit1, tg.comp1)
-    if violations:
-        return [Violation("Level1:" + v.code, v.witness, v.detail) for v in violations], None
-    violations, sv = check_groupoid_generators(tg.g1, tg.g2, tg.s2, tg.t2,
-                                               tg.vinv, tg.vunit, tg.vcomp)
-    if violations:
-        return [Violation("Level2:" + v.code, v.witness, v.detail) for v in violations], None
+    (violations, (S1, SV)), the generators of the two levels.  A level
+    that validate_groupoid returned on the objects it must have (the
+    1-cells, for the vertical one) is not checked again and gives its
+    generators; any other level is checked here on those objects."""
+    gens = []
+    for code, objects, level in (("Level1:", tg.g0, tg.level1), ("Level2:", tg.g1, tg.vertical)):
+        if level.validated and level.objects == objects:
+            gens.append(level.gens())
+            continue
+        violations, s = check_groupoid_generators(objects, level.arrows, level.src,
+                                                  level.tgt, level.inv, level.unit, level.comp)
+        if violations:
+            return [Violation(code + v.code, v.witness, v.detail) for v in violations], None
+        gens.append(s)
 
     violations = _hcomp_ends(tg) if tg.whiskers is None else _whisker_ends(tg)
     if violations:
@@ -258,7 +267,7 @@ def _check_cells(tg):
             g, h = s2[c], t2[c]
             if not (tg.is_unit1(g) and tg.is_unit1(h)) or (g == h and c != vunit[g]):
                 violations.append(Violation("BadHInverse", (a, ah, c)))
-    return violations, (s1, sv)
+    return violations, tuple(gens)
 
 
 def _hcomp_ends(tg):
@@ -324,45 +333,29 @@ def _whisker_ends(tg):
 
 
 def _whiskering_certifies(tg, s1, sv):
-    """(V), (D), (W1) and (W2) of check_2groupoid, reduced to the
-    generators s1 and sv, on tables that passed _check_cells and have
-    strict bigons; on whiskered tables the unit whiskers in place of (V)
-    and the first form of (D).  Neither a missing entry nor an hcomp key
+    """(D), (W1) and (W2) of check_2groupoid, reduced to the generators s1
+    and sv, on tables that passed _check_cells and have strict bigons; on
+    whiskered tables without the first form of (D).  (V) and the unit
+    whiskers follow from them.  Neither a missing entry nor an hcomp key
     that is not a pair of cells (it has no whiskers in R, L) certifies
     anything."""
     hcomp, vcomp, vunit, comp1 = tg.hcomp, tg.vcomp, tg.vunit, tg.comp1
     s, t, s2, t2, cells = tg.s, tg.t, tg.s2, tg.t2, tg.g2
     try:
-        gens_ending, gens_starting, cells_from = _indexes(tg, s1)
+        gens_ending, gens_starting = _gens_by_end(tg, s1)
         if tg.whiskers is None:
-            ends_at, starts_at = {}, {}  # object -> [(1-cell, its identity 2-cell)]
-            for g in tg.g1:
-                ends_at.setdefault(t[g], []).append((g, vunit[g]))
-                starts_at.setdefault(s[g], []).append((g, vunit[g]))
             # the whiskers: R[a][h] = R(a, h) and L[a][g] = L(g, a)
+            ending, starting = tg.level1.arrows_to, tg.level1.arrows_from
             R, L = {}, {}
             for a in cells:
-                R[a] = {h: hcomp[(a, u)] for h, u in ends_at[s[s2[a]]]}
-                L[a] = {g: hcomp[(u, a)] for g, u in starts_at[t[s2[a]]]}
-            # (V)
-            for (g, h), gh in comp1.items():
-                if hcomp[(vunit[g], vunit[h])] != vunit[gh]:
-                    return False
+                R[a] = {h: hcomp[(a, vunit[h])] for h in ending(s[s2[a]])}
+                L[a] = {g: hcomp[(vunit[g], a)] for g in starting(t[s2[a]])}
             # (D), first form
             for (a, b), ab in hcomp.items():
                 if vcomp[(R[a][t2[b]], L[b][s2[a]])] != ab:
                     return False
         else:
             R, L = tg.whiskers
-            # the unit whiskers R(1_g, h) = 1_{gh} = L(f, 1_g)
-            for g in tg.g1:
-                u = vunit[g]
-                for h, c in R[u].items():
-                    if c != vunit[comp1[(g, h)]]:
-                        return False
-                for f, c in L[u].items():
-                    if c != vunit[comp1[(f, g)]]:
-                        return False
         # (W2), the outer 1-cell a generator
         for a in cells:
             ra, la = R[a], L[a]
@@ -386,7 +379,7 @@ def _whiskering_certifies(tg, s1, sv):
             rb, lb = R[b], L[b]
             hs = gens_ending.get(s[s2[b]], ())
             gs = gens_starting.get(t[s2[b]], ())
-            for a in cells_from.get(t2[b], ()):
+            for a in tg.vertical.arrows_from(t2[b]):
                 ab = vcomp[(a, b)]
                 ra, la, rab, lab = R[a], L[a], R[ab], L[ab]
                 for h in hs:
@@ -409,16 +402,14 @@ def _whiskering_certifies(tg, s1, sv):
     return True
 
 
-def _indexes(tg, s1):
+def _gens_by_end(tg, s1):
     """The generators s1 by the object they end at and by the one they
-    start at, and the cells by their s2."""
-    gens_ending, gens_starting, cells_from = {}, {}, {}
+    start at."""
+    gens_ending, gens_starting = {}, {}
     for g in s1:
         gens_ending.setdefault(tg.t[g], []).append(g)
         gens_starting.setdefault(tg.s[g], []).append(g)
-    for a in tg.g2:
-        cells_from.setdefault(tg.s2[a], []).append(a)
-    return gens_ending, gens_starting, cells_from
+    return gens_ending, gens_starting
 
 
 def _sweep_laws(tg):
@@ -452,7 +443,7 @@ def _sweep_laws(tg):
                     violations.append(
                         Violation("InterchangeFailure", (a1, a2, b1, b2)))
     # strict units at both levels interact: 1_g *h 1_h = 1_{gh}
-    for g, h in tg.level1().composable_pairs():
+    for g, h in tg.level1.composable_pairs():
         if hcomp[(tg.vunit[g], tg.vunit[h])] != tg.vunit[tg.comp1[(g, h)]]:
             violations.append(Violation("BadHUnit", (g, h), "vunit not h-multiplicative"))
     return violations
@@ -462,13 +453,11 @@ def validate_2groupoid(tg):
     return require(tg, check_2groupoid(tg))
 
 
-def make_2groupoid(g0, g1, s, t, inv1, unit1, comp1, g2, s2, t2,
-                   vinv, vunit, vcomp, hcomp, hinv=None, whiskers=None):
+def make_2groupoid(level1, vertical, hcomp, hinv=None, whiskers=None):
     """Assemble and validate; derive horizontal inverses when absent via
     a^-h = vinv(1_{g^-1} *h a *h 1_{h^-1}).  hcomp is None when whiskers
     (R, L) are given (see TwoGroupoid)."""
-    tg = TwoGroupoid(g0, g1, s, t, inv1, unit1, comp1, g2, s2, t2,
-                     vinv, vunit, vcomp, hcomp, {}, whiskers)
+    tg = TwoGroupoid(level1, vertical, hcomp, {}, whiskers)
     derived = {}
     for a in tg.g2:
         g, h = tg.s2[a], tg.t2[a]
@@ -496,16 +485,14 @@ def make_2groupoid(g0, g1, s, t, inv1, unit1, comp1, g2, s2, t2,
 
 
 def from_groupoid(g):
-    """g with all-identity 2-cells."""
-    g2 = {gg: pair("1", gg) for gg in g.arrows}
-    s2 = {g2[gg]: gg for gg in g.arrows}
-    vcomp = {(g2[gg], g2[gg]): g2[gg] for gg in g.arrows}
-    hcomp = {(g2[a], g2[b]): g2[g.comp[(a, b)]] for a, b in g.composable_pairs()}
-    return make_2groupoid(
-        g.objects, g.arrows, g.src, g.tgt, g.inv, g.unit, g.comp,
-        list(g2.values()), s2, dict(s2),
-        {g2[gg]: g2[gg] for gg in g.arrows},
-        dict(g2), vcomp, hcomp)
+    """g with all-identity 2-cells: its vertical groupoid has the one cell
+    1_g on each arrow g."""
+    one = {gg: pair("1", gg) for gg in g.arrows}
+    vertical = groupoid_of_parts(g.arrows, {c: gg for gg, c in one.items()},
+                                 lambda gg: gg, lambda gg: gg, one.__getitem__,
+                                 one.__getitem__, lambda gg, _: one[gg])
+    hcomp = {(one[a], one[b]): one[g.comp[(a, b)]] for a, b in g.composable_pairs()}
+    return make_2groupoid(g, vertical, hcomp)
 
 
 def cover_2groupoid(g, cover):
@@ -521,25 +508,17 @@ def cover_2groupoid(g, cover):
         raise ValidationFailure([Violation("NotACover", missing)])
     idx = sorted(cover)
     objects = {pair(str(i), x): (str(i), x) for i in idx for x in sorted(cover[i])}
-    g1, s, t, inv1 = {}, {}, {}, {}
-    for i in idx:
-        for j in idx:
-            for gg in g.arrows:
-                if g.tgt[gg] in cover[i] and g.src[gg] in cover[j]:
-                    a = pair(str(i), gg, str(j))
-                    g1[a] = (str(i), gg, str(j))
-                    s[a] = pair(str(j), g.src[gg])
-                    t[a] = pair(str(i), g.tgt[gg])
-                    inv1[a] = pair(str(j), g.inv[gg], str(i))
-    unit1 = {x: pair(i, g.unit[y], i) for x, (i, y) in objects.items()}
-    comp1 = {}
-    for a, (i, ga, j) in g1.items():
-        for b, (j2, gb, k) in g1.items():
-            if j == j2 and g.src[ga] == g.tgt[gb]:
-                comp1[(a, b)] = pair(i, g.comp[(ga, gb)], k)
+    g1 = {pair(str(i), gg, str(j)): (str(i), gg, str(j))
+          for i in idx for j in idx for gg in g.arrows
+          if g.tgt[gg] in cover[i] and g.src[gg] in cover[j]}
+    level1 = groupoid_of_parts(
+        objects, g1, lambda r: pair(r[2], g.src[r[1]]), lambda r: pair(r[0], g.tgt[r[1]]),
+        lambda r: pair(r[2], g.inv[r[1]], r[0]),
+        lambda x: pair(objects[x][0], g.unit[objects[x][1]], objects[x][0]),
+        lambda r, r2: pair(r[0], g.comp[(r[1], r2[1])], r2[2]))
 
     cell = lambda i1, i2, gg, j1, j2: pair(i1, i2, gg, gg, j1, j2)
-    g2, s2, t2, vinv = {}, {}, {}, {}
+    g2 = {}
     for gg in g.arrows:
         iis = [str(i) for i in idx if g.tgt[gg] in cover[i]]
         jjs = [str(j) for j in idx if g.src[gg] in cover[j]]
@@ -547,23 +526,16 @@ def cover_2groupoid(g, cover):
             for i2 in iis:
                 for j1 in jjs:
                     for j2 in jjs:
-                        a = cell(i1, i2, gg, j1, j2)
-                        g2[a] = (i1, i2, gg, gg, j1, j2)
-                        s2[a] = pair(i1, gg, j1)
-                        t2[a] = pair(i2, gg, j2)
-                        vinv[a] = cell(i2, i1, gg, j2, j1)
-    vunit = {a: cell(i, i, gg, j, j) for a, (i, gg, j) in g1.items()}
-    by_t2 = {}
+                        g2[cell(i1, i2, gg, j1, j2)] = (i1, i2, gg, gg, j1, j2)
+    # function order: the composite of r after r2 runs from s2(r2) to t2(r)
+    vertical = groupoid_of_parts(
+        g1, g2, lambda r: pair(r[0], r[2], r[4]), lambda r: pair(r[1], r[2], r[5]),
+        lambda r: cell(r[1], r[0], r[2], r[5], r[4]),
+        lambda a: cell(g1[a][0], g1[a][0], g1[a][1], g1[a][2], g1[a][2]),
+        lambda r, r2: cell(r2[0], r[1], r[2], r2[4], r[5]))
     by_hslot = {}
     for b, (k1, k2, gb, _, l1, l2) in g2.items():
-        by_t2.setdefault((gb, k2, l2), []).append(b)
         by_hslot.setdefault((g.tgt[gb], k1, k2), []).append(b)
-    vcomp = {}
-    for a, (i1, i2, ga, _, j1, j2) in g2.items():
-        # function order: vcomp(a, b) needs s2(a) = t2(b)
-        for b in by_t2.get((ga, i1, j1), ()):
-            k1, _, _, _, l1, _ = g2[b]
-            vcomp[(a, b)] = cell(k1, i2, ga, l1, j2)
     hcomp = {}
     for a, (i1, i2, ga, _, j1, j2) in g2.items():
         for b in by_hslot.get((g.src[ga], j1, j2), ()):
@@ -571,8 +543,7 @@ def cover_2groupoid(g, cover):
             hcomp[(a, b)] = cell(i1, i2, g.comp[(ga, gb)], l1, l2)
     hinv = {a: cell(j1, j2, g.inv[ga], i1, i2)
             for a, (i1, i2, ga, _, j1, j2) in g2.items()}
-    tg = make_2groupoid(objects, g1, s, t, inv1, unit1, comp1,
-                        g2, s2, t2, vinv, vunit, vcomp, hcomp, hinv)
+    tg = make_2groupoid(level1, vertical, hcomp, hinv)
     tg.parts = {0: objects, 1: g1, 2: g2}
     return tg
 
@@ -642,7 +613,7 @@ def check_strict_hom2(f):
     for x in d.g0:
         if f.m1[d.unit1[x]] != c.unit1[f.m0[x]]:
             violations.append(Violation("NotFunctorial", (x,), "unit1"))
-    for g, h in d.level1().composable_pairs():
+    for g, h in d.level1.composable_pairs():
         if f.m1[d.comp1[(g, h)]] != c.comp1[(f.m1[g], f.m1[h])]:
             violations.append(Violation("NotFunctorial", (g, h), "comp1"))
     for g in d.g1:
@@ -668,8 +639,8 @@ def _generator_pairs(d):
     """The generator pairs of check_strict_hom2 for a certified d:
     [("vcomp", pairs), ("hcomp", whiskers)]."""
     s1, sv = d.certified
-    gens_ending, gens_starting, cells_from = _indexes(d, s1)
-    vcomps = [(a, b) for b in sv for a in cells_from.get(d.t2[b], ())]
+    gens_ending, gens_starting = _gens_by_end(d, s1)
+    vcomps = [(a, b) for b in sv for a in d.vertical.arrows_from(d.t2[b])]
     whiskers = [(b, d.vunit[h]) for b in sv for h in gens_ending.get(d.s[d.s2[b]], ())]
     whiskers += [(d.vunit[g], b) for b in sv for g in gens_starting.get(d.t[d.s2[b]], ())]
     return [("vcomp", vcomps), ("hcomp", whiskers)]
@@ -736,7 +707,7 @@ def check_transformation2(v, f, k):
         return violations
 
     # (iii) v_{gh} = v_g *h 1_{v_y^-1} *h v_h  for x -h-> y -g-> z
-    for gg, hh in d.level1().composable_pairs():
+    for gg, hh in d.level1.composable_pairs():
         y = d.t[hh]
         rhs = c.hchain(v[gg], c.vunit[c.inv1[vbar[y]]], v[hh])
         if v[d.comp1[(gg, hh)]] != rhs:
@@ -810,10 +781,7 @@ def check_weak_equivalence(f):
     d, c = f.dom, f.cod
     report = {}
 
-    cod_by_tgt = {}
-    for n in c.g1:
-        cod_by_tgt.setdefault(c.t[n], []).append(n)
-    hit = {c.s[n] for x in d.g0 for n in cod_by_tgt.get(f.m0[x], ())}
+    hit = {c.s[n] for x in d.g0 for n in c.level1.arrows_to(f.m0[x])}
     report["WE1"] = hit == c.g0
 
     obj_pre = {}
@@ -825,11 +793,8 @@ def check_weak_equivalence(f):
             for y in obj_pre.get(c.s[gamma], ()):
                 want.add((x, gamma, y))
     got = set()
-    cells_by_t2 = {}
-    for b in c.g2:
-        cells_by_t2.setdefault(c.t2[b], []).append(b)
     for g in d.g1:
-        for b in cells_by_t2.get(f.m1[g], ()):
+        for b in c.vertical.arrows_to(f.m1[g]):
             got.add((d.t[g], c.s2[b], d.s[g]))
     report["WE2"] = want <= got
 

@@ -259,35 +259,28 @@ def semidirect_of_morphism(chi):
 
 
 def vertical_groupoid(xm):
-    """H x| G ==> G, the arrow groupoid of the associated 2-groupoid:
-    cells (h,g): g => boundary(h) g.  cells maps each cell to its parts, and
-    label maps the parts back to the cell; every inverse, unit and composite
-    takes its label from there rather than building it again."""
+    """H x| G ==> G, the vertical groupoid of the associated 2-groupoid, on
+    the arrows of G: cells (h,g): g => boundary(h) g, with parts (h, g).
+    Every inverse, unit and composite takes its label from the cell of its
+    parts rather than building it again."""
     g, h = xm.g, xm.h
-    cells, label, s2, t2 = {}, {}, {}, {}
-    for gg in g.arrows:
-        for hh in h.fiber(g.tgt[gg]):
-            a = pair(hh, gg)
-            cells[a] = (hh, gg)
-            label[(hh, gg)] = a
-            s2[a] = gg
-            t2[a] = g.comp[(xm.boundary[hh], gg)]
-    vinv = {a: label[(h.inv[hh], t2[a])] for a, (hh, _) in cells.items()}
-    vunit = {gg: label[(h.unit[g.tgt[gg]], gg)] for gg in g.arrows}
-    by_t2 = {}
-    for b in cells:
-        by_t2.setdefault(t2[b], []).append(b)
-    vcomp = {}
-    for a, (ka, ga) in cells.items():
-        for b in by_t2.get(ga, ()):  # function order: b then a
-            kb, gb = cells[b]
-            vcomp[(a, b)] = label[(h.comp[(ka, kb)], gb)]
-    return cells, label, s2, t2, vinv, vunit, vcomp
+    cells = {pair(hh, gg): (hh, gg) for gg in g.arrows for hh in h.fiber(g.tgt[gg])}
+    label = {r: a for a, r in cells.items()}
+
+    def target(r):
+        return g.comp[(xm.boundary[r[0]], r[1])]
+
+    return groupoid_of_parts(
+        g.arrows, cells, lambda r: r[1], target,
+        lambda r: label[(h.inv[r[0]], target(r))],
+        lambda gg: label[(h.unit[g.tgt[gg]], gg)],
+        lambda r, r2: label[(h.comp[(r[0], r2[0])], r2[1])])  # function order: r2 then r
 
 
 def xmod_to_2groupoid(xm):
-    """The vertical semidirect product 2-groupoid of a crossed module, with
-    the (h, g) parts of its cells as its level-2 parts.  It is built from
+    """The vertical semidirect product 2-groupoid of a crossed module: xm.g
+    is its level-1 groupoid, vertical_groupoid(xm) its vertical one, and
+    the (h, g) parts of its cells are its level-2 parts.  It is built from
     its whiskers, (h, g) *h 1_k = (h, g k) and 1_k *h (h, g) =
     (h^{k^-1}, k g), and its hcomp, (h, g) *h (h', g') = (h h'^{g^-1}, g g'),
     is computed from them (twogpd.WhiskeredHComp).  Memoized per
@@ -295,21 +288,20 @@ def xmod_to_2groupoid(xm):
     if xm._vertical2 is not None:
         return xm._vertical2
     g = xm.g
-    cells, label, s2, t2, vinv, vunit, vcomp = vertical_groupoid(xm)
+    vertical = vertical_groupoid(xm)
+    label = {r: a for a, r in vertical.parts.items()}
     ending, starting = {}, {}
     for k in g.arrows:
         ending.setdefault(g.tgt[k], []).append(k)
         starting.setdefault(g.src[k], []).append((k, g.inv[k]))
     comp, act = g.comp, xm.action.act
     right, left = {}, {}
-    for a, (ha, ga) in cells.items():
+    for a, (ha, ga) in vertical.parts.items():
         right[a] = {k: label[(ha, comp[(ga, k)])] for k in ending[g.src[ga]]}
         left[a] = {k: label[(act[(k_inv, ha)], comp[(k, ga)])]
                    for k, k_inv in starting[g.tgt[ga]]}
-    out = tgd.make_2groupoid(g.objects, g.arrows, g.src, g.tgt, g.inv, g.unit,
-                             g.comp, cells, s2, t2, vinv, vunit, vcomp, None,
-                             whiskers=(right, left))
-    out.parts = {2: cells}
+    out = tgd.make_2groupoid(g, vertical, None, whiskers=(right, left))
+    out.parts = {2: vertical.parts}
     xm._vertical2 = out
     return out
 
@@ -319,7 +311,6 @@ def twogpd_to_xmod(tg):
     is a loop at the same object, boundary t2, fiber product *h, action by
     whiskering. On strict-bigon inputs this is exactly the identity-sourced
     cell bundle."""
-    level1 = tg.level1()
     base_of = {}
     for a in tg.g2:
         g0 = tg.s2[a]
@@ -340,8 +331,8 @@ def twogpd_to_xmod(tg):
         u = tg.vunit[gg]
         for a in bundle.fiber(tg.t[gg]):
             act[(gg, a)] = tg.hchain(u_inv, a, u)
-    return validate_crossed_module(level1, bundle, boundary,
-                                   validate_action(level1, bundle, act))
+    return validate_crossed_module(tg.level1, bundle, boundary,
+                                   validate_action(tg.level1, bundle, act))
 
 
 def roundtrip_iso(tg):
@@ -588,9 +579,8 @@ def check_hypercover(chi):
     report = tgd.check_weak_equivalence(f)
     witness = None
     if all(report.values()):
-        lvl_dom = dom2.level2v()
-        lvl_cod = cod2.level2v()
-        fmor = validate_groupoid_morphism(lvl_dom, lvl_cod, dict(f.m1), dict(f.m2))
+        fmor = validate_groupoid_morphism(dom2.vertical, cod2.vertical,
+                                          dict(f.m1), dict(f.m2))
         zb = bb.bibundle_from_hom(fmor)
         ok, _ = bb.is_morita(zb)
         if ok:

@@ -417,9 +417,7 @@ def test_criterion_10_negative_controls():
     bad = dict(tg.hcomp)
     e1 = mkpair("1", "c1")
     bad[(e1, e1)] = e1
-    broken = twogpd.TwoGroupoid(tg.g0, tg.g1, tg.s, tg.t, tg.inv1, tg.unit1,
-                                tg.comp1, tg.g2, tg.s2, tg.t2, tg.vinv,
-                                tg.vunit, tg.vcomp, bad, tg.hinv)
+    broken = twogpd.TwoGroupoid(tg.level1, tg.vertical, bad, tg.hinv)
     codes = {v.code for v in twogpd.check_2groupoid(broken)}
     assert codes & {"InterchangeFailure", "BadHComposite", "HNonAssociative",
                     "BadHInverse"}

@@ -304,7 +304,7 @@ def generated_groupoids():
     out += [trivial_bundle(["u", "v", "w"], cyclic_groupoid(n)) for n in (2, 4)]
     out.append(as_group_bundle(disjoint_union(cyclic_groupoid(3), s3_groupoid())))
     out += [random_groupoid(rng, max_objects=4, max_order=4) for _ in range(10)]
-    out += [xmod.xmod_to_2groupoid(random_crossed_module(rng)).level2v() for _ in range(8)]
+    out += [xmod.xmod_to_2groupoid(random_crossed_module(rng)).vertical for _ in range(8)]
     return out
 
 

@@ -3,7 +3,8 @@ top-level definitions, module-level names or methods, no imported name that
 nothing reads, no assert statements, no module reaching into
 another module's private names, label sets built once by util.labelset and
 never re-sorted or copied, every quotient built by util.quotient, every
-constructed groupoid built by fingrpd.groupoid_of_parts, and labels read
+constructed groupoid built by fingrpd.groupoid_of_parts, the groupoid
+constructors called only in fingrpd and the GDF reader, and labels read
 through the parts tables of the objects that built them."""
 
 import ast
@@ -149,7 +150,8 @@ def test_the_label_algebra_lives_in_util():
     assert defined == {("util", name) for name in label_names}
 
 
-# label-set attributes: Groupoid.objects/arrows, TwoGroupoid.g0/g1/g2
+# label-set attributes: Groupoid.objects/arrows, and TwoGroupoid.g0/g1/g2,
+# which are its levels' own
 LABEL_SETS = {"objects", "arrows", "g0", "g1", "g2"}
 
 
@@ -164,8 +166,9 @@ def calls(tree, *names):
 
 
 def test_label_sets_are_built_once_by_labelset():
-    # the two constructors build every label set with util.labelset, and no
-    # module stores one as a frozenset or re-sorts a Groupoid's arrows
+    # the Groupoid constructor builds every label set with util.labelset, a
+    # TwoGroupoid reads its levels' sets, and no module stores one as a
+    # frozenset or re-sorts a Groupoid's arrows
     built, found = set(), []
     for module, tree in library_modules():
         for sub in ast.walk(tree):
@@ -182,8 +185,7 @@ def test_label_sets_are_built_once_by_labelset():
             if isinstance(top, ast.ClassDef) and top.name == "Groupoid":
                 found += [(module, "Groupoid", c.lineno) for c in calls(top, "sorted", "sort")]
     assert found == []
-    assert built == {("fingrpd", "objects"), ("fingrpd", "arrows"),
-                     ("twogpd", "g0"), ("twogpd", "g1"), ("twogpd", "g2")}
+    assert built == {("fingrpd", "objects"), ("fingrpd", "arrows")}
 
 
 def test_no_sorted_or_set_copy_of_a_label_set():
@@ -269,8 +271,18 @@ def test_constructed_groupoids_go_through_groupoid_of_parts():
         "validate_group_bundle": {"gdf"}}
 
 
-# the functions that read tuple labels of an object their caller supplied
-UNPAIR_ALLOWED = {("fingrpd", "trivial_action"), ("fingrpd", "pullback_iso_to_base")}
+def test_only_fingrpd_and_the_gdf_reader_construct_groupoids():
+    # every other module takes its groupoids from the builders, so no level
+    # of a 2-groupoid or other view is a copy of another groupoid's tables
+    found = [(module, getattr(call.func, "id", None) or call.func.attr, call.lineno)
+             for module, tree in library_modules() if module not in ("fingrpd", "gdf")
+             for call in calls(tree, "Groupoid", "GroupBundle")]
+    assert found == []
+
+
+# the functions that read tuple labels of an object their caller supplied:
+# none, every reader goes through the parts tables
+UNPAIR_ALLOWED = set()
 
 
 def test_labels_are_read_from_parts_tables():

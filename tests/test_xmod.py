@@ -368,9 +368,7 @@ def test_transformation_bridge_needs_the_cell_parts(sc2):
     lam = {g: sc2.h.unit["*"] for g in sc2.g.arrows}
     v = xmod.transformation_to_2gpd(tmap, lam, chi, chi)
     f, _, cod2 = xmod.hom2_from_xmorphism(chi)
-    raw = twogpd.TwoGroupoid(cod2.g0, cod2.g1, cod2.s, cod2.t, cod2.inv1, cod2.unit1,
-                             cod2.comp1, cod2.g2, cod2.s2, cod2.t2, cod2.vinv,
-                             cod2.vunit, cod2.vcomp, dict(cod2.hcomp), cod2.hinv)
+    raw = twogpd.TwoGroupoid(cod2.level1, cod2.vertical, dict(cod2.hcomp), cod2.hinv)
     assert raw.parts is None
     g = twogpd.StrictHom2(f.dom, raw, f.m0, f.m1, f.m2)
     with pytest.raises(CoherenceFailure):
