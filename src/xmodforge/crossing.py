@@ -24,11 +24,12 @@ class Crossing:
 
     Leg tables: a1[(u, h1)] and b1[(u, h2)] give loops of M at u (legs of the
     pulled-back bundles); a2[m] and b2[m] give the base-groupoid components
-    of the pullback arrows (t(m), g, s(m))."""
+    of the pullback arrows (t(m), g, s(m)).  A crossed extension is a
+    crossing with is_extension set, which also satisfies CR3'."""
 
-    is_extension = False
-
-    def __init__(self, src_xmod, dst_xmod, m, tau, sigma, a1, a2, b1, b2):
+    def __init__(self, src_xmod, dst_xmod, m, tau, sigma, a1, a2, b1, b2,
+                 extension=False):
+        self.is_extension = extension
         self.src = src_xmod
         self.dst = dst_xmod
         self.m = m
@@ -53,10 +54,6 @@ class Crossing:
     def __repr__(self):
         kind = "CrossedExtension" if self.is_extension else "Crossing"
         return f"{kind}(|M|={len(self.m)})"
-
-
-class CrossedExtension(Crossing):
-    is_extension = True
 
 
 def _leg_domain(m, s):
@@ -201,14 +198,12 @@ def check_cr3_prime(c):
     return _cr3(c, b, a, "CR3PrimeFailure")
 
 
-def validate_crossing(src_xmod, dst_xmod, m, tau, sigma, a1, a2, b1, b2):
-    c = Crossing(src_xmod, dst_xmod, m, tau, sigma, a1, a2, b1, b2)
-    return require(c, check_crossing(c))
-
-
-def validate_crossed_extension(src_xmod, dst_xmod, m, tau, sigma, a1, a2, b1, b2):
-    c = CrossedExtension(src_xmod, dst_xmod, m, tau, sigma, a1, a2, b1, b2)
-    return require(c, check_crossing(c, prime=True))
+def validate_crossing(src_xmod, dst_xmod, m, tau, sigma, a1, a2, b1, b2,
+                      extension=False):
+    """The crossing of the tables; with extension, a crossed extension,
+    which check_crossing also checks for CR3'.  Raises ValidationFailure."""
+    c = Crossing(src_xmod, dst_xmod, m, tau, sigma, a1, a2, b1, b2, extension)
+    return require(c, check_crossing(c, prime=extension))
 
 
 def images_commute(c):
@@ -255,8 +250,7 @@ def _crossing_same_base(chi, as_extension):
         h2, g1 = m.parts[arrow]
         a2[arrow] = g1
         b2[arrow] = c.g.comp[(c.boundary[h2], chi.rmap[g1])]
-    make = validate_crossed_extension if as_extension else validate_crossing
-    return make(d, c, m, ident, ident, a1, a2, b1, b2)
+    return validate_crossing(d, c, m, ident, ident, a1, a2, b1, b2, as_extension)
 
 
 def _crossing_general(chi, as_extension):
@@ -286,8 +280,7 @@ def _crossing_general(chi, as_extension):
           for z in space for h2 in c.h.fiber(sigma[z])}
     a2 = {mm: pb1.g.parts[core.a2[mm]][1] for mm in core.m.arrows}
     b2 = {mm: pb2.g.parts[core.b2[mm]][1] for mm in core.m.arrows}
-    make = validate_crossed_extension if as_extension else validate_crossing
-    return make(d, c, core.m, tau, sigma, a1, a2, b1, b2)
+    return validate_crossing(d, c, core.m, tau, sigma, a1, a2, b1, b2, as_extension)
 
 
 def xext_from_hypercover(chi):
@@ -304,9 +297,8 @@ def trivial_xext(xm):
 
 def mbar(c):
     """Swap the legs: a crossed extension of (dst, src)."""
-    flipped = CrossedExtension(c.dst, c.src, c.m, dict(c.sigma), dict(c.tau),
-                               dict(c.b1), dict(c.b2), dict(c.a1), dict(c.a2))
-    return require(flipped, check_crossing(flipped, prime=True))
+    return validate_crossing(c.dst, c.src, c.m, c.sigma, c.tau, c.b1, c.b2, c.a1, c.a2,
+                             extension=True)
 
 
 # -- pullback ---------------------------------------------------------------
@@ -324,8 +316,7 @@ def pullback_crossing(c, space, phi):
           for z in mz.objects for h2 in c.dst.h.fiber(sigma[z])}
     a2 = {arrow: c.a2[mz.parts[arrow][1]] for arrow in mz.arrows}
     b2 = {arrow: c.b2[mz.parts[arrow][1]] for arrow in mz.arrows}
-    make = validate_crossed_extension if c.is_extension else validate_crossing
-    return make(c.src, c.dst, mz, tau, sigma, a1, a2, b1, b2)
+    return validate_crossing(c.src, c.dst, mz, tau, sigma, a1, a2, b1, b2, c.is_extension)
 
 
 # -- decomposition ------------------------------------------------------------
@@ -411,10 +402,8 @@ def _diamond_core(cm, cn):
           for u in dm.objects for h3 in cn.dst.h.fiber(cn.sigma[u])}
     a2 = {a: cm.a2[mm] for a, (mm, _) in dm.parts.items()}
     b2 = {a: cn.b2[nn] for a, (_, nn) in dm.parts.items()}
-    both_ext = cm.is_extension and cn.is_extension
-    make = validate_crossed_extension if both_ext else validate_crossing
-    out = make(cm.src, cn.dst, dm, dict(cm.tau), dict(cn.sigma),
-               a1, a2, b1, b2)
+    out = validate_crossing(cm.src, cn.dst, dm, cm.tau, cn.sigma, a1, a2, b1, b2,
+                            cm.is_extension and cn.is_extension)
     out.pair_class = class_of
     return out
 

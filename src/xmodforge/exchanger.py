@@ -20,7 +20,7 @@ class XExtHomomorphism:
     """(chi1, Phi, chi2): the commuting prism between two crossed extensions."""
 
     def __init__(self, src, dst, chi1, phi, chi2):
-        self.src = src      # Crossing / CrossedExtension
+        self.src = src      # Crossing
         self.dst = dst
         self.chi1 = chi1    # StrictXMorphism src.src -> dst.src
         self.phi = phi      # GroupoidMorphism src.m -> dst.m
@@ -121,8 +121,8 @@ def same_base_form(c):
     b1 = {(u, pair(u, h2)): mm for (u, h2), mm in c.b1.items()}
     a2 = {mm: pair(c.m.tgt[mm], g1, c.m.src[mm]) for mm, g1 in c.a2.items()}
     b2 = {mm: pair(c.m.tgt[mm], g2, c.m.src[mm]) for mm, g2 in c.b2.items()}
-    make = cr.validate_crossed_extension if c.is_extension else cr.validate_crossing
-    return make(src_pb, dst_pb, c.m, ident, ident, a1, a2, b1, b2)
+    return cr.validate_crossing(src_pb, dst_pb, c.m, ident, ident, a1, a2, b1, b2,
+                                c.is_extension)
 
 
 def unit_equivalence(a):
@@ -255,39 +255,32 @@ def validate_semi_exchanger(source, target, p):
 
 def actions_commute(ex):
     """H1/H2 left actions commute, H3/H4 right actions commute (the lemma
-    after the exchanger definition); returns witnesses."""
+    after the exchanger definition); returns witnesses, per point the left
+    ones, through the source crossing, then the right ones, through the
+    target crossing."""
     out = []
-    a, b = ex.source, ex.target
-    for p in ex.p.space:
-        u = ex.p.lmom[p]
-        for h1 in a.src.h.fiber(a.tau[u]):
-            m1 = a.a1[(u, h1)]
-            for h2 in a.dst.h.fiber(a.sigma[u]):
-                m2 = a.b1[(u, h2)]
-                lhs = ex.p.lact[(m1, ex.p.lact[(m2, p)])]
-                rhs = ex.p.lact[(m2, ex.p.lact[(m1, p)])]
-                if lhs != rhs:
-                    out.append(("left", p, h1, h2))
-        v = ex.p.rmom[p]
-        for h3 in b.src.h.fiber(b.tau[v]):
-            n1 = b.a1[(v, h3)]
-            for h4 in b.dst.h.fiber(b.sigma[v]):
-                n2 = b.b1[(v, h4)]
-                lhs = ex.p.ract[(ex.p.ract[(p, n1)], n2)]
-                rhs = ex.p.ract[(ex.p.ract[(p, n2)], n1)]
-                if lhs != rhs:
-                    out.append(("right", p, h3, h4))
+    p = ex.p
+    ends = (("left", ex.source.sides(), p.lmom, lambda x, z: p.lact[(x, z)]),
+            ("right", ex.target.sides(), p.rmom, lambda x, z: p.ract[(z, x)]))
+    for z in p.space:
+        for tag, (a, b), mom, act in ends:
+            u = mom[z]
+            for h1 in a.xm.h.fiber(a.mom[u]):
+                x = a.leg1[(u, h1)]
+                for h2 in b.xm.h.fiber(b.mom[u]):
+                    y = b.leg1[(u, h2)]
+                    if act(x, act(y, z)) != act(y, act(x, z)):
+                        out.append((tag, z, h1, h2))
     return out
 
 
-def exchanger_from_homomorphism(hom, check_orbits=True):
+def exchanger_from_homomorphism(hom):
     """The semi-exchanger over P_Phi = M^0 x_{Phi,t} N, the bibundle
     bb.bibundle_from_hom builds for Phi: m.(u,n) = (t(m), Phi(m)n) and
-    (u,n).n' = (u, nn').  With check_orbits, verifies the orbit spaces that
-    _check_pphi_orbits states, class by class."""
+    (u,n).n' = (u, nn').  Verifies the orbit spaces that _check_pphi_orbits
+    states, class by class."""
     ex = validate_semi_exchanger(hom.src, hom.dst, bb.bibundle_from_hom(hom.phi))
-    if check_orbits:
-        _check_pphi_orbits(hom, ex)
+    _check_pphi_orbits(hom, ex)
     return ex
 
 
@@ -395,6 +388,14 @@ def identity_morphism_of(ex):
     return validate_exchanger_morphism(ex, ex, {p: p for p in ex.p.space})
 
 
+def _read_off(src, dst, table):
+    """The exchanger morphism src => dst that sends each class c of the
+    bullet src to table[src.p.parts[c]]: one factor's action on the
+    other, read at the parts [z1, z2] of the class."""
+    return validate_exchanger_morphism(
+        src, dst, {c: table[src.p.parts[c]] for c in src.p.space})
+
+
 def structural_isos(ex1, ex2, ex3):
     """(a_{P,Q,T}, r_P, l_P): associator for the triple and the unitors of
     ex1, validated as invertible exchanger morphisms."""
@@ -409,21 +410,8 @@ def structural_isos(ex1, ex2, ex3):
         eta[c] = left.p.pair_class[pair(outer.p.pair_class[pair(pz, qz)], tz)]
     assoc = validate_exchanger_morphism(right, left, eta)
 
-    i_src = trivial_exchanger(ex1.source)
-    ip = vertical_compose(i_src, ex1)
-    r_eta = {}
-    for c in ip.p.space:
-        mm, pz = ip.p.parts[c]
-        r_eta[c] = ex1.p.lact[(mm, pz)]
-    r_p = validate_exchanger_morphism(ip, ex1, r_eta)
-
-    i_tgt = trivial_exchanger(ex1.target)
-    pi = vertical_compose(ex1, i_tgt)
-    l_eta = {}
-    for c in pi.p.space:
-        pz, nn = pi.p.parts[c]
-        l_eta[c] = ex1.p.ract[(pz, nn)]
-    l_p = validate_exchanger_morphism(pi, ex1, l_eta)
+    r_p = _read_off(vertical_compose(trivial_exchanger(ex1.source), ex1), ex1, ex1.p.lact)
+    l_p = _read_off(vertical_compose(ex1, trivial_exchanger(ex1.target)), ex1, ex1.p.ract)
     _require_bijective(assoc=assoc, r_p=r_p, l_p=l_p)
     return assoc, r_p, l_p
 
@@ -437,17 +425,10 @@ def morphism_compose(kind, eta, zeta):
             raise NotComposable("horizontal composition needs matching middle")
         return validate_exchanger_morphism(
             eta.src, zeta.dst, {p: zeta.eta[eta.eta[p]] for p in eta.eta})
-    if kind == "vertical":
-        src = vertical_compose(eta.src, zeta.src)
-        dst = vertical_compose(eta.dst, zeta.dst)
-        out = {}
-        for c in src.p.space:
-            p1, p2 = src.p.parts[c]
-            out[c] = dst.p.pair_class[pair(eta.eta[p1], zeta.eta[p2])]
-        return validate_exchanger_morphism(src, dst, out)
-    if kind == "spatial":
-        src = horizontal_diamond(eta.src, zeta.src)
-        dst = horizontal_diamond(eta.dst, zeta.dst)
+    compose = {"vertical": vertical_compose, "spatial": horizontal_diamond}.get(kind)
+    if compose is not None:
+        src = compose(eta.src, zeta.src)
+        dst = compose(eta.dst, zeta.dst)
         out = {}
         for c in src.p.space:
             p1, p2 = src.p.parts[c]
@@ -689,8 +670,8 @@ def exchanger_decompose(ex):
         legs1.append(leg1)
         legs2.append({q: q_class[q] for q in mn.arrows})
     ident = {pz: pz for pz in p.space}
-    pext = cr.validate_crossed_extension(*mods, mn, ident, ident, legs1[0],
-                                         legs2[0], legs1[1], legs2[1])
+    pext = cr.validate_crossing(*mods, mn, ident, ident, legs1[0], legs2[0],
+                                legs1[1], legs2[1], extension=True)
 
     # the legs onto the source and the target: each reads the first or the
     # last factor of the H triples (h, pz, k) and MN quadruples (m, p1, p2, n)
@@ -710,116 +691,79 @@ def exchanger_decompose(ex):
 # -- weak-unit witnesses --------------------------------------------------------
 
 
+def _on_arrows(left, right, lact):
+    """The bibundle left -> right on the arrows of right, with moments tgt
+    and src, the left action lact and right translation."""
+    return bb.validate_bibundle(
+        left, right, right.arrows, {z: right.tgt[z] for z in right.arrows},
+        {z: right.src[z] for z in right.arrows}, lact,
+        {(z, n): right.comp[(z, n)] for z in right.arrows
+         for n in right.arrows_to(right.src[z])})
+
+
+def _unit_witness(msb, s, o_first, h_of):
+    """(W, Wbar) for side s of the same-base crossing msb, with O =
+    cr.trivial_xext(s.xm) and d the diamond of msb with O on that side:
+    msb <> O, or O <> msb when o_first.  A class of d has the parts
+    (m, o), or (o, m) when o_first, with m an arrow of M and o = (k, g) a
+    cell of O; h_of(k) is the element of H that o carries to the M side
+    (k through O's b1, k^-1 through its a1).
+
+    W: d => msb on the carrier M: the class of (m, o) moves m2 to
+    s.leg1(h_of(k)) m m2.  Wbar: msb => d on the carrier d.m: m moves the
+    class of (m1, (k, g)) to that of (m m1, (k^{leg2(m)^-1}, leg2(m) g)).
+    Both act on the right by translation."""
+    m, xm = msb.m, s.xm
+    o = cr.trivial_xext(xm)
+    d = cr.diamond(o, msb) if o_first else cr.diamond(msb, o)
+
+    def ordered(x, y):
+        # d's class parts as (M arrow, O cell), and (M arrow, O cell) as d's parts
+        return (y, x) if o_first else (x, y)
+
+    lact = {}
+    for cls in d.m.arrows:
+        mm, ocell = ordered(*d.m.parts[cls])
+        shift = m.comp[(s.leg1[(m.tgt[mm], h_of(o.m.parts[ocell][0]))], mm)]
+        for m2 in m.arrows_to(m.src[mm]):
+            lact[(cls, m2)] = m.comp[(shift, m2)]
+    w = SemiExchanger(d, msb, _on_arrows(d.m, m, lact))
+
+    lact_bar = {}
+    for mm in m.arrows:
+        gm = s.leg2[mm]
+        for cls in d.m.arrows:
+            m1, ocell = ordered(*d.m.parts[cls])
+            if m.tgt[m1] == m.src[mm]:
+                k, g = o.m.parts[ocell]
+                moved = pair(xm.act(xm.g.inv[gm], k), xm.g.comp[(gm, g)])
+                lact_bar[(mm, cls)] = d.pair_class[pair(*ordered(m.comp[(mm, m1)], moved))]
+    return w, SemiExchanger(msb, d, _on_arrows(m, d.m, lact_bar))
+
+
 def unit_witnesses(c):
     """R, Rbar, L, Lbar for a crossing M: G1 -x- G2, plus the four canonical
     invertible morphisms relating their bullets to trivial exchangers.
+
+    R: M <> O_{G2} => M and Rbar are _unit_witness run on the b side of
+    the same-base form, L: O_{G1} <> M => M and Lbar on the a side.  The
+    morphism out of W . Wbar reads Wbar's left action off each class, the
+    one out of Wbar . W reads W's.
 
     Returns a dict with the four semi-exchangers, the four morphisms, and
     E1/E2 reports (freeness can genuinely fail for non-extension crossings;
     the morphisms are invertible regardless)."""
     msb = same_base_form(c)
-    m = msb.m
-    g2mod = msb.dst
-    g1mod = msb.src
-    o2 = cr.trivial_xext(g2mod)
-    o1 = cr.trivial_xext(g1mod)
-    dmo = cr.diamond(msb, o2)
-    dom_ = cr.diamond(o1, msb)
-
-    # the middles of the diamonds and of o1, o2 are read at their parts:
-    # classes (mm, ocell) or (ocell, mm), and cells ocell = (h, g)
-    # R: dmo => msb on the carrier M
-    lact = {}
-    for cls in dmo.m.arrows:
-        mm, ocell = dmo.m.parts[cls]
-        h2, _ = o2.m.parts[ocell]
-        shift = m.comp[(msb.b1[(m.tgt[mm], h2)], mm)]
-        for m2 in m.arrows_to(m.src[mm]):
-            lact[(cls, m2)] = m.comp[(shift, m2)]
-    ract = {(m1, m2): m.comp[(m1, m2)]
-            for m1 in m.arrows for m2 in m.arrows_to(m.src[m1])}
-    r_p = bb.validate_bibundle(dmo.m, m, m.arrows,
-                               {z: m.tgt[z] for z in m.arrows},
-                               {z: m.src[z] for z in m.arrows}, lact, ract)
-    r_ex = SemiExchanger(dmo, msb, r_p)
-
-    # Rbar: msb => dmo on the carrier dmo
-    lact_bar = {}
-    for mm in m.arrows:
-        for cls in dmo.m.arrows:
-            m1, ocell = dmo.m.parts[cls]
-            if m.tgt[m1] != m.src[mm]:
-                continue
-            h2, gg2 = o2.m.parts[ocell]
-            h2_tw = g2mod.act(g2mod.g.inv[msb.b2[mm]], h2)
-            ocell2 = pair(h2_tw, g2mod.g.comp[(msb.b2[mm], gg2)])
-            lact_bar[(mm, cls)] = dmo.pair_class[pair(m.comp[(mm, m1)], ocell2)]
-    ract_bar = {(cls, cls2): dmo.m.comp[(cls, cls2)]
-                for cls in dmo.m.arrows
-                for cls2 in dmo.m.arrows_to(dmo.m.src[cls])}
-    rbar_p = bb.validate_bibundle(m, dmo.m, dmo.m.arrows,
-                                  {z: dmo.m.tgt[z] for z in dmo.m.arrows},
-                                  {z: dmo.m.src[z] for z in dmo.m.arrows},
-                                  lact_bar, ract_bar)
-    rbar_ex = SemiExchanger(msb, dmo, rbar_p)
-
-    # L: dom_ => msb on the carrier M
-    lact_l = {}
-    for cls in dom_.m.arrows:
-        ocell, mm = dom_.m.parts[cls]
-        k1, _ = o1.m.parts[ocell]
-        shift = m.comp[(msb.a1[(m.tgt[mm], g1mod.h.inv[k1])], mm)]
-        for m2 in m.arrows_to(m.src[mm]):
-            lact_l[(cls, m2)] = m.comp[(shift, m2)]
-    l_p = bb.validate_bibundle(dom_.m, m, m.arrows,
-                               {z: m.tgt[z] for z in m.arrows},
-                               {z: m.src[z] for z in m.arrows}, lact_l, dict(ract))
-    l_ex = SemiExchanger(dom_, msb, l_p)
-
-    # Lbar: msb => dom_ on the carrier dom_
-    lact_lbar = {}
-    for mm in m.arrows:
-        for cls in dom_.m.arrows:
-            ocell, m1 = dom_.m.parts[cls]
-            if m.tgt[m1] != m.src[mm]:
-                continue
-            k1, gg1 = o1.m.parts[ocell]
-            k1_tw = g1mod.act(g1mod.g.inv[msb.a2[mm]], k1)
-            ocell2 = pair(k1_tw, g1mod.g.comp[(msb.a2[mm], gg1)])
-            lact_lbar[(mm, cls)] = dom_.pair_class[pair(ocell2, m.comp[(mm, m1)])]
-    ract_lbar = {(cls, cls2): dom_.m.comp[(cls, cls2)]
-                 for cls in dom_.m.arrows
-                 for cls2 in dom_.m.arrows_to(dom_.m.src[cls])}
-    lbar_p = bb.validate_bibundle(m, dom_.m, dom_.m.arrows,
-                                  {z: dom_.m.tgt[z] for z in dom_.m.arrows},
-                                  {z: dom_.m.src[z] for z in dom_.m.arrows},
-                                  lact_lbar, ract_lbar)
-    lbar_ex = SemiExchanger(msb, dom_, lbar_p)
-
-    def bullet_to_trivial(first, second, target_triv):
-        # eta[z1, z2] = z1 acting on z2 through the second factor's carrier
-        comp_ex = vertical_compose(first, second)
-        eta = {}
-        for cls in comp_ex.p.space:
-            z1, z2 = comp_ex.p.parts[cls]
-            eta[cls] = second.p.lact[(z1, z2)]
-        return validate_exchanger_morphism(comp_ex, target_triv, eta)
-
-    mu_r1 = bullet_to_trivial(r_ex, rbar_ex, trivial_exchanger(dmo))
+    a, b = msb.sides()
+    r_ex, rbar_ex = _unit_witness(msb, b, False, lambda k: k)
+    l_ex, lbar_ex = _unit_witness(msb, a, True, a.xm.h.inv.__getitem__)
     i_msb = trivial_exchanger(msb)
-    mu_r2 = bullet_to_trivial(rbar_ex, r_ex, i_msb)
-    mu_l1 = bullet_to_trivial(l_ex, lbar_ex, trivial_exchanger(dom_))
-    mu_l2 = bullet_to_trivial(lbar_ex, l_ex, i_msb)
-    _require_bijective(mu_R_to_unit=mu_r1, mu_Rbar_to_unit=mu_r2,
-                       mu_L_to_unit=mu_l1, mu_Lbar_to_unit=mu_l2)
-    return {
-        "R": r_ex, "Rbar": rbar_ex, "L": l_ex, "Lbar": lbar_ex,
-        "mu_R_to_unit": mu_r1, "mu_Rbar_to_unit": mu_r2,
-        "mu_L_to_unit": mu_l1, "mu_Lbar_to_unit": mu_l2,
-        "reports": {
-            "R": check_semi_exchanger(r_ex),
-            "Rbar": check_semi_exchanger(rbar_ex),
-            "L": check_semi_exchanger(l_ex),
-            "Lbar": check_semi_exchanger(lbar_ex),
-        },
-    }
+    mus = {}
+    for name, w, wbar in (("R", r_ex, rbar_ex), ("L", l_ex, lbar_ex)):
+        mus[f"mu_{name}_to_unit"] = _read_off(
+            vertical_compose(w, wbar), trivial_exchanger(w.source), wbar.p.lact)
+        mus[f"mu_{name}bar_to_unit"] = _read_off(vertical_compose(wbar, w), i_msb, w.p.lact)
+    _require_bijective(**mus)
+    witnesses = {"R": r_ex, "Rbar": rbar_ex, "L": l_ex, "Lbar": lbar_ex}
+    return {**witnesses, **mus,
+            "reports": {name: check_semi_exchanger(w) for name, w in witnesses.items()}}

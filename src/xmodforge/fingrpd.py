@@ -18,19 +18,17 @@ class Groupoid:
     """Finite groupoid with explicit src/tgt/inv/unit/comp tables.
 
     Instances are immutable after validation by convention; share freely.
-    A groupoid that validate_groupoid returned is marked validated, and
-    only such a groupoid gives its generators (gens); the certificates
-    that read them run on validated groupoids alone.
+    The groupoid keeps the table dicts it is given, not copies, so a
+    caller that edits a table afterwards edits the groupoid.  A groupoid
+    that validate_groupoid returned is marked validated, and only such a
+    groupoid gives its generators (gens); the certificates that read them
+    run on validated groupoids alone.
     """
 
     def __init__(self, objects, arrows, src, tgt, inv, unit, comp):
         self.objects = labelset(objects)
         self.arrows = labelset(arrows)
-        self.src = dict(src)
-        self.tgt = dict(tgt)
-        self.inv = dict(inv)
-        self.unit = dict(unit)
-        self.comp = dict(comp)
+        self.src, self.tgt, self.inv, self.unit, self.comp = src, tgt, inv, unit, comp
         self.parts = None  # set by groupoid_of_parts: arrow label -> its parts
         self.validated = False  # set by validate_groupoid
         self._gens = None
@@ -457,7 +455,8 @@ def validate_group_bundle(objects, arrows, src, tgt, inv, unit, comp):
 
 def as_group_bundle(g):
     """Reinterpret a validated groupoid whose arrows are all loops; the
-    bundle keeps the groupoid's parts table, its mark and its generators.
+    bundle shares the groupoid's tables and keeps its parts table, its
+    mark and its generators.
     The generators at a point generate the fibre there: composites stay in
     their fibre."""
     bad = [h for h in g.arrows if g.src[h] != g.tgt[h]]

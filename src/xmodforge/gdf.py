@@ -260,9 +260,12 @@ def _build_two_groupoid(b, env):
         level1.arrows, e["cells"], _pairs(e["src2"], b.line), _pairs(e["tgt2"], b.line),
         _pairs(e["vinv"], b.line), _pairs(e["vunit"], b.line),
         _comp_pairs(e["vcomp"], b.line))
-    tg = tgmod.TwoGroupoid(level1, vertical, _comp_pairs(e["hcomp"], b.line),
-                           _pairs(e.get("hinv", []), b.line))
-    return tgmod.validate_2groupoid(tg)
+    hcomp = _comp_pairs(e["hcomp"], b.line)
+    if "hinv" not in e:
+        # derived from hcomp, vunit and vinv, as make_2groupoid derives it
+        return tgmod.make_2groupoid(level1, vertical, hcomp)
+    return tgmod.validate_2groupoid(
+        tgmod.TwoGroupoid(level1, vertical, hcomp, _pairs(e["hinv"], b.line)))
 
 
 def _build_bibundle(b, env):
@@ -283,12 +286,10 @@ def _build_crossing(b, env):
     m = _ref(env, _first(b, "groupoid"), b, fingrpd.Groupoid)
     a1 = _comp_pairs(e["a1"], b.line)
     b1 = _comp_pairs(e["b1"], b.line)
-    args = (src, dst, m, _pairs(e["tau"], b.line), _pairs(e["sigma"], b.line),
-            a1, _pairs(e["a2"], b.line), b1, _pairs(e["b2"], b.line))
-    extension = _first(b, "extension", "no") == "yes"
-    if extension:
-        return crmod.validate_crossed_extension(*args)
-    return crmod.validate_crossing(*args)
+    return crmod.validate_crossing(
+        src, dst, m, _pairs(e["tau"], b.line), _pairs(e["sigma"], b.line),
+        a1, _pairs(e["a2"], b.line), b1, _pairs(e["b2"], b.line),
+        _first(b, "extension", "no") == "yes")
 
 
 def _build_exchanger(b, env):
@@ -405,20 +406,14 @@ def two_groupoid_block(name, tg):
         "hinv": _map_toks(tg.hinv)}, 0)
 
 
-def bibundle_blocks(name, zb, left_name=None, right_name=None):
-    blocks = []
-    if left_name is None:
-        left_name = f"{name}_L"
-        blocks.append(groupoid_block(left_name, zb.left))
-    if right_name is None:
-        right_name = f"{name}_R"
-        blocks.append(groupoid_block(right_name, zb.right))
-    blocks.append(Block("bibundle", name, {
-        "left": [left_name], "right": [right_name],
-        "space": sorted(zb.space), "lmom": _map_toks(zb.lmom),
-        "rmom": _map_toks(zb.rmom), "lact": _comp_toks(zb.lact),
-        "ract": _comp_toks(zb.ract)}, 0))
-    return blocks
+def bibundle_blocks(name, zb):
+    left_name, right_name = f"{name}_L", f"{name}_R"
+    return [groupoid_block(left_name, zb.left), groupoid_block(right_name, zb.right),
+            Block("bibundle", name, {
+                "left": [left_name], "right": [right_name],
+                "space": sorted(zb.space), "lmom": _map_toks(zb.lmom),
+                "rmom": _map_toks(zb.rmom), "lact": _comp_toks(zb.lact),
+                "ract": _comp_toks(zb.ract)}, 0)]
 
 
 def crossing_blocks(name, c, src_name=None, dst_name=None):

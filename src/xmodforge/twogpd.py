@@ -459,15 +459,14 @@ def make_2groupoid(level1, vertical, hcomp, hinv=None, whiskers=None):
     (R, L) are given (see TwoGroupoid)."""
     tg = TwoGroupoid(level1, vertical, hcomp, {}, whiskers)
     derived = {}
+    # read with get: a GDF block's tables may lack entries, and
+    # check_2groupoid reports what is missing
+    s2, t2, inv1, vunit = tg.s2.get, tg.t2.get, tg.inv1.get, tg.vunit.get
     for a in tg.g2:
-        g, h = tg.s2[a], tg.t2[a]
-        u = tg.hcomp.get((tg.vunit[tg.inv1[g]], a))
-        if u is None:
-            continue
-        w = tg.hcomp.get((u, tg.vunit[tg.inv1[h]]))
-        if w is None:
-            continue
-        derived[a] = tg.vinv[w]
+        u = tg.hcomp.get((vunit(inv1(s2(a))), a))
+        w = None if u is None else tg.hcomp.get((u, vunit(inv1(t2(a)))))
+        if w in tg.vinv:
+            derived[a] = tg.vinv[w]
     if hinv is not None:
         for a, cand in hinv.items():
             if a in derived and derived[a] != cand:

@@ -93,10 +93,8 @@ def diamond_core(cm, cn):
           for u in dm.objects for h3 in cn.dst.h.fiber(cn.sigma[u])}
     a2 = {a: cm.a2[reps[a][0]] for a in arrows}
     b2 = {a: cn.b2[reps[a][1]] for a in arrows}
-    both_ext = cm.is_extension and cn.is_extension
-    make = cr.validate_crossed_extension if both_ext else cr.validate_crossing
-    out = make(cm.src, cn.dst, dm, dict(cm.tau), dict(cn.sigma),
-               a1, a2, b1, b2)
+    out = cr.validate_crossing(cm.src, cn.dst, dm, dict(cm.tau), dict(cn.sigma),
+                               a1, a2, b1, b2, cm.is_extension and cn.is_extension)
     out.pair_class = {p: cls_label(r) for p, r in cmap.items()}
     return out
 

@@ -130,8 +130,8 @@ def test_criterion_5_m_mbar():
     ident = {x: x for x in ext.g.objects}
     a1 = {("*", a): ext.iota[a] for a in ext.a.arrows}
     a2 = dict(ext.pi)
-    m = cr.validate_crossed_extension(exmod_, exmod_, ext.e, ident, ident,
-                                      a1, a2, dict(a1), dict(a2))
+    m = cr.validate_crossing(exmod_, exmod_, ext.e, ident, ident,
+                             a1, a2, dict(a1), dict(a2), extension=True)
     phi, psi, d1, d2, wit = cr.verify_m_mbar(m)
     assert len(d1.m.arrows) == 4
     klein = fingrpd.semidirect_product(trivial_action(
@@ -307,8 +307,8 @@ def test_criterion_10_negative_controls():
     # CR3': collapse a1 onto units (CR3 side untouched)
     xm_mod, o_mod = _module_inversion_o()
     a1 = {k: o_mod.m.unit[k[0]] for k in o_mod.a1}
-    probe(cr.CrossedExtension(o_mod.src, o_mod.dst, o_mod.m, o_mod.tau,
-                              o_mod.sigma, a1, o_mod.a2, o_mod.b1, o_mod.b2),
+    probe(cr.Crossing(o_mod.src, o_mod.dst, o_mod.m, o_mod.tau, o_mod.sigma,
+                      a1, o_mod.a2, o_mod.b1, o_mod.b2, extension=True),
           "CR3PrimeFailure", prime=True)
 
     # E1 freeness: collapse morphism graph bibundle

@@ -27,8 +27,8 @@ def z4_crossed_extension():
     ident = {x: x for x in ext.g.objects}
     a1 = {("*", a): ext.iota[a] for a in ext.a.arrows}
     a2 = {ee: ext.pi[ee] for ee in ext.e.arrows}
-    return ext, cr.validate_crossed_extension(
-        exm, exm, ext.e, ident, ident, a1, dict(a2), dict(a1), dict(a2))
+    return ext, cr.validate_crossing(
+        exm, exm, ext.e, ident, ident, a1, dict(a2), dict(a1), dict(a2), extension=True)
 
 
 def test_trivial_xext_valid(o_sc2):
@@ -42,8 +42,8 @@ def test_morita_bibundle_is_crossed_extension(c2):
     ident = {"*": "*"}
     a1 = {("*", u.h.unit["*"]): c2.unit["*"]}
     a2 = {g: g for g in c2.arrows}
-    m = cr.validate_crossed_extension(u, u, c2, ident, ident,
-                                      a1, a2, dict(a1), dict(a2))
+    m = cr.validate_crossing(u, u, c2, ident, ident, a1, a2, dict(a1), dict(a2),
+                             extension=True)
     assert m.is_extension
 
 

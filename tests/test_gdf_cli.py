@@ -4,10 +4,12 @@ import os
 import re
 import subprocess
 import sys
+from random import Random
 
 import pytest
 
 from xmodforge import cli, crossing as cr, fingrpd, gdf, xmod
+from xmodforge.generators import random_crossed_module
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -193,6 +195,40 @@ def test_cmd_convert_output_is_the_recorded_bytes(name, xm, capsys):
                     "--direction", "xmod2gpd"]) == cli.EXIT_OK
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == CONVERT_SHA256[(name, xm)]
+
+
+def _without_hinv(text):
+    return re.sub(r"^  hinv:.*\n", "", text, flags=re.M)
+
+
+@pytest.mark.parametrize("name, xm", sorted(CONVERT_SHA256))
+def test_a_two_groupoid_block_without_hinv_derives_it(name, xm, tmp_path, capsys):
+    # the derived hinv is the printed one, and a block left without hinv
+    # and with a table entry missing still ends in exit code 1
+    assert run_cli(["convert", fixture(name), "--name", xm,
+                    "--direction", "xmod2gpd"]) == cli.EXIT_OK
+    text = capsys.readouterr().out
+    tg_name = f"{xm}_2gpd"
+    printed = gdf.build_document(gdf.parse_gdf(text))[tg_name].hinv
+    p = tmp_path / "tg.gdf"
+    p.write_text(_without_hinv(text))
+    assert run_cli(["check", str(p)]) == cli.EXIT_OK
+    assert "[PASS] two-groupoid" in capsys.readouterr().out
+    derived = gdf.build_document(gdf.parse_gdf(p.read_text()))[tg_name].hinv
+    assert list(derived.items()) == list(printed.items())
+    for key in ("src2", "tgt2", "vinv", "vunit", "inv", "hcomp"):
+        line = re.search(rf"^  {key}: (\S+)", p.read_text(), re.M)
+        p.write_text(_without_hinv(text).replace(line.group(0), f"  {key}:", 1))
+        assert run_cli(["check", str(p)]) == cli.EXIT_VALIDATION
+        assert "[FAIL] two-groupoid" in capsys.readouterr().out
+
+
+def test_the_derived_hinv_is_the_printed_one_on_generated_modules():
+    for seed in range(40):
+        tg = xmod.xmod_to_2groupoid(random_crossed_module(Random(seed)))
+        text = gdf.print_gdf(gdf.document_of([gdf.two_groupoid_block("T", tg)]))
+        derived = gdf.build_document(gdf.parse_gdf(_without_hinv(text)))["T"]
+        assert list(derived.hinv.items()) == list(tg.hinv.items())
 
 
 def test_cmd_convert_back(tmp_path, capsys):
