@@ -413,12 +413,22 @@ def _diamond_core(cm, cn):
 
 class ZigZag:
     """Alternating chain of crossed modules and strict morphisms; direction
-    'fwd' means arrow i goes modules[i] -> modules[i+1], 'bwd' the reverse."""
+    'fwd' means arrow i goes modules[i] -> modules[i+1], 'bwd' the reverse.
+    Raises ValidationFailure when the lengths disagree, a direction is
+    neither, or an arrow does not run between the modules beside it."""
 
     def __init__(self, modules, arrows, directions):
         if not len(arrows) == len(directions) == len(modules) - 1:
             raise ValidationFailure([Violation(
                 "BadZigZagLength", (len(modules), len(arrows), len(directions)))])
+        for i, (chi, direction) in enumerate(zip(arrows, directions)):
+            if direction not in ("fwd", "bwd"):
+                raise ValidationFailure([Violation("BadZigZagDirection", (i, direction))])
+            dom, cod = modules[i], modules[i + 1]
+            if direction == "bwd":
+                dom, cod = cod, dom
+            if not (_same_xmod(chi.dom, dom) and _same_xmod(chi.cod, cod)):
+                raise ValidationFailure([Violation("BadZigZagArrow", (i, direction))])
         self.modules = list(modules)
         self.arrows = list(arrows)
         self.directions = list(directions)

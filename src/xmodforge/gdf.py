@@ -6,9 +6,12 @@ Grammar: `#` starts a comment; a block is `kind name {` ... `}`; entries are
 whitespace, '.', '=', '#', '{', '}' at the top level (generated class labels
 use balanced braces inside parentheses, which is allowed inside a token).
 
-The canonical printer is deterministic: fixed key order per kind, sorted
-tokens, eight tokens per line; parse . print is the identity on canonical
-documents byte for byte.
+SCHEMA states the format once: each kind's keys in print order and how
+each key's tokens read.  The parser, the printer, the reader and the
+writers all follow it.  The canonical printer is deterministic: keys in
+schema order, tokens sorted unless the schema keeps their order, eight
+tokens per line; parse . print is the identity on canonical documents byte
+for byte.
 """
 
 from . import bibundle as bbmod
@@ -16,7 +19,7 @@ from . import crossing as crmod
 from . import twogpd as tgmod
 from . import xmod as xmmod
 from . import fingrpd
-from .errors import XModForgeError
+from .errors import ValidationFailure, Violation, XModForgeError
 
 
 class GDFSyntaxError(XModForgeError):
@@ -35,37 +38,54 @@ class DuplicateName(XModForgeError):
         super().__init__(f"duplicate block name {name!r} at line {line}")
 
 
-KINDS = ("groupoid", "bundle", "action", "two-groupoid", "xmod", "bibundle",
-         "crossing", "exchanger", "morphism", "zigzag")
+# how a key's tokens read: LABELS as they are, printed sorted; ORDERED as
+# they are, printed in file order; MAP `f=a` entries; TABLE `g.h=k` entries;
+# FLAG `yes` or `no`.  A class reads one reference to an earlier block whose
+# object is an instance of it, and a one-element list [class] several such
+# references, printed in file order.
+LABELS, ORDERED, MAP, TABLE, FLAG = "labels", "ordered", "map", "table", "flag"
 
-KEY_ORDER = {
-    "groupoid": ["objects", "arrows", "src", "tgt", "inv", "unit", "comp"],
-    "bundle": ["objects", "arrows", "base", "inv", "unit", "comp"],
-    "action": ["groupoid", "bundle", "act"],
-    "two-groupoid": ["objects", "arrows", "src", "tgt", "inv", "unit", "comp",
-                     "cells", "src2", "tgt2", "vinv", "vunit", "vcomp",
-                     "hcomp", "hinv"],
-    "xmod": ["groupoid", "bundle", "boundary", "act"],
-    "bibundle": ["left", "right", "space", "lmom", "rmom", "lact", "ract"],
-    "crossing": ["source", "target", "groupoid", "extension", "tau", "sigma",
-                 "a1", "a2", "b1", "b2"],
-    "exchanger": ["source", "target", "space", "lmom", "rmom", "lact", "ract"],
-    "morphism": ["from", "to", "objects", "left", "right", "map"],
-    "zigzag": ["modules", "arrows", "dirs"],
+# every block kind's keys, in print order, and how each reads
+SCHEMA = {
+    "groupoid": {"objects": LABELS, "arrows": LABELS, "src": MAP, "tgt": MAP,
+                 "inv": MAP, "unit": MAP, "comp": TABLE},
+    "bundle": {"objects": LABELS, "arrows": LABELS, "base": MAP, "inv": MAP,
+               "unit": MAP, "comp": TABLE},
+    "action": {"groupoid": fingrpd.Groupoid, "bundle": fingrpd.GroupBundle,
+               "act": TABLE},
+    "two-groupoid": {"objects": LABELS, "arrows": LABELS, "src": MAP, "tgt": MAP,
+                     "inv": MAP, "unit": MAP, "comp": TABLE, "cells": LABELS,
+                     "src2": MAP, "tgt2": MAP, "vinv": MAP, "vunit": MAP,
+                     "vcomp": TABLE, "hcomp": TABLE, "hinv": MAP},
+    "xmod": {"groupoid": fingrpd.Groupoid, "bundle": fingrpd.GroupBundle,
+             "boundary": MAP, "act": TABLE},
+    "bibundle": {"left": fingrpd.Groupoid, "right": fingrpd.Groupoid,
+                 "space": LABELS, "lmom": MAP, "rmom": MAP, "lact": TABLE,
+                 "ract": TABLE},
+    "crossing": {"source": xmmod.CrossedModule, "target": xmmod.CrossedModule,
+                 "groupoid": fingrpd.Groupoid, "extension": FLAG, "tau": MAP,
+                 "sigma": MAP, "a1": TABLE, "a2": MAP, "b1": TABLE, "b2": MAP},
+    "exchanger": {"source": crmod.Crossing, "target": crmod.Crossing,
+                  "space": LABELS, "lmom": MAP, "rmom": MAP, "lact": TABLE,
+                  "ract": TABLE},
+    # from and to may name a block of any kind
+    "morphism": {"from": object, "to": object, "objects": MAP, "left": MAP,
+                 "right": MAP, "map": MAP},
+    "zigzag": {"modules": [xmmod.CrossedModule], "arrows": [xmmod.StrictXMorphism],
+               "dirs": ORDERED},
 }
+KINDS = tuple(SCHEMA)
 
 # the keys a block may leave out
 OPTIONAL = {"two-groupoid": ["hinv"], "crossing": ["extension"],
-            "morphism": KEY_ORDER["morphism"]}
-REQUIRED = {kind: [key for key in keys if key not in OPTIONAL.get(kind, ())]
-            for kind, keys in KEY_ORDER.items()}
+            "morphism": list(SCHEMA["morphism"])}
 
 
 class Block:
     def __init__(self, kind, name, entries, line):
         self.kind = kind
         self.name = name
-        self.entries = entries  # key -> list of tokens, or a label set
+        self.entries = entries  # key -> list of tokens
         self.line = line
 
 
@@ -107,8 +127,9 @@ def parse_gdf(text):
         if stripped == "}":
             if current is None:
                 raise GDFSyntaxError(lineno, "'}' outside of a block")
-            for key in REQUIRED[current.kind]:
-                if key not in current.entries:
+            for key in SCHEMA[current.kind]:
+                if key not in current.entries and \
+                        key not in OPTIONAL.get(current.kind, ()):
                     raise GDFSyntaxError(current.line,
                                          f"missing '{key}:' line in "
                                          f"{current.kind} {current.name}")
@@ -121,7 +142,7 @@ def parse_gdf(text):
             raise GDFSyntaxError(lineno, "expected 'key: tokens'")
         key, rest = stripped.split(":", 1)
         key = key.strip()
-        if key not in KEY_ORDER[current.kind]:
+        if key not in SCHEMA[current.kind]:
             raise GDFSyntaxError(lineno,
                                  f"unknown key {key!r} in {current.kind}")
         toks = rest.split()
@@ -134,18 +155,15 @@ def parse_gdf(text):
     return GDFDocument(blocks)
 
 
-_ORDERED_KEYS = {("zigzag", "modules"), ("zigzag", "arrows"), ("zigzag", "dirs")}
-
-
 def print_gdf(doc):
     out = []
     for b in doc.blocks:
         out.append(f"{b.kind} {b.name} {{")
-        for key in KEY_ORDER[b.kind]:
+        for key, how in SCHEMA[b.kind].items():
             if key not in b.entries:
                 continue
             toks = b.entries[key]
-            toks = list(toks) if (b.kind, key) in _ORDERED_KEYS else sorted(toks)
+            toks = list(toks) if how == ORDERED or isinstance(how, list) else sorted(toks)
             for i in range(0, len(toks), 8):
                 out.append(f"  {key}: " + " ".join(toks[i:i + 8]))
             if not toks:
@@ -155,7 +173,7 @@ def print_gdf(doc):
     return "\n".join(out) + "\n"
 
 
-def _pairs(tokens, line=0):
+def _pairs(tokens, line):
     out = {}
     for tok in tokens:
         if "=" not in tok:
@@ -165,7 +183,7 @@ def _pairs(tokens, line=0):
     return out
 
 
-def _comp_pairs(tokens, line=0):
+def _comp_pairs(tokens, line):
     out = {}
     for tok in tokens:
         if "=" not in tok:
@@ -178,7 +196,7 @@ def _comp_pairs(tokens, line=0):
     return out
 
 
-# -- builders (GDF -> validated objects) -------------------------------------
+# -- reader (GDF -> validated objects) ---------------------------------------
 
 
 def build_document(doc):
@@ -191,229 +209,179 @@ def build_document(doc):
 
 def build_block(block, env):
     """Validate and construct one block against the objects built so far."""
-    return _BUILDERS[block.kind](block, env)
+    values = _read(block, env)
+    if block.kind == "morphism":
+        # what it builds depends on what it names, and a bad name is reported
+        return _morphism(block, *values)
+    return _BUILDERS[block.kind](*values)
 
 
-def _first(block, key, default=None):
-    """The first token of the block's `key:` line, default when there is no
-    such line; a line without tokens is a syntax error."""
-    if key not in block.entries:
-        return default
-    if not block.entries[key]:
-        raise GDFSyntaxError(block.line, f"'{key}:' line without a token in "
-                                         f"{block.kind} {block.name}")
-    return block.entries[key][0]
+def _read(block, env):
+    """The values of the block's keys, in key order, read as SCHEMA says;
+    a missing key reads as None."""
+    values = []
+    for key, how in SCHEMA[block.kind].items():
+        toks = block.entries.get(key)
+        if toks is None or how in (LABELS, ORDERED):
+            values.append(toks)
+        elif how == MAP:
+            values.append(_pairs(toks, block.line))
+        elif how == TABLE:
+            values.append(_comp_pairs(toks, block.line))
+        elif isinstance(how, list):
+            values.append([_ref(env, name, block, how[0]) for name in toks])
+        elif how == FLAG:
+            values.append(_one(block, key, toks, ("yes", "no")) == "yes")
+        else:
+            values.append(_ref(env, _one(block, key, toks), block, how))
+    return values
 
 
-def _ref(env, name, block, want=None):
-    if name not in env:
+def _one(block, key, toks, choices=None):
+    """The one token of a reference or flag line; a line with no token, with
+    more than one, or with a flag other than the choices is a syntax error."""
+    if not toks:
+        problem, want = "without a token", ""
+    elif len(toks) > 1:
+        problem, want = f"with {len(toks)} tokens", "; it takes one"
+    elif choices and toks[0] not in choices:
+        problem, want = f"with {toks[0]!r}", f"; it takes {' or '.join(choices)}"
+    else:
+        return toks[0]
+    raise GDFSyntaxError(block.line, f"'{key}:' line {problem} in "
+                                     f"{block.kind} {block.name}{want}")
+
+
+def _ref(env, name, block, want):
+    if name not in env or not isinstance(env[name], want):
         raise UnresolvedReference(name, block.name)
-    obj = env[name]
-    if want is not None and not isinstance(obj, want):
-        raise UnresolvedReference(name, block.name)
-    return obj
+    return env[name]
 
 
-def _build_groupoid(b, env):
-    e = b.entries
-    return fingrpd.validate_groupoid(
-        e["objects"], e["arrows"], _pairs(e["src"], b.line),
-        _pairs(e["tgt"], b.line), _pairs(e["inv"], b.line),
-        _pairs(e["unit"], b.line), _comp_pairs(e["comp"], b.line))
+def _bundle(objects, arrows, base, inv, unit, comp):
+    return fingrpd.validate_group_bundle(objects, arrows, base, dict(base), inv, unit, comp)
 
 
-def _build_bundle(b, env):
-    e = b.entries
-    base = _pairs(e["base"], b.line)
-    return fingrpd.validate_group_bundle(
-        e["objects"], e["arrows"], base, dict(base),
-        _pairs(e["inv"], b.line), _pairs(e["unit"], b.line),
-        _comp_pairs(e["comp"], b.line))
-
-
-def _build_action(b, env):
-    e = b.entries
-    base = _ref(env, _first(b, "groupoid"), b, fingrpd.Groupoid)
-    bundle = _ref(env, _first(b, "bundle"), b, fingrpd.GroupBundle)
-    act = _comp_pairs(e["act"], b.line)
-    return fingrpd.validate_action(base, bundle, act)
-
-
-def _build_xmod(b, env):
-    e = b.entries
-    base = _ref(env, _first(b, "groupoid"), b, fingrpd.Groupoid)
-    bundle = _ref(env, _first(b, "bundle"), b, fingrpd.GroupBundle)
-    act = _comp_pairs(e["act"], b.line)
+def _xmod(base, bundle, boundary, act):
     action = fingrpd.validate_action(base, bundle, act)
-    boundary = _pairs(e["boundary"], b.line)
     return xmmod.validate_crossed_module(base, bundle, boundary, action)
 
 
-def _build_two_groupoid(b, env):
-    e = b.entries
+def _two_groupoid(objects, arrows, src, tgt, inv, unit, comp,
+                  cells, src2, tgt2, vinv, vunit, vcomp, hcomp, hinv):
     # raw levels: check_2groupoid checks them, with Level1:/Level2: codes
-    level1 = fingrpd.Groupoid(
-        e["objects"], e["arrows"], _pairs(e["src"], b.line),
-        _pairs(e["tgt"], b.line), _pairs(e["inv"], b.line),
-        _pairs(e["unit"], b.line), _comp_pairs(e["comp"], b.line))
-    vertical = fingrpd.Groupoid(
-        level1.arrows, e["cells"], _pairs(e["src2"], b.line), _pairs(e["tgt2"], b.line),
-        _pairs(e["vinv"], b.line), _pairs(e["vunit"], b.line),
-        _comp_pairs(e["vcomp"], b.line))
-    hcomp = _comp_pairs(e["hcomp"], b.line)
-    if "hinv" not in e:
+    level1 = fingrpd.Groupoid(objects, arrows, src, tgt, inv, unit, comp)
+    vertical = fingrpd.Groupoid(level1.arrows, cells, src2, tgt2, vinv, vunit, vcomp)
+    if hinv is None:
         # derived from hcomp, vunit and vinv, as make_2groupoid derives it
         return tgmod.make_2groupoid(level1, vertical, hcomp)
-    return tgmod.validate_2groupoid(
-        tgmod.TwoGroupoid(level1, vertical, hcomp, _pairs(e["hinv"], b.line)))
+    return tgmod.validate_2groupoid(tgmod.TwoGroupoid(level1, vertical, hcomp, hinv))
 
 
-def _build_bibundle(b, env):
-    e = b.entries
-    left = _ref(env, _first(b, "left"), b, fingrpd.Groupoid)
-    right = _ref(env, _first(b, "right"), b, fingrpd.Groupoid)
-    lact = _comp_pairs(e["lact"], b.line)
-    ract = _comp_pairs(e["ract"], b.line)
-    return bbmod.validate_bibundle(
-        left, right, e["space"], _pairs(e["lmom"], b.line),
-        _pairs(e["rmom"], b.line), lact, ract)
+def _crossing(source, target, m, extension, tau, sigma, a1, a2, b1, b2):
+    return crmod.validate_crossing(source, target, m, tau, sigma, a1, a2, b1, b2,
+                                   bool(extension))
 
 
-def _build_crossing(b, env):
-    e = b.entries
-    src = _ref(env, _first(b, "source"), b, xmmod.CrossedModule)
-    dst = _ref(env, _first(b, "target"), b, xmmod.CrossedModule)
-    m = _ref(env, _first(b, "groupoid"), b, fingrpd.Groupoid)
-    a1 = _comp_pairs(e["a1"], b.line)
-    b1 = _comp_pairs(e["b1"], b.line)
-    return crmod.validate_crossing(
-        src, dst, m, _pairs(e["tau"], b.line), _pairs(e["sigma"], b.line),
-        a1, _pairs(e["a2"], b.line), b1, _pairs(e["b2"], b.line),
-        _first(b, "extension", "no") == "yes")
-
-
-def _build_exchanger(b, env):
+def _exchanger(source, target, space, lmom, rmom, lact, ract):
     from . import exchanger as exmod
-    e = b.entries
-    src = _ref(env, _first(b, "source"), b, crmod.Crossing)
-    dst = _ref(env, _first(b, "target"), b, crmod.Crossing)
-    lact = _comp_pairs(e["lact"], b.line)
-    ract = _comp_pairs(e["ract"], b.line)
-    p = bbmod.validate_bibundle(
-        src.m, dst.m, e["space"], _pairs(e["lmom"], b.line),
-        _pairs(e["rmom"], b.line), lact, ract)
-    return exmod.validate_semi_exchanger(src, dst, p)
+    p = bbmod.validate_bibundle(source.m, target.m, space, lmom, rmom, lact, ract)
+    return exmod.validate_semi_exchanger(source, target, p)
 
 
 class MorphismBlock:
-    """Loosely-typed morphism data; interpreted by the operation using it."""
+    """Loosely-typed morphism data, an object map and an arrow map;
+    interpreted by the operation using it."""
 
-    def __init__(self, frm, to, omap, lmap, rmap, amap):
-        self.frm, self.to = frm, to
-        self.omap, self.lmap, self.rmap, self.amap = omap, lmap, rmap, amap
+    def __init__(self, omap, amap):
+        self.omap, self.amap = omap, amap
 
 
-def _build_morphism(b, env):
-    e = b.entries
-    frm = _first(b, "from")
-    to = _first(b, "to")
-    data = MorphismBlock(
-        frm, to,
-        _pairs(e.get("objects", []), b.line),
-        _pairs(e.get("left", []), b.line),
-        _pairs(e.get("right", []), b.line),
-        _pairs(e.get("map", []), b.line))
-    src, dst = (None if name is None else _ref(env, name, b) for name in (frm, to))
-    if isinstance(src, xmmod.CrossedModule) and dst is not None and data.lmap and data.rmap:
+def _morphism(b, frm, to, omap, lmap, rmap, amap):
+    omap = omap or {}
+    if isinstance(frm, xmmod.CrossedModule) and to is not None and lmap and rmap:
         # a strict morphism of crossed modules: its target is one too
-        return xmmod.validate_strict_xmorphism(
-            src, _ref(env, to, b, xmmod.CrossedModule), data.omap, data.lmap, data.rmap)
-    return data
+        if not isinstance(to, xmmod.CrossedModule):
+            raise UnresolvedReference(b.entries["to"][0], b.name)
+        return xmmod.validate_strict_xmorphism(frm, to, omap, lmap, rmap)
+    return MorphismBlock(omap, amap or {})
 
 
-def _build_zigzag(b, env):
-    from .errors import ValidationFailure, Violation
-    e = b.entries
-    modules = [_ref(env, n, b, xmmod.CrossedModule) for n in e["modules"]]
-    arrows = [_ref(env, n, b) for n in e["arrows"]]
+def _zigzag(modules, arrows, dirs):
     for i, chi in enumerate(arrows):
         if not xmmod.is_hypercover(chi):
             raise ValidationFailure([Violation("NotAHypercover", (i,))])
-    return crmod.ZigZag(modules, arrows, list(e["dirs"]))
+    return crmod.ZigZag(modules, arrows, dirs)
 
 
 _BUILDERS = {
-    "groupoid": _build_groupoid,
-    "bundle": _build_bundle,
-    "action": _build_action,
-    "two-groupoid": _build_two_groupoid,
-    "xmod": _build_xmod,
-    "bibundle": _build_bibundle,
-    "crossing": _build_crossing,
-    "exchanger": _build_exchanger,
-    "morphism": _build_morphism,
-    "zigzag": _build_zigzag,
+    "groupoid": fingrpd.validate_groupoid,
+    "bundle": _bundle,
+    "action": fingrpd.validate_action,
+    "two-groupoid": _two_groupoid,
+    "xmod": _xmod,
+    "bibundle": bbmod.validate_bibundle,
+    "crossing": _crossing,
+    "exchanger": _exchanger,
+    "zigzag": _zigzag,
 }
 
 
 # -- writers (objects -> GDF blocks) ------------------------------------------
 
 
-def _map_toks(d):
-    return sorted(f"{k}={v}" for k, v in d.items())
+def _block(kind, name, values):
+    """The block of the values, given in key order and written as SCHEMA
+    says; a None value leaves its key out."""
+    entries = {}
+    for (key, how), value in zip(SCHEMA[kind].items(), values, strict=True):
+        if value is None:
+            continue
+        if how == MAP:
+            entries[key] = [f"{k}={v}" for k, v in value.items()]
+        elif how == TABLE:
+            entries[key] = [f"{g}.{h}={k}" for (g, h), k in value.items()]
+        elif how == FLAG:
+            entries[key] = ["yes" if value else "no"]
+        elif isinstance(how, type):
+            entries[key] = [value]
+        else:
+            entries[key] = list(value)
+    return Block(kind, name, entries, 0)
 
 
-def _comp_toks(d):
-    return sorted(f"{g}.{h}={k}" for (g, h), k in d.items())
+def _tables(g):
+    return [g.objects, g.arrows, g.src, g.tgt, g.inv, g.unit, g.comp]
 
 
 def groupoid_block(name, g):
-    return Block("groupoid", name, {
-        "objects": g.objects, "arrows": g.arrows,
-        "src": _map_toks(g.src), "tgt": _map_toks(g.tgt),
-        "inv": _map_toks(g.inv), "unit": _map_toks(g.unit),
-        "comp": _comp_toks(g.comp)}, 0)
+    return _block("groupoid", name, _tables(g))
 
 
 def bundle_block(name, h):
-    return Block("bundle", name, {
-        "objects": h.objects, "arrows": h.arrows,
-        "base": _map_toks(h.src), "inv": _map_toks(h.inv),
-        "unit": _map_toks(h.unit), "comp": _comp_toks(h.comp)}, 0)
+    return _block("bundle", name, [h.objects, h.arrows, h.src, h.inv, h.unit, h.comp])
 
 
 def xmod_blocks(name, xm):
     gname, hname = f"{name}_G", f"{name}_H"
-    return [
-        groupoid_block(gname, xm.g),
-        bundle_block(hname, xm.h),
-        Block("xmod", name, {
-            "groupoid": [gname], "bundle": [hname],
-            "boundary": _map_toks(xm.boundary),
-            "act": _comp_toks(xm.action.act)}, 0),
-    ]
+    return [groupoid_block(gname, xm.g), bundle_block(hname, xm.h),
+            _block("xmod", name, [gname, hname, xm.boundary, xm.action.act])]
 
 
 def two_groupoid_block(name, tg):
-    return Block("two-groupoid", name, {
-        "objects": tg.g0, "arrows": tg.g1,
-        "src": _map_toks(tg.s), "tgt": _map_toks(tg.t),
-        "inv": _map_toks(tg.inv1), "unit": _map_toks(tg.unit1),
-        "comp": _comp_toks(tg.comp1), "cells": tg.g2,
-        "src2": _map_toks(tg.s2), "tgt2": _map_toks(tg.t2),
-        "vinv": _map_toks(tg.vinv), "vunit": _map_toks(tg.vunit),
-        "vcomp": _comp_toks(tg.vcomp), "hcomp": _comp_toks(tg.hcomp),
-        "hinv": _map_toks(tg.hinv)}, 0)
+    # the vertical groupoid's objects are the 1-cells, written once
+    return _block("two-groupoid", name, _tables(tg.level1) + _tables(tg.vertical)[1:]
+                  + [tg.hcomp, tg.hinv])
+
+
+def _bibundle_values(zb):
+    return [zb.space, zb.lmom, zb.rmom, zb.lact, zb.ract]
 
 
 def bibundle_blocks(name, zb):
     left_name, right_name = f"{name}_L", f"{name}_R"
     return [groupoid_block(left_name, zb.left), groupoid_block(right_name, zb.right),
-            Block("bibundle", name, {
-                "left": [left_name], "right": [right_name],
-                "space": sorted(zb.space), "lmom": _map_toks(zb.lmom),
-                "rmom": _map_toks(zb.rmom), "lact": _comp_toks(zb.lact),
-                "ract": _comp_toks(zb.ract)}, 0)]
+            _block("bibundle", name, [left_name, right_name] + _bibundle_values(zb))]
 
 
 def crossing_blocks(name, c, src_name=None, dst_name=None):
@@ -426,12 +394,8 @@ def crossing_blocks(name, c, src_name=None, dst_name=None):
         blocks += xmod_blocks(dst_name, c.dst)
     mname = f"{name}_M"
     blocks.append(groupoid_block(mname, c.m))
-    blocks.append(Block("crossing", name, {
-        "source": [src_name], "target": [dst_name], "groupoid": [mname],
-        "extension": ["yes" if c.is_extension else "no"],
-        "tau": _map_toks(c.tau), "sigma": _map_toks(c.sigma),
-        "a1": _comp_toks(c.a1), "a2": _map_toks(c.a2),
-        "b1": _comp_toks(c.b1), "b2": _map_toks(c.b2)}, 0))
+    blocks.append(_block("crossing", name, [
+        src_name, dst_name, mname, c.is_extension, c.tau, c.sigma, c.a1, c.a2, c.b1, c.b2]))
     return blocks
 
 
@@ -443,26 +407,19 @@ def exchanger_blocks(name, ex, src_name=None, dst_name=None):
     if dst_name is None:
         dst_name = f"{name}_B"
         blocks += crossing_blocks(dst_name, ex.target)
-    blocks.append(Block("exchanger", name, {
-        "source": [src_name], "target": [dst_name],
-        "space": sorted(ex.p.space), "lmom": _map_toks(ex.p.lmom),
-        "rmom": _map_toks(ex.p.rmom), "lact": _comp_toks(ex.p.lact),
-        "ract": _comp_toks(ex.p.ract)}, 0))
+    blocks.append(_block("exchanger", name, [src_name, dst_name] + _bibundle_values(ex.p)))
     return blocks
 
 
 def extension_blocks(name, ext):
     """A groupoid A-extension as bundle/groupoid/groupoid + morphism blocks."""
-    blocks = [bundle_block(f"{name}_A", ext.a),
-              groupoid_block(f"{name}_E", ext.e),
-              groupoid_block(f"{name}_G", ext.g),
-              Block("morphism", f"{name}_iota", {
-                  "from": [f"{name}_A"], "to": [f"{name}_E"],
-                  "map": _map_toks(ext.iota)}, 0),
-              Block("morphism", f"{name}_pi", {
-                  "from": [f"{name}_E"], "to": [f"{name}_G"],
-                  "map": _map_toks(ext.pi)}, 0)]
-    return blocks
+    return [bundle_block(f"{name}_A", ext.a),
+            groupoid_block(f"{name}_E", ext.e),
+            groupoid_block(f"{name}_G", ext.g),
+            _block("morphism", f"{name}_iota",
+                   [f"{name}_A", f"{name}_E", None, None, None, ext.iota]),
+            _block("morphism", f"{name}_pi",
+                   [f"{name}_E", f"{name}_G", None, None, None, ext.pi])]
 
 
 def document_of(blocks):

@@ -288,11 +288,14 @@ def _hcomp_ends(tg):
             if c is None:
                 violations.append(Violation("MissingHComposite", (a, b)))
                 continue
-            if s2[c] != comp1[(sa, s2[b])] or t2[c] != comp1[(ta, t2[b])]:
+            # read with get: a document's composite may be no cell
+            if s2.get(c) != comp1[(sa, s2[b])] or t2.get(c) != comp1[(ta, t2[b])]:
                 violations.append(Violation("BadHComposite", (a, b, c)))
     if want_count != len(hcomp):
         for (a, b) in hcomp:
-            if s[s2[a]] != t[s2[b]] or s[t2[a]] != t[t2[b]]:
+            # read with get: a document's key may be no cell
+            sa, ta, sb, tb = s2.get(a), t2.get(a), s2.get(b), t2.get(b)
+            if not {sa, ta, sb, tb} <= tg.g1 or s[sa] != t[sb] or s[ta] != t[tb]:
                 violations.append(Violation("SpuriousHComposite", (a, b)))
     return violations
 

@@ -61,10 +61,23 @@ def _typed():
     return gdf.print_gdf(gdf.document_of(blocks))
 
 
+def _zigzag():
+    """A zig-zag of one hypercover, the identity of SC2, so that mutations
+    reach the zigzag reader and the checks of ZigZag."""
+    sc2 = xmod.inertia_xmod(cyclic_groupoid(2))
+    ident = ["c0=c0", "c1=c1"]
+    blocks = gdf.xmod_blocks("SC2", sc2) + [
+        gdf.Block("morphism", "chi", {"from": ["SC2"], "to": ["SC2"], "objects": ["*=*"],
+                                      "left": ident, "right": ident}, 0),
+        gdf.Block("zigzag", "zz", {"modules": ["SC2", "SC2"], "arrows": ["chi"],
+                                   "dirs": ["fwd"]}, 0)]
+    return gdf.print_gdf(gdf.document_of(blocks))
+
+
 DOCUMENTS = [_read("fixtures", name) for name in ("osc2.gdf", "pair2.gdf", "sc2.gdf")] + \
     [_read("faults", "z4maps.gdf"), _generated(), _exchanger(), _typed(),
      # a two-groupoid block may leave hinv out; the reader derives it
-     re.sub(r"^  hinv:.*\n", "", _typed(), flags=re.M)]
+     re.sub(r"^  hinv:.*\n", "", _typed(), flags=re.M), _zigzag()]
 # characters a character edit writes: GDF punctuation, label characters, space
 ALPHABET = "=.,:(){}*# \nacz0189_-"
 

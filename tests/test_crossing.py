@@ -174,6 +174,18 @@ def test_zigzag_pullback_pair(sc2):
     assert cr.check_crossing(m, prime=True) == []
 
 
+def test_zigzag_checks_its_directions_and_ends(sc2):
+    _, proj = xmod.pullback_xmod(sc2, ["p0", "p1"], {"p0": "*", "p1": "*"})
+    c3 = xmod.inertia_xmod(cyclic_groupoid(3))
+    for modules, dirs, code in [([proj.dom, sc2], ["sideways"], "BadZigZagDirection"),
+                                ([c3, sc2], ["fwd"], "BadZigZagArrow"),
+                                ([proj.dom, sc2], ["bwd"], "BadZigZagArrow")]:
+        with pytest.raises(ValidationFailure) as e:
+            cr.ZigZag(modules, [proj], dirs)
+        assert e.value.codes == [code]
+    assert cr.ZigZag([sc2, proj.dom], [proj], ["bwd"]).directions == ["bwd"]
+
+
 def test_zigzag_rebracketing(sc2):
     chi = xmod.identity_xmorphism(sc2)
     z3 = cr.ZigZag([sc2] * 4, [chi] * 3, ["fwd"] * 3)

@@ -411,6 +411,8 @@ def test_cap_iso_bounds_the_isotropy_search_of_morita_witness(cap, code, capsys)
     ("fixtures/pair2.gdf", "  objects: a b", "  objects: { a b", 2),
     # an object map whose keys are arrows: exit 1, not a KeyError
     ("faults/z4maps.gdf", "  objects: *=*\n  left:", "  left: *=*\n  objects:", 1),
+    # a strict morphism without its object map: exit 1, not a TypeError
+    ("faults/z4maps.gdf", "  objects: *=*\n", "", 1),
 ])
 def test_malformed_entries_end_in_an_exit_code(path, old, new, code, tmp_path, capsys):
     with open(os.path.join(os.path.dirname(__file__), path)) as fh:
@@ -420,6 +422,28 @@ def test_malformed_entries_end_in_an_exit_code(path, old, new, code, tmp_path, c
     p.write_text(text.replace(old, new))
     assert run_cli(["check", str(p)]) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fixture_name, old, new, message", [
+    ("sc2.gdf", "  groupoid: SC2_G", "  groupoid:",
+     "'groupoid:' line without a token in xmod SC2"),
+    ("osc2.gdf", "  source: OSC2_src", "  source: OSC2_src OSC2_dst",
+     "'source:' line with 2 tokens in crossing OSC2; it takes one"),
+    ("osc2.gdf", "  extension: yes", "  extension: yes yes",
+     "'extension:' line with 2 tokens in crossing OSC2; it takes one"),
+    # read as "no" once, which checked a plain crossing without CR3'
+    ("osc2.gdf", "  extension: yes", "  extension: true",
+     "'extension:' line with 'true' in crossing OSC2; it takes yes or no"),
+])
+def test_reference_and_flag_lines_hold_one_token(fixture_name, old, new, message,
+                                                 tmp_path, capsys):
+    with open(fixture(fixture_name)) as fh:
+        text = fh.read()
+    assert text.count(old) == 1
+    p = tmp_path / "in.gdf"
+    p.write_text(text.replace(old, new))
+    assert run_cli(["check", str(p)]) == cli.EXIT_SYNTAX
+    assert message in capsys.readouterr().err
 
 
 def test_an_empty_entry_line_prints_and_parses_back():
@@ -495,3 +519,42 @@ def test_zigzag_block_rejects_mismatched_lengths_under_optimize(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == cli.EXIT_VALIDATION, proc.stderr
     assert "BadZigZagLength: FAIL witness=(2, 1, 2)" in proc.stdout
+
+
+def _zigzag_file(tmp_path, blocks=(), **zigzag):
+    """SC2, its identity morphism chi, the blocks, then a zigzag zz whose
+    keys default to modules SC2 SC2, arrows chi, dirs fwd."""
+    sc2 = xmod.inertia_xmod(fingrpd.cyclic_groupoid(2))
+    ident = ["c0=c0", "c1=c1"]
+    doc = gdf.xmod_blocks("SC2", sc2) + [gdf.Block("morphism", "chi", {
+        "from": ["SC2"], "to": ["SC2"], "objects": ["*=*"], "left": ident,
+        "right": ident}, 0)] + list(blocks)
+    doc.append(gdf.Block("zigzag", "zz", {
+        "modules": ["SC2", "SC2"], "arrows": ["chi"], "dirs": ["fwd"], **zigzag}, 0))
+    p = tmp_path / "zz.gdf"
+    p.write_text(gdf.print_gdf(gdf.document_of(doc)))
+    return str(p)
+
+
+C3 = gdf.xmod_blocks("C3", xmod.inertia_xmod(fingrpd.cyclic_groupoid(3)))
+
+
+@pytest.mark.parametrize("zigzag, blocks, found", [
+    # arrows that are no strict morphisms: a loose morphism block, a groupoid
+    ({"arrows": ["loose"]}, [gdf.Block("morphism", "loose", {"map": ["c0=c0", "c1=c1"]}, 0)],
+     "references unknown name 'loose'"),
+    ({"arrows": ["SC2_G"]}, [], "references unknown name 'SC2_G'"),
+    ({"dirs": ["sideways"]}, [], "BadZigZagDirection: FAIL witness=(0, 'sideways')"),
+    # chi runs SC2 -> SC2, not C3 -> C3
+    ({"modules": ["C3", "C3"]}, C3, "BadZigZagArrow: FAIL witness=(0, 'fwd')"),
+])
+def test_a_zigzag_block_checks_what_it_is_given(zigzag, blocks, found, tmp_path, capsys):
+    assert run_cli(["check", _zigzag_file(tmp_path, blocks, **zigzag)]) == cli.EXIT_VALIDATION
+    assert found in capsys.readouterr().out
+
+
+def test_the_crossing_writer_prints_the_fixture_it_was_read_from():
+    with open(fixture("osc2.gdf")) as fh:
+        text = fh.read()
+    c = gdf.build_document(gdf.parse_gdf(text))["OSC2"]
+    assert gdf.print_gdf(gdf.document_of(gdf.crossing_blocks("OSC2", c))) == text

@@ -48,7 +48,7 @@ def names_used(node):
 def defined_names(top):
     """Names a top-level statement defines: a function, a class, or the
     plain names a module-level assignment binds, dunders excepted."""
-    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return [top.name]
     targets = top.targets if isinstance(top, ast.Assign) else \
         [top.target] if isinstance(top, (ast.AnnAssign, ast.AugAssign)) else []
@@ -258,13 +258,14 @@ def test_every_imported_name_is_read():
 def test_constructed_groupoids_go_through_groupoid_of_parts():
     # a construction builds its groupoid or group bundle with
     # fingrpd.groupoid_of_parts; only the builder, the bundle validator, the
-    # GDF reader and the merge of generated blocks validate tables directly
+    # GDF reader and the merge of generated blocks validate tables directly,
+    # by a call or, in the reader's table of builders, by a reference
     callers = {"validate_groupoid": set(), "validate_group_bundle": set()}
     for module, tree in library_modules():
         for top in tree.body:
-            for call in calls(top, *callers):
-                name = getattr(call.func, "id", None) or call.func.attr
-                callers[name].add(module if module == "gdf" else f"{module}.{top.name}")
+            for name in names_used(top):
+                if name in callers:
+                    callers[name].add(module if module == "gdf" else f"{module}.{top.name}")
     assert callers == {
         "validate_groupoid": {"fingrpd.groupoid_of_parts", "fingrpd.validate_group_bundle",
                               "gdf", "generators._merge"},
@@ -305,17 +306,27 @@ def test_labels_are_read_from_parts_tables():
 # the second bodies that certificates once had beside their sweeps: a law
 # is one function, run on the generators by the certificate and on every
 # instance by the sweep; and the morphism out of a bullet that the weak-unit
-# witnesses once built beside the unitors' (exchanger._read_off)
+# witnesses once built beside the unitors' (exchanger._read_off); and the
+# GDF format's key tables and first-token reader, which gdf.SCHEMA and
+# gdf._read replaced
 RETIRED_BODIES = {"_light_certifies", "_laws_certify", "_action_sweep", "_commuting_sweep",
-                  "_unique_division", "_hom_certifies", "bullet_to_trivial"}
+                  "_unique_division", "_hom_certifies", "bullet_to_trivial",
+                  "KEY_ORDER", "REQUIRED", "_ORDERED_KEYS", "_first"}
 
 
 def test_each_certified_law_has_one_body():
-    found = [(module, sub.name, sub.lineno) for module, tree in library_modules()
-             for sub in ast.walk(tree)
-             if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-             and sub.name in RETIRED_BODIES]
+    found = [(module, name) for module, tree in library_modules()
+             for sub in ast.walk(tree) if isinstance(sub, ast.stmt)
+             for name in defined_names(sub) if name in RETIRED_BODIES]
     assert found == []
+
+
+def test_gdf_format_is_read_through_the_schema():
+    # gdf.SCHEMA says how each key reads, and gdf._read alone reads it: no
+    # builder turns a block's tokens into maps or tables itself
+    found = [(module, getattr(top, "name", None)) for module, tree in library_modules()
+             for top in tree.body for _ in calls(top, "_pairs", "_comp_pairs")]
+    assert set(found) == {("gdf", "_read")}
 
 
 def test_xmod_builds_whiskers_not_hcomp():

@@ -75,6 +75,18 @@ def test_corrupt_starH_interchange(c2):
                           "BadHInverse") for v in violations)
 
 
+def test_an_hcomp_entry_that_names_no_cell_is_a_violation(c2):
+    # as a GDF block may write it: a composite or a key that is no cell
+    tg = from_groupoid(c2)
+    e1 = pair("1", "c1")
+    for key, value, code in [((e1, e1), "(c", "BadHComposite"),
+                             (("(c", e1), e1, "SpuriousHComposite")]:
+        bad = dict(tg.hcomp)
+        bad[key] = value
+        broken = twogpd.TwoGroupoid(tg.level1, tg.vertical, bad, tg.hinv)
+        assert code in [v.code for v in twogpd.check_2groupoid(broken)]
+
+
 def test_cover_projection_identities(pair2):
     f, dom, cod = cover_projection(pair2, U)
     # phi^1(i,g,j) = phi^2(i,i,g,g,j,j) = g
