@@ -463,23 +463,28 @@ def test_console_script_installed():
     assert "[PASS]" in proc.stdout
 
 
-def test_zigzag_block_builds_and_folds(tmp_path):
+def _zigzag_file(tmp_path, blocks=(), **zigzag):
+    """SC2, its identity morphism chi, the blocks, then a zigzag zz whose
+    keys default to modules SC2 SC2, arrows chi, dirs fwd."""
     sc2 = xmod.inertia_xmod(fingrpd.cyclic_groupoid(2))
-    blocks = gdf.xmod_blocks("SC2", sc2)
-    blocks.append(gdf.Block("morphism", "chi", {
-        "from": ["SC2"], "to": ["SC2"],
-        "objects": ["*=*"],
-        "left": ["c0=c0", "c1=c1"],
-        "right": ["c0=c0", "c1=c1"]}, 0))
-    blocks.append(gdf.Block("zigzag", "zz", {
-        "modules": ["SC2", "SC2"], "arrows": ["chi"], "dirs": ["fwd"]}, 0))
-    text = gdf.print_gdf(gdf.document_of(blocks))
+    ident = ["c0=c0", "c1=c1"]
+    doc = gdf.xmod_blocks("SC2", sc2) + [gdf.Block("morphism", "chi", {
+        "from": ["SC2"], "to": ["SC2"], "objects": ["*=*"], "left": ident,
+        "right": ident}, 0)] + list(blocks)
+    doc.append(gdf.Block("zigzag", "zz", {
+        "modules": ["SC2", "SC2"], "arrows": ["chi"], "dirs": ["fwd"], **zigzag}, 0))
     p = tmp_path / "zz.gdf"
-    p.write_text(text)
-    env = gdf.build_document(gdf.parse_gdf(text))
+    p.write_text(gdf.print_gdf(gdf.document_of(doc)))
+    return str(p)
+
+
+def test_zigzag_block_builds_and_folds(tmp_path):
+    path = _zigzag_file(tmp_path)
+    with open(path) as fh:
+        env = gdf.build_document(gdf.parse_gdf(fh.read()))
     folded = cr.zigzag_to_xext(env["zz"])
     assert folded.is_extension
-    assert run_cli(["check", str(p)]) == cli.EXIT_OK
+    assert run_cli(["check", path]) == cli.EXIT_OK
 
 
 def test_zigzag_block_rejects_non_hypercover(tmp_path):
@@ -501,39 +506,14 @@ def test_zigzag_block_rejects_non_hypercover(tmp_path):
 
 def test_zigzag_block_rejects_mismatched_lengths_under_optimize(tmp_path):
     # two directions for one arrow: exit 1, also where asserts are stripped
-    sc2 = xmod.inertia_xmod(fingrpd.cyclic_groupoid(2))
-    blocks = gdf.xmod_blocks("SC2", sc2)
-    blocks.append(gdf.Block("morphism", "chi", {
-        "from": ["SC2"], "to": ["SC2"],
-        "objects": ["*=*"],
-        "left": ["c0=c0", "c1=c1"],
-        "right": ["c0=c0", "c1=c1"]}, 0))
-    blocks.append(gdf.Block("zigzag", "zz", {
-        "modules": ["SC2", "SC2"], "arrows": ["chi"], "dirs": ["fwd", "bwd"]}, 0))
-    p = tmp_path / "zz3.gdf"
-    p.write_text(gdf.print_gdf(gdf.document_of(blocks)))
+    p = _zigzag_file(tmp_path, dirs=["fwd", "bwd"])
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [q for q in [os.environ.get("PYTHONPATH")] if q]))
-    proc = subprocess.run([sys.executable, "-O", "-m", "xmodforge.cli", "check", str(p)],
+    proc = subprocess.run([sys.executable, "-O", "-m", "xmodforge.cli", "check", p],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == cli.EXIT_VALIDATION, proc.stderr
     assert "BadZigZagLength: FAIL witness=(2, 1, 2)" in proc.stdout
-
-
-def _zigzag_file(tmp_path, blocks=(), **zigzag):
-    """SC2, its identity morphism chi, the blocks, then a zigzag zz whose
-    keys default to modules SC2 SC2, arrows chi, dirs fwd."""
-    sc2 = xmod.inertia_xmod(fingrpd.cyclic_groupoid(2))
-    ident = ["c0=c0", "c1=c1"]
-    doc = gdf.xmod_blocks("SC2", sc2) + [gdf.Block("morphism", "chi", {
-        "from": ["SC2"], "to": ["SC2"], "objects": ["*=*"], "left": ident,
-        "right": ident}, 0)] + list(blocks)
-    doc.append(gdf.Block("zigzag", "zz", {
-        "modules": ["SC2", "SC2"], "arrows": ["chi"], "dirs": ["fwd"], **zigzag}, 0))
-    p = tmp_path / "zz.gdf"
-    p.write_text(gdf.print_gdf(gdf.document_of(doc)))
-    return str(p)
 
 
 C3 = gdf.xmod_blocks("C3", xmod.inertia_xmod(fingrpd.cyclic_groupoid(3)))
