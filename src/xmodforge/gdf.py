@@ -87,6 +87,20 @@ class Block:
         self.name = name
         self.entries = entries  # key -> list of tokens
         self.line = line
+        # (key, line number, tokens on it) for each key line, in file order,
+        # as parse_gdf read them: one append per line keeps the parser fast
+        self.lines = []
+
+    def line_of(self, key, index=0):
+        """The line that holds the key's token at index: the key's first
+        line when no line holds one, and the block's own line when the
+        block was not parsed."""
+        spans = [(line, count) for k, line, count in self.lines if k == key]
+        for line, count in spans:
+            if index < count:
+                return line
+            index -= count
+        return spans[0][0] if spans else self.line
 
 
 class GDFDocument:
@@ -150,6 +164,7 @@ def parse_gdf(text):
             # printed last on its line, such a token would open a block
             raise GDFSyntaxError(lineno, "a token may not end with '{'")
         current.entries.setdefault(key, []).extend(toks)
+        current.lines.append((key, lineno, len(toks)))
     if current is not None:
         raise GDFSyntaxError(current.line, "unterminated block")
     return GDFDocument(blocks)
@@ -173,24 +188,25 @@ def print_gdf(doc):
     return "\n".join(out) + "\n"
 
 
-def _pairs(tokens, line):
+def _pairs(block, key):
     out = {}
-    for tok in tokens:
+    for i, tok in enumerate(block.entries[key]):
         if "=" not in tok:
-            raise GDFSyntaxError(line, f"expected key=value, got {tok!r}")
+            raise GDFSyntaxError(block.line_of(key, i), f"expected key=value, got {tok!r}")
         k, v = tok.rsplit("=", 1)
         out[k] = v
     return out
 
 
-def _comp_pairs(tokens, line):
+def _comp_pairs(block, key):
     out = {}
-    for tok in tokens:
+    for i, tok in enumerate(block.entries[key]):
         if "=" not in tok:
-            raise GDFSyntaxError(line, f"expected g.h=k, got {tok!r}")
+            raise GDFSyntaxError(block.line_of(key, i), f"expected g.h=k, got {tok!r}")
         k, v = tok.rsplit("=", 1)
         if "." not in k:
-            raise GDFSyntaxError(line, f"expected g.h on the left of {tok!r}")
+            raise GDFSyntaxError(block.line_of(key, i),
+                                 f"expected g.h on the left of {tok!r}")
         g, h = k.split(".", 1)
         out[(g, h)] = v
     return out
@@ -225,9 +241,9 @@ def _read(block, env):
         if toks is None or how in (LABELS, ORDERED):
             values.append(toks)
         elif how == MAP:
-            values.append(_pairs(toks, block.line))
+            values.append(_pairs(block, key))
         elif how == TABLE:
-            values.append(_comp_pairs(toks, block.line))
+            values.append(_comp_pairs(block, key))
         elif isinstance(how, list):
             values.append([_ref(env, name, block, how[0]) for name in toks])
         elif how == FLAG:
@@ -239,17 +255,19 @@ def _read(block, env):
 
 def _one(block, key, toks, choices=None):
     """The one token of a reference or flag line; a line with no token, with
-    more than one, or with a flag other than the choices is a syntax error."""
+    more than one, or with a flag other than the choices is a syntax error,
+    reported at the key's line, the line of its second token or that of
+    the flag."""
     if not toks:
-        problem, want = "without a token", ""
+        problem, want, at = "without a token", "", 0
     elif len(toks) > 1:
-        problem, want = f"with {len(toks)} tokens", "; it takes one"
+        problem, want, at = f"with {len(toks)} tokens", "; it takes one", 1
     elif choices and toks[0] not in choices:
-        problem, want = f"with {toks[0]!r}", f"; it takes {' or '.join(choices)}"
+        problem, want, at = f"with {toks[0]!r}", f"; it takes {' or '.join(choices)}", 0
     else:
         return toks[0]
-    raise GDFSyntaxError(block.line, f"'{key}:' line {problem} in "
-                                     f"{block.kind} {block.name}{want}")
+    raise GDFSyntaxError(block.line_of(key, at), f"'{key}:' line {problem} in "
+                                                 f"{block.kind} {block.name}{want}")
 
 
 def _ref(env, name, block, want):

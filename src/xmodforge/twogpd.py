@@ -781,43 +781,52 @@ def check_strong_equivalence(f, k, u, v):
 def check_weak_equivalence(f):
     """Report {WE1, WE2, WE3} for a validated strict homomorphism."""
     d, c = f.dom, f.cod
+    return weak_equivalence_report(d.level1, d.vertical, c.level1, c.vertical,
+                                   f.m0, f.m1, f.m2)
+
+
+def weak_equivalence_report(dom1, domv, cod1, codv, m0, m1, m2):
+    """{WE1, WE2, WE3} of the maps (m0, m1, m2) between two 2-groupoids,
+    each given by its level-1 groupoid and its vertical groupoid (dom1,
+    domv and cod1, codv): the conditions read nothing else, and no
+    horizontal composite."""
     report = {}
 
-    hit = {c.s[n] for x in d.g0 for n in c.level1.arrows_to(f.m0[x])}
-    report["WE1"] = hit == c.g0
+    hit = {cod1.src[n] for x in dom1.objects for n in cod1.arrows_to(m0[x])}
+    report["WE1"] = hit == cod1.objects
 
     obj_pre = {}
-    for x in d.g0:
-        obj_pre.setdefault(f.m0[x], []).append(x)
+    for x in dom1.objects:
+        obj_pre.setdefault(m0[x], []).append(x)
     want = set()
-    for gamma in c.g1:
-        for x in obj_pre.get(c.t[gamma], ()):
-            for y in obj_pre.get(c.s[gamma], ()):
+    for gamma in cod1.arrows:
+        for x in obj_pre.get(cod1.tgt[gamma], ()):
+            for y in obj_pre.get(cod1.src[gamma], ()):
                 want.add((x, gamma, y))
     got = set()
-    for g in d.g1:
-        for b in c.vertical.arrows_to(f.m1[g]):
-            got.add((d.t[g], c.s2[b], d.s[g]))
+    for g in dom1.arrows:
+        for b in codv.arrows_to(m1[g]):
+            got.add((dom1.tgt[g], codv.src[b], dom1.src[g]))
     report["WE2"] = want <= got
 
     # WE3: a -> (s2(a), t2(a), f(a)) bijects onto the fibered product taken
     # over bigon-compatible 1-cell pairs: parallel pairs, plus pairs already
     # witnessed by a domain 2-cell (the cover 2-groupoid's loose bigons).
-    connected = {(d.s2[a], d.t2[a]) for a in d.g2}
+    connected = {(domv.src[a], domv.tgt[a]) for a in domv.arrows}
     arr_pre = {}
-    for g in d.g1:
-        arr_pre.setdefault(f.m1[g], []).append(g)
+    for g in dom1.arrows:
+        arr_pre.setdefault(m1[g], []).append(g)
     fib = set()
-    for b in c.g2:
-        for u in arr_pre.get(c.s2[b], ()):
-            for v in arr_pre.get(c.t2[b], ()):
-                parallel = d.s[u] == d.s[v] and d.t[u] == d.t[v]
+    for b in codv.arrows:
+        for u in arr_pre.get(codv.src[b], ()):
+            for v in arr_pre.get(codv.tgt[b], ()):
+                parallel = dom1.src[u] == dom1.src[v] and dom1.tgt[u] == dom1.tgt[v]
                 if parallel or (u, v) in connected:
                     fib.add((u, v, b))
     image = {}
     ok = True
-    for a in d.g2:
-        key = (d.s2[a], d.t2[a], f.m2[a])
+    for a in domv.arrows:
+        key = (domv.src[a], domv.tgt[a], m2[a])
         if key in image:
             ok = False
         image[key] = a

@@ -3,7 +3,6 @@
 Tuple labels "(a,b,...)" and class labels "{rep}" are built and read only
 here: pair/unpair and cls_label/strip_class."""
 
-from collections.abc import KeysView
 from functools import lru_cache
 
 from .errors import CoherenceFailure, SizeLimitExceeded
@@ -40,12 +39,19 @@ def unpair(label, n=None):
     return tuple(parts)
 
 
+# the type of a dict's keys view, the type of every label set
+_DICT_KEYS = type({}.keys())
+
+
 def labelset(xs):
     """xs as a label set: a set-like view (O(1) `in` and `len`; `==`, `&`,
     `|` and `-` against sets) that iterates in label order.  This is the only
     place that fixes the order, so no witness depends on the hash seed.  A
-    keys view is taken to be a label set already and returned as is."""
-    if isinstance(xs, KeysView):
+    dict's keys view is taken to be a label set already and returned as is;
+    its type is tested exactly, since an isinstance test against the
+    KeysView ABC costs ten times as much on a path that runs dozens of
+    times per construction.  Any other input is sorted into a new one."""
+    if type(xs) is _DICT_KEYS:
         return xs
     return dict.fromkeys(sorted(set(xs))).keys()
 

@@ -17,13 +17,20 @@ from .util import pair
 class CrossedModule:
     """(G, H, boundary, action) with H a group bundle over G^0, boundary a
     strict morphism over the identity of G^0, and an action of G on H by
-    automorphisms satisfying the two crossed-module axioms."""
+    automorphisms satisfying the two crossed-module axioms.
+
+    validate_crossed_module marks it validated when it also holds that G
+    and H are validated groupoids and the action a validated action of
+    G on H: then every table it is made of has been checked, and the
+    hypercover test reads it without building its 2-groupoid."""
 
     def __init__(self, g, h, boundary, action):
         self.g = g
         self.h = h
         self.boundary = dict(boundary)  # H-arrow -> G-arrow
         self.action = action            # ActionByAutomorphisms(g, h, act)
+        self.validated = False          # set by validate_crossed_module
+        self._vertical = None           # vertical_groupoid's memo
         self._vertical2 = None          # xmod_to_2groupoid's memo
 
     def act(self, garrow, harrow):
@@ -61,8 +68,13 @@ def check_crossed_module(xm):
 
 
 def validate_crossed_module(g, h, boundary, action):
+    """The crossed module, marked validated on validated parts (see
+    CrossedModule).  Raises ValidationFailure."""
     xm = CrossedModule(g, h, boundary, action)
-    return require(xm, check_crossed_module(xm))
+    require(xm, check_crossed_module(xm))
+    xm.validated = (g.validated and h.validated and action.validated
+                    and action.base is g and action.bundle is h)
+    return xm
 
 
 # -- stock crossed modules -------------------------------------------------
@@ -195,6 +207,7 @@ class StrictXMorphism:
         self.omap = dict(omap)
         self.lmap = dict(lmap)  # H1 -> H2
         self.rmap = dict(rmap)  # G1 -> G2
+        self.validated = False  # set by validate_strict_xmorphism
 
     def left(self):
         return GroupoidMorphism(self.dom.h, self.cod.h, self.omap, self.lmap)
@@ -233,8 +246,10 @@ def check_strict_xmorphism(chi):
 
 
 def validate_strict_xmorphism(dom, cod, omap, lmap, rmap):
+    """The strict morphism, marked validated.  Raises ValidationFailure."""
     chi = StrictXMorphism(dom, cod, omap, lmap, rmap)
-    return require(chi, check_strict_xmorphism(chi))
+    require(chi, check_strict_xmorphism(chi)).validated = True
+    return chi
 
 
 def identity_xmorphism(xm):
@@ -262,7 +277,11 @@ def vertical_groupoid(xm):
     """H x| G ==> G, the vertical groupoid of the associated 2-groupoid, on
     the arrows of G: cells (h,g): g => boundary(h) g, with parts (h, g).
     Every inverse, unit and composite takes its label from the cell of its
-    parts rather than building it again."""
+    parts rather than building it again.  Memoized per crossed-module
+    instance (immutable after validation), so every morphism into or out
+    of xm reads one groupoid."""
+    if xm._vertical is not None:
+        return xm._vertical
     g, h = xm.g, xm.h
     cells = {pair(hh, gg): (hh, gg) for gg in g.arrows for hh in h.fiber(g.tgt[gg])}
     label = {r: a for a, r in cells.items()}
@@ -270,17 +289,18 @@ def vertical_groupoid(xm):
     def target(r):
         return g.comp[(xm.boundary[r[0]], r[1])]
 
-    return groupoid_of_parts(
+    xm._vertical = groupoid_of_parts(
         g.arrows, cells, lambda r: r[1], target,
         lambda r: label[(h.inv[r[0]], target(r))],
         lambda gg: label[(h.unit[g.tgt[gg]], gg)],
         lambda r, r2: label[(h.comp[(r[0], r2[0])], r2[1])])  # function order: r2 then r
+    return xm._vertical
 
 
 def xmod_to_2groupoid(xm):
     """The vertical semidirect product 2-groupoid of a crossed module: xm.g
-    is its level-1 groupoid, vertical_groupoid(xm) its vertical one, and
-    the (h, g) parts of its cells are its level-2 parts.  It is built from
+    is its level-1 groupoid, vertical_groupoid(xm) (memoized) its vertical
+    one, and the (h, g) parts of its cells are its level-2 parts.  It is built from
     its whiskers, (h, g) *h 1_k = (h, g k) and 1_k *h (h, g) =
     (h^{k^-1}, k g), and its hcomp, (h, g) *h (h', g') = (h h'^{g^-1}, g g'),
     is computed from them (twogpd.WhiskeredHComp).  Memoized per
@@ -565,23 +585,68 @@ def semidirect_iso_under_transformation(tmap, lam, chi, kappa):
 
 def hypercover_report(chi):
     """{WE1, WE2, WE3} of the homomorphism of vertical 2-groupoids induced
-    by a strict morphism; chi is a hypercover iff all three hold."""
-    f, _, _ = hom2_from_xmorphism(chi)
-    return tgd.check_weak_equivalence(f)
+    by a strict morphism; chi is a hypercover iff all three hold.
+
+    The three conditions read only the level-1 groupoids G1 and G2 of the
+    ends, their vertical groupoids and the maps (m0, m1, m2) =
+    (chi.omap, chi.rmap, (h, g) -> (lmap h, rmap g)), and so does the
+    report here when chi and both its ends are marked validated: it
+    builds the vertical functor (m1, m2) on the memoized vertical
+    groupoids, validates it and reads WE1-WE3 off it
+    (twogpd.weak_equivalence_report).  It builds neither 2-groupoid and no
+    StrictHom2, and the checks it skips cannot fail on such inputs.
+    Crossed modules over groupoids are equivalent to strict 2-groupoids,
+    and strict morphisms of crossed modules to strict 2-functors (Brown,
+    Higgins & Sivera, Nonabelian Algebraic Topology, EMS Tracts 15, 2011,
+    section 6):
+      xmod_to_2groupoid: its levels are G and the vertical groupoid, both
+           validated groupoids; its whiskers and hcomp are those of the
+           semidirect product H x| G, whose laws (check_2groupoid's (V),
+           (D), (W1) and (W2), the whisker ends) follow from the action's
+           laws (validate_action) and the two crossed-module axioms; and
+           the h-inverses make_2groupoid derives, vinv(1 *h a *h 1), are
+           the inverses of that product.
+      validate_strict_hom2: m0 and m1 are chi.right(), a functor that
+           validate_strict_xmorphism checked; m2 sends a cell to a cell
+           with the ends m1 gives, and preserves vertical composition and
+           units, as the functor check of the vertical functor here
+           confirms; and it preserves the whiskers, hence hcomp, since
+           chi.left() is a functor that commutes with the boundaries and
+           is equivariant along chi.right().
+    Any other input, whose marks are missing (a composite from then, an
+    object built by hand), takes the full route: both 2-groupoids and the
+    StrictHom2 are built and validated, and their failures raise as they
+    did."""
+    return _weak_equivalence(chi)[0]
+
+
+def _weak_equivalence(chi):
+    """(chi's WE report, a function that gives chi's vertical functor,
+    validated), on the route hypercover_report says."""
+    if chi.validated and chi.dom.validated and chi.cod.validated:
+        dom, cod = vertical_groupoid(chi.dom), vertical_groupoid(chi.cod)
+        m2 = {cell: pair(chi.lmap[hh], chi.rmap[gg]) for cell, (hh, gg) in dom.parts.items()}
+        fv = validate_groupoid_morphism(dom, cod, chi.rmap, m2)
+        report = tgd.weak_equivalence_report(chi.dom.g, dom, chi.cod.g, cod,
+                                             chi.omap, chi.rmap, m2)
+        return report, lambda: fv
+    f, dom2, cod2 = hom2_from_xmorphism(chi)
+    return tgd.check_weak_equivalence(f), lambda: validate_groupoid_morphism(
+        dom2.vertical, cod2.vertical, dict(f.m1), dict(f.m2))
 
 
 def check_hypercover(chi):
     """A strict morphism is a hypercover iff the induced homomorphism of
     vertical 2-groupoids is a weak equivalence. Returns (report dict,
-    witness bibundle or None). The witness realizes the Morita equivalence
-    of the vertical semidirect groupoids when the check passes."""
-    f, dom2, cod2 = hom2_from_xmorphism(chi)
-    report = tgd.check_weak_equivalence(f)
+    witness bibundle or None). When the check passes, the witness is
+    bibundle_from_hom of the vertical functor if that is a Morita
+    equivalence of the vertical semidirect groupoids; otherwise it is None
+    and the report gains WitnessMorita: False.  It takes the route that
+    hypercover_report takes."""
+    report, vertical = _weak_equivalence(chi)
     witness = None
     if all(report.values()):
-        fmor = validate_groupoid_morphism(dom2.vertical, cod2.vertical,
-                                          dict(f.m1), dict(f.m2))
-        zb = bb.bibundle_from_hom(fmor)
+        zb = bb.bibundle_from_hom(vertical())
         ok, _ = bb.is_morita(zb)
         if ok:
             witness = zb
@@ -591,7 +656,8 @@ def check_hypercover(chi):
 
 
 def is_hypercover(chi):
-    """WE1-WE3 of the induced 2-groupoid homomorphism (the definition).
-    Builds no witness bibundle; check_hypercover does, and it may be absent
-    in corner cases where the unit-space map misses objects."""
+    """WE1-WE3 of the induced 2-groupoid homomorphism (the definition), by
+    hypercover_report.  Builds no witness bibundle; check_hypercover does,
+    and withholds it when it is no Morita equivalence, as on many
+    hypercovers whose object map is not injective."""
     return all(hypercover_report(chi).values())

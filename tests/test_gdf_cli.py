@@ -446,6 +446,38 @@ def test_reference_and_flag_lines_hold_one_token(fixture_name, old, new, message
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fixture_name, old, new, message", [
+    # a table token without '=', on the first comp: line
+    ("sc2.gdf", "  comp: c0.c0=c0 c0.c1=c1 c1.c0=c1 c1.c1=c0\n}\nbundle",
+     "  comp: c0.c0=c0 c0.c1=c1 c1.c0=c1 c1.c1=c0 boundary\n}\nbundle",
+     "line 8: expected g.h=k, got 'boundary'"),
+    # a map token without '='
+    ("sc2.gdf", "  inv: c0=c0 c1=c1\n  unit: *=c0\n  comp: c0.c0=c0 c0.c1=c1 c1.c0=c1 c1.c1=c0\n}\nxmod",
+     "  inv: c0=c0 c1\n  unit: *=c0\n  comp: c0.c0=c0 c0.c1=c1 c1.c0=c1 c1.c1=c0\n}\nxmod",
+     "line 14: expected key=value, got 'c1'"),
+    # a key on two lines, the bad token on the second
+    ("sc2.gdf", "  comp: c0.c0=c0 c0.c1=c1 c1.c0=c1 c1.c1=c0\n}\nbundle",
+     "  comp: c0.c0=c0 c0.c1=c1\n  comp: c1.c0=c1 c1c1=c0\n}\nbundle",
+     "line 9: expected g.h on the left of 'c1c1=c0'"),
+    ("sc2.gdf", "  groupoid: SC2_G", "  groupoid:",
+     "line 19: 'groupoid:' line without a token"),
+    # the second reference is the one too many
+    ("osc2.gdf", "  source: OSC2_src", "  source: OSC2_src\n  source: OSC2_dst",
+     "line 59: 'source:' line with 2 tokens"),
+    ("osc2.gdf", "  extension: yes", "  extension: true",
+     "line 61: 'extension:' line with 'true'"),
+])
+def test_a_bad_token_is_reported_at_its_own_line(fixture_name, old, new, message,
+                                                 tmp_path, capsys):
+    with open(fixture(fixture_name)) as fh:
+        text = fh.read()
+    assert text.count(old) == 1
+    p = tmp_path / "in.gdf"
+    p.write_text(text.replace(old, new))
+    assert run_cli(["check", str(p)]) == cli.EXIT_SYNTAX
+    assert message in capsys.readouterr().err
+
+
 def test_an_empty_entry_line_prints_and_parses_back():
     with open(fixture("sc2.gdf")) as fh:
         text = fh.read().replace("  unit: *=c0\n  comp: c0.c0=c0 c0.c1=c1 c1.c0=c1 c1.c1=c0\n}\nxmod",
