@@ -27,10 +27,18 @@ EXIT_CAP = 3
 
 def _load(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return gdf.parse_gdf(fh.read())
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         raise gdf.GDFSyntaxError(0, str(e))
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # the bytes before the first bad one decode; count their lines as
+        # parse_gdf does
+        line = len((data[:e.start].decode("utf-8") + "x").splitlines())
+        raise gdf.GDFSyntaxError(line, f"byte 0x{data[e.start]:02x} is not UTF-8") from None
+    return gdf.parse_gdf(text)
 
 
 class Report:

@@ -177,20 +177,24 @@ def _check_groupoid(objects, arrows, src, tgt, inv, unit, comp, want_generators)
         by_src.setdefault(src[h], []).append(h)
         by_tgt.setdefault(tgt[h], []).append(h)
 
-    # comp total exactly on {(g,h): src(g)=tgt(h)}
+    # comp total exactly on {(g,h): src(g)=tgt(h)}; pairs counts the
+    # composable keys, so the other len(comp) - pairs keys are spurious
+    pairs = 0
     for g in arrows:
         for h in by_tgt.get(src[g], ()):
             if (g, h) not in comp:
                 violations.append(Violation("MissingComposite", (g, h)))
                 continue
+            pairs += 1
             k = comp[(g, h)]
             if k not in arrows:
                 violations.append(Violation("MissingComposite", (g, h), "image not an arrow"))
             elif src[k] != src[h] or tgt[k] != tgt[g]:
                 violations.append(Violation("BadComposite", (g, h, k), "endpoint mismatch"))
-    for (g, h) in comp:
-        if g not in arrows or h not in arrows or src[g] != tgt[h]:
-            violations.append(Violation("SpuriousComposite", (g, h)))
+    if len(comp) != pairs:
+        for (g, h) in comp:
+            if g not in arrows or h not in arrows or src[g] != tgt[h]:
+                violations.append(Violation("SpuriousComposite", (g, h)))
     if violations:
         return violations, None
 

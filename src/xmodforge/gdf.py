@@ -122,10 +122,11 @@ def parse_gdf(text):
     blocks = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        stripped = raw.strip()
+        if not stripped:
             continue
-        stripped = line.strip()
         if stripped.endswith("{"):
             if current is not None:
                 raise GDFSyntaxError(lineno, "nested block")
@@ -136,35 +137,39 @@ def parse_gdf(text):
             if kind not in KINDS:
                 raise GDFSyntaxError(lineno, f"unknown block kind {kind!r}")
             _check_token(name, lineno)
-            current = Block(kind, name, {}, lineno)
+            current, schema = Block(kind, name, {}, lineno), SCHEMA[kind]
+            entries, lines = current.entries, current.lines
             continue
         if stripped == "}":
             if current is None:
                 raise GDFSyntaxError(lineno, "'}' outside of a block")
-            for key in SCHEMA[current.kind]:
-                if key not in current.entries and \
-                        key not in OPTIONAL.get(current.kind, ()):
-                    raise GDFSyntaxError(current.line,
-                                         f"missing '{key}:' line in "
-                                         f"{current.kind} {current.name}")
+            if len(entries) < len(schema):  # every key read is in the schema
+                for key in schema:
+                    if key not in entries and key not in OPTIONAL.get(current.kind, ()):
+                        raise GDFSyntaxError(current.line,
+                                             f"missing '{key}:' line in "
+                                             f"{current.kind} {current.name}")
             blocks.append(current)
             current = None
             continue
         if current is None:
             raise GDFSyntaxError(lineno, "content outside of a block")
-        if ":" not in stripped:
+        key, colon, rest = stripped.partition(":")
+        if not colon:
             raise GDFSyntaxError(lineno, "expected 'key: tokens'")
-        key, rest = stripped.split(":", 1)
         key = key.strip()
-        if key not in SCHEMA[current.kind]:
+        if key not in schema:
             raise GDFSyntaxError(lineno,
                                  f"unknown key {key!r} in {current.kind}")
         toks = rest.split()
         if "{" in rest and any(tok.endswith("{") for tok in toks):
             # printed last on its line, such a token would open a block
             raise GDFSyntaxError(lineno, "a token may not end with '{'")
-        current.entries.setdefault(key, []).extend(toks)
-        current.lines.append((key, lineno, len(toks)))
+        if key in entries:
+            entries[key] += toks
+        else:
+            entries[key] = toks
+        lines.append((key, lineno, len(toks)))
     if current is not None:
         raise GDFSyntaxError(current.line, "unterminated block")
     return GDFDocument(blocks)

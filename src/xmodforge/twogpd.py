@@ -781,15 +781,30 @@ def check_strong_equivalence(f, k, u, v):
 def check_weak_equivalence(f):
     """Report {WE1, WE2, WE3} for a validated strict homomorphism."""
     d, c = f.dom, f.cod
-    return weak_equivalence_report(d.level1, d.vertical, c.level1, c.vertical,
-                                   f.m0, f.m1, f.m2)
+    return weak_equivalence_report(d.level1, *_cell_ends(d.vertical), c.level1,
+                                   *_cell_ends(c.vertical), f.m0, f.m1, f.m2)
 
 
-def weak_equivalence_report(dom1, domv, cod1, codv, m0, m1, m2):
+def _cell_ends(vertical):
+    """The src2 and tgt2 tables of a validated vertical groupoid, keyed by
+    its cells alone: a groupoid read from a document may carry entries off
+    its cells, which its check does not read."""
+    src2, tgt2 = vertical.src, vertical.tgt
+    if len(src2) == len(tgt2) == len(vertical.arrows):
+        return src2, tgt2
+    return ({a: src2[a] for a in vertical.arrows}, {a: tgt2[a] for a in vertical.arrows})
+
+
+def weak_equivalence_report(dom1, dom_src2, dom_tgt2, cod1, cod_src2, cod_tgt2,
+                            m0, m1, m2):
     """{WE1, WE2, WE3} of the maps (m0, m1, m2) between two 2-groupoids,
-    each given by its level-1 groupoid and its vertical groupoid (dom1,
-    domv and cod1, codv): the conditions read nothing else, and no
-    horizontal composite."""
+    each given by its level-1 groupoid and the src2 and tgt2 tables of its
+    cells, keyed by the cells (dom1, dom_src2, dom_tgt2 and cod1, cod_src2,
+    cod_tgt2): the conditions read nothing else, no composite, no inverse
+    and no unit of the cells, so their tables need not exist.  The caller
+    vouches that the ends are those of two strict 2-groupoids and the maps
+    a strict homomorphism between them (check_weak_equivalence on a
+    validated one; xmod.hypercover_report on validated crossed modules)."""
     report = {}
 
     hit = {cod1.src[n] for x in dom1.objects for n in cod1.arrows_to(m0[x])}
@@ -803,30 +818,33 @@ def weak_equivalence_report(dom1, domv, cod1, codv, m0, m1, m2):
         for x in obj_pre.get(cod1.tgt[gamma], ()):
             for y in obj_pre.get(cod1.src[gamma], ()):
                 want.add((x, gamma, y))
+    cod_by_tgt = {}
+    for b, g in cod_tgt2.items():
+        cod_by_tgt.setdefault(g, []).append(b)
     got = set()
     for g in dom1.arrows:
-        for b in codv.arrows_to(m1[g]):
-            got.add((dom1.tgt[g], codv.src[b], dom1.src[g]))
+        for b in cod_by_tgt.get(m1[g], ()):
+            got.add((dom1.tgt[g], cod_src2[b], dom1.src[g]))
     report["WE2"] = want <= got
 
     # WE3: a -> (s2(a), t2(a), f(a)) bijects onto the fibered product taken
     # over bigon-compatible 1-cell pairs: parallel pairs, plus pairs already
     # witnessed by a domain 2-cell (the cover 2-groupoid's loose bigons).
-    connected = {(domv.src[a], domv.tgt[a]) for a in domv.arrows}
+    connected = {(ga, dom_tgt2[a]) for a, ga in dom_src2.items()}
     arr_pre = {}
     for g in dom1.arrows:
         arr_pre.setdefault(m1[g], []).append(g)
     fib = set()
-    for b in codv.arrows:
-        for u in arr_pre.get(codv.src[b], ()):
-            for v in arr_pre.get(codv.tgt[b], ()):
+    for b, gb in cod_src2.items():
+        for u in arr_pre.get(gb, ()):
+            for v in arr_pre.get(cod_tgt2[b], ()):
                 parallel = dom1.src[u] == dom1.src[v] and dom1.tgt[u] == dom1.tgt[v]
                 if parallel or (u, v) in connected:
                     fib.add((u, v, b))
     image = {}
     ok = True
-    for a in domv.arrows:
-        key = (domv.src[a], domv.tgt[a], m2[a])
+    for a, ga in dom_src2.items():
+        key = (ga, dom_tgt2[a], m2[a])
         if key in image:
             ok = False
         image[key] = a

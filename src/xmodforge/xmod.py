@@ -273,21 +273,36 @@ def semidirect_of_morphism(chi):
     return semidirect_product(action), action
 
 
+def vertical_cells(xm):
+    """The cells of the associated 2-groupoid and their ends, as three
+    tables (parts, src2, tgt2) keyed by the cell labels: for each arrow g
+    of G and each h in the fiber of H over its target, the cell (h, g): g
+    => boundary(h) g, labelled pair(h, g), with parts (h, g).  They read G,
+    H and the boundary alone, and no composite, inverse or unit of cells."""
+    g, h, boundary = xm.g, xm.h, xm.boundary
+    parts, src2, tgt2 = {}, {}, {}
+    for gg in g.arrows:
+        for hh in h.fiber(g.tgt[gg]):
+            a = pair(hh, gg)
+            parts[a], src2[a], tgt2[a] = (hh, gg), gg, g.comp[(boundary[hh], gg)]
+    return parts, src2, tgt2
+
+
 def vertical_groupoid(xm):
     """H x| G ==> G, the vertical groupoid of the associated 2-groupoid, on
-    the arrows of G: cells (h,g): g => boundary(h) g, with parts (h, g).
-    Every inverse, unit and composite takes its label from the cell of its
-    parts rather than building it again.  Memoized per crossed-module
-    instance (immutable after validation), so every morphism into or out
-    of xm reads one groupoid."""
+    the arrows of G and the cells of vertical_cells(xm).  Every inverse,
+    unit and composite takes its label from the cell of its parts rather
+    than building it again.  Memoized per crossed-module instance
+    (immutable after validation), so every morphism into or out of xm
+    reads one groupoid."""
     if xm._vertical is not None:
         return xm._vertical
     g, h = xm.g, xm.h
-    cells = {pair(hh, gg): (hh, gg) for gg in g.arrows for hh in h.fiber(g.tgt[gg])}
+    cells, _, tgt2 = vertical_cells(xm)
     label = {r: a for a, r in cells.items()}
 
     def target(r):
-        return g.comp[(xm.boundary[r[0]], r[1])]
+        return tgt2[label[r]]
 
     xm._vertical = groupoid_of_parts(
         g.arrows, cells, lambda r: r[1], target,
@@ -588,17 +603,26 @@ def hypercover_report(chi):
     by a strict morphism; chi is a hypercover iff all three hold.
 
     The three conditions read only the level-1 groupoids G1 and G2 of the
-    ends, their vertical groupoids and the maps (m0, m1, m2) =
-    (chi.omap, chi.rmap, (h, g) -> (lmap h, rmap g)), and so does the
-    report here when chi and both its ends are marked validated: it
-    builds the vertical functor (m1, m2) on the memoized vertical
-    groupoids, validates it and reads WE1-WE3 off it
-    (twogpd.weak_equivalence_report).  It builds neither 2-groupoid and no
-    StrictHom2, and the checks it skips cannot fail on such inputs.
-    Crossed modules over groupoids are equivalent to strict 2-groupoids,
-    and strict morphisms of crossed modules to strict 2-functors (Brown,
-    Higgins & Sivera, Nonabelian Algebraic Topology, EMS Tracts 15, 2011,
-    section 6):
+    ends, the cells of each end with their two ends, and the maps (m0, m1,
+    m2) = (chi.omap, chi.rmap, (h, g) -> (lmap h, rmap g)), and so does
+    the report here when chi and both its ends are marked validated: it
+    reads the cells and their ends off vertical_cells of each end, which
+    take them from G, H and the boundary, and WE1-WE3 off those
+    (twogpd.weak_equivalence_report).  It builds no vertical groupoid, no
+    vertical functor, neither 2-groupoid and no StrictHom2, and the checks
+    it skips cannot fail on such inputs.  Crossed modules over groupoids
+    are equivalent to strict 2-groupoids, and strict morphisms of crossed
+    modules to strict 2-functors (Brown, Higgins & Sivera, Nonabelian
+    Algebraic Topology, EMS Tracts 15, 2011, section 6):
+      vertical_groupoid: H x| G ==> G is a groupoid.  It is the action
+           groupoid of the action h.g = boundary(h) g of the group bundle
+           H on the arrows of G, and H is a validated bundle and the
+           boundary a validated functor (check_crossed_module).
+      the vertical functor: m2 = (lmap, rmap) preserves vertical
+           composition and units, because lmap is a functor (chi.left())
+           and rmap(boundary(h) g) = boundary(lmap h) rmap(g), as rmap is
+           a functor that commutes with the boundaries
+           (validate_strict_xmorphism).
       xmod_to_2groupoid: its levels are G and the vertical groupoid, both
            validated groupoids; its whiskers and hcomp are those of the
            semidirect product H x| G, whose laws (check_2groupoid's (V),
@@ -609,10 +633,9 @@ def hypercover_report(chi):
       validate_strict_hom2: m0 and m1 are chi.right(), a functor that
            validate_strict_xmorphism checked; m2 sends a cell to a cell
            with the ends m1 gives, and preserves vertical composition and
-           units, as the functor check of the vertical functor here
-           confirms; and it preserves the whiskers, hence hcomp, since
-           chi.left() is a functor that commutes with the boundaries and
-           is equivariant along chi.right().
+           units, as above; and it preserves the whiskers, hence hcomp,
+           since chi.left() is a functor that commutes with the
+           boundaries and is equivariant along chi.right().
     Any other input, whose marks are missing (a composite from then, an
     object built by hand), takes the full route: both 2-groupoids and the
     StrictHom2 are built and validated, and their failures raise as they
@@ -624,12 +647,13 @@ def _weak_equivalence(chi):
     """(chi's WE report, a function that gives chi's vertical functor,
     validated), on the route hypercover_report says."""
     if chi.validated and chi.dom.validated and chi.cod.validated:
-        dom, cod = vertical_groupoid(chi.dom), vertical_groupoid(chi.cod)
-        m2 = {cell: pair(chi.lmap[hh], chi.rmap[gg]) for cell, (hh, gg) in dom.parts.items()}
-        fv = validate_groupoid_morphism(dom, cod, chi.rmap, m2)
-        report = tgd.weak_equivalence_report(chi.dom.g, dom, chi.cod.g, cod,
-                                             chi.omap, chi.rmap, m2)
-        return report, lambda: fv
+        cells, src2, tgt2 = vertical_cells(chi.dom)
+        _, cod_src2, cod_tgt2 = vertical_cells(chi.cod)
+        m2 = {cell: pair(chi.lmap[hh], chi.rmap[gg]) for cell, (hh, gg) in cells.items()}
+        report = tgd.weak_equivalence_report(chi.dom.g, src2, tgt2, chi.cod.g, cod_src2,
+                                             cod_tgt2, chi.omap, chi.rmap, m2)
+        return report, lambda: validate_groupoid_morphism(
+            vertical_groupoid(chi.dom), vertical_groupoid(chi.cod), chi.rmap, m2)
     f, dom2, cod2 = hom2_from_xmorphism(chi)
     return tgd.check_weak_equivalence(f), lambda: validate_groupoid_morphism(
         dom2.vertical, cod2.vertical, dict(f.m1), dict(f.m2))
@@ -638,11 +662,12 @@ def _weak_equivalence(chi):
 def check_hypercover(chi):
     """A strict morphism is a hypercover iff the induced homomorphism of
     vertical 2-groupoids is a weak equivalence. Returns (report dict,
-    witness bibundle or None). When the check passes, the witness is
-    bibundle_from_hom of the vertical functor if that is a Morita
-    equivalence of the vertical semidirect groupoids; otherwise it is None
-    and the report gains WitnessMorita: False.  It takes the route that
-    hypercover_report takes."""
+    witness bibundle or None). The report is hypercover_report's, on its
+    route.  When it passes, the witness is bibundle_from_hom of the
+    vertical functor if that is a Morita equivalence of the vertical
+    semidirect groupoids; otherwise it is None and the report gains
+    WitnessMorita: False.  On marked inputs the vertical groupoids and the
+    validated vertical functor are built only then, for the witness."""
     report, vertical = _weak_equivalence(chi)
     witness = None
     if all(report.values()):
@@ -657,7 +682,8 @@ def check_hypercover(chi):
 
 def is_hypercover(chi):
     """WE1-WE3 of the induced 2-groupoid homomorphism (the definition), by
-    hypercover_report.  Builds no witness bibundle; check_hypercover does,
-    and withholds it when it is no Morita equivalence, as on many
+    hypercover_report: on marked inputs it reads the cells of the two ends
+    and builds no groupoid.  Builds no witness bibundle; check_hypercover
+    does, and withholds it when it is no Morita equivalence, as on many
     hypercovers whose object map is not injective."""
     return all(hypercover_report(chi).values())

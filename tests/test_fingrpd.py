@@ -343,6 +343,53 @@ def test_check_groupoid_matches_sweep_on_corruptions():
     assert "NonAssociative" in codes
 
 
+def reference_totality(arrows, src, tgt, comp):
+    """check_groupoid's totality checks as they were before it counted the
+    composable pairs: the spurious-composite sweep runs on every table."""
+    violations = []
+    by_tgt = {}
+    for h in sorted(arrows):
+        by_tgt.setdefault(tgt[h], []).append(h)
+    for g in sorted(arrows):
+        for h in by_tgt.get(src[g], ()):
+            if (g, h) not in comp:
+                violations.append(Violation("MissingComposite", (g, h)))
+                continue
+            k = comp[(g, h)]
+            if k not in arrows:
+                violations.append(Violation("MissingComposite", (g, h), "image not an arrow"))
+            elif src[k] != src[h] or tgt[k] != tgt[g]:
+                violations.append(Violation("BadComposite", (g, h, k), "endpoint mismatch"))
+    for (g, h) in comp:
+        if g not in arrows or h not in arrows or src[g] != tgt[h]:
+            violations.append(Violation("SpuriousComposite", (g, h)))
+    return violations
+
+
+def test_spurious_composites_are_found_by_count_as_by_the_sweep():
+    """Tables with composites dropped, spurious keys added, or both: some
+    drop as many keys as they add, so that comp keeps its size."""
+    rng = random.Random(17)
+    seen, tried = set(), 0
+    for g in generated_groupoids():
+        noncomposable = [(a, b) for a in g.arrows for b in g.arrows if g.src[a] != g.tgt[b]]
+        spurious = noncomposable[:3] + [(next(iter(g.arrows)), "ghost"), ("ghost", "ghost")]
+        for drop, add in ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (0, 3)):
+            comp = dict(g.comp)
+            for key in rng.sample(sorted(comp), min(drop, len(comp))):
+                del comp[key]
+            for key in rng.sample(spurious, min(add, len(spurious))):
+                comp[key] = rng.choice(sorted(g.arrows))
+            want = listed(reference_totality(g.arrows, g.src, g.tgt, comp))
+            assert want
+            assert listed(check_groupoid(*tables(g)[:-1], comp)) == want
+            tried += 1
+            seen.add(tuple(sorted({code for code, _, _ in want})))
+    assert tried >= 150
+    assert ("MissingComposite", "SpuriousComposite") in seen
+    assert ("SpuriousComposite",) in seen
+
+
 def right_closure(gens, src, tgt, comp):
     reached, todo = set(), list(gens)
     while todo:

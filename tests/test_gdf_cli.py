@@ -115,6 +115,20 @@ def test_cmd_check_missing_file_exit_code(capsys):
     assert run_cli(["check", "/nonexistent.gdf"]) == cli.EXIT_SYNTAX
 
 
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
+@pytest.mark.parametrize("line", [1, 3, 8])
+def test_a_byte_that_is_not_utf8_is_a_syntax_error_on_its_line(line, ending, tmp_path, capsys):
+    with open(fixture("pair2.gdf"), "rb") as fh:
+        lines = fh.read().splitlines()
+    lines[0] += " # \u00e9".encode()  # a comment that is UTF-8
+    lines[line - 1] = lines[line - 1][:3] + b"\xff" + lines[line - 1][3:]
+    p = tmp_path / "latin.gdf"
+    p.write_bytes(ending.join(lines) + ending)
+    assert run_cli(["check", str(p)]) == cli.EXIT_SYNTAX
+    err = capsys.readouterr().err
+    assert err == f"syntax error: line {line}: byte 0xff is not UTF-8\n"
+
+
 def test_cap_exit_code(capsys):
     assert run_cli(["--cap-enum", "2", "enumerate-extensions",
                     "--group", "Z2", "--module", "Z2"]) == cli.EXIT_CAP

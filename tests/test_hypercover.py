@@ -1,9 +1,12 @@
-"""The hypercover test on validated inputs reads WE1-WE3 off the vertical
-groupoids and validates only the vertical functor; the full route, which
-builds both strict 2-groupoids and the StrictHom2, is its oracle here.
-The functor check's generator certificate is compared with the sweep on
-single-entry corruptions, and a planted failure shows what a missing
-generator would let through."""
+"""The hypercover test on validated inputs reads WE1-WE3 off the cells of
+the two crossed modules and their ends (xmod.vertical_cells): it builds no
+vertical groupoid and validates no vertical functor, and check_hypercover
+builds both only for a witness.  Its oracles here are the report on the
+validated vertical groupoids and the full route, which builds both strict
+2-groupoids and the StrictHom2; a moved cell end shows that the report
+reads the cell tables.  The functor check's generator certificate is
+compared with the sweep on single-entry corruptions, and a planted
+failure shows what a missing generator would let through."""
 
 import random
 
@@ -126,6 +129,47 @@ def test_witnesses_match_the_full_route(morphisms):
         assert bibundle_tables(witness) == bibundle_tables(want_witness)
 
 
+def vertical_report(chi, dom_ends=None, cod_ends=None):
+    """WE1-WE3 of chi read off the validated vertical groupoids of its
+    ends, or off the (src2, tgt2) tables given instead of theirs."""
+    dom, cod = xmod.vertical_groupoid(chi.dom), xmod.vertical_groupoid(chi.cod)
+    m2 = {cell: fingrpd.pair(chi.lmap[h], chi.rmap[g]) for cell, (h, g) in dom.parts.items()}
+    return twogpd.weak_equivalence_report(
+        chi.dom.g, *(dom_ends or (dom.src, dom.tgt)),
+        chi.cod.g, *(cod_ends or (cod.src, cod.tgt)), chi.omap, chi.rmap, m2)
+
+
+def test_reports_from_the_cells_match_the_vertical_groupoids(morphisms):
+    verdicts = []
+    for chi in morphisms:
+        for xm in (chi.dom, chi.cod):
+            parts, src2, tgt2 = xmod.vertical_cells(xm)
+            vertical = xmod.vertical_groupoid(xm)
+            assert (parts, src2, tgt2) == (vertical.parts, vertical.src, vertical.tgt)
+        report = xmod.hypercover_report(chi)
+        assert report == vertical_report(chi)
+        verdicts.append(all(report.values()))
+    assert len(verdicts) == 420
+    assert verdicts.count(False) == 99
+
+
+def test_a_moved_cell_end_changes_a_report(morphisms):
+    rng = random.Random(7)
+    changed = {"dom": 0, "cod": 0}
+    for chi in morphisms:
+        want = xmod.hypercover_report(chi)
+        for side, xm in (("dom", chi.dom), ("cod", chi.cod)):
+            _, src2, tgt2 = xmod.vertical_cells(xm)
+            cell = rng.choice(sorted(tgt2))
+            others = [g for g in xm.g.arrows if g != tgt2[cell]]
+            if not others:
+                continue
+            moved = (src2, dict(tgt2, **{cell: rng.choice(others)}))
+            got = vertical_report(chi, **{side + "_ends": moved})
+            changed[side] += got != want
+    assert changed["dom"] >= 1 and changed["cod"] >= 1
+
+
 def test_the_legs_share_the_middle_vertical_groupoid(rng):
     gprime, left, right = cr.decompose_crossing(generators.random_crossing(rng))
     assert left.dom is right.dom is gprime
@@ -156,6 +200,26 @@ def test_marked_inputs_build_no_2groupoid(no_full_route):
         for chi in strict_morphisms(seed):
             xmod.is_hypercover(chi)
             xmod.check_hypercover(chi)
+
+
+def test_marked_inputs_build_no_vertical_groupoid(monkeypatch):
+    morphisms = [chi for seed in range(10) for chi in strict_morphisms(seed)]
+    verdicts = [xmod.is_hypercover(chi) for chi in morphisms]
+
+    def refuse(*args, **kwargs):
+        raise FullRoute
+
+    monkeypatch.setattr(xmod, "vertical_groupoid", refuse)
+    monkeypatch.setattr(xmod, "validate_groupoid_morphism", refuse)
+    assert [xmod.is_hypercover(chi) for chi in morphisms] == verdicts
+    for chi, verdict in zip(morphisms, verdicts):
+        # check_hypercover builds the vertical functor only for a witness
+        if verdict:
+            with pytest.raises(FullRoute):
+                xmod.check_hypercover(chi)
+        else:
+            assert xmod.check_hypercover(chi) == (xmod.hypercover_report(chi), None)
+    assert True in verdicts and False in verdicts
 
 
 def hand_built(xm):

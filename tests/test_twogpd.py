@@ -118,6 +118,19 @@ def test_identity_hom_weak_equivalence(pair2):
     assert all(report.values())
 
 
+def test_cell_ends_off_the_cells_do_not_reach_the_weak_equivalence():
+    # a document's src2 and tgt2 lines may name a label that is no cell;
+    # the 2-groupoid check does not read it, and neither does WE1-WE3
+    block = gdf.two_groupoid_block("T", xmod.xmod_to_2groupoid(
+        xmod.inertia_xmod(cyclic_groupoid(3))))
+    cell, one_cell = next(iter(block.entries["src2"])).split("=")
+    block.entries["src2"].append(f"ghost={one_cell}")
+    block.entries["tgt2"].append(f"ghost={one_cell}")
+    tg = gdf.build_document(gdf.parse_gdf(gdf.print_gdf(gdf.document_of([block]))))["T"]
+    assert "ghost" in tg.s2 and "ghost" not in tg.g2
+    assert check_weak_equivalence(identity_hom2(tg)) == {"WE1": True, "WE2": True, "WE3": True}
+
+
 def test_object_inclusion_weak_equivalence(pair2):
     dom = from_groupoid(unit_groupoid(["a"]))
     cod = from_groupoid(pair2)
