@@ -11,7 +11,7 @@ from . import bibundle as bb
 from . import xmod as xmd
 from .fingrpd import (as_group_bundle, aut_label, groupoid_of_parts, pullback_groupoid,
                       quotient_groupoid, validate_action, validate_groupoid_morphism)
-from .util import pair
+from .util import law_failures, pair
 
 # One side of a crossing: (src, tau, a1, a2) with tag "a" or
 # (dst, sigma, b1, b2) with tag "b".
@@ -78,7 +78,37 @@ def check_crossing(c, prime=False):
     6. SquareFailure: a2.a1 = tau^* d1, then b2.b1 = sigma^* d2;
     7. CR3Failure: b1 injective, a2 surjective, ker a2 = im b1;
     8. CR4Failure: per arrow, the a then the b equivariance;
-    9. with prime, CR3PrimeFailure: CR3 with the sides swapped."""
+    9. with prime, CR3PrimeFailure: CR3 with the sides swapped.
+
+    When M and both crossed modules are validated (CrossedModule.validated:
+    G, H and the action too), the leg homomorphisms and CR4 are certified
+    on generators (util.law_failures), read off the kept generators
+    (Groupoid.gens(find=False)): S of M, and S_x of each side's H at x,
+    which generate the fibre there (GroupBundle.gens_by_point), or the
+    whole fibre where H keeps none.  leg2-hom and CR4 need S.
+    - leg1-hom runs on ha over the fibre and hb in S_x.  Let T be the hb
+      with leg1(ha hb) = leg1(ha) leg1(hb) for every ha.  For hb, hc in T,
+        leg1(ha (hb hc)) = leg1((ha hb) hc) = leg1(ha hb) leg1(hc)
+                         = (leg1(ha) leg1(hb)) leg1(hc)
+                         = leg1(ha) (leg1(hb) leg1(hc)) = leg1(ha) leg1(hb hc),
+      by associativity in H and M; so T holds the fibre.
+    - leg2-hom runs on the pairs (m, s) with s in S, and is
+      check_groupoid_morphism's certificate for M -> G: the s that it
+      holds for are closed under composition, so they hold every arrow.
+    - CR4 runs on m in S and h in S_{mom(tgt m)}.  Once the legs are
+      homomorphisms, both sides, as functions of h, are homomorphisms of
+      the fibre: h -> leg1(h^{leg2 m}) composes two, and h -> m^-1 leg1(h) m
+      is conjugation after one.  They agree on S_x, so on the fibre.  For
+      m1, m2 that satisfy it at every h, with src(m1) == tgt(m2),
+        leg1(h^{leg2(m1 m2)}) = leg1((h^{leg2 m1})^{leg2 m2})
+                              = m2^-1 leg1(h^{leg2 m1}) m2
+                              = m2^-1 m1^-1 leg1(h) m1 m2,
+      by leg2 a functor, functoriality of the action, m2 at h^{leg2 m1} and
+      m1 at h, which is (m1 m2)^-1 leg1(h) (m1 m2).  So the m that satisfy
+      it are closed under composition, hold S, and so every arrow.
+    Each certificate runs only when it visits fewer instances than its
+    sweep.  When it fails, or does not run, the sweep lists every failure,
+    so the witnesses and their order do not depend on the route."""
     violations = []
     m = c.m
     sides = c.sides()
@@ -114,21 +144,19 @@ def check_crossing(c, prime=False):
             if s.leg2[m.unit[u]] != s.xm.g.unit[s.mom[u]]:
                 violations.append(Violation("CR1Failure", (s.tag + "2", u)))
 
-    for u in m.objects:
-        for s in sides:
-            leg1, hcomp, tag = s.leg1, s.xm.h.comp, s.tag + "1-hom"
-            fiber = s.xm.h.fiber(s.mom[u])
-            for ha in fiber:
-                for hb in fiber:
-                    if leg1[(u, hcomp[(ha, hb)])] != \
-                            m.comp[(leg1[(u, ha)], leg1[(u, hb)])]:
-                        violations.append(Violation("BadLeg", (tag, u, ha, hb)))
-    homs = [(s.leg2, s.xm.g.comp, s.tag + "2-hom") for s in sides]
-    for ma, mb in m.composable_pairs():
-        mab = m.comp[(ma, mb)]
-        for leg2, gcomp, tag in homs:
-            if leg2[mab] != gcomp[(leg2[ma], leg2[mb])]:
-                violations.append(Violation("BadLeg", (tag, ma, mb)))
+    # the kept generators, when M and both crossed modules are validated:
+    # S of M, and for each side its H's by point (ats)
+    marked = m.validated and c.src.validated and c.dst.validated
+    mgens = m.gens(find=False) if marked else None
+    ats = [s.xm.h.gens_by_point() for s in sides] if marked else [None, None]
+    # some S_x at a moment's image is smaller than its fibre
+    fewer = any(len(at[s.mom[u]]) < len(s.xm.h.fiber(s.mom[u]))
+                for s, at in zip(sides, ats) if at is not None for u in m.objects)
+    violations += law_failures(_leg1_unhom, (m, sides, ats) if fewer else None,
+                               (m, sides, [None, None]))
+    pairs = m.generator_pairs() if mgens else None
+    violations += law_failures(_leg2_unhom, None if pairs is None else (m, sides, pairs),
+                               (m, sides, m.composable_pairs()))
     if violations:
         return violations
 
@@ -149,20 +177,66 @@ def check_crossing(c, prime=False):
 
     violations += _cr3(c, *sides, "CR3Failure")
 
-    # CR4: leg1(h^{leg2(m)}) = m^-1 leg1(h) m on each side
-    for mm in m.arrows:
-        u1, u2 = m.tgt[mm], m.src[mm]
-        minv = m.inv[mm]
-        for s in sides:
-            leg1, act, g = s.leg1, s.xm.act, s.leg2[mm]
-            for hh in s.xm.h.fiber(s.mom[u1]):
-                if leg1[(u2, act(g, hh))] != \
-                        m.comp[(m.comp[(minv, leg1[(u1, hh)])], mm)]:
-                    violations.append(Violation("CR4Failure", (s.tag, mm, hh)))
+    # CR4: leg1(h^{leg2(m)}) = m^-1 leg1(h) m on each side; the
+    # certificate visits fewer instances than the sweep unless S is every
+    # arrow and no S_x is smaller than its fibre
+    if mgens and len(mgens) == len(m.arrows) and not fewer:
+        mgens = None
+    violations += law_failures(_cr4_failures, (m, sides, mgens, ats) if mgens else None,
+                               (m, sides, m.arrows, [None, None]))
 
     if prime:
         violations += check_cr3_prime(c)
     return violations
+
+
+def _leg1_unhom(m, sides, ats):
+    """The violations at the (tag, u, ha, hb) with leg1(ha hb) != leg1(ha)
+    leg1(hb), for each object u and side s with at in ats, ha over the
+    fibre at x = s.mom[u] and hb in at[x], or in the fibre when at is
+    None: check_crossing's certificate gives it the generators, the sweep
+    no at."""
+    for u in m.objects:
+        for s, at in zip(sides, ats):
+            leg1, hcomp, tag = s.leg1, s.xm.h.comp, s.tag + "1-hom"
+            x = s.mom[u]
+            fiber = s.xm.h.fiber(x)
+            hbs = fiber if at is None else at[x]
+            for ha in fiber:
+                la = leg1[(u, ha)]
+                for hb in hbs:
+                    if leg1[(u, hcomp[(ha, hb)])] != m.comp[(la, leg1[(u, hb)])]:
+                        yield Violation("BadLeg", (tag, u, ha, hb))
+
+
+def _leg2_unhom(m, sides, pairs):
+    """The violations at the (tag, ma, mb) with leg2(ma mb) != leg2(ma)
+    leg2(mb), for each composable (ma, mb) in pairs, a side then b:
+    check_crossing's certificate gives it the generator pairs, the sweep
+    every composable pair."""
+    homs = [(s.leg2, s.xm.g.comp, s.tag + "2-hom") for s in sides]
+    for ma, mb in pairs:
+        mab = m.comp[(ma, mb)]
+        for leg2, gcomp, tag in homs:
+            if leg2[mab] != gcomp[(leg2[ma], leg2[mb])]:
+                yield Violation("BadLeg", (tag, ma, mb))
+
+
+def _cr4_failures(m, sides, arrows, ats):
+    """The violations at the (tag, m, h) with leg1(h^{leg2 m}) != m^-1
+    leg1(h) m, for m in arrows and each side s with at in ats, h in at[x]
+    for x = s.mom[tgt(m)], or in the fibre at x when at is None:
+    check_crossing's certificate gives it the generators, the sweep every
+    arrow and no at."""
+    for mm in arrows:
+        u1, u2 = m.tgt[mm], m.src[mm]
+        minv = m.inv[mm]
+        for s, at in zip(sides, ats):
+            leg1, act, g = s.leg1, s.xm.action.act, s.leg2[mm]
+            x = s.mom[u1]
+            for hh in (s.xm.h.fiber(x) if at is None else at[x]):
+                if leg1[(u2, act[(g, hh)])] != m.comp[(m.comp[(minv, leg1[(u1, hh)])], mm)]:
+                    yield Violation("CR4Failure", (s.tag, mm, hh))
 
 
 def _cr3(c, s, o, code):

@@ -6,26 +6,42 @@ class XModForgeError(Exception):
 
 
 class Violation(XModForgeError):
-    """An axiom failed. Carries a machine-readable code and a witness tuple."""
+    """An axiom failed. Carries a machine-readable code and a witness tuple.
+
+    The message is formatted when it is read (str, repr), not when the
+    violation is built: the sweeps build many that no one prints."""
 
     def __init__(self, code, witness=None, detail=""):
+        super().__init__()
         self.code = code
         self.witness = witness
         self.detail = detail
-        msg = code
-        if witness is not None:
-            msg += f" witness={witness!r}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+
+    def __str__(self):
+        msg = self.code
+        if self.witness is not None:
+            msg += f" witness={self.witness!r}"
+        if self.detail:
+            msg += f" ({self.detail})"
+        return msg
+
+    def __repr__(self):
+        return f"{type(self).__name__}({str(self)!r})"
 
 
 class ValidationFailure(XModForgeError):
-    """Aggregate of one or more Violations from a validator."""
+    """Aggregate of one or more Violations from a validator; its message,
+    the violations' joined by "; ", is formatted when it is read."""
 
     def __init__(self, violations):
+        super().__init__()
         self.violations = list(violations)
-        super().__init__("; ".join(str(v) for v in self.violations))
+
+    def __str__(self):
+        return "; ".join(str(v) for v in self.violations)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({str(self)!r})"
 
     @property
     def codes(self):

@@ -9,7 +9,8 @@ arrow calculus and the GDF table entry `g.h=k`.
 
 from .errors import (CoherenceFailure, ValidationFailure, Violation, SizeLimitExceeded,
                      require)
-from .util import bijections, labelset, pair, quotient, search_bijection, unpair
+from .util import (bijections, labelset, law_failures, pair, quotient, search_bijection,
+                   unpair)
 
 DEFAULT_FIBER_CAP = 12
 
@@ -57,13 +58,26 @@ class Groupoid:
                 self._by_tgt.setdefault(self.tgt[g], []).append(g)
         return self._by_tgt.get(y, [])
 
-    def gens(self):
+    def gens(self, find=True):
         """S = generators(arrows, src, tgt, comp) of a validated groupoid,
-        in label order: the one its check found, or computed on the first
-        call and kept.  None for a groupoid that was not validated."""
-        if self.validated and self._gens is None:
+        in label order: the one its check found or an earlier call kept,
+        or, with find, computed now and kept.  None for a groupoid that was
+        not validated, and without find for one that keeps none.  The
+        certificates read them without find: finding them would cost about
+        what a certificate saves, so a small groupoid keeps the sweep."""
+        if find and self.validated and self._gens is None:
             self._gens = generators(self.arrows, self.src, self.tgt, self.comp)
-        return self._gens
+        return self._gens if self.validated else None
+
+    def generator_pairs(self):
+        """The composable pairs (g, s) with s a kept generator (gens(find=
+        False)), s by s, or None when the groupoid keeps none or they are
+        not fewer than all composable pairs (|comp|)."""
+        gens = self.gens(find=False)
+        if not gens:
+            return None
+        pairs = [(g, s) for s in gens for g in self.arrows_from(self.tgt[s])]
+        return pairs if len(pairs) < len(self.comp) else None
 
     def hom(self, x, y):
         return [g for g in self.arrows_from(x) if self.tgt[g] == y]
@@ -406,24 +420,19 @@ def check_groupoid_morphism(f):
     for x in dom.objects:
         if f.amap[dom.unit[x]] != cod.unit[f.omap[x]]:
             violations.append(Violation("NotFunctorial", (x,), "unit not preserved"))
-    # the generators dom's check found or a reader asked for: finding them
-    # here would cost about what the certificate saves
-    gens = dom._gens if dom.validated and cod.validated else None
-    if gens:
-        pairs = [(g, s) for s in gens for g in dom.arrows_from(dom.tgt[s])]
-        if len(pairs) < len(dom.comp) and next(_uncomposed(f, pairs), None) is None:
-            return violations
-    violations += [Violation("NotFunctorial", gh, "composition not preserved")
-                   for gh in _uncomposed(f, dom.composable_pairs())]
+    pairs = dom.generator_pairs() if cod.validated else None
+    violations += law_failures(_uncomposed, None if pairs is None else (f, pairs),
+                               (f, dom.composable_pairs()))
     return violations
 
 
 def _uncomposed(f, pairs):
-    """The composable pairs (g, h) among pairs with f(g h) != f(g) f(h):
-    the certificate of check_groupoid_morphism gives it the generator
-    pairs, the sweep every composable pair."""
+    """The violations at the composable pairs (g, h) among pairs with
+    f(g h) != f(g) f(h): the certificate of check_groupoid_morphism gives
+    it the generator pairs, the sweep every composable pair."""
     dom, cod, amap = f.dom.comp, f.cod.comp, f.amap
-    return ((g, h) for g, h in pairs if amap[dom[(g, h)]] != cod[(amap[g], amap[h])])
+    return (Violation("NotFunctorial", (g, h), "composition not preserved")
+            for g, h in pairs if amap[dom[(g, h)]] != cod[(amap[g], amap[h])])
 
 
 def validate_groupoid_morphism(dom, cod, omap, amap):
@@ -486,6 +495,19 @@ class GroupBundle(Groupoid):
     def fiber(self, x):
         # every arrow is a loop (both constructors check it)
         return self.arrows_from(x)
+
+    def gens_by_point(self):
+        """The kept generators (gens(find=False)) by point, or None when the
+        bundle keeps none or they are every arrow, so that a reader takes
+        the whole fibres.  Those at x generate fiber(x): every arrow is a
+        product of generators, and composites stay in their fibre."""
+        gens = self.gens(find=False)
+        if gens is None or len(gens) == len(self.arrows):
+            return None
+        at = {}
+        for s in gens:
+            at.setdefault(self.src[s], []).append(s)
+        return at
 
 
 def validate_group_bundle(objects, arrows, src, tgt, inv, unit, comp):
@@ -602,6 +624,43 @@ class ActionByAutomorphisms:
 
 
 def check_action(base, bundle, act):
+    """The violations of an action table (empty when act is an action of
+    base on bundle by automorphisms), in the order they are checked: the
+    unit spaces, missing entries (stops here), fibre maps h -> h^g that
+    leave the fibre at src(g) or are not bijective (stops here), then the
+    fibre-homomorphism law (h1 h2)^g = h1^g h2^g, the unit law and
+    functoriality h^{g g2} = (h^g)^{g2}, each listing its failures in label
+    order.
+
+    Functoriality and the homomorphism law are certified on generators
+    (util.law_failures) when base is validated, so associative, and keeps
+    its generators S (Groupoid.gens(find=False)).  S_x is the kept
+    generators at x of a validated bundle, which generate the fibre there
+    (GroupBundle.gens_by_point), or the whole fibre when it keeps none.
+    - Functoriality runs on the pairs (g, s) with s in S.  Let T be the
+      arrows s with h^{g s} = (h^g)^s for every g with src(g) == tgt(s)
+      and every h over tgt(g).  For s1, s2 in T with src(s1) == tgt(s2),
+        h^{g (s1 s2)} = h^{(g s1) s2} = (h^{g s1})^{s2} = ((h^g)^{s1})^{s2}
+                      = (h^g)^{s1 s2},
+      by associativity in base, s2 in T (with g s1), s1 in T, and s2 in T
+      (with s1 for g, at h^g, which lies over tgt(s1) since every fibre map
+      lands in its fibre).  So T is closed under composition; it holds S,
+      so it holds every arrow.
+    - Once functoriality holds, the homomorphism law runs on g in S and h2
+      in S_{tgt(g)}, h1 over the whole fibre.  For one g, let T be the h2
+      with (h1 h2)^g = h1^g h2^g for every h1.  For h2, h3 in T,
+        (h1 (h2 h3))^g = ((h1 h2) h3)^g = (h1 h2)^g h3^g = (h1^g h2^g) h3^g
+                       = h1^g (h2^g h3^g) = h1^g (h2 h3)^g,
+      by associativity in the (validated) bundle and h3, h2, h3 in T; so T
+      holds the fibre, and h -> h^g is a homomorphism.  Every arrow is a
+      left-normed product (..(s1 s2)..) sk of generators, and
+      functoriality makes its fibre map the composite of theirs,
+      h -> (..(h^{s1})^{s2}..)^{sk}; a composite of homomorphisms is a
+      homomorphism.
+    Each certificate runs only when it visits fewer instances than its
+    sweep, the homomorphism law's only once functoriality holds.  When one
+    fails, or does not run, its sweep lists every failure, so the
+    witnesses and their order do not depend on the route."""
     violations = []
     if bundle.objects != base.objects:
         violations.append(Violation("UnitSpaceMismatch",
@@ -624,25 +683,56 @@ def check_action(base, bundle, act):
             violations.append(Violation("NotHomomorphism", (g,), "fiber map not bijective"))
     if violations:
         return violations
-    for g in base.arrows:
-        fy = bundle.fiber(base.tgt[g])
-        for h1 in fy:
-            for h2 in fy:
-                lhs = act[(g, bundle.comp[(h1, h2)])]
-                rhs = bundle.comp[(act[(g, h1)], act[(g, h2)])]
-                if lhs != rhs:
-                    violations.append(Violation("NotHomomorphism", (g, h1, h2)))
+    pairs = base.generator_pairs()
+    unfunctorial = law_failures(_unfunctorial,
+                                None if pairs is None else (base, bundle, act, pairs),
+                                (base, bundle, act, base.composable_pairs()))
+    # the certificate's instances are the sweep's with g in S and h2 in
+    # S_x, so it visits fewer unless both are everything
+    gens = base.gens(find=False) if not unfunctorial else None
+    at = bundle.gens_by_point() if gens else None
+    if gens and len(gens) == len(base.arrows) and at is None:
+        gens = None
+    violations += law_failures(_unhomomorphic,
+                               None if not gens else (base, bundle, act, gens, at),
+                               (base, bundle, act, base.arrows, None))
     for x in base.objects:
         e = base.unit[x]
         for h in bundle.fiber(x):
             if act[(e, h)] != h:
                 violations.append(Violation("NotFunctorial", (e, h), "unit acts nontrivially"))
-    # (h^g)^{g'} = h^{gg'}: functoriality = strict morphism into Aut(bundle)
-    for g, g2 in base.composable_pairs():
-        for h in bundle.fiber(base.tgt[g]):
-            if act[(base.comp[(g, g2)], h)] != act[(g2, act[(g, h)])]:
-                violations.append(Violation("NotFunctorial", (g, g2), f"on {h}"))
+    violations += unfunctorial
     return violations
+
+
+def _unhomomorphic(base, bundle, act, arrows, at):
+    """The violations at the (g, h1, h2) with (h1 h2)^g != h1^g h2^g, for
+    g in arrows, h1 over the fibre at x = tgt(g) and h2 in at[x], or in
+    the whole fibre when at is None: check_action's certificate gives it
+    the generators, the sweep every arrow and no at."""
+    comp = bundle.comp
+    for g in arrows:
+        x = base.tgt[g]
+        fy = bundle.fiber(x)
+        h2s = fy if at is None else at[x]
+        for h1 in fy:
+            i1 = act[(g, h1)]
+            for h2 in h2s:
+                if act[(g, comp[(h1, h2)])] != comp[(i1, act[(g, h2)])]:
+                    yield Violation("NotHomomorphism", (g, h1, h2))
+
+
+def _unfunctorial(base, bundle, act, pairs):
+    """The violations at the (g, g2, h) with h^{g g2} != (h^g)^{g2}, for
+    each composable (g, g2) in pairs and h over tgt(g): check_action's
+    certificate gives it the generator pairs, the sweep every composable
+    pair."""
+    comp = base.comp
+    for g, g2 in pairs:
+        gg2 = comp[(g, g2)]
+        for h in bundle.fiber(base.tgt[g]):
+            if act[(gg2, h)] != act[(g2, act[(g, h)])]:
+                yield Violation("NotFunctorial", (g, g2), f"on {h}")
 
 
 def validate_action(base, bundle, act):

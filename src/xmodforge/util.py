@@ -1,4 +1,5 @@
-"""Label algebra, orbit-space quotients, and small backtracking searches.
+"""Label algebra, orbit-space quotients, small backtracking searches, and
+the one route of the generator certificates (law_failures).
 
 Tuple labels "(a,b,...)" and class labels "{rep}" are built and read only
 here: pair/unpair and cls_label/strip_class."""
@@ -54,6 +55,20 @@ def labelset(xs):
     if type(xs) is _DICT_KEYS:
         return xs
     return dict.fromkeys(sorted(set(xs))).keys()
+
+
+def law_failures(law, certificate, every):
+    """The violations of a law at its failing instances, as a list.  law
+    lists them among the instances that its arguments name: every, a
+    tuple of arguments, names all of them, and certificate the generator
+    instances, which decide the law (each checker's docstring proves it),
+    or is None when no certificate runs.  When law finds no failure among
+    those the result is [] at once; it stops at the first failure, and
+    then, as when it does not run, law sweeps every instance, so the
+    violations and their order do not depend on the route."""
+    if certificate is not None and next(law(*certificate), None) is None:
+        return []
+    return list(law(*every))
 
 
 def cls_label(rep):

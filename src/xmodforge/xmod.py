@@ -11,7 +11,7 @@ from .fingrpd import (GroupoidMorphism, as_group_bundle, aut_bundle, aut_label,
                       check_groupoid_morphism, groupoid_of_parts, inertia,
                       pullback_groupoid, semidirect_product, unit_bundle,
                       validate_action, validate_groupoid_morphism)
-from .util import pair
+from .util import law_failures, pair
 
 
 class CrossedModule:
@@ -41,6 +41,42 @@ class CrossedModule:
 
 
 def check_crossed_module(xm):
+    """The violations of a crossed module (empty when it is one): the unit
+    spaces (stops here), the boundary as a functor H -> G over the objects
+    (stops here), then axiom 1, boundary(h^g) = g^-1 boundary(h) g, and
+    axiom 2, k^{boundary(h)} = h^-1 k h within a fibre, each listing its
+    failures in label order.  The action itself is checked by
+    check_action, when it is built.
+
+    When the parts are validated (_parts_validated: G and H validated
+    groupoids, the action a validated action of G on H), both axioms are
+    certified on generators (util.law_failures): axiom 1 when G keeps its
+    generators S (Groupoid.gens(find=False)), axiom 2 when H keeps its
+    generators S_x at each point x, which generate the fibre there
+    (GroupBundle.gens_by_point); axiom 1 reads the whole fibre for S_x
+    when H keeps none.  Each side of an axiom, as a function of its
+    fibre element, is then a homomorphism of the fibre: h -> h^g is one
+    (check_action), the boundary is a functor, and conjugation by an arrow
+    is one in a groupoid.  Two homomorphisms that agree on S_x agree on
+    what S_x generates, the fibre at x.
+    - Axiom 1 runs on g in S and h in S_{tgt(g)}.  By the above it then
+      holds at every h for g in S.  For g1, g2 that satisfy it at every h,
+      with src(g1) == tgt(g2),
+        boundary(h^{g1 g2}) = boundary((h^{g1})^{g2})
+                            = g2^-1 boundary(h^{g1}) g2
+                            = g2^-1 g1^-1 boundary(h) g1 g2,
+      by functoriality of the action, g2 at h^{g1} and g1 at h, which is
+      (g1 g2)^-1 boundary(h) (g1 g2).  So the arrows that satisfy it are
+      closed under composition, and they hold S, so every arrow.
+    - Axiom 2 runs on h and k in S_x at each point x.  For h in S_x it
+      then holds at every k.  For h1, h2 that satisfy it at every k,
+        k^{boundary(h1 h2)} = (k^{boundary(h1)})^{boundary(h2)}
+                            = h2^-1 (h1^-1 k h1) h2 = (h1 h2)^-1 k (h1 h2),
+      by the boundary and the action being functors, h1 at k and h2 at
+      k^{boundary(h1)}.  So the h that satisfy it hold the fibre.
+    Each certificate runs only when it visits fewer instances than its
+    sweep.  When it fails, or does not run, the sweep lists every failure,
+    so the witnesses and their order do not depend on the route."""
     violations = []
     g, h = xm.g, xm.h
     if h.objects != g.objects:
@@ -49,31 +85,62 @@ def check_crossed_module(xm):
     violations += check_groupoid_morphism(bmor)
     if violations:
         return violations
-    # axiom 1: boundary(h^g) = g^-1 boundary(h) g
-    for gg in g.arrows:
-        for hh in h.fiber(g.tgt[gg]):
-            lhs = xm.boundary[xm.act(gg, hh)]
-            rhs = g.comp[(g.comp[(g.inv[gg], xm.boundary[hh])], gg)]
-            if lhs != rhs:
-                violations.append(Violation("Axiom1Failure", (gg, hh)))
-    # axiom 2: c_{boundary(h)}(k) = h^-1 k h within a fiber
-    for x in g.objects:
-        for hh in h.fiber(x):
-            for kk in h.fiber(x):
-                lhs = xm.act(xm.boundary[hh], kk)
-                rhs = h.comp[(h.comp[(h.inv[hh], kk)], hh)]
-                if lhs != rhs:
-                    violations.append(Violation("Axiom2Failure", (hh, kk)))
+    # each certificate's instances are its sweep's with g in S and h, k in
+    # S_x, so it visits fewer unless they are everything
+    marked = _parts_validated(xm)
+    gens = g.gens(find=False) if marked else None
+    at = h.gens_by_point() if marked else None
+    if gens and len(gens) == len(g.arrows) and at is None:
+        gens = None
+    violations += law_failures(_axiom1_failures, None if not gens else (xm, gens, at),
+                               (xm, g.arrows, None))
+    violations += law_failures(_axiom2_failures, None if at is None else (xm, at),
+                               (xm, None))
     return violations
+
+
+def _parts_validated(xm):
+    """G and H are validated groupoids and the action a validated action
+    of G on H: every table of xm but the boundary has been checked."""
+    return (xm.g.validated and xm.h.validated and xm.action.validated
+            and xm.action.base is xm.g and xm.action.bundle is xm.h)
+
+
+def _axiom1_failures(xm, arrows, at):
+    """The violations at the (g, h) with boundary(h^g) != g^-1 boundary(h)
+    g, for g in arrows and h in at[tgt(g)], or over tgt(g) when at is
+    None: check_crossed_module's certificate gives it the generators, the
+    sweep every arrow and no at."""
+    g, h, boundary, act = xm.g, xm.h, xm.boundary, xm.action.act
+    comp = g.comp
+    for gg in arrows:
+        ginv, x = g.inv[gg], g.tgt[gg]
+        for hh in (h.fiber(x) if at is None else at[x]):
+            if boundary[act[(gg, hh)]] != comp[(comp[(ginv, boundary[hh])], gg)]:
+                yield Violation("Axiom1Failure", (gg, hh))
+
+
+def _axiom2_failures(xm, at):
+    """The violations at the (h, k) with k^{boundary(h)} != h^-1 k h, for
+    h and k in at[x] at each point x, or in the fibre at x when at is
+    None: check_crossed_module's certificate gives it the generators, the
+    sweep no at."""
+    h, boundary, act = xm.h, xm.boundary, xm.action.act
+    comp = h.comp
+    for x in h.objects:
+        fx = h.fiber(x) if at is None else at[x]
+        for hh in fx:
+            bh, hinv = boundary[hh], h.inv[hh]
+            for kk in fx:
+                if act[(bh, kk)] != comp[(comp[(hinv, kk)], hh)]:
+                    yield Violation("Axiom2Failure", (hh, kk))
 
 
 def validate_crossed_module(g, h, boundary, action):
     """The crossed module, marked validated on validated parts (see
     CrossedModule).  Raises ValidationFailure."""
     xm = CrossedModule(g, h, boundary, action)
-    require(xm, check_crossed_module(xm))
-    xm.validated = (g.validated and h.validated and action.validated
-                    and action.base is g and action.bundle is h)
+    require(xm, check_crossed_module(xm)).validated = _parts_validated(xm)
     return xm
 
 
@@ -227,6 +294,31 @@ class StrictXMorphism:
 
 
 def check_strict_xmorphism(chi):
+    """The violations of a strict morphism of crossed modules (empty when
+    it is one): its left and right maps as functors (stops here), then
+    the boundary square, boundary(lmap h) = rmap(boundary h), and
+    equivariance, lmap(h^g) = (lmap h)^{rmap g}, each listing its failures
+    in label order.
+
+    When both crossed modules are validated and the domain's G keeps its
+    generators S (Groupoid.gens(find=False)), equivariance is certified on
+    g in S and h in S_{tgt(g)} (util.law_failures), S_x the kept generators
+    of the domain's H at x (GroupBundle.gens_by_point), or the whole fibre
+    when it keeps none.  For one g, both sides are homomorphisms of the
+    fibre at tgt(g): lmap is a functor and h -> h^g an automorphism in
+    either crossed module.  They agree on S_{tgt(g)}, so on the fibre it
+    generates.  For g1, g2 that satisfy it at every h, with src(g1) ==
+    tgt(g2),
+      lmap(h^{g1 g2}) = lmap((h^{g1})^{g2}) = (lmap(h^{g1}))^{rmap g2}
+                      = ((lmap h)^{rmap g1})^{rmap g2}
+                      = (lmap h)^{rmap(g1) rmap(g2)} = (lmap h)^{rmap(g1 g2)},
+    by functoriality of the domain's action, g2 at h^{g1}, g1 at h,
+    functoriality of the codomain's action and rmap a functor.  So the g
+    that satisfy it are closed under composition, hold S, and so every
+    arrow.  The certificate runs only when it visits fewer instances than
+    the sweep.  When it fails, or does not run, the sweep lists every
+    failure, so the witnesses and their order do not depend on the
+    route."""
     violations = []
     violations += check_groupoid_morphism(chi.left())
     violations += check_groupoid_morphism(chi.right())
@@ -236,13 +328,29 @@ def check_strict_xmorphism(chi):
     for hh in d.h.arrows:
         if c.boundary[chi.lmap[hh]] != chi.rmap[d.boundary[hh]]:
             violations.append(Violation("BoundaryNotRespected", (hh,)))
-    for gg in d.g.arrows:
-        for hh in d.h.fiber(d.g.tgt[gg]):
-            lhs = chi.lmap[d.act(gg, hh)]
-            rhs = c.act(chi.rmap[gg], chi.lmap[hh])
-            if lhs != rhs:
-                violations.append(Violation("NotEquivariant", (gg, hh)))
+    # the certificate's instances are the sweep's with g in S and h in S_x,
+    # so it visits fewer unless both are everything
+    gens = d.g.gens(find=False) if d.validated and c.validated else None
+    at = d.h.gens_by_point() if gens else None
+    if gens and len(gens) == len(d.g.arrows) and at is None:
+        gens = None
+    violations += law_failures(_unequivariant, None if not gens else (chi, gens, at),
+                               (chi, d.g.arrows, None))
     return violations
+
+
+def _unequivariant(chi, arrows, at):
+    """The violations at the (g, h) with lmap(h^g) != (lmap h)^{rmap g},
+    for g in arrows and h in at[tgt(g)], or over tgt(g) when at is None:
+    check_strict_xmorphism's certificate gives it the generators, the
+    sweep every arrow and no at."""
+    lmap, rmap, tgt, fiber = chi.lmap, chi.rmap, chi.dom.g.tgt, chi.dom.h.fiber
+    dact, cact = chi.dom.action.act, chi.cod.action.act
+    for gg in arrows:
+        rg = rmap[gg]
+        for hh in (fiber(tgt[gg]) if at is None else at[tgt[gg]]):
+            if lmap[dact[(gg, hh)]] != cact[(rg, lmap[hh])]:
+                yield Violation("NotEquivariant", (gg, hh))
 
 
 def validate_strict_xmorphism(dom, cod, omap, lmap, rmap):

@@ -423,3 +423,26 @@ def test_generators_generate_in_label_order_and_verdicts_ignore_the_labels():
             want = Counter(v.code for v in check_groupoid(*tables(g)[:-1], comp))
             assert Counter(v.code for v in check_groupoid(*renamed)) == want
             assert_associativity_matches_reference(*renamed)
+
+
+def test_kept_generators_are_read_without_finding_them(c2, s3):
+    # a small groupoid's check does not look for generators, so it keeps
+    # none until a reader asks; S3's check finds and keeps them
+    assert c2.gens(find=False) is None
+    assert c2.gens() == ["c1"] and c2.gens(find=False) == ["c1"]
+    assert s3.gens(find=False) == s3.gens() == ["s021", "s102"]
+    raw = fingrpd.Groupoid(s3.objects, s3.arrows, s3.src, s3.tgt, s3.inv, s3.unit, s3.comp)
+    assert raw.gens() is None and raw.gens(find=False) is None
+
+
+def test_violation_messages_are_formatted_when_read():
+    v = Violation("Axiom1Failure", ("a", "(b,c)"), "on x")
+    w = Violation("BadUnit")
+    failure = ValidationFailure([v, w])
+    assert str(v) == "Axiom1Failure witness=('a', '(b,c)') (on x)"
+    assert repr(v) == "Violation(\"Axiom1Failure witness=('a', '(b,c)') (on x)\")"
+    assert (str(w), repr(w)) == ("BadUnit", "Violation('BadUnit')")
+    assert str(failure) == "Axiom1Failure witness=('a', '(b,c)') (on x); BadUnit"
+    assert repr(failure) == \
+        "ValidationFailure(\"Axiom1Failure witness=('a', '(b,c)') (on x); BadUnit\")"
+    assert failure.codes == ["Axiom1Failure", "BadUnit"]

@@ -15,7 +15,9 @@ import pytest
 from xmodforge import bibundle as bb
 from xmodforge import crossing as cr
 from xmodforge import fingrpd, generators, twogpd, xmod
-from xmodforge.errors import ValidationFailure, Violation
+from xmodforge.errors import ValidationFailure
+
+from law_oracles import functor_violations as swept_violations
 
 
 # -- the oracles -------------------------------------------------------------
@@ -41,32 +43,6 @@ def bibundle_tables(zb):
     return None if zb is None else (
         zb.left, zb.right, list(zb.space), list(zb.lmom.items()), list(zb.rmom.items()),
         list(zb.lact.items()), list(zb.ract.items()))
-
-
-def swept_violations(f):
-    """check_groupoid_morphism's violations with composites swept over every
-    composable pair: the check as it was before its certificate."""
-    violations = []
-    dom, cod = f.dom, f.cod
-    for x in dom.objects:
-        if f.omap.get(x) not in cod.objects:
-            violations.append(Violation("BadObjectImage", (x,)))
-    for a in dom.arrows:
-        b = f.amap.get(a)
-        if b not in cod.arrows:
-            violations.append(Violation("BadArrowImage", (a,)))
-            continue
-        if cod.src[b] != f.omap.get(dom.src[a]) or cod.tgt[b] != f.omap.get(dom.tgt[a]):
-            violations.append(Violation("NotFunctorial", (a,), "endpoints not respected"))
-    if violations:
-        return violations
-    for x in dom.objects:
-        if f.amap[dom.unit[x]] != cod.unit[f.omap[x]]:
-            violations.append(Violation("NotFunctorial", (x,), "unit not preserved"))
-    for g, h in dom.composable_pairs():
-        if f.amap[dom.comp[(g, h)]] != cod.comp[(f.amap[g], f.amap[h])]:
-            violations.append(Violation("NotFunctorial", (g, h), "composition not preserved"))
-    return violations
 
 
 def described(violations):
