@@ -10,7 +10,8 @@ from .errors import (CoherenceFailure, EmptyFiberedProduct, ExactnessSolveFailur
 from . import bibundle as bb
 from . import xmod as xmd
 from .fingrpd import (as_group_bundle, aut_label, groupoid_of_parts, pullback_groupoid,
-                      quotient_groupoid, validate_action, validate_groupoid_morphism)
+                      quotient_groupoid, semidirect_product, validate_action,
+                      validate_groupoid_morphism)
 from .util import law_failures, pair
 
 # One side of a crossing: (src, tau, a1, a2) with tag "a" or
@@ -358,10 +359,11 @@ def _crossing_general(chi, as_extension):
 
 
 def xext_from_hypercover(chi):
-    report = xmd.hypercover_report(chi)
-    if not all(report.values()):
+    """check_hypercover's witness, the crossed extension chi induces; NotAHypercover if none."""
+    report, ext = xmd.check_hypercover(chi)
+    if ext is None:
         raise NotAHypercover(str(report))
-    return crossing_from_strict(chi, as_extension=True)
+    return ext
 
 
 def trivial_xext(xm):
@@ -513,9 +515,9 @@ def zigzag_to_xext(z):
     with the diamond product."""
     exts = []
     for i, (chi, direction) in enumerate(zip(z.arrows, z.directions)):
-        if not xmd.is_hypercover(chi):
+        ext = xmd.check_hypercover(chi)[1]
+        if ext is None:
             raise NotAHypercover(f"arrow {i}")
-        ext = crossing_from_strict(chi, as_extension=True)
         if direction == "bwd":
             # chi: modules[i+1] -> modules[i]; flip to point forward
             ext = mbar(ext)
@@ -570,7 +572,7 @@ def crossed_semidirect_iso(c, side="H1"):
     gpd, class_of = crossed_semidirect(c, side=side)
     s = c.sides()[0 if side == "H1" else 1]
     pb, _ = xmd.pullback_xmod(s.xm, c.m.objects, s.mom)
-    sd, _ = xmd.semidirect_of_morphism(xmd.identity_xmorphism(pb))
+    sd = semidirect_product(pb.action)
     amap = {}
     for a in gpd.arrows:
         u, hh, mm = gpd.parts[a]

@@ -183,6 +183,11 @@ def _check_groupoid(objects, arrows, src, tgt, inv, unit, comp, want_generators)
             violations.append(Violation("BadUnit", (x,), "unit missing"))
         elif src.get(e) != x or tgt.get(e) != x:
             violations.append(Violation("BadUnit", (x, e), "unit not a loop at its object"))
+    # with no violation so far each key has its entry: only a longer table has a stray one
+    for name, table, keys in (("src", src, arrows), ("tgt", tgt, arrows), ("inv", inv, arrows),
+                              ("unit", unit, objects)):
+        if violations or len(table) != len(keys):
+            violations += [Violation("SpuriousEntry", (name, k)) for k in table if k not in keys]
     if violations:
         return violations, None
 
@@ -263,6 +268,13 @@ def validate_groupoid(objects, arrows, src, tgt, inv, unit, comp):
     gpd = require(Groupoid(objects, arrows, src, tgt, inv, unit, comp), violations)
     gpd.validated, gpd._gens = True, gens
     return gpd
+
+
+def validated_groupoid(g):
+    """g if it carries the validated mark, else its tables validated, as a
+    groupoid built by hand is taken in.  Raises ValidationFailure."""
+    return g if g.validated else validate_groupoid(g.objects, g.arrows, g.src, g.tgt,
+                                                   g.inv, g.unit, g.comp)
 
 
 def groupoid_of_parts(objects, parts, src, tgt, inv, unit, comp):
@@ -626,7 +638,8 @@ class ActionByAutomorphisms:
 def check_action(base, bundle, act):
     """The violations of an action table (empty when act is an action of
     base on bundle by automorphisms), in the order they are checked: the
-    unit spaces, missing entries (stops here), fibre maps h -> h^g that
+    unit spaces, missing entries and stray ones, keys other than the (g, h)
+    with h over tgt(g) (stops here), fibre maps h -> h^g that
     leave the fibre at src(g) or are not bijective (stops here), then the
     fibre-homomorphism law (h1 h2)^g = h1^g h2^g, the unit law and
     functoriality h^{g g2} = (h^g)^{g2}, each listing its failures in label
@@ -670,6 +683,11 @@ def check_action(base, bundle, act):
         for h in bundle.fiber(base.tgt[g]):
             if (g, h) not in act:
                 violations.append(Violation("MissingActionEntry", (g, h)))
+    # with no entry missing, a key is stray iff act has more than the (g, h), h over tgt(g)
+    if violations or len(act) != sum(len(bundle.fiber(base.tgt[g])) for g in base.arrows):
+        violations += [Violation("SpuriousActionEntry", (g, h)) for g, h in act
+                       if g not in base.arrows or h not in bundle.arrows
+                       or bundle.src[h] != base.tgt[g]]
     if violations:
         return violations
     for g in base.arrows:

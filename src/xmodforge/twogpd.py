@@ -438,8 +438,6 @@ def _sweep_laws(tg):
     for (a1, b1), v1 in vcomp.items():
         for a2 in hnext.get(a1, ()):
             for b2 in hnext_by_t2.get((b1, tg.s2[a2]), ()):
-                if (a2, b2) not in vcomp:  # a stray hcomp key, not a cell
-                    continue
                 lhs = vcomp.get((hcomp[(a1, a2)], hcomp[(b1, b2)]))
                 rhs = hcomp.get((v1, vcomp[(a2, b2)]))
                 if lhs is None or rhs is None or lhs != rhs:
@@ -781,18 +779,8 @@ def check_strong_equivalence(f, k, u, v):
 def check_weak_equivalence(f):
     """Report {WE1, WE2, WE3} for a validated strict homomorphism."""
     d, c = f.dom, f.cod
-    return weak_equivalence_report(d.level1, *_cell_ends(d.vertical), c.level1,
-                                   *_cell_ends(c.vertical), f.m0, f.m1, f.m2)
-
-
-def _cell_ends(vertical):
-    """The src2 and tgt2 tables of a validated vertical groupoid, keyed by
-    its cells alone: a groupoid read from a document may carry entries off
-    its cells, which its check does not read."""
-    src2, tgt2 = vertical.src, vertical.tgt
-    if len(src2) == len(tgt2) == len(vertical.arrows):
-        return src2, tgt2
-    return ({a: src2[a] for a in vertical.arrows}, {a: tgt2[a] for a in vertical.arrows})
+    return weak_equivalence_report(d.level1, d.vertical.src, d.vertical.tgt, c.level1,
+                                   c.vertical.src, c.vertical.tgt, f.m0, f.m1, f.m2)
 
 
 def weak_equivalence_report(dom1, dom_src2, dom_tgt2, cod1, cod_src2, cod_tgt2,

@@ -3,14 +3,14 @@ Ad, extensions, inertia), strict morphisms and their semidirect products,
 pullbacks, projective products, transformations, the equivalence with strict
 2-groupoids, and hypercovers."""
 
-from .errors import (CoherenceFailure, IllDefinedAction, NotAbelian,
+from .errors import (CoherenceFailure, IllDefinedAction, NotAbelian, NotComposable,
                      UnitSpaceMismatch, ValidationFailure, Violation, require)
 from . import bibundle as bb
 from . import twogpd as tgd
 from .fingrpd import (GroupoidMorphism, as_group_bundle, aut_bundle, aut_label,
                       check_groupoid_morphism, groupoid_of_parts, inertia,
                       pullback_groupoid, semidirect_product, unit_bundle,
-                      validate_action, validate_groupoid_morphism)
+                      validate_action, validate_groupoid_morphism, validated_groupoid)
 from .util import law_failures, pair
 
 
@@ -22,7 +22,7 @@ class CrossedModule:
     validate_crossed_module marks it validated when it also holds that G
     and H are validated groupoids and the action a validated action of
     G on H: then every table it is made of has been checked, and the
-    hypercover test reads it without building its 2-groupoid."""
+    certificates and the hypercover test read it as such."""
 
     def __init__(self, g, h, boundary, action):
         self.g = g
@@ -283,7 +283,10 @@ class StrictXMorphism:
         return GroupoidMorphism(self.dom.g, self.cod.g, self.omap, self.rmap)
 
     def then(self, other):
-        return StrictXMorphism(
+        """self followed by other, validated; NotComposable unless other.dom is self.cod."""
+        if other.dom is not self.cod:
+            raise NotComposable("then needs other.dom to be self.cod")
+        return validate_strict_xmorphism(
             self.dom, other.cod,
             {x: other.omap[self.omap[x]] for x in self.omap},
             {h: other.lmap[self.lmap[h]] for h in self.lmap},
@@ -361,9 +364,10 @@ def validate_strict_xmorphism(dom, cod, omap, lmap, rmap):
 
 
 def identity_xmorphism(xm):
-    return StrictXMorphism(xm, xm, {x: x for x in xm.g.objects},
-                           {h: h for h in xm.h.arrows},
-                           {g: g for g in xm.g.arrows})
+    """The identity strict morphism of xm, validated."""
+    return validate_strict_xmorphism(xm, xm, {x: x for x in xm.g.objects},
+                                     {h: h for h in xm.h.arrows},
+                                     {g: g for g in xm.g.arrows})
 
 
 def semidirect_of_morphism(chi):
@@ -401,8 +405,7 @@ def vertical_groupoid(xm):
     the arrows of G and the cells of vertical_cells(xm).  Every inverse,
     unit and composite takes its label from the cell of its parts rather
     than building it again.  Memoized per crossed-module instance
-    (immutable after validation), so every morphism into or out of xm
-    reads one groupoid."""
+    (immutable after validation), as xmod_to_2groupoid is."""
     if xm._vertical is not None:
         return xm._vertical
     g, h = xm.g, xm.h
@@ -710,88 +713,76 @@ def hypercover_report(chi):
     """{WE1, WE2, WE3} of the homomorphism of vertical 2-groupoids induced
     by a strict morphism; chi is a hypercover iff all three hold.
 
-    The three conditions read only the level-1 groupoids G1 and G2 of the
-    ends, the cells of each end with their two ends, and the maps (m0, m1,
-    m2) = (chi.omap, chi.rmap, (h, g) -> (lmap h, rmap g)), and so does
-    the report here when chi and both its ends are marked validated: it
-    reads the cells and their ends off vertical_cells of each end, which
-    take them from G, H and the boundary, and WE1-WE3 off those
-    (twogpd.weak_equivalence_report).  It builds no vertical groupoid, no
-    vertical functor, neither 2-groupoid and no StrictHom2, and the checks
-    it skips cannot fail on such inputs.  Crossed modules over groupoids
-    are equivalent to strict 2-groupoids, and strict morphisms of crossed
-    modules to strict 2-functors (Brown, Higgins & Sivera, Nonabelian
-    Algebraic Topology, EMS Tracts 15, 2011, section 6):
-      vertical_groupoid: H x| G ==> G is a groupoid.  It is the action
-           groupoid of the action h.g = boundary(h) g of the group bundle
-           H on the arrows of G, and H is a validated bundle and the
-           boundary a validated functor (check_crossed_module).
+    The conditions read only the level-1 groupoids G1 and G2, the cells of
+    each end with their two ends, and the maps (m0, m1, m2) = (chi.omap,
+    chi.rmap, (h, g) -> (lmap h, rmap g)).  The report reads the cells off
+    vertical_cells of each end (from G, H and the boundary), and WE1-WE3
+    off those (twogpd.weak_equivalence_report).  It builds no vertical
+    groupoid or functor, no 2-groupoid and no StrictHom2, which
+    hom2_from_xmorphism builds for twogpd.check_weak_equivalence, the same
+    report.  A part of chi that carries no mark is validated first
+    (_marked), so a bad one raises its validator's ValidationFailure.  On
+    marked parts the skipped checks cannot fail, as crossed modules over
+    groupoids are equivalent to strict 2-groupoids, and strict morphisms
+    to strict 2-functors (Brown, Higgins & Sivera, Nonabelian Algebraic
+    Topology, EMS Tracts 15, 2011, section 6):
+      vertical_groupoid: H x| G ==> G is the action groupoid of h.g =
+           boundary(h) g, the validated bundle H acting on the arrows of G
+           through the validated functor boundary (check_crossed_module).
       the vertical functor: m2 = (lmap, rmap) preserves vertical
-           composition and units, because lmap is a functor (chi.left())
-           and rmap(boundary(h) g) = boundary(lmap h) rmap(g), as rmap is
-           a functor that commutes with the boundaries
-           (validate_strict_xmorphism).
-      xmod_to_2groupoid: its levels are G and the vertical groupoid, both
-           validated groupoids; its whiskers and hcomp are those of the
-           semidirect product H x| G, whose laws (check_2groupoid's (V),
-           (D), (W1) and (W2), the whisker ends) follow from the action's
-           laws (validate_action) and the two crossed-module axioms; and
-           the h-inverses make_2groupoid derives, vinv(1 *h a *h 1), are
-           the inverses of that product.
-      validate_strict_hom2: m0 and m1 are chi.right(), a functor that
-           validate_strict_xmorphism checked; m2 sends a cell to a cell
-           with the ends m1 gives, and preserves vertical composition and
-           units, as above; and it preserves the whiskers, hence hcomp,
-           since chi.left() is a functor that commutes with the
-           boundaries and is equivariant along chi.right().
-    Any other input, whose marks are missing (a composite from then, an
-    object built by hand), takes the full route: both 2-groupoids and the
-    StrictHom2 are built and validated, and their failures raise as they
-    did."""
-    return _weak_equivalence(chi)[0]
+           composition and units: lmap is a functor (chi.left()), and
+           rmap(boundary(h) g) = boundary(lmap h) rmap(g).
+      xmod_to_2groupoid: its whiskers, hcomp and derived h-inverses are
+           those of the semidirect product H x| G, whose laws
+           (check_2groupoid's (V), (D), (W1), (W2) and whisker ends) follow
+           from the action's laws and the two crossed-module axioms.
+      validate_strict_hom2: m0 and m1 are the functor chi.right(), and m2
+           preserves the cells' ends, the vertical structure and the
+           whiskers, hence hcomp, since chi.left() commutes with the
+           boundaries and is equivariant along chi.right()."""
+    chi = _marked(chi)
+    cells, src2, tgt2 = vertical_cells(chi.dom)
+    _, cod_src2, cod_tgt2 = vertical_cells(chi.cod)
+    m2 = {cell: pair(chi.lmap[hh], chi.rmap[gg]) for cell, (hh, gg) in cells.items()}
+    return tgd.weak_equivalence_report(chi.dom.g, src2, tgt2, chi.cod.g, cod_src2,
+                                       cod_tgt2, chi.omap, chi.rmap, m2)
 
 
-def _weak_equivalence(chi):
-    """(chi's WE report, a function that gives chi's vertical functor,
-    validated), on the route hypercover_report says."""
+def _marked(chi):
+    """chi when it and its ends carry the validated mark, else chi on marked
+    ends, each unmarked part validated (validate_groupoid, validate_action,
+    validate_crossed_module, validate_strict_xmorphism), each marked one kept."""
     if chi.validated and chi.dom.validated and chi.cod.validated:
-        cells, src2, tgt2 = vertical_cells(chi.dom)
-        _, cod_src2, cod_tgt2 = vertical_cells(chi.cod)
-        m2 = {cell: pair(chi.lmap[hh], chi.rmap[gg]) for cell, (hh, gg) in cells.items()}
-        report = tgd.weak_equivalence_report(chi.dom.g, src2, tgt2, chi.cod.g, cod_src2,
-                                             cod_tgt2, chi.omap, chi.rmap, m2)
-        return report, lambda: validate_groupoid_morphism(
-            vertical_groupoid(chi.dom), vertical_groupoid(chi.cod), chi.rmap, m2)
-    f, dom2, cod2 = hom2_from_xmorphism(chi)
-    return tgd.check_weak_equivalence(f), lambda: validate_groupoid_morphism(
-        dom2.vertical, cod2.vertical, dict(f.m1), dict(f.m2))
+        return chi
+    return validate_strict_xmorphism(_marked_xmod(chi.dom), _marked_xmod(chi.cod),
+                                     chi.omap, chi.lmap, chi.rmap)
+
+
+def _marked_xmod(xm):
+    if xm.validated:
+        return xm
+    g = validated_groupoid(xm.g)
+    h = xm.h if xm.h.validated else as_group_bundle(validated_groupoid(xm.h))
+    action = xm.action
+    marked = action.validated and action.base is g and action.bundle is h
+    return validate_crossed_module(g, h, xm.boundary,
+                                   action if marked else validate_action(g, h, action.act))
 
 
 def check_hypercover(chi):
-    """A strict morphism is a hypercover iff the induced homomorphism of
-    vertical 2-groupoids is a weak equivalence. Returns (report dict,
-    witness bibundle or None). The report is hypercover_report's, on its
-    route.  When it passes, the witness is bibundle_from_hom of the
-    vertical functor if that is a Morita equivalence of the vertical
-    semidirect groupoids; otherwise it is None and the report gains
-    WitnessMorita: False.  On marked inputs the vertical groupoids and the
-    validated vertical functor are built only then, for the witness."""
-    report, vertical = _weak_equivalence(chi)
-    witness = None
-    if all(report.values()):
-        zb = bb.bibundle_from_hom(vertical())
-        ok, _ = bb.is_morita(zb)
-        if ok:
-            witness = zb
-        else:
-            report["WitnessMorita"] = False
-    return report, witness
+    """(hypercover_report(chi), witness): when chi is a hypercover, the
+    crossed extension it induces (the paper's model of a Morita
+    equivalence), crossing_from_strict(chi, as_extension=True), from
+    chi.dom to chi.cod or, unmarked, their validated copies; else None."""
+    from . import crossing as cr  # crossing imports this module
+    chi = _marked(chi)
+    report = hypercover_report(chi)
+    if not all(report.values()):
+        return report, None
+    return report, cr.crossing_from_strict(chi, as_extension=True)
 
 
 def is_hypercover(chi):
     """WE1-WE3 of the induced 2-groupoid homomorphism (the definition), by
-    hypercover_report: on marked inputs it reads the cells of the two ends
-    and builds no groupoid.  Builds no witness bibundle; check_hypercover
-    does, and withholds it when it is no Morita equivalence, as on many
-    hypercovers whose object map is not injective."""
+    hypercover_report; no witness is built (check_hypercover builds one)."""
     return all(hypercover_report(chi).values())

@@ -390,6 +390,42 @@ def test_spurious_composites_are_found_by_count_as_by_the_sweep():
     assert ("SpuriousComposite",) in seen
 
 
+@pytest.mark.parametrize("name", ["src", "tgt", "inv", "unit"])
+def test_a_stray_key_in_an_endpoint_table_is_a_violation(name):
+    # a key that is no arrow (no object, for unit) fails the groupoid; with
+    # an entry missing as well the length matches, and both are listed
+    g = pair_groupoid(["a", "b"])
+    keys = g.objects if name == "unit" else g.arrows
+    stray = {**getattr(g, name), "ghost": next(iter(getattr(g, name).values()))}
+    tabs = dict(zip(("src", "tgt", "inv", "unit"), tables(g)[2:6]), **{name: stray})
+    args = (g.objects, g.arrows, tabs["src"], tabs["tgt"], tabs["inv"], tabs["unit"], g.comp)
+    assert listed(check_groupoid(*args)) == [("SpuriousEntry", (name, "ghost"), "")]
+    dropped = next(iter(keys))
+    del stray[dropped]
+    got = listed(check_groupoid(*args))
+    assert ("SpuriousEntry", (name, "ghost"), "") in got and len(got) >= 2
+    with pytest.raises(ValidationFailure):
+        validate_groupoid(*args)
+
+
+def test_a_stray_action_entry_is_a_violation():
+    # entries off the (g, h) with h over tgt(g): a label that is no bundle
+    # arrow, an arrow over another object, and one beside a missing entry
+    base = pair_groupoid(["u", "v"])
+    bundle = trivial_bundle(["u", "v"], cyclic_groupoid(2))
+    act = trivial_action(base, bundle).act
+    g = next(a for a in base.arrows if base.src[a] != base.tgt[a])
+    off = next(h for h in bundle.arrows if bundle.src[h] != base.tgt[g])
+    for key in ((g, "ghost"), ("ghost", off), (g, off)):
+        bad = {**act, key: off}
+        assert listed(fingrpd.check_action(base, bundle, bad)) == [
+            ("SpuriousActionEntry", key, "")]
+        del bad[next(iter(act))]
+        got = listed(fingrpd.check_action(base, bundle, bad))
+        assert got == [("MissingActionEntry", next(iter(act)), ""),
+                       ("SpuriousActionEntry", key, "")]
+
+
 def right_closure(gens, src, tgt, comp):
     reached, todo = set(), list(gens)
     while todo:

@@ -105,6 +105,19 @@ def test_cmd_check_bundle_missing_base_fails(tmp_path, capsys):
     assert "BadArrowEndpoints" in out
 
 
+def test_cmd_check_stray_action_entry_fails(tmp_path, capsys):
+    # an act entry at a label that is no bundle arrow is a validation failure
+    with open(fixture("sc2.gdf")) as fh:
+        text = fh.read()
+    bad = text.replace("c1.c1=c1\n", "c1.c1=c1 c1.ghost=c0\n")
+    assert bad != text
+    p = tmp_path / "ghost.gdf"
+    p.write_text(bad)
+    assert run_cli(["check", str(p)]) == cli.EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert "SpuriousActionEntry: FAIL witness=('c1', 'ghost')" in out
+
+
 def test_cmd_check_syntax_exit_code(tmp_path, capsys):
     p = tmp_path / "broken.gdf"
     p.write_text("groupoid G {\n  objects x\n}\n")

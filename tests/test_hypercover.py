@@ -1,18 +1,18 @@
-"""The hypercover test on validated inputs reads WE1-WE3 off the cells of
-the two crossed modules and their ends (xmod.vertical_cells): it builds no
-vertical groupoid and validates no vertical functor, and check_hypercover
-builds both only for a witness.  Its oracles here are the report on the
-validated vertical groupoids and the full route, which builds both strict
-2-groupoids and the StrictHom2; a moved cell end shows that the report
-reads the cell tables.  The functor check's generator certificate is
-compared with the sweep on single-entry corruptions, and a planted
-failure shows what a missing generator would let through."""
+"""The hypercover test reads WE1-WE3 off the cells of the two crossed
+modules and their ends (xmod.vertical_cells): it builds no vertical
+groupoid, no vertical functor, neither 2-groupoid and no StrictHom2, on
+marked inputs and, once validated, on unmarked ones.  Its oracles here are
+the report on the validated vertical groupoids and the full route, which
+builds both strict 2-groupoids and the StrictHom2; a moved cell end shows
+that the report reads the cell tables.  check_hypercover's witness is the
+crossed extension the hypercover induces.  The functor check's generator
+certificate is compared with the sweep on single-entry corruptions, and a
+planted failure shows what a missing generator would let through."""
 
 import random
 
 import pytest
 
-from xmodforge import bibundle as bb
 from xmodforge import crossing as cr
 from xmodforge import fingrpd, generators, twogpd, xmod
 from xmodforge.errors import ValidationFailure
@@ -23,26 +23,10 @@ from law_oracles import functor_violations as swept_violations
 # -- the oracles -------------------------------------------------------------
 
 
-def full_route(chi):
-    """(report, witness) of check_hypercover as the full route computes
-    them: both 2-groupoids and the StrictHom2, validated."""
-    f, dom2, cod2 = xmod.hom2_from_xmorphism(chi)
-    report = twogpd.check_weak_equivalence(f)  # hypercover_report's
-    witness = None
-    if all(report.values()):
-        zb = bb.bibundle_from_hom(fingrpd.validate_groupoid_morphism(
-            dom2.vertical, cod2.vertical, dict(f.m1), dict(f.m2)))
-        if bb.is_morita(zb)[0]:
-            witness = zb
-        else:
-            report["WitnessMorita"] = False
-    return report, witness
-
-
-def bibundle_tables(zb):
-    return None if zb is None else (
-        zb.left, zb.right, list(zb.space), list(zb.lmom.items()), list(zb.rmom.items()),
-        list(zb.lact.items()), list(zb.ract.items()))
+def full_report(chi):
+    """hypercover_report as the full route computes it: both 2-groupoids
+    and the StrictHom2, validated."""
+    return twogpd.check_weak_equivalence(xmod.hom2_from_xmorphism(chi)[0])
 
 
 def described(violations):
@@ -50,11 +34,6 @@ def described(violations):
 
 
 # -- generated strict morphisms ---------------------------------------------
-
-
-def marked(chi):
-    """chi validated again, so that it carries the mark."""
-    return xmod.validate_strict_xmorphism(chi.dom, chi.cod, chi.omap, chi.lmap, chi.rmap)
 
 
 def collapse(xm):
@@ -76,8 +55,8 @@ def strict_morphisms(seed):
     xm = generators.random_crossed_module(rng)
     pb, proj = xmod.pullback_xmod(xm, *generators.random_surjection(rng, xm.g.objects))
     _, proj2 = xmod.pullback_xmod(pb, *generators.random_surjection(rng, pb.g.objects))
-    out = [left, right, proj, marked(xmod.identity_xmorphism(xm)),
-           marked(proj2.then(proj)), collapse(xm), marked(left.then(collapse(left.cod)))]
+    out = [left, right, proj, xmod.identity_xmorphism(xm), proj2.then(proj), collapse(xm),
+           left.then(collapse(left.cod))]
     assert all(chi.validated and chi.dom.validated and chi.cod.validated for chi in out)
     return out
 
@@ -87,22 +66,55 @@ def morphisms():
     return [chi for seed in range(60) for chi in strict_morphisms(seed)]
 
 
+def unmarked(chi):
+    """chi rebuilt by hand on hand-built copies of its ends: no part but
+    the groupoids and actions they share with chi's carries a mark."""
+    dom = hand_built(chi.dom)
+    cod = dom if chi.cod is chi.dom else hand_built(chi.cod)
+    return xmod.StrictXMorphism(dom, cod, chi.omap, chi.lmap, chi.rmap)
+
+
 def test_reports_match_the_full_route(morphisms):
     verdicts = []
     for chi in morphisms:
         report = xmod.hypercover_report(chi)
-        assert report == twogpd.check_weak_equivalence(xmod.hom2_from_xmorphism(chi)[0])
+        assert report == full_report(chi)
+        copy = unmarked(chi)
+        assert not (copy.validated or copy.dom.validated or copy.cod.validated)
+        assert xmod.hypercover_report(copy) == full_report(copy) == report
         verdicts.append(all(report.values()))
     assert len(verdicts) >= 300
     assert verdicts.count(False) >= 40
 
 
-def test_witnesses_match_the_full_route(morphisms):
+def test_every_hypercover_gets_its_crossed_extension(morphisms):
+    witnessed = 0
     for chi in morphisms:
         report, witness = xmod.check_hypercover(chi)
-        want_report, want_witness = full_route(chi)
-        assert report == want_report
-        assert bibundle_tables(witness) == bibundle_tables(want_witness)
+        assert report == xmod.hypercover_report(chi)
+        if not all(report.values()):
+            assert witness is None
+            continue
+        assert witness.is_extension
+        assert witness.src is chi.dom and witness.dst is chi.cod
+        assert cr.check_crossing(witness, prime=True) == []
+        witnessed += 1
+    assert (witnessed, len(morphisms)) == (321, 420)
+
+
+def test_xext_from_hypercover_reads_the_report_once(monkeypatch, sc2_pullback):
+    _, proj = sc2_pullback
+    reads = []
+    report = twogpd.weak_equivalence_report
+
+    def spy(*args):
+        reads.append(args)
+        return report(*args)
+
+    monkeypatch.setattr(twogpd, "weak_equivalence_report", spy)
+    ext = cr.xext_from_hypercover(proj)
+    assert len(reads) == 1
+    assert ext.src is proj.dom and ext.dst is proj.cod
 
 
 def vertical_report(chi, dom_ends=None, cod_ends=None):
@@ -189,12 +201,10 @@ def test_marked_inputs_build_no_vertical_groupoid(monkeypatch):
     monkeypatch.setattr(xmod, "validate_groupoid_morphism", refuse)
     assert [xmod.is_hypercover(chi) for chi in morphisms] == verdicts
     for chi, verdict in zip(morphisms, verdicts):
-        # check_hypercover builds the vertical functor only for a witness
-        if verdict:
-            with pytest.raises(FullRoute):
-                xmod.check_hypercover(chi)
-        else:
-            assert xmod.check_hypercover(chi) == (xmod.hypercover_report(chi), None)
+        # the witness is the crossed extension, not the vertical functor's
+        report, witness = xmod.check_hypercover(chi)
+        assert report == xmod.hypercover_report(chi)
+        assert (witness is not None) == verdict
     assert True in verdicts and False in verdicts
 
 
@@ -203,14 +213,36 @@ def hand_built(xm):
     return xmod.CrossedModule(xm.g, xm.h, xm.boundary, xm.action)
 
 
-def test_unmarked_inputs_take_the_full_route(no_full_route, sc2_pullback):
+def raw_groupoid(g):
+    """g's tables as a groupoid built by hand, with no mark."""
+    return fingrpd.Groupoid(g.objects, g.arrows, g.src, g.tgt, g.inv, g.unit, g.comp)
+
+
+def test_unmarked_inputs_are_validated_and_read_off_the_cells(no_full_route, sc2_pullback):
+    # identity_xmorphism and then composites are validated when built; a
+    # morphism out of a crossed module built by hand, over validated parts
+    # or over a raw groupoid, bundle and action, is validated by the
+    # hypercover test and takes the cells route, with its marked copy's
+    # report, and its witness runs between the validated copies of its ends
     pb, proj = sc2_pullback
-    unmarked = [xmod.identity_xmorphism(pb), proj.then(xmod.identity_xmorphism(proj.cod)),
-                xmod.StrictXMorphism(hand_built(pb), proj.cod, proj.omap, proj.lmap, proj.rmap)]
-    for chi in unmarked:
-        for check in (xmod.is_hypercover, xmod.check_hypercover):
-            with pytest.raises(FullRoute):
-                check(chi)
+    ident = xmod.identity_xmorphism(pb)
+    composite = proj.then(xmod.identity_xmorphism(proj.cod))
+    assert ident.validated and composite.validated
+    raw_g, raw_h = raw_groupoid(pb.g), raw_groupoid(pb.h)
+    raw = xmod.CrossedModule(raw_g, raw_h, pb.boundary,
+                             fingrpd.ActionByAutomorphisms(raw_g, raw_h, pb.action.act))
+    cases = [(ident, ident), (composite, proj)]
+    cases += [(xmod.StrictXMorphism(dom, proj.cod, proj.omap, proj.lmap, proj.rmap), proj)
+              for dom in (hand_built(pb), raw)]
+    for chi, copy in cases:
+        want = xmod.hypercover_report(copy)
+        assert xmod.hypercover_report(chi) == want and all(want.values())
+        assert xmod.is_hypercover(chi)
+        report, witness = xmod.check_hypercover(chi)
+        assert report == want
+        assert witness.dst is chi.cod and witness.src.validated
+        assert witness.src is chi.dom or witness.src.boundary == chi.dom.boundary
+        assert cr.check_crossing(witness, prime=True) == []
 
 
 @pytest.fixture
@@ -222,8 +254,7 @@ def sc2_pullback():
 def test_a_crossed_module_is_marked_on_validated_parts_only(sc2_pullback):
     pb, _ = sc2_pullback
     assert pb.validated
-    raw = fingrpd.Groupoid(pb.g.objects, pb.g.arrows, pb.g.src, pb.g.tgt, pb.g.inv,
-                           pb.g.unit, pb.g.comp)
+    raw = raw_groupoid(pb.g)
     action = fingrpd.validate_action(raw, pb.h, pb.action.act)
     assert action.validated
     assert not xmod.validate_crossed_module(raw, pb.h, pb.boundary, action).validated
@@ -232,18 +263,33 @@ def test_a_crossed_module_is_marked_on_validated_parts_only(sc2_pullback):
     assert not hand_built(pb).validated
 
 
-def test_an_unmarked_bad_morphism_raises_as_before(sc2_pullback):
+def test_an_unmarked_bad_morphism_raises_the_validators_violations(sc2_pullback):
+    # the hypercover test validates an unmarked input first, so a bad one
+    # raises what validate_strict_xmorphism or validate_crossed_module
+    # raises on it, not the 2-groupoid codes of the full route
     pb, proj = sc2_pullback
     g = proj.cod.g
     other = next(a for a in g.arrows if not g.is_unit(a))
     rmap = dict(proj.rmap, **{a: other for a, b in proj.rmap.items() if g.is_unit(b)})
-    chi = xmod.StrictXMorphism(pb, proj.cod, proj.omap, proj.lmap, rmap)
-    with pytest.raises(ValidationFailure) as want:
-        xmod.hom2_from_xmorphism(chi)
-    for check in (xmod.is_hypercover, xmod.check_hypercover):
-        with pytest.raises(ValidationFailure) as got:
-            check(chi)
-        assert described(got.value.violations) == described(want.value.violations)
+    bad_morphism = (pb, proj.cod, proj.omap, proj.lmap, rmap)
+    # a boundary that sends the non-units of H to arrows off their point
+    leave = {x: next(a for a in pb.g.arrows_from(x) if pb.g.tgt[a] != x) for x in pb.g.objects}
+    boundary = {hh: b if pb.h.is_unit(hh) else leave[pb.h.src[hh]]
+                for hh, b in pb.boundary.items()}
+    bad_xmod = (pb.g, pb.h, boundary, pb.action)
+    for validate, args, chi in (
+            (xmod.validate_strict_xmorphism, bad_morphism,
+             xmod.StrictXMorphism(*bad_morphism)),
+            (xmod.validate_crossed_module, bad_xmod,
+             xmod.StrictXMorphism(xmod.CrossedModule(*bad_xmod), proj.cod,
+                                  proj.omap, proj.lmap, proj.rmap))):
+        with pytest.raises(ValidationFailure) as want:
+            validate(*args)
+        assert want.value.violations
+        for check in (xmod.is_hypercover, xmod.check_hypercover):
+            with pytest.raises(ValidationFailure) as got:
+                check(chi)
+            assert described(got.value.violations) == described(want.value.violations)
 
 
 # -- the functor certificate -------------------------------------------------

@@ -260,6 +260,7 @@ def test_constructed_groupoids_go_through_groupoid_of_parts():
     # fingrpd.groupoid_of_parts; only the builder, the bundle validator, the
     # GDF reader and the merge of generated blocks validate tables directly,
     # by a call or, in the reader's table of builders, by a reference
+    # (fingrpd.validated_groupoid also does, on a groupoid built by hand)
     callers = {"validate_groupoid": set(), "validate_group_bundle": set()}
     for module, tree in library_modules():
         for top in tree.body:
@@ -268,7 +269,7 @@ def test_constructed_groupoids_go_through_groupoid_of_parts():
                     callers[name].add(module if module == "gdf" else f"{module}.{top.name}")
     assert callers == {
         "validate_groupoid": {"fingrpd.groupoid_of_parts", "fingrpd.validate_group_bundle",
-                              "gdf", "generators._merge"},
+                              "fingrpd.validated_groupoid", "gdf", "generators._merge"},
         "validate_group_bundle": {"gdf"}}
 
 
@@ -346,4 +347,17 @@ def test_xmod_builds_whiskers_not_hcomp():
                         table.attr if isinstance(table, ast.Attribute) else None
                     if name == "hcomp":
                         found.append(store.lineno)
+    assert found == []
+
+
+def test_the_hypercover_test_has_one_route():
+    # the library reads WE1-WE3 off the cells of the two ends and gives the
+    # crossed extension as the witness: building both 2-groupoids and the
+    # StrictHom2 (hom2_from_xmorphism) is left to the tests' oracle, and
+    # the bibundle witness and its WitnessMorita mark stay gone
+    found = [(module, call.lineno) for module, tree in library_modules()
+             for call in calls(tree, "hom2_from_xmorphism")]
+    for path in python_files(os.path.join("src", "xmodforge")):
+        with open(path, encoding="utf-8") as fh:
+            found += [(os.path.basename(path), "WitnessMorita")] * ("WitnessMorita" in fh.read())
     assert found == []

@@ -119,16 +119,19 @@ def test_identity_hom_weak_equivalence(pair2):
 
 
 def test_cell_ends_off_the_cells_do_not_reach_the_weak_equivalence():
-    # a document's src2 and tgt2 lines may name a label that is no cell;
-    # the 2-groupoid check does not read it, and neither does WE1-WE3
+    # a document's src2 and tgt2 lines may name a label that is no cell:
+    # the vertical groupoid's check rejects those entries, so no validated
+    # 2-groupoid hands them to WE1-WE3
     block = gdf.two_groupoid_block("T", xmod.xmod_to_2groupoid(
         xmod.inertia_xmod(cyclic_groupoid(3))))
     cell, one_cell = next(iter(block.entries["src2"])).split("=")
     block.entries["src2"].append(f"ghost={one_cell}")
     block.entries["tgt2"].append(f"ghost={one_cell}")
-    tg = gdf.build_document(gdf.parse_gdf(gdf.print_gdf(gdf.document_of([block]))))["T"]
-    assert "ghost" in tg.s2 and "ghost" not in tg.g2
-    assert check_weak_equivalence(identity_hom2(tg)) == {"WE1": True, "WE2": True, "WE3": True}
+    with pytest.raises(ValidationFailure) as err:
+        gdf.build_document(gdf.parse_gdf(gdf.print_gdf(gdf.document_of([block]))))
+    assert listed(err.value.violations) == [
+        ("Level2:SpuriousEntry", ("src", "ghost"), ""),
+        ("Level2:SpuriousEntry", ("tgt", "ghost"), "")]
 
 
 def test_object_inclusion_weak_equivalence(pair2):
@@ -474,9 +477,10 @@ def test_cyclic_2groupoid_of_a_crossed_module():
 
 
 def test_check_2groupoid_matches_sweep_with_a_stray_hcomp_key():
-    # "x" has the s2 and t2 of the cell c and all of its h-composites but is
-    # no cell: the cell checks pass, the certificate refuses, and the sweep
-    # must still list what the reference lists
+    # "x" is no cell but keys h-composites beside the cell c: with no ends
+    # each of its keys is a spurious h-composite, and with the ends of c
+    # the vertical groupoid's check rejects those first, so the law sweep
+    # never meets a key that is no cell
     tg = cyclic_2groupoid(4, 2, 1, lambda x1, i1, x2, i2: x1 + x2)
     c = "0|0"
     hcomp = {}
@@ -484,23 +488,28 @@ def test_check_2groupoid_matches_sweep_with_a_stray_hcomp_key():
         for x in ({a, "x"} if a == c else {a}):
             for y in ({b, "x"} if b == c else {b}):
                 hcomp[(x, y)] = ab
+    stray_keys = [key for key in hcomp if "x" in key]
+    assert stray_keys
+    stray = twogpd.TwoGroupoid(tg.level1, raw_vertical(tg), hcomp, tg.hinv)
+    assert listed(twogpd.check_2groupoid(stray)) == [
+        ("SpuriousHComposite", key, "") for key in stray_keys]
     vertical = raw_vertical(tg, src={**tg.s2, "x": tg.s2[c]}, tgt={**tg.t2, "x": tg.t2[c]})
     stray = twogpd.TwoGroupoid(tg.level1, vertical, hcomp, tg.hinv)
-    cells, gens = twogpd._check_cells(stray)
-    assert cells == []
-    assert not twogpd._whiskering_certifies(stray, *gens)
-    assert listed(twogpd.check_2groupoid(stray)) == listed(reference_laws(stray)) == []
+    assert listed(twogpd.check_2groupoid(stray)) == [
+        ("Level2:SpuriousEntry", ("src", "x"), ""), ("Level2:SpuriousEntry", ("tgt", "x"), "")]
 
 
 def test_a_vertical_groupoid_off_the_1_cells_is_checked_on_them():
     # a validated vertical groupoid with an object that is no 1-cell: its
-    # tables are checked on the 1-cells, as raw tables are, and the cell
-    # on the stray object has ends outside them
+    # tables are checked on the 1-cells, as raw tables are: the cell on
+    # the stray object has ends outside them, and its unit entry is keyed
+    # by no 1-cell
     tg = from_groupoid(cyclic_groupoid(2))
     stray = unit_groupoid([*tg.g1, "zz"])
     assert stray.validated
     got = twogpd.check_2groupoid(twogpd.TwoGroupoid(tg.level1, stray, {}, {}))
-    assert listed(got) == [("Level2:BadArrowEndpoints", ("(id,zz)",), "")]
+    assert listed(got) == [("Level2:BadArrowEndpoints", ("(id,zz)",), ""),
+                           ("Level2:SpuriousEntry", ("unit", "zz"), "")]
 
 
 def test_check_2groupoid_rejects_a_wrong_h_inverse():

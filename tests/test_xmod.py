@@ -4,7 +4,7 @@ import pytest
 
 from xmodforge import bibundle as bb
 from xmodforge import extensions, fingrpd, generators, twogpd, xmod
-from xmodforge.errors import (CoherenceFailure, IllDefinedAction, NotAbelian,
+from xmodforge.errors import (CoherenceFailure, IllDefinedAction, NotAbelian, NotComposable,
                               UnitSpaceMismatch, ValidationFailure)
 from xmodforge.fingrpd import (as_group_bundle, cyclic_groupoid, pair,
                                trivial_action, trivial_bundle, unit_groupoid,
@@ -389,6 +389,14 @@ def test_hom2_functoriality(sc2):
     comp = chi.then(chi)
     g, _, _ = xmod.hom2_from_xmorphism(comp)
     assert g.m2 == {a: f.m2[f.m2[a]] for a in f.m2}
+
+
+def test_then_needs_the_second_morphism_to_start_where_the_first_ends(sc2):
+    sc3 = xmod.inertia_xmod(cyclic_groupoid(3))
+    assert xmod.identity_xmorphism(sc2).then(xmod.identity_xmorphism(sc2)).validated
+    for cod in (sc3, xmod.CrossedModule(sc2.g, sc2.h, sc2.boundary, sc2.action)):
+        with pytest.raises(NotComposable):
+            xmod.identity_xmorphism(sc2).then(xmod.identity_xmorphism(cod))
 
 
 # -- oracle: M *_P N by scanning for the right arrow ------------------------------
