@@ -7,7 +7,7 @@ from itertools import repeat
 from .errors import CoherenceFailure, EmptyComposite, ValidationFailure, Violation, require
 from .fingrpd import (group_isos, groupoid_of_parts, inertia, pullback_groupoid,
                       validate_groupoid_morphism)
-from .util import pair, quotient, search_bijection
+from .util import law_failures, pair, quotient, search_bijection
 
 
 class Bibundle:
@@ -73,15 +73,15 @@ def check_bibundle(zb):
     wanted: the sum over z of |arrows from lmom(z)| on the left and of
     |arrows to rmom(z)| on the right.
 
-    The law certificate runs when both ends are validated groupoids and so
-    give their generators S(M) and S(N) (fingrpd.generators; every arrow
-    is a left-normed product of generators, and both ends are
-    associative).  It gives the four bodies S(M) and S(N) in place of every
-    arrow, and stops at the first failure: it checks the left action law
-    for m1 in S(M), the right action law for n2 in S(N), the invariance of
-    rmom under S(M) and of lmom under S(N), and commuting on S(M) x S(N),
-    after the shape checks.
-    Each law holds for all arrows once it holds on generators:
+    Each law runs through util.law_failures, and is certified when both
+    ends are validated groupoids that keep their generators S(M) and S(N)
+    (Groupoid.gens; every arrow is a left-normed product of generators,
+    and both ends are associative), by its body given them in place of
+    every arrow: the left action law for m1 in S(M), the right one for n2
+    in S(N), the invariance of rmom under S(M) and of lmom under S(N)
+    once both action laws hold, and commuting on S(M) x S(N), reached only
+    once nothing has failed.  Each holds for all arrows once it holds on
+    generators:
       left law: let T be the m1 with (m1 m2).z = m1.(m2.z) for all m2 and
         z.  For a, b in T with s(a) = t(b),
         ((ab) m2).z = (a (b m2)).z = a.((b m2).z) = a.(b.(m2.z))
@@ -132,22 +132,22 @@ def check_bibundle(zb):
         if zb.ract[(z, right.unit[zb.rmom[z]])] != z:
             violations.append(Violation("BadUnitAction", ("right", z)))
 
-    rows, ms, ns = _rows(zb), left.gens(), right.gens()
-    laws = (_not_left_action, _not_right_action, _moved, _noncommuting)
-    if ms is None or ns is None or any(next(law(zb, rows, ms, ns), None) for law in laws):
-        ms, ns, zs = left.arrows, right.arrows, zb.space
-        violations += [Violation("NotAction", ("left", m1, m2, zs[i]))
-                       for m1, m2, i in sorted(_not_left_action(zb, rows, ms, ns))]
-        violations += [Violation("NotAction", ("right", zs[i], n1, n2))
-                       for n1, n2, i in sorted(_not_right_action(zb, rows, ms, ns))]
-        violations += [Violation("NonCommuting", (a, zs[i]), "rmom moved by left action")
-                       if side == "left" else
-                       Violation("NonCommuting", (zs[i], a), "lmom moved by right action")
-                       for i, side, a in sorted(_moved(zb, rows, ms, ns))]
-        if violations:
-            return violations
-        violations += [Violation("NonCommuting", (m, zs[i], n))
-                       for i, m, n in sorted(_noncommuting(zb, rows, ms, ns))]
+    rows, ms, ns, zs = _rows(zb), left.gens(), right.gens(), zb.space
+    gens = None if ms is None or ns is None else (zb, rows, ms, ns)
+    every = (zb, rows, left.arrows, right.arrows)
+    lefts = sorted(law_failures(_not_left_action, gens, every))
+    rights = sorted(law_failures(_not_right_action, gens, every))
+    violations += [Violation("NotAction", ("left", m1, m2, zs[i])) for m1, m2, i in lefts]
+    violations += [Violation("NotAction", ("right", zs[i], n1, n2)) for n1, n2, i in rights]
+    violations += [Violation("NonCommuting", (a, zs[i]), "rmom moved by left action")
+                   if side == "left" else
+                   Violation("NonCommuting", (zs[i], a), "lmom moved by right action")
+                   for i, side, a in sorted(law_failures(_moved, None if lefts or rights
+                                                         else gens, every))]
+    if violations:
+        return violations
+    violations += [Violation("NonCommuting", (m, zs[i], n))
+                   for i, m, n in sorted(law_failures(_noncommuting, gens, every))]
     if violations:
         return violations
 
@@ -519,8 +519,9 @@ def compose_bibundles(z1, z2):
     exhaustively before returning.
 
     When both factors passed check_bibundle and N, the right end of Z1,
-    is a validated groupoid whose composition the left end of Z2 shares,
-    the pairs are glued only along the generators S(N): for n = n's with s
+    is a validated groupoid that keeps its generators S(N) (Groupoid.gens)
+    and whose composition the left end of Z2 shares, the pairs are glued
+    only along S(N): for n = n's with s
     in S(N), the action laws of the factors give
       (a.(n's), b) = ((a.n').s, b) ~ (a.n', s.b) ~ (a, n'.(s.b)) = (a, (n's).b),
     the middle step by induction on the left-normed length of n'.  So both
@@ -535,10 +536,10 @@ def compose_bibundles(z1, z2):
     if not label:
         raise EmptyComposite("fibered product of bibundle spaces is empty")
     members = {lab: ab for ab, lab in label.items()}
-    glue = n.arrows
-    if z1.divisions is not None and z2.divisions is not None and \
-            n.gens() is not None and (n is z2.left or n.comp == z2.left.comp):
-        glue = n.gens()
+    glue = n.gens()
+    if glue is None or z1.divisions is None or z2.divisions is None or \
+            not (n is z2.left or n.comp == z2.left.comp):
+        glue = n.arrows
     glue_to = _fibres(glue, n.tgt)
     # (a.n, b) ~ (a, n.b)
     links = [(label[(z1.ract[(a, nn)], b)], label[(a, z2.lact[(nn, b)])])

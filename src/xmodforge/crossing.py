@@ -10,8 +10,8 @@ from .errors import (CoherenceFailure, EmptyFiberedProduct, ExactnessSolveFailur
 from . import bibundle as bb
 from . import xmod as xmd
 from .fingrpd import (as_group_bundle, aut_label, groupoid_of_parts, pullback_groupoid,
-                      quotient_groupoid, semidirect_product, validate_action,
-                      validate_groupoid_morphism)
+                      quotient_groupoid, semidirect_product, spurious_entries,
+                      validate_action, validate_groupoid_morphism)
 from .util import law_failures, pair
 
 # One side of a crossing: (src, tau, a1, a2) with tag "a" or
@@ -57,12 +57,6 @@ class Crossing:
         return f"{kind}(|M|={len(self.m)})"
 
 
-def _leg_domain(m, s):
-    for u in m.objects:
-        for hh in s.xm.h.fiber(s.mom[u]):
-            yield u, hh
-
-
 def check_crossing(c, prime=False):
     """Violations of the crossing laws, in the order they are checked; the
     CLI reports the first.  Each law is written once and run on both sides
@@ -70,7 +64,8 @@ def check_crossing(c, prime=False):
     label order:
 
     1. BadMoment: tau and sigma land in the base objects (stops here);
-    2. BadLeg: a1, b1 total loops; per arrow, a2, b2 endpoint-correct
+    2. BadLeg: a1, b1 total loops; per arrow, a2, b2 endpoint-correct;
+       then SpuriousEntry: keys of the six tables off their domains
        (stops here);
     3. CR1Failure: per object, a1, b1, a2, b2 preserve units;
     4. BadLeg a1-hom/b1-hom per object, then a2-hom/b2-hom per composable
@@ -84,9 +79,9 @@ def check_crossing(c, prime=False):
     When M and both crossed modules are validated (CrossedModule.validated:
     G, H and the action too), the leg homomorphisms and CR4 are certified
     on generators (util.law_failures), read off the kept generators
-    (Groupoid.gens(find=False)): S of M, and S_x of each side's H at x,
-    which generate the fibre there (GroupBundle.gens_by_point), or the
-    whole fibre where H keeps none.  leg2-hom and CR4 need S.
+    (Groupoid.gens): S of M, and S_x of each side's H at x, which generate
+    the fibre there (GroupBundle.gens_by_point), or the whole fibre where
+    H keeps none.  leg2-hom and CR4 need S.
     - leg1-hom runs on ha over the fibre and hb in S_x.  Let T be the hb
       with leg1(ha hb) = leg1(ha) leg1(hb) for every ha.  For hb, hc in T,
         leg1(ha (hb hc)) = leg1((ha hb) hc) = leg1(ha hb) leg1(hc)
@@ -119,10 +114,13 @@ def check_crossing(c, prime=False):
     if violations:
         return violations
 
-    # legs are total, endpoint-correct groupoid morphisms
+    # legs are total, endpoint-correct groupoid morphisms; each side's
+    # leg1 is keyed by its domain, the (u, h) with h over mom(u)
+    domain = {s.tag: dict.fromkeys((u, hh) for u in m.objects for hh in s.xm.h.fiber(s.mom[u]))
+              for s in sides}
     for s in sides:
         leg1, tag = s.leg1, s.tag + "1"
-        for u, hh in _leg_domain(m, s):
+        for u, hh in domain[s.tag]:
             mm = leg1.get((u, hh))
             if mm not in m.arrows or m.src[mm] != u or m.tgt[mm] != u:
                 violations.append(Violation("BadLeg", (tag, u, hh)))
@@ -133,6 +131,9 @@ def check_crossing(c, prime=False):
             g = leg2.get(mm)
             if g not in gg.arrows or gg.tgt[g] != mom[u1] or gg.src[g] != mom[u2]:
                 violations.append(Violation("BadLeg", (tag, mm)))
+    violations += spurious_entries((("tau", c.tau, m.objects), ("sigma", c.sigma, m.objects),
+                                    ("a1", c.a1, domain["a"]), ("b1", c.b1, domain["b"]),
+                                    ("a2", c.a2, m.arrows), ("b2", c.b2, m.arrows)), violations)
     if violations:
         return violations
 
@@ -148,7 +149,7 @@ def check_crossing(c, prime=False):
     # the kept generators, when M and both crossed modules are validated:
     # S of M, and for each side its H's by point (ats)
     marked = m.validated and c.src.validated and c.dst.validated
-    mgens = m.gens(find=False) if marked else None
+    mgens = m.gens() if marked else None
     ats = [s.xm.h.gens_by_point() for s in sides] if marked else [None, None]
     # some S_x at a moment's image is smaller than its fibre
     fewer = any(len(at[s.mom[u]]) < len(s.xm.h.fiber(s.mom[u]))
@@ -165,14 +166,14 @@ def check_crossing(c, prime=False):
     for s, o in (sides, sides[::-1]):
         leg1, oleg2, is_unit = s.leg1, o.leg2, o.xm.g.is_unit
         tag = f"{o.tag}2.{s.tag}1"
-        for u, hh in _leg_domain(m, s):
+        for u, hh in domain[s.tag]:
             if not is_unit(oleg2[leg1[(u, hh)]]):
                 violations.append(Violation("CR2Failure", (tag, u, hh)))
 
     # commuting outer square: tau^* d1 = a2 . a1 and sigma^* d2 = b2 . b1
     for s in sides:
         leg1, leg2, boundary = s.leg1, s.leg2, s.xm.boundary
-        for u, hh in _leg_domain(m, s):
+        for u, hh in domain[s.tag]:
             if leg2[leg1[(u, hh)]] != boundary[hh]:
                 violations.append(Violation("SquareFailure", (s.tag, u, hh)))
 

@@ -452,8 +452,9 @@ def horizontal_diamond(ex1, ex2, diamonds=(None, None)):
     The carrier pairs over moments (u, v) are glued along the action of the
     fibre product H2(sigma u) x H5(sigma v), whose orbits are the classes.
     When both carriers passed check_bibundle and both bundles are validated,
-    a pair is linked only through (s, 1) and (1, t), for s and t generators
-    (Groupoid.gens) of the two fibres.  These generate the product
+    a pair is linked only through (s, 1) and (1, t), for s and t the kept
+    generators of the two fibres (GroupBundle.gens_by_point), or every
+    element of a fibre where none are kept.  These generate the product
     group, and it acts: the legs of the validated crossings are
     homomorphisms into the loops at u and v, and the carriers' actions
     commute and keep the moments.  So the links give the same orbits, and
@@ -481,20 +482,17 @@ def horizontal_diamond(ex1, ex2, diamonds=(None, None)):
     # (h2,h5).(p1,p2) = (b1(h2) p1 mu1(h5)^-1, d1(h2) p2 nu1(h5)^-1).
     h2b, h5b = a1c.dst.h, a2c.dst.h
     by_gens = p1.divisions is not None and p2.divisions is not None and \
-        h2b.gens() is not None and h5b.gens() is not None
-    if by_gens:
-        gens2, gens5 = {}, {}  # point -> the generators of the fibre there
-        for bundle, gens in ((h2b, gens2), (h5b, gens5)):
-            for s in bundle.gens():
-                gens.setdefault(bundle.src[s], []).append(s)
+        h2b.validated and h5b.validated
+    gens2 = h2b.gens_by_point() or {w: h2b.fiber(w) for w in h2b.objects}
+    gens5 = h5b.gens_by_point() or {w: h5b.fiber(w) for w in h5b.objects}
     links = []
     for z, (x, y) in carrier.items():
         u = p1.lmom[x]
         v = p1.rmom[x]
         w2, w5 = a1c.sigma[u], a2c.sigma[v]
         if by_gens:
-            moves = [(s, h5b.unit[w5]) for s in gens2.get(w2, ())] + \
-                [(h2b.unit[w2], t) for t in gens5.get(w5, ())]
+            moves = [(s, h5b.unit[w5]) for s in gens2[w2]] + \
+                [(h2b.unit[w2], t) for t in gens5[w5]]
         else:
             moves = [(h2, h5) for h2 in h2b.fiber(w2) for h5 in h5b.fiber(w5)]
         for h2, h5 in moves:

@@ -22,8 +22,8 @@ class Groupoid:
     The groupoid keeps the table dicts it is given, not copies, so a
     caller that edits a table afterwards edits the groupoid.  A groupoid
     that validate_groupoid returned is marked validated, and only such a
-    groupoid gives its generators (gens); the certificates that read them
-    run on validated groupoids alone.
+    groupoid gives the generators its check kept (gens); the certificates
+    that read them run on validated groupoids alone.
     """
 
     def __init__(self, objects, arrows, src, tgt, inv, unit, comp):
@@ -58,22 +58,18 @@ class Groupoid:
                 self._by_tgt.setdefault(self.tgt[g], []).append(g)
         return self._by_tgt.get(y, [])
 
-    def gens(self, find=True):
+    def gens(self):
         """S = generators(arrows, src, tgt, comp) of a validated groupoid,
-        in label order: the one its check found or an earlier call kept,
-        or, with find, computed now and kept.  None for a groupoid that was
-        not validated, and without find for one that keeps none.  The
-        certificates read them without find: finding them would cost about
-        what a certificate saves, so a small groupoid keeps the sweep."""
-        if find and self.validated and self._gens is None:
-            self._gens = generators(self.arrows, self.src, self.tgt, self.comp)
+        in label order, when its check found and kept them; else None.
+        They are never computed later: a reader takes every arrow, or
+        skips its certificate, where none are kept."""
         return self._gens if self.validated else None
 
     def generator_pairs(self):
-        """The composable pairs (g, s) with s a kept generator (gens(find=
-        False)), s by s, or None when the groupoid keeps none or they are
-        not fewer than all composable pairs (|comp|)."""
-        gens = self.gens(find=False)
+        """The composable pairs (g, s) with s a kept generator, s by s, or
+        None when the groupoid keeps none or they are not fewer than all
+        composable pairs (|comp|)."""
+        gens = self.gens()
         if not gens:
             return None
         pairs = [(g, s) for s in gens for g in self.arrows_from(self.tgt[s])]
@@ -129,18 +125,14 @@ def generators(arrows, src, tgt, comp):
 
 def check_groupoid(objects, arrows, src, tgt, inv, unit, comp):
     """Return the list of axiom violations (empty when the tables form a
-    groupoid). Witnesses carry the offending arrows.  Associativity is
-    decided as in check_groupoid_generators, but the generators are looked
-    for only when the sweep would visit more than 2 |comp| triples: finding
-    them reads at most |comp| composites, and Light's test on a groupoid
-    visits at least |comp| triples, since right multiplication keeps
-    sources, so that every object is the source of a generator."""
-    return _check_groupoid(objects, arrows, src, tgt, inv, unit, comp, False)[0]
+    groupoid). Witnesses carry the offending arrows; associativity is
+    decided as _check_groupoid says."""
+    return _check_groupoid(objects, arrows, src, tgt, inv, unit, comp)[0]
 
 
-def check_groupoid_generators(objects, arrows, src, tgt, inv, unit, comp):
+def _check_groupoid(objects, arrows, src, tgt, inv, unit, comp):
     """(check_groupoid's violations, S): S is generators(arrows, src, tgt,
-    comp), or None when the tables fail the endpoint or totality checks.
+    comp) when they were looked for, and None otherwise.
 
     Associativity is decided by Light's test (Clifford & Preston, The
     Algebraic Theory of Semigroups I, 1961, 1.2): the table is associative
@@ -153,22 +145,19 @@ def check_groupoid_generators(objects, arrows, src, tgt, inv, unit, comp):
       (x (ab)) y = ((xa) b) y = (xa) (by) = x (a (by)) = x ((ab) y),
     using b, b, a and b in T in turn, so ab is in T.  T holds S and is
     closed under composition, so it holds the closure of S, every arrow.
-    Conversely an associative table passes.  So the test finds a failure
-    iff the sweep of all composable triples does, and then the sweep runs
-    and lists every failing triple in label order.  Both are one body, the
-    law on the triples with their middle arrow in a given set: the test
-    gives it S, the sweep every arrow.
+    Conversely an associative table passes.  The law is one body on the
+    triples with their middle arrow in a given set, run through
+    util.law_failures: the test gives it S, the sweep every arrow, and the
+    sweep's triples are sorted into label order.
 
     For an arrow a let w(a) = |arrows from tgt(a)| |arrows to src(a)|, the
     triples the test sweeps for a generator a; the sweep visits the sum of
-    w over all arrows.  The test runs when the sum of w over S is smaller,
-    and the sweep otherwise."""
-    return _check_groupoid(objects, arrows, src, tgt, inv, unit, comp, True)
-
-
-def _check_groupoid(objects, arrows, src, tgt, inv, unit, comp, want_generators):
-    # the body of both checks above: want_generators asks for S whatever
-    # it costs, since the caller reads it again
+    w over all arrows.  The generators are looked for only when the sweep
+    would visit more than 2 |comp| triples: finding them reads at most
+    |comp| composites, and Light's test on a groupoid visits at least
+    |comp| triples, since right multiplication keeps sources, so that every
+    object is the source of a generator.  The test runs when the sum of w
+    over S is smaller than the sweep's."""
     violations = []
     objects, arrows = labelset(objects), labelset(arrows)
 
@@ -183,11 +172,8 @@ def _check_groupoid(objects, arrows, src, tgt, inv, unit, comp, want_generators)
             violations.append(Violation("BadUnit", (x,), "unit missing"))
         elif src.get(e) != x or tgt.get(e) != x:
             violations.append(Violation("BadUnit", (x, e), "unit not a loop at its object"))
-    # with no violation so far each key has its entry: only a longer table has a stray one
-    for name, table, keys in (("src", src, arrows), ("tgt", tgt, arrows), ("inv", inv, arrows),
-                              ("unit", unit, objects)):
-        if violations or len(table) != len(keys):
-            violations += [Violation("SpuriousEntry", (name, k)) for k in table if k not in keys]
+    violations += spurious_entries((("src", src, arrows), ("tgt", tgt, arrows),
+                                    ("inv", inv, arrows), ("unit", unit, objects)), violations)
     if violations:
         return violations, None
 
@@ -234,14 +220,12 @@ def _check_groupoid(objects, arrows, src, tgt, inv, unit, comp, want_generators)
     def weight(a):
         return len(by_src[tgt[a]]) * len(by_tgt[src[a]])
 
-    triples, gens = sum(map(weight, arrows)), None
-    if want_generators or 2 * len(comp) < triples:
-        gens = generators(arrows, src, tgt, comp)
-        if sum(map(weight, gens)) < triples and \
-                next(_nonassociative(gens, by_src, by_tgt, src, tgt, comp), None) is None:
-            return violations, gens
-    violations += [Violation("NonAssociative", xsy)
-                   for xsy in sorted(_nonassociative(arrows, by_src, by_tgt, src, tgt, comp))]
+    triples = sum(map(weight, arrows))
+    gens = generators(arrows, src, tgt, comp) if 2 * len(comp) < triples else None
+    test = gens is not None and sum(map(weight, gens)) < triples
+    violations += [Violation("NonAssociative", xsy) for xsy in sorted(law_failures(
+        _nonassociative, (gens, by_src, by_tgt, src, tgt, comp) if test else None,
+        (arrows, by_src, by_tgt, src, tgt, comp)))]
     return violations, gens
 
 
@@ -259,12 +243,21 @@ def _nonassociative(middles, by_src, by_tgt, src, tgt, comp):
                     yield x, s, y
 
 
+def spurious_entries(tables, violations):
+    """SpuriousEntry (name, key) for each key off keys, for each (name,
+    table, keys) of tables in turn, after a check looked every key up:
+    with no violation so far each key has its entry, so only a table
+    longer than its keys is looked through."""
+    return [Violation("SpuriousEntry", (name, k)) for name, table, keys in tables
+            if violations or len(table) != len(keys) for k in table if k not in keys]
+
+
 def validate_groupoid(objects, arrows, src, tgt, inv, unit, comp):
     """The groupoid of the tables, marked validated and keeping the
-    generators its check found, if it looked for them (Groupoid.gens
-    finds them on request otherwise).  Raises ValidationFailure."""
+    generators its check found, if it looked for them (Groupoid.gens).
+    Raises ValidationFailure."""
     objects, arrows = labelset(objects), labelset(arrows)
-    violations, gens = _check_groupoid(objects, arrows, src, tgt, inv, unit, comp, False)
+    violations, gens = _check_groupoid(objects, arrows, src, tgt, inv, unit, comp)
     gpd = require(Groupoid(objects, arrows, src, tgt, inv, unit, comp), violations)
     gpd.validated, gpd._gens = True, gens
     return gpd
@@ -393,16 +386,16 @@ class GroupoidMorphism:
         return f"GroupoidMorphism(|dom|={len(self.dom)}, |cod|={len(self.cod)})"
 
 
-def check_groupoid_morphism(f):
+def check_groupoid_morphism(f, names=("omap", "amap")):
     """The violations of a table map f: dom -> cod (empty when it is a
-    functor): object and arrow images and their endpoints, then units,
-    then composites.
+    functor): object and arrow images and their endpoints, and the keys of
+    omap and amap off dom, SpuriousEntry with the table's name in names
+    (stops here), then units, then composites.
 
     Composites are one law, f(g h) = f(g) f(h), run on the composable
     pairs it is given.  When dom and cod are validated groupoids, so
-    associative, and dom keeps its generators S (Groupoid.gens: its check
-    found them, or a reader asked for them), the law runs first on the
-    pairs (g, s) with s in S, and stops at the first failure.  Let T be
+    associative, and dom keeps its generators S (Groupoid.gens), it is
+    certified on the pairs (g, s) with s in S (util.law_failures).  Let T be
     the arrows s with f(g s) = f(g) f(s) for every g with src(g) ==
     tgt(s).  For s1, s2 in T with src(s1) == tgt(s2),
       f(g (s1 s2)) = f((g s1) s2) = f(g s1) f(s2) = (f(g) f(s1)) f(s2)
@@ -427,6 +420,10 @@ def check_groupoid_morphism(f):
             continue
         if cod.src[b] != f.omap.get(dom.src[a]) or cod.tgt[b] != f.omap.get(dom.tgt[a]):
             violations.append(Violation("NotFunctorial", (a,), "endpoints not respected"))
+    # the length test inline: a decomposition runs this check thousands of times
+    if violations or len(f.omap) != len(dom.objects) or len(f.amap) != len(dom.arrows):
+        violations += spurious_entries(((names[0], f.omap, dom.objects),
+                                        (names[1], f.amap, dom.arrows)), violations)
     if violations:
         return violations
     for x in dom.objects:
@@ -509,11 +506,11 @@ class GroupBundle(Groupoid):
         return self.arrows_from(x)
 
     def gens_by_point(self):
-        """The kept generators (gens(find=False)) by point, or None when the
-        bundle keeps none or they are every arrow, so that a reader takes
-        the whole fibres.  Those at x generate fiber(x): every arrow is a
+        """The kept generators (gens) by point, or None when the bundle
+        keeps none or they are every arrow, so that a reader takes the
+        whole fibres.  Those at x generate fiber(x): every arrow is a
         product of generators, and composites stay in their fibre."""
-        gens = self.gens(find=False)
+        gens = self.gens()
         if gens is None or len(gens) == len(self.arrows):
             return None
         at = {}
@@ -647,8 +644,8 @@ def check_action(base, bundle, act):
 
     Functoriality and the homomorphism law are certified on generators
     (util.law_failures) when base is validated, so associative, and keeps
-    its generators S (Groupoid.gens(find=False)).  S_x is the kept
-    generators at x of a validated bundle, which generate the fibre there
+    its generators S (Groupoid.gens).  S_x is the kept generators at x of
+    a validated bundle, which generate the fibre there
     (GroupBundle.gens_by_point), or the whole fibre when it keeps none.
     - Functoriality runs on the pairs (g, s) with s in S.  Let T be the
       arrows s with h^{g s} = (h^g)^s for every g with src(g) == tgt(s)
@@ -707,7 +704,7 @@ def check_action(base, bundle, act):
                                 (base, bundle, act, base.composable_pairs()))
     # the certificate's instances are the sweep's with g in S and h2 in
     # S_x, so it visits fewer unless both are everything
-    gens = base.gens(find=False) if not unfunctorial else None
+    gens = base.gens() if not unfunctorial else None
     at = bundle.gens_by_point() if gens else None
     if gens and len(gens) == len(base.arrows) and at is None:
         gens = None

@@ -15,8 +15,8 @@ whose statements need honest bigons require the flag.
 from collections.abc import Mapping
 
 from .errors import ValidationFailure, Violation, require
-from .fingrpd import check_groupoid_generators, groupoid_of_parts
-from .util import pair
+from .fingrpd import check_groupoid, groupoid_of_parts
+from .util import law_failures, pair
 
 
 class TwoGroupoid:
@@ -143,11 +143,11 @@ def check_2groupoid(tg):
     and lists every failing witness in its own order.
 
     Each law is checked on generators where a closure argument allows.  S1
-    and SV are the generators (fingrpd.generators) of the level-1 and the
-    vertical groupoid, which Groupoid.gens gives for a validated level and
-    the level check returns for any other; every 1-cell is a
-    left-normed product of S1 and every cell one of SV, and both levels
-    are associative by then.  A law whose set of instances is closed under
+    and SV generate the level-1 and the vertical groupoid: the generators
+    a validated level keeps (Groupoid.gens), or all its arrows, since
+    every set of arrows generates itself; every 1-cell is a left-normed
+    product of S1 and every cell one of SV, and both levels are
+    associative by then.  A law whose set of instances is closed under
     composition holds everywhere once it holds on generators:
       (W2) first form, in k: if it holds for k1, k2 (all a, h), then
            R(R(a, h), k1 k2) = R(R(R(a, h), k1), k2) = R(R(a, h k1), k2)
@@ -224,20 +224,19 @@ def check_2groupoid(tg):
 
 def _check_cells(tg):
     """Both groupoid levels, horizontal composites, units and inverses:
-    (violations, (S1, SV)), the generators of the two levels.  A level
-    that validate_groupoid returned on the objects it must have (the
-    1-cells, for the vertical one) is not checked again and gives its
-    generators; any other level is checked here on those objects."""
+    (violations, (S1, SV)), generators of the two levels.  A level that
+    validate_groupoid returned on the objects it must have (the 1-cells,
+    for the vertical one) is not checked again; any other level is checked
+    here on those objects.  A level gives the generators it keeps, or all
+    its arrows when it keeps none."""
     gens = []
     for code, objects, level in (("Level1:", tg.g0, tg.level1), ("Level2:", tg.g1, tg.vertical)):
-        if level.validated and level.objects == objects:
-            gens.append(level.gens())
-            continue
-        violations, s = check_groupoid_generators(objects, level.arrows, level.src,
-                                                  level.tgt, level.inv, level.unit, level.comp)
-        if violations:
-            return [Violation(code + v.code, v.witness, v.detail) for v in violations], None
-        gens.append(s)
+        if not level.validated or level.objects != objects:
+            violations = check_groupoid(objects, level.arrows, level.src, level.tgt,
+                                        level.inv, level.unit, level.comp)
+            if violations:
+                return [Violation(code + v.code, v.witness, v.detail) for v in violations], None
+        gens.append(level.gens() or level.arrows)
 
     violations = _hcomp_ends(tg) if tg.whiskers is None else _whisker_ends(tg)
     if violations:
@@ -571,13 +570,13 @@ def check_strict_hom2(f):
     is one): images and ends at each level, then units and composites.
 
     The vcomp and hcomp laws are each one body, run on the pairs it is
-    given.  It runs first on generator pairs when both ends carry the
-    generators their own passing check_2groupoid certified them on
-    (dom.certified and cod.certified) and the earlier laws hold, and stops
-    at the first failure.  It runs on every entry of dom's table otherwise,
-    or when a generator pair fails, and lists every failing pair in the
-    table's order.  With SV and S1 the vertical and level-1 generators of
-    dom, the generator pairs are (a, b) with b in SV for vcomp and the
+    given, through util.law_failures.  Its certificate gives it generator
+    pairs when both ends carry the generators their own passing
+    check_2groupoid certified them on (dom.certified and cod.certified)
+    and the earlier laws hold, hcomp's only once vcomp holds too; its sweep
+    gives it every entry of dom's table and lists every failing pair in
+    the table's order.  With SV and S1 the vertical and level-1 generators
+    of dom, the generator pairs are (a, b) with b in SV for vcomp and the
     whiskers (a, 1_h) and (1_g, a) with a in SV and h, g in S1 for hcomp:
       vcomp: if f(x b) = f(x) f(b) for all x and b in {b1, b2}, then
              f(x b1 b2) = f(x b1) f(b2) = f(x) f(b1 b2) by vertical
@@ -619,31 +618,33 @@ def check_strict_hom2(f):
     for g in d.g1:
         if f.m2[d.vunit[g]] != c.vunit[f.m1[g]]:
             violations.append(Violation("NotFunctorial", (g,), "vunit"))
-    if not violations and d.certified and c.certified and not any(
-            next(_unpreserved(f, law, pairs), None) for law, pairs in _generator_pairs(d)):
-        return violations
-    for law in ("vcomp", "hcomp"):
-        violations += [Violation("NotFunctorial", ab, law)
-                       for ab in _unpreserved(f, law, getattr(d, law))]
-    return violations
+    certified = not violations and d.certified and c.certified
+    vcomps, whiskers = _generator_pairs(f) if certified else (None, None)
+    unv = law_failures(_unpreserved, vcomps, (f, "vcomp", d.vcomp))
+    return violations + unv + law_failures(_unpreserved, None if unv else whiskers,
+                                           (f, "hcomp", d.hcomp))
 
 
 def _unpreserved(f, law, pairs):
-    """The pairs (a, b) among pairs, keys of the table law ("vcomp" or
-    "hcomp") of f.dom, with f(a b) != f(a) f(b) in that table."""
+    """The violations at the pairs (a, b) among pairs, keys of the table
+    law ("vcomp" or "hcomp") of f.dom, with f(a b) != f(a) f(b) in that
+    table."""
     dom, cod, m2 = getattr(f.dom, law), getattr(f.cod, law), f.m2
-    return ((a, b) for a, b in pairs if cod.get((m2[a], m2[b])) != m2[dom[(a, b)]])
+    return (Violation("NotFunctorial", (a, b), law)
+            for a, b in pairs if cod.get((m2[a], m2[b])) != m2[dom[(a, b)]])
 
 
-def _generator_pairs(d):
-    """The generator pairs of check_strict_hom2 for a certified d:
-    [("vcomp", pairs), ("hcomp", whiskers)]."""
+def _generator_pairs(f):
+    """The certificates of check_strict_hom2 for f with a certified
+    domain d, as the arguments of _unpreserved: (f, "vcomp", generator
+    pairs) and (f, "hcomp", whiskers)."""
+    d = f.dom
     s1, sv = d.certified
     gens_ending, gens_starting = _gens_by_end(d, s1)
     vcomps = [(a, b) for b in sv for a in d.vertical.arrows_from(d.t2[b])]
     whiskers = [(b, d.vunit[h]) for b in sv for h in gens_ending.get(d.s[d.s2[b]], ())]
     whiskers += [(d.vunit[g], b) for b in sv for g in gens_starting.get(d.t[d.s2[b]], ())]
-    return [("vcomp", vcomps), ("hcomp", whiskers)]
+    return (f, "vcomp", vcomps), (f, "hcomp", whiskers)
 
 
 def validate_strict_hom2(dom, cod, m0, m1, m2):

@@ -30,7 +30,6 @@ class CrossedModule:
         self.boundary = dict(boundary)  # H-arrow -> G-arrow
         self.action = action            # ActionByAutomorphisms(g, h, act)
         self.validated = False          # set by validate_crossed_module
-        self._vertical = None           # vertical_groupoid's memo
         self._vertical2 = None          # xmod_to_2groupoid's memo
 
     def act(self, garrow, harrow):
@@ -51,8 +50,8 @@ def check_crossed_module(xm):
     When the parts are validated (_parts_validated: G and H validated
     groupoids, the action a validated action of G on H), both axioms are
     certified on generators (util.law_failures): axiom 1 when G keeps its
-    generators S (Groupoid.gens(find=False)), axiom 2 when H keeps its
-    generators S_x at each point x, which generate the fibre there
+    generators S (Groupoid.gens), axiom 2 when H keeps its generators S_x
+    at each point x, which generate the fibre there
     (GroupBundle.gens_by_point); axiom 1 reads the whole fibre for S_x
     when H keeps none.  Each side of an axiom, as a function of its
     fibre element, is then a homomorphism of the fibre: h -> h^g is one
@@ -88,7 +87,7 @@ def check_crossed_module(xm):
     # each certificate's instances are its sweep's with g in S and h, k in
     # S_x, so it visits fewer unless they are everything
     marked = _parts_validated(xm)
-    gens = g.gens(find=False) if marked else None
+    gens = g.gens() if marked else None
     at = h.gens_by_point() if marked else None
     if gens and len(gens) == len(g.arrows) and at is None:
         gens = None
@@ -298,14 +297,15 @@ class StrictXMorphism:
 
 def check_strict_xmorphism(chi):
     """The violations of a strict morphism of crossed modules (empty when
-    it is one): its left and right maps as functors (stops here), then
+    it is one): its left and right maps as functors, each reporting the
+    keys of omap and of lmap or rmap off its domain (stops here), then
     the boundary square, boundary(lmap h) = rmap(boundary h), and
     equivariance, lmap(h^g) = (lmap h)^{rmap g}, each listing its failures
     in label order.
 
     When both crossed modules are validated and the domain's G keeps its
-    generators S (Groupoid.gens(find=False)), equivariance is certified on
-    g in S and h in S_{tgt(g)} (util.law_failures), S_x the kept generators
+    generators S (Groupoid.gens), equivariance is certified on g in S and
+    h in S_{tgt(g)} (util.law_failures), S_x the kept generators
     of the domain's H at x (GroupBundle.gens_by_point), or the whole fibre
     when it keeps none.  For one g, both sides are homomorphisms of the
     fibre at tgt(g): lmap is a functor and h -> h^g an automorphism in
@@ -323,8 +323,8 @@ def check_strict_xmorphism(chi):
     failure, so the witnesses and their order do not depend on the
     route."""
     violations = []
-    violations += check_groupoid_morphism(chi.left())
-    violations += check_groupoid_morphism(chi.right())
+    violations += check_groupoid_morphism(chi.left(), ("omap", "lmap"))
+    violations += check_groupoid_morphism(chi.right(), ("omap", "rmap"))
     if violations:
         return violations
     d, c = chi.dom, chi.cod
@@ -333,7 +333,7 @@ def check_strict_xmorphism(chi):
             violations.append(Violation("BoundaryNotRespected", (hh,)))
     # the certificate's instances are the sweep's with g in S and h in S_x,
     # so it visits fewer unless both are everything
-    gens = d.g.gens(find=False) if d.validated and c.validated else None
+    gens = d.g.gens() if d.validated and c.validated else None
     at = d.h.gens_by_point() if gens else None
     if gens and len(gens) == len(d.g.arrows) and at is None:
         gens = None
@@ -404,10 +404,7 @@ def vertical_groupoid(xm):
     """H x| G ==> G, the vertical groupoid of the associated 2-groupoid, on
     the arrows of G and the cells of vertical_cells(xm).  Every inverse,
     unit and composite takes its label from the cell of its parts rather
-    than building it again.  Memoized per crossed-module instance
-    (immutable after validation), as xmod_to_2groupoid is."""
-    if xm._vertical is not None:
-        return xm._vertical
+    than building it again."""
     g, h = xm.g, xm.h
     cells, _, tgt2 = vertical_cells(xm)
     label = {r: a for a, r in cells.items()}
@@ -415,18 +412,17 @@ def vertical_groupoid(xm):
     def target(r):
         return tgt2[label[r]]
 
-    xm._vertical = groupoid_of_parts(
+    return groupoid_of_parts(
         g.arrows, cells, lambda r: r[1], target,
         lambda r: label[(h.inv[r[0]], target(r))],
         lambda gg: label[(h.unit[g.tgt[gg]], gg)],
         lambda r, r2: label[(h.comp[(r[0], r2[0])], r2[1])])  # function order: r2 then r
-    return xm._vertical
 
 
 def xmod_to_2groupoid(xm):
     """The vertical semidirect product 2-groupoid of a crossed module: xm.g
-    is its level-1 groupoid, vertical_groupoid(xm) (memoized) its vertical
-    one, and the (h, g) parts of its cells are its level-2 parts.  It is built from
+    is its level-1 groupoid, vertical_groupoid(xm) its vertical one, and
+    the (h, g) parts of its cells are its level-2 parts.  It is built from
     its whiskers, (h, g) *h 1_k = (h, g k) and 1_k *h (h, g) =
     (h^{k^-1}, k g), and its hcomp, (h, g) *h (h', g') = (h h'^{g^-1}, g g'),
     is computed from them (twogpd.WhiskeredHComp).  Memoized per

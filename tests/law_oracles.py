@@ -1,16 +1,40 @@
 """The checks whose laws the library certifies on generators, as they were
 before their certificates: every law swept over every instance, each
-written out as its own loop.  The functor check, the action check, the
-crossed-module check, the strict-morphism check and the crossing check
-each return the violations in the order the library lists them."""
+written out as its own loop.  Groupoid associativity, the functor check,
+the action check, the crossed-module check, the strict-morphism check
+and the crossing check each return the violations in the order the
+library lists them."""
 
 from xmodforge import crossing as cr
 from xmodforge.errors import Violation
 
 
-def functor_violations(f):
+def associativity_violations(arrows, src, tgt, comp):
+    """check_groupoid's associativity loop before Light's test: every
+    composable triple, in label order."""
+    by_tgt = {}
+    for h in sorted(arrows):
+        by_tgt.setdefault(tgt[h], []).append(h)
+    violations = []
+    for g in sorted(arrows):
+        for h in by_tgt.get(src[g], ()):
+            gh = comp[(g, h)]
+            for k in by_tgt.get(src[h], ()):
+                if comp[(gh, k)] != comp[(g, comp[(h, k)])]:
+                    violations.append(Violation("NonAssociative", (g, h, k)))
+    return violations
+
+
+def stray_keys(*tables):
+    """SpuriousEntry (name, key) for every key of each (name, table, keys)
+    that is not in keys, table by table, each in its own order."""
+    return [Violation("SpuriousEntry", (name, k))
+            for name, table, keys in tables for k in table if k not in keys]
+
+
+def functor_violations(f, names=("omap", "amap")):
     """check_groupoid_morphism with composites swept over every composable
-    pair."""
+    pair; names name omap and amap in the stray-key witnesses."""
     violations = []
     dom, cod = f.dom, f.cod
     for x in dom.objects:
@@ -23,6 +47,7 @@ def functor_violations(f):
             continue
         if cod.src[b] != f.omap.get(dom.src[a]) or cod.tgt[b] != f.omap.get(dom.tgt[a]):
             violations.append(Violation("NotFunctorial", (a,), "endpoints not respected"))
+    violations += stray_keys((names[0], f.omap, dom.objects), (names[1], f.amap, dom.arrows))
     if violations:
         return violations
     for x in dom.objects:
@@ -109,7 +134,8 @@ def crossed_module_violations(xm):
 def strict_xmorphism_violations(chi):
     """check_strict_xmorphism with both functors swept and equivariance
     swept over every arrow and fibre element."""
-    violations = functor_violations(chi.left()) + functor_violations(chi.right())
+    violations = functor_violations(chi.left(), ("omap", "lmap")) + \
+        functor_violations(chi.right(), ("omap", "rmap"))
     if violations:
         return violations
     d, c = chi.dom, chi.cod
@@ -148,6 +174,11 @@ def crossing_violations(c, prime=False):
             gg = s.xm.g
             if g not in gg.arrows or gg.tgt[g] != s.mom[u1] or gg.src[g] != s.mom[u2]:
                 violations.append(Violation("BadLeg", (s.tag + "2", mm)))
+    violations += stray_keys(("tau", c.tau, m.objects), ("sigma", c.sigma, m.objects),
+                             *((s.tag + "1", s.leg1, [(u, hh) for u in m.objects
+                                                      for hh in s.xm.h.fiber(s.mom[u])])
+                               for s in sides),
+                             *((s.tag + "2", s.leg2, m.arrows) for s in sides))
     if violations:
         return violations
     for u in m.objects:

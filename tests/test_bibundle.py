@@ -512,37 +512,86 @@ def law_runs(monkeypatch):
     return runs
 
 
+def expected_law_runs(case):
+    """The runs of the law bodies that check_bibundle makes on tables of
+    the right shape, read off the point-by-point oracle: each law runs
+    through util.law_failures, first on the generators of both ends when
+    both keep them (the moment invariance only once both action laws
+    hold), then on every arrow when that finds a failure or does not run;
+    commuting runs only when nothing failed before it."""
+    violations = reference_check_bibundle(case)
+    fails = {name: False for name in LAW_BODIES}
+    for v in violations:
+        if v.code == "NotAction":
+            fails["_not_left_action" if v.witness[0] == "left" else "_not_right_action"] = True
+        elif v.code == "NonCommuting":
+            fails["_moved" if len(v.witness) == 2 else "_noncommuting"] = True
+    gens = case.left.gens() is not None and case.right.gens() is not None
+    earlier = any(v.code in ("BadUnitAction", "NotAction") or
+                  v.code == "NonCommuting" and len(v.witness) == 2 for v in violations)
+    runs = []
+    for name in LAW_BODIES[:3] if earlier else LAW_BODIES:
+        certified = gens and not (name == "_moved" and (fails["_not_left_action"] or
+                                                        fails["_not_right_action"]))
+        if certified:
+            runs.append((name, "generators", "generators"))
+        if not certified or fails[name]:
+            runs.append((name, "all", "all"))
+    return runs
+
+
+def _moving_left_action():
+    """Z/3 turning the rows of a 3 x 3 grid of points whose right moments
+    are the rows, over the constant Z/3 bundle adding to the columns: both
+    actions are actions and both ends keep their generators, but the left
+    action moves the right moments."""
+    m, ys = cyclic_groupoid(3), ["y0", "y1", "y2"]
+    n = fingrpd.trivial_bundle(ys, cyclic_groupoid(3))
+    space = [f"z{i}{k}" for i in range(3) for k in range(3)]
+    lact = {(f"c{j}", f"z{i}{k}"): f"z{(i + j) % 3}{k}" for j in range(3) for i in range(3)
+            for k in range(3)}
+    ract = {(f"z{i}{k}", pair(f"y{i}", f"c{j}")): f"z{i}{(k + j) % 3}" for j in range(3)
+            for i in range(3) for k in range(3)}
+    return bb.Bibundle(m, n, space, dict.fromkeys(space, "*"),
+                       {z: f"y{z[1]}" for z in space}, lact, ract)
+
+
 def test_certificates_match_the_sweeps_on_generated_and_corrupted(generated_bibundles,
                                                                    law_runs):
-    # each certificate says yes exactly when its sweep finds nothing; the
-    # law certificate is the law bodies run on the generators, and it says
-    # no exactly when the bodies then run on every arrow
+    # each certificate says yes exactly when its sweep finds nothing; each
+    # law's certificate is its body run on the generators, and it says no
+    # exactly when the body then runs on every arrow
     rng = random.Random(5)
-    verdicts = set()
+    verdicts, routes = set(), set()
     for zb in generated_bibundles:
         for case in [zb, *_corruptions(zb, rng), *_shape_corruptions(zb, rng)]:
             shape = not SHAPE_CODES & {v.code for v in reference_check_bibundle(case)}
             assert bb._shape_certifies(case) == shape
             if shape and not bb._translation_certifies(case):
-                laws = reference_law_failures(case) == []
                 del law_runs[:]
                 bb.check_bibundle(_with(case))
-                first = [run for run in law_runs if run[1:] == ("generators", "generators")]
-                assert law_runs[:len(first)] == first and first
-                assert all(run[1:] == ("all", "all") for run in law_runs[len(first):])
-                assert (len(first) == len(law_runs)) == laws
-                if laws:
-                    assert [name for name, _, _ in first] == list(LAW_BODIES)
-                verdicts.add(("laws", laws))
+                assert law_runs == expected_law_runs(case)
+                routes |= {(name, tuple(how for n, _, how in law_runs if n == name))
+                           for name in LAW_BODIES}
+                verdicts.add(("laws", reference_law_failures(case) == []))
             verdicts.add(("shape", shape))
         # keyed outside the tables: the reference has no check for it
         z = zb.space[0]
         for case in (_with(zb, lact={**zb.lact, ("no arrow", z): z}),
                      _with(zb, ract={**zb.ract, (z, "no arrow"): z})):
             assert not bb._shape_certifies(case) and bb._shape_sweep(case)
+    case = _moving_left_action()
+    del law_runs[:]
+    assert {v.code for v in bb.check_bibundle(case)} == {"NonCommuting"}
+    assert law_runs == expected_law_runs(case)
+    routes.add(("_moved", tuple(how for name, _, how in law_runs if name == "_moved")))
     assert verdicts == {(kind, ok) for kind in ("shape", "laws") for ok in (True, False)}
+    # every law's certificate passed, and failed so that its sweep ran; the
+    # moment invariance fails on its own only on the planted action
+    assert {(name, ("generators",)) for name in LAW_BODIES} <= routes
+    assert {(name, ("generators", "all")) for name in LAW_BODIES} <= routes
     # several generators at both ends, on several inputs
-    assert sum(len(zb.left.gens()) > 1 and len(zb.right.gens()) > 1
+    assert sum(len(zb.left.gens() or ()) > 1 and len(zb.right.gens() or ()) > 1
                for zb in generated_bibundles) >= 5
 
 
@@ -570,7 +619,7 @@ def test_the_law_bodies_list_the_oracles_failures(generated_bibundles):
             want = reference_law_failures(case)
             assert sorted(found) == sorted(want)
             kinds |= {len(w) for w in want}
-            ms, ns = left.gens(), right.gens()
+            ms, ns = left.gens() or left.arrows, right.gens() or right.arrows
             assert {m1 for m1, _, _ in bb._not_left_action(case, rows, ms, ns)} <= set(ms)
             assert {n2 for _, n2, _ in bb._not_right_action(case, rows, ms, ns)} <= set(ns)
             assert {a for _, _, a in bb._moved(case, rows, ms, ns)} <= set(ms) | set(ns)
@@ -583,17 +632,23 @@ def test_the_certificates_decide_every_valid_generated_bibundle(generated_bibund
         pytest.fail("a sweep ran on a valid bibundle")
 
     monkeypatch.setattr(bb, "_shape_sweep", sweep)
+    by_gens = 0
     for zb in generated_bibundles:
         case = _with(zb)  # unchecked, so that the check runs again
         del law_runs[:]
         assert bb.check_bibundle(case) == []
-        # each law body ran once, on the generators of both ends, unless
-        # the translation certificate passed the bibundle first
+        # each law body ran once, on the generators of both ends when both
+        # keep them and on every arrow otherwise, unless the translation
+        # certificate passed the bibundle first
+        gens = zb.left.gens() is not None and zb.right.gens() is not None
+        by_gens += gens and not _is_translation(zb)
+        how = "generators" if gens else "all"
         assert law_runs == [] if _is_translation(zb) else \
-            [(name, "generators", "generators") for name in LAW_BODIES]
+            [(name, how, how) for name in LAW_BODIES]
         # the check keeps the right division, which g_function then reads
         assert case.divisions["right"] == (reference_g_function(case), [])
         assert bb.g_function(case) is case.divisions["right"][0]
+    assert by_gens >= 10
 
 
 def _unvalidated(g):
@@ -832,7 +887,7 @@ def test_compose_bibundles_matches_label_quotient(generated_bibundles):
                 _tables(reference_compose_bibundles(z1, z2))
             composed += 1
             by_gens += z1.divisions is not None and z2.divisions is not None and \
-                len(z1.right.gens()) < len(z1.right.arrows)
+                len(z1.right.gens() or z1.right.arrows) < len(z1.right.arrows)
     rng = random.Random(2)
     while composed < 100:
         ex = generators.random_exchanger(rng)

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from xmodforge import bibundle as bb
 from xmodforge import crossing as cr
-from xmodforge import extensions, fingrpd, util, xmod
+from xmodforge import extensions, fingrpd, generators, util, xmod
 from xmodforge.errors import (EmptyFiberedProduct, NotAHypercover,
                               ValidationFailure)
 from xmodforge.fingrpd import cyclic_groupoid, search_groupoid_iso, unpair
@@ -29,6 +31,20 @@ def z4_crossed_extension():
     a2 = {ee: ext.pi[ee] for ee in ext.e.arrows}
     return ext, cr.validate_crossing(
         exm, exm, ext.e, ident, ident, a1, dict(a2), dict(a1), dict(a2), extension=True)
+
+
+@pytest.mark.parametrize("leg", ["tau", "sigma", "a1", "a2", "b1", "b2"])
+def test_a_stray_key_in_a_crossing_table_is_a_violation(leg):
+    # a key off the table's domain fails the crossing as what it is; a
+    # stray b1 entry was read as a b1 that is not injective (CR3Failure)
+    c = generators.random_crossing(random.Random(3))
+    key = (next(iter(c.m.objects)), "ghost") if leg in ("a1", "b1") else "ghost"
+    tables = {name: getattr(c, name) for name in ("tau", "sigma", "a1", "a2", "b1", "b2")}
+    tables[leg] = {**tables[leg], key: next(iter(tables[leg].values()))}
+    bad = cr.Crossing(c.src, c.dst, c.m, *tables.values())
+    assert cr.check_crossing(c) == []
+    assert [(v.code, v.witness) for v in cr.check_crossing(bad)] == \
+        [("SpuriousEntry", (leg, key))]
 
 
 def test_trivial_xext_valid(o_sc2):

@@ -8,7 +8,7 @@ from test_relabel import Relabel
 from xmodforge import fingrpd, xmod
 from xmodforge.errors import SizeLimitExceeded, ValidationFailure, Violation
 from xmodforge.fingrpd import (
-    aut_bundle, as_group_bundle, check_groupoid, check_groupoid_generators,
+    aut_bundle, as_group_bundle, check_groupoid,
     disjoint_union, generators, groupoid_of_parts, inertia, pair_groupoid,
     pullback_groupoid, pullback_iso_to_base, search_groupoid_iso,
     semidirect_product, trivial_action, trivial_bundle, unit_bundle,
@@ -16,6 +16,8 @@ from xmodforge.fingrpd import (
 )
 from xmodforge.generators import random_crossed_module, random_groupoid, s3_groupoid
 from xmodforge.util import pair
+
+import law_oracles as oracle
 
 
 def test_pair2_valid(pair2):
@@ -245,22 +247,6 @@ def test_exhaustive_associativity_is_checked():
 # -- associativity by Light's test against the direct sweep -------------------
 
 
-def reference_associativity(arrows, src, tgt, comp):
-    """check_groupoid's associativity loop before Light's test: every
-    composable triple, in label order."""
-    by_tgt = {}
-    for h in sorted(arrows):
-        by_tgt.setdefault(tgt[h], []).append(h)
-    violations = []
-    for g in sorted(arrows):
-        for h in by_tgt.get(src[g], ()):
-            gh = comp[(g, h)]
-            for k in by_tgt.get(src[h], ()):
-                if comp[(gh, k)] != comp[(g, comp[(h, k)])]:
-                    violations.append(Violation("NonAssociative", (g, h, k)))
-    return violations
-
-
 def listed(violations):
     return [(v.code, v.witness, v.detail) for v in violations]
 
@@ -270,18 +256,13 @@ def tables(g):
 
 
 def assert_associativity_matches_reference(*tabs):
-    """check_groupoid lists what check_groupoid_generators lists, and past
-    the totality checks its NonAssociative entries come last and are the
-    direct sweep's, in its order; Light's test on the generators holds
+    """Past the totality checks, which the tables pass, check_groupoid's
+    NonAssociative entries come last and are the associativity sweep's
+    (law_oracles), in its order; Light's test on the generators holds
     exactly when the sweep finds nothing.  Returns the sweep's list."""
     objects, arrows, src, tgt, inv, unit, comp = tabs
     got = listed(check_groupoid(*tabs))
-    violations, gens = check_groupoid_generators(*tabs)
-    assert listed(violations) == got
-    if gens is None:
-        assert got and all(code != "NonAssociative" for code, _, _ in got)
-        return []
-    laws = listed(reference_associativity(arrows, src, tgt, comp))
+    laws = listed(oracle.associativity_violations(arrows, src, tgt, comp))
     assert got == [v for v in got if v[0] != "NonAssociative"] + laws
     by_src, by_tgt = {}, {}
     for a in sorted(arrows):
@@ -289,6 +270,7 @@ def assert_associativity_matches_reference(*tabs):
         by_tgt.setdefault(tgt[a], []).append(a)
     # one body: on the generators it finds a failure exactly when the
     # sweep does, and on every arrow it finds the sweep's triples
+    gens = generators(arrows, src, tgt, comp)
     found = list(fingrpd._nonassociative(gens, by_src, by_tgt, src, tgt, comp))
     assert (found == []) == (laws == [])
     assert {m for _, m, _ in found} <= set(gens)
@@ -316,12 +298,12 @@ def parallel_arrows(g):
 
 
 def test_check_groupoid_matches_sweep_on_generated():
-    light = 0
+    light = kept = 0
     for g in generated_groupoids():
         assert assert_associativity_matches_reference(*tables(g)) == []
-        gens = check_groupoid_generators(*tables(g))[1]
-        light += len(gens) < len(g.arrows)
-    assert light >= 20
+        light += len(generators(g.arrows, g.src, g.tgt, g.comp)) < len(g.arrows)
+        kept += g.gens() is not None
+    assert light >= 20 and kept >= 15
 
 
 def test_check_groupoid_matches_sweep_on_corruptions():
@@ -408,6 +390,18 @@ def test_a_stray_key_in_an_endpoint_table_is_a_violation(name):
         validate_groupoid(*args)
 
 
+@pytest.mark.parametrize("name", ["omap", "amap"])
+def test_a_stray_key_in_a_morphism_map_is_a_violation(name):
+    # a key off the domain fails the functor, which is not returned with
+    # more entries than the domain has objects or arrows
+    g = cyclic_groupoid(2)
+    maps = {"omap": {"*": "*"}, "amap": {a: a for a in g.arrows}}
+    maps[name]["ghost"] = next(iter(maps[name].values()))
+    with pytest.raises(ValidationFailure) as got:
+        fingrpd.validate_groupoid_morphism(g, g, maps["omap"], maps["amap"])
+    assert listed(got.value.violations) == [("SpuriousEntry", (name, "ghost"), "")]
+
+
 def test_a_stray_action_entry_is_a_violation():
     # entries off the (g, h) with h over tgt(g): a label that is no bundle
     # arrow, an arrow over another object, and one beside a missing entry
@@ -463,12 +457,11 @@ def test_generators_generate_in_label_order_and_verdicts_ignore_the_labels():
 
 def test_kept_generators_are_read_without_finding_them(c2, s3):
     # a small groupoid's check does not look for generators, so it keeps
-    # none until a reader asks; S3's check finds and keeps them
-    assert c2.gens(find=False) is None
-    assert c2.gens() == ["c1"] and c2.gens(find=False) == ["c1"]
-    assert s3.gens(find=False) == s3.gens() == ["s021", "s102"]
+    # none, and no reader finds them later; S3's check finds and keeps them
+    assert c2.gens() is None and c2._gens is None
+    assert s3.gens() == ["s021", "s102"]
     raw = fingrpd.Groupoid(s3.objects, s3.arrows, s3.src, s3.tgt, s3.inv, s3.unit, s3.comp)
-    assert raw.gens() is None and raw.gens(find=False) is None
+    assert raw.gens() is None
 
 
 def test_violation_messages_are_formatted_when_read():

@@ -105,6 +105,17 @@ def test_cmd_check_bundle_missing_base_fails(tmp_path, capsys):
     assert "BadArrowEndpoints" in out
 
 
+def test_cmd_check_stray_morphism_key_fails(tmp_path, capsys):
+    # a morphism whose object map names an object SC2 does not have
+    with open(fixture("sc2.gdf")) as fh:
+        text = fh.read()
+    p = tmp_path / "ghost.gdf"
+    p.write_text(text + "morphism f {\n  from: SC2\n  to: SC2\n  objects: *=* ghost=*\n"
+                 "  left: c0=c0 c1=c1\n  right: c0=c0 c1=c1\n}\n")
+    assert run_cli(["check", str(p)]) == cli.EXIT_VALIDATION
+    assert "SpuriousEntry: FAIL witness=('omap', 'ghost')" in capsys.readouterr().out
+
+
 def test_cmd_check_stray_action_entry_fails(tmp_path, capsys):
     # an act entry at a label that is no bundle arrow is a validation failure
     with open(fixture("sc2.gdf")) as fh:

@@ -161,9 +161,10 @@ def test_a_moved_cell_end_changes_a_report(morphisms):
 def test_the_legs_share_the_middle_vertical_groupoid(rng):
     gprime, left, right = cr.decompose_crossing(generators.random_crossing(rng))
     assert left.dom is right.dom is gprime
-    vertical = xmod.vertical_groupoid(gprime)
-    assert xmod.vertical_groupoid(gprime) is vertical
-    assert xmod.xmod_to_2groupoid(gprime).vertical is vertical
+    tg = xmod.xmod_to_2groupoid(gprime)
+    assert gprime._vertical2 is tg
+    assert xmod.xmod_to_2groupoid(left.dom) is xmod.xmod_to_2groupoid(right.dom) is tg
+    assert tg.vertical.parts == xmod.vertical_groupoid(gprime).parts
 
 
 # -- which route runs --------------------------------------------------------
@@ -303,9 +304,8 @@ def functors(seed):
         dom, cod = xmod.vertical_groupoid(chi.dom), xmod.vertical_groupoid(chi.cod)
         m2 = {cell: fingrpd.pair(chi.lmap[h], chi.rmap[g]) for cell, (h, g) in dom.parts.items()}
         out.append(fingrpd.GroupoidMorphism(dom, cod, chi.rmap, m2))
-    for f in out:
-        assert f.dom.validated and f.cod.validated and f.dom.gens() is not None
-    return out
+    assert all(f.dom.validated and f.cod.validated for f in out)
+    return [f for f in out if f.dom.gens() is not None]
 
 
 def corruptions(f, rng):

@@ -4,8 +4,9 @@ nothing reads, no assert statements, no module reaching into
 another module's private names, label sets built once by util.labelset and
 never re-sorted or copied, every quotient built by util.quotient, every
 constructed groupoid built by fingrpd.groupoid_of_parts, the groupoid
-constructors called only in fingrpd and the GDF reader, and labels read
-through the parts tables of the objects that built them."""
+constructors called only in fingrpd and the GDF reader, labels read
+through the parts tables of the objects that built them, and every
+generator certificate run through util.law_failures."""
 
 import ast
 import functools
@@ -361,3 +362,29 @@ def test_the_hypercover_test_has_one_route():
         with open(path, encoding="utf-8") as fh:
             found += [(os.path.basename(path), "WitnessMorita")] * ("WitnessMorita" in fh.read())
     assert found == []
+
+
+# the certificates whose statements differ from their sweeps' and so stay
+# yes/no answers beside them, not laws run through util.law_failures
+YES_NO_CERTIFICATES = {"_whiskering_certifies", "_shape_certifies", "_translation_certifies"}
+
+
+def test_every_generator_certificate_runs_through_law_failures():
+    # util.law_failures is the one route from a law body to its first
+    # failure: no other module calls next(...) on a call, a law body's
+    # generator, but next(iter(...)) for a first element; and the
+    # generators a groupoid gives are the ones its check kept, with no
+    # knob that finds them later
+    found = [(module, top.name, call.lineno) for module, tree in library_modules()
+             if module != "util" for top in tree.body
+             if getattr(top, "name", None) not in YES_NO_CERTIFICATES
+             for call in calls(top, "next")
+             if isinstance(call.args[0], ast.Call) and not
+             (isinstance(call.args[0].func, ast.Name) and call.args[0].func.id == "iter")]
+    assert found == []
+    groupoid = next(top for top in parse(os.path.join(SRC, "fingrpd.py")).body
+                    if isinstance(top, ast.ClassDef) and top.name == "Groupoid")
+    gens = next(sub for sub in groupoid.body
+                if isinstance(sub, ast.FunctionDef) and sub.name == "gens")
+    assert [a.arg for a in gens.args.args] == ["self"] and not (
+        gens.args.vararg or gens.args.kwarg or gens.args.kwonlyargs or gens.args.posonlyargs)

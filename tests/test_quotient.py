@@ -144,12 +144,14 @@ def test_quotient_middle_matches_the_union_find_oracle(exchangers):
 
 
 def test_horizontal_diamond_matches_the_union_find_oracle(exchangers):
-    # the library links each carrier pair through generators of the H2 and
-    # H5 fibres, the oracle through every (h2, h5)
-    built = 0
+    # the library links each carrier pair through the kept generators of
+    # the H2 and H5 fibres, or their whole fibres where none are kept, the
+    # oracle through every (h2, h5)
+    built = by_gens = 0
     for ex in exchangers:
         assert ex.p.divisions is not None
-        assert ex.source.dst.h.gens() is not None and ex.target.dst.h.gens() is not None
+        assert ex.source.dst.h.validated and ex.target.dst.h.validated
+        by_gens += ex.source.dst.h.gens_by_point() is not None
         want = outcome(oracle.horizontal_diamond, ex, ex)
         got = outcome(exm.horizontal_diamond, ex, ex)
         if isinstance(want, tuple):
@@ -163,7 +165,7 @@ def test_horizontal_diamond_matches_the_union_find_oracle(exchangers):
         assert crossing_tables(got.source) == crossing_tables(want.source)
         assert crossing_tables(got.target) == crossing_tables(want.target)
         built += 1
-    assert built >= 14
+    assert built >= 14 and by_gens >= 10
 
 
 def test_morita_witness_matches_the_union_find_oracle():

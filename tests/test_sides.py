@@ -20,6 +20,8 @@ from xmodforge import generators, xmod
 from xmodforge.errors import Violation
 from xmodforge.fingrpd import check_groupoid_morphism
 
+from law_oracles import stray_keys
+
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
@@ -60,6 +62,10 @@ def reference_check_crossing(c, prime=False):
         if g2 not in dst.g.arrows or dst.g.tgt[g2] != c.sigma[m.tgt[mm]] \
                 or dst.g.src[g2] != c.sigma[m.src[mm]]:
             violations.append(Violation("BadLeg", ("b2", mm)))
+    violations += stray_keys(("tau", c.tau, objs), ("sigma", c.sigma, objs),
+                             ("a1", c.a1, list(_leg_domain(src, c.tau, m))),
+                              ("b1", c.b1, list(_leg_domain(dst, c.sigma, m))),
+                              ("a2", c.a2, arrows), ("b2", c.b2, arrows))
     if violations:
         return violations
 

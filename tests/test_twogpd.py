@@ -846,9 +846,9 @@ def generator_failures(f):
     (law, pair): its law bodies run on the generator pairs of f.dom, which
     are entries of the law's table."""
     out = []
-    for law, pairs in twogpd._generator_pairs(f.dom):
+    for _, law, pairs in twogpd._generator_pairs(f):
         assert set(pairs) <= set(getattr(f.dom, law))
-        out += [(law, ab) for ab in twogpd._unpreserved(f, law, pairs)]
+        out += [(law, v.witness) for v in twogpd._unpreserved(f, law, pairs)]
     return out
 
 

@@ -391,6 +391,18 @@ def test_hom2_functoriality(sc2):
     assert g.m2 == {a: f.m2[f.m2[a]] for a in f.m2}
 
 
+@pytest.mark.parametrize("name", ["omap", "lmap", "rmap"])
+def test_a_stray_key_in_a_strict_morphism_map_is_a_violation(sc2, name):
+    chi = xmod.identity_xmorphism(sc2)
+    maps = {"omap": chi.omap, "lmap": chi.lmap, "rmap": chi.rmap}
+    maps[name] = {**maps[name], "ghost": next(iter(maps[name].values()))}
+    with pytest.raises(ValidationFailure) as got:
+        xmod.validate_strict_xmorphism(sc2, sc2, maps["omap"], maps["lmap"], maps["rmap"])
+    # an omap key is off the objects of both H and G, and both functors list it
+    want = [("SpuriousEntry", (name, "ghost"))] * (2 if name == "omap" else 1)
+    assert [(v.code, v.witness) for v in got.value.violations] == want
+
+
 def test_then_needs_the_second_morphism_to_start_where_the_first_ends(sc2):
     sc3 = xmod.inertia_xmod(cyclic_groupoid(3))
     assert xmod.identity_xmorphism(sc2).then(xmod.identity_xmorphism(sc2)).validated
